@@ -3,19 +3,12 @@ matrices, and hub candidate sets used by every other module."""
 
 from __future__ import annotations
 
-import heapq
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-
-try:
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components, dijkstra
-
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover
-    _HAVE_SCIPY = False
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 #: Largest number of distance entries a dense all-pairs matrix may hold.
 DEFAULT_PAIR_CAP = 250_000_000
@@ -68,7 +61,7 @@ class WeightedGraph:
     to share across workers.
     """
 
-    __slots__ = ("n", "_eu", "_ev", "_ew", "_degrees", "_kind", "_edges", "_adj", "_nbrs")
+    __slots__ = ("n", "_eu", "_ev", "_ew", "_degrees", "_kind", "_edges", "_adj", "_nbrs", "_csr")
 
     def __init__(self, n: int, edges, *, validate: bool = True):
         if n < 0:
@@ -118,6 +111,7 @@ class WeightedGraph:
         self._edges = None
         self._adj = None
         self._nbrs = None
+        self._csr = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -229,109 +223,95 @@ def read_graph(path) -> WeightedGraph:
     return WeightedGraph(n, edges)
 
 
-# -- single-source searches ------------------------------------------------
+# -- searches --------------------------------------------------------------
+# Every search runs scipy's csgraph Dijkstra on one CSR matrix per graph.
+# csgraph reads a stored zero as a missing edge and csr_matrix sums duplicate
+# entries, so zero-weight components are contracted first and parallel
+# quotient edges keep their minimum weight. csgraph distances are float64,
+# exact only below 2**53.
+
+#: Total edge weight from which searches refuse to run, because a path length
+#: might no longer be exact in float64.
+WEIGHT_LIMIT = 1 << 52
 
 
-def _bfs_unit(g: WeightedGraph, src: int) -> list[int]:
-    dist = [-1] * g.n
-    dist[src] = 0
-    if g._nbrs is None:
-        g._build_adj()
-    nbrs = g._nbrs
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        dx = dist[x] + 1
-        for y in nbrs[x]:
-            if dist[y] < 0:
-                dist[y] = dx
-                queue.append(y)
-    return dist
+def _zero_contracted_components(g: WeightedGraph) -> np.ndarray:
+    u, v, w = g.edge_arrays()
+    zero = w == 0
+    data = np.ones(int(zero.sum()) * 2, dtype=np.int8)
+    rows = np.concatenate([u[zero], v[zero]])
+    cols = np.concatenate([v[zero], u[zero]])
+    mat = csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
+    _, labels = connected_components(mat, directed=False)
+    return labels
 
 
-def _bfs_01(g: WeightedGraph, src: int) -> list[int]:
-    dist = [-1] * g.n
-    dist[src] = 0
-    if g._adj is None:
-        g._build_adj()
-    adj = g._adj
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        dx = dist[x]
-        for y, w in adj[x]:
-            nd = dx + w
-            if dist[y] < 0 or nd < dist[y]:
-                dist[y] = nd
-                if w == 0:
-                    queue.appendleft(y)
-                else:
-                    queue.append(y)
-    return dist
+def _search_matrix(g: WeightedGraph):
+    """(labels, csr), built once per graph.
+
+    labels maps each vertex to its zero-weight component, or is None when g
+    has no zero weights; csr is the symmetric weight matrix of the graph on
+    those components.
+    """
+    if g._csr is None:
+        u, v, w = g.edge_arrays()
+        # Split sum: exact for any int64 weights, where a plain int64 sum may wrap.
+        total = (int((w >> 32).sum()) << 32) + int((w & 0xFFFFFFFF).sum())
+        if total >= WEIGHT_LIMIT:
+            raise ValueError(
+                f"total edge weight {total} reaches the limit 2**52 = {WEIGHT_LIMIT}; "
+                "search distances would not be exact"
+            )
+        labels, k = None, g.n
+        if g.has_zero_weights:
+            labels = _zero_contracted_components(g)
+            k = int(labels.max()) + 1
+            cu, cv = labels[u], labels[v]
+            keep = cu != cv
+            lo = np.minimum(cu[keep], cv[keep])
+            hi = np.maximum(cu[keep], cv[keep])
+            w = w[keep]
+            order = np.lexsort((w, hi, lo))
+            lo, hi, w = lo[order], hi[order], w[order]
+            first = np.ones(lo.size, dtype=bool)
+            first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+            u, v, w = lo[first], hi[first], w[first]
+        data = np.concatenate([w, w]).astype(np.float64)
+        mat = csr_matrix((data, (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(k, k))
+        g._csr = (labels, mat)
+    return g._csr
 
 
-def _dijkstra(g: WeightedGraph, src: int) -> list[int]:
-    dist = [-1] * g.n
-    if g._adj is None:
-        g._build_adj()
-    adj = g._adj
-    heap = [(0, src)]
-    dist[src] = 0
-    while heap:
-        dx, x = heapq.heappop(heap)
-        if dx > dist[x]:
-            continue
-        for y, w in adj[x]:
-            nd = dx + w
-            if dist[y] < 0 or nd < dist[y]:
-                dist[y] = nd
-                heapq.heappush(heap, (nd, y))
-    return dist
-
-
-def _single_source(g: WeightedGraph, src: int) -> list[int]:
-    if src < 0 or src >= g.n:
+def _distances(g: WeightedGraph, src: int | None = None) -> np.ndarray:
+    """int64 distances from src, or all pairs when src is None; -1 marks
+    unreachable."""
+    if src is not None and not 0 <= src < g.n:
         raise ValueError(f"source {src} out of range")
-    kind = g.weight_kind
-    if kind == "unit":
-        return _bfs_unit(g, src)
-    if kind == "01":
-        return _bfs_01(g, src)
-    return _dijkstra(g, src)
+    labels, mat = _search_matrix(g)
+    if src is None:
+        dist = dijkstra(mat, directed=True)
+        if labels is not None:
+            dist = dist[np.ix_(labels, labels)]
+    else:
+        dist = dijkstra(mat, directed=True, indices=src if labels is None else labels[src])
+        if labels is not None:
+            dist = dist[labels]
+    dist[np.isinf(dist)] = -1
+    return dist.astype(np.int64)
 
 
 def distances_from(g: WeightedGraph, src: int) -> np.ndarray:
     """Exact distances from src as an int64 array, -1 for unreachable."""
-    arr = np.array(_single_source(g, src), dtype=np.int64)
+    arr = _distances(g, src)
     arr.flags.writeable = False
     return arr
 
 
 def distance_between(g: WeightedGraph, s: int, t: int):
-    """Distance between two vertices, UNREACHABLE when no path exists.
-
-    Unit-weight searches stop as soon as the target is settled.
-    """
+    """Distance between two vertices, UNREACHABLE when no path exists."""
     if s == t:
         return 0
-    if g.weight_kind == "unit":
-        dist = [-1] * g.n
-        dist[s] = 0
-        if g._nbrs is None:
-            g._build_adj()
-        nbrs = g._nbrs
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            dx = dist[x] + 1
-            for y in nbrs[x]:
-                if dist[y] < 0:
-                    if y == t:
-                        return dx
-                    dist[y] = dx
-                    queue.append(y)
-        return UNREACHABLE
-    d = _single_source(g, s)[t]
+    d = int(_distances(g, s)[t])
     return UNREACHABLE if d < 0 else d
 
 
@@ -365,30 +345,26 @@ class ShortestPathTree:
         return out
 
 
-def _assign_parents(g: WeightedGraph, dists: list[int], root: int) -> list[int]:
-    # Positive weights: every valid parent is strictly closer to the root, so a
-    # single pass picking the lowest-id tight neighbor yields a tree. With
+def _assign_parents(g: WeightedGraph, dists: np.ndarray, root: int) -> list[int]:
+    # Positive weights: every valid parent is strictly closer to the root, so
+    # the lowest-id tight neighbor of each reached vertex yields a tree. With
     # 0-weight ties the lowest-id rule can create parent cycles, so those
     # graphs fall back to a deterministic fixpoint that only attaches to
     # already-rooted vertices.
     n = g.n
+    if not g.has_zero_weights:
+        eu, ev, ew = g.edge_arrays()
+        a, b = np.concatenate([eu, ev]), np.concatenate([ev, eu])
+        da = dists[a]
+        tight = (da >= 0) & (da + np.concatenate([ew, ew]) == dists[b])
+        best = np.full(n, n, dtype=np.int64)
+        np.minimum.at(best, b[tight], a[tight])
+        best[best == n] = -1
+        best[root] = root
+        return best.tolist()
+    dists = dists.tolist()
     parents = [-1] * n
     parents[root] = root
-    if g._adj is None:
-        g._build_adj()
-    adj = g._adj
-    if not g.has_zero_weights:
-        for v in range(n):
-            dv = dists[v]
-            if v == root or dv < 0:
-                continue
-            best = -1
-            for u, w in adj[v]:
-                du = dists[u]
-                if du >= 0 and du + w == dv and (best < 0 or u < best):
-                    best = u
-            parents[v] = best
-        return parents
     pending = [v for v in range(n) if v != root and dists[v] >= 0]
     pending.sort(key=lambda v: (dists[v], v))
     while pending:
@@ -397,7 +373,7 @@ def _assign_parents(g: WeightedGraph, dists: list[int], root: int) -> list[int]:
         for v in pending:
             dv = dists[v]
             best = -1
-            for u, w in adj[v]:
+            for u, w in g.adj(v):
                 if dists[u] >= 0 and dists[u] + w == dv and parents[u] != -1:
                     if best < 0 or u < best:
                         best = u
@@ -414,9 +390,9 @@ def _assign_parents(g: WeightedGraph, dists: list[int], root: int) -> list[int]:
 
 def shortest_paths_from(g: WeightedGraph, src: int) -> ShortestPathTree:
     """Single-source shortest paths with lowest-id parent tie-breaks."""
-    dists = _single_source(g, src)
+    dists = _distances(g, src)
     parents = _assign_parents(g, dists, src)
-    return ShortestPathTree(root=src, parents=tuple(parents), dists=tuple(dists))
+    return ShortestPathTree(root=src, parents=tuple(parents), dists=tuple(dists.tolist()))
 
 
 def canonical_trees(g: WeightedGraph) -> dict[int, ShortestPathTree]:
@@ -493,63 +469,18 @@ class LazyDistanceMatrix:
         return UNREACHABLE if val < 0 else val
 
 
-def _zero_contracted_components(g: WeightedGraph) -> np.ndarray:
-    u, v, w = g.edge_arrays()
-    zero = w == 0
-    data = np.ones(int(zero.sum()) * 2, dtype=np.int8)
-    rows = np.concatenate([u[zero], v[zero]])
-    cols = np.concatenate([v[zero], u[zero]])
-    mat = csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
-    _, labels = connected_components(mat, directed=False)
-    return labels
-
-
-def _scipy_all_pairs(g: WeightedGraph) -> np.ndarray:
-    u, v, w = g.edge_arrays()
-    if g.has_zero_weights:
-        # Contract 0-weight components, run on the quotient, expand back.
-        labels = _zero_contracted_components(g)
-        k = int(labels.max()) + 1 if g.n else 0
-        cu, cv, cw = labels[u], labels[v], w
-        keep = cu != cv
-        cu, cv, cw = cu[keep], cv[keep], cw[keep]
-        lo = np.minimum(cu, cv)
-        hi = np.maximum(cu, cv)
-        order = np.lexsort((cw, hi, lo))
-        lo, hi, cw = lo[order], hi[order], cw[order]
-        if lo.size:
-            keys = lo * k + hi
-            first = np.ones(lo.size, dtype=bool)
-            first[1:] = keys[1:] != keys[:-1]
-            lo, hi, cw = lo[first], hi[first], cw[first]
-        sub = _scipy_all_pairs(WeightedGraph(k, np.stack([lo, hi, cw], axis=1), validate=False))
-        return sub[np.ix_(labels, labels)]
-    rows = np.concatenate([u, v])
-    cols = np.concatenate([v, u])
-    data = np.concatenate([w, w]).astype(np.float64)
-    mat = csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
-    dist = dijkstra(mat, directed=True, unweighted=(g.weight_kind == "unit"))
-    out = np.where(np.isinf(dist), -1.0, dist)
-    return out.astype(np.int64)
-
-
 def all_pairs(g: WeightedGraph, *, pair_cap: int = DEFAULT_PAIR_CAP) -> DenseDistanceMatrix:
     """All-pairs shortest-path distances as a dense matrix.
 
     Equals n invocations of shortest_paths_from; raises ResourceLimitError
-    when n^2 entries would exceed pair_cap.
+    when n^2 entries would exceed pair_cap, and ValueError when the total edge
+    weight reaches WEIGHT_LIMIT.
     """
     if g.n * g.n > pair_cap:
         raise ResourceLimitError(
             f"all-pairs matrix needs {g.n * g.n} entries, cap is {pair_cap}"
         )
-    total_weight = int(g._ew.sum()) if g.m else 0
-    if _HAVE_SCIPY and g.n > 1 and total_weight < (1 << 52):
-        return DenseDistanceMatrix(_scipy_all_pairs(g))
-    mat = np.empty((g.n, g.n), dtype=np.int64)
-    for src in range(g.n):
-        mat[src] = _single_source(g, src)
-    return DenseDistanceMatrix(mat)
+    return DenseDistanceMatrix(_distances(g))
 
 
 def verify_metric(dm, *, samples: int | None = None, seed: int = 0) -> bool:
@@ -594,79 +525,63 @@ def hub_candidates(dm, u: int, v: int) -> set[int]:
     return {int(x) for x in np.flatnonzero(mask)}
 
 
-def count_shortest_paths(g: WeightedGraph, u: int, v: int, *, dists_u=None) -> int:
+def _dag_counts(g: WeightedGraph, u: int, v: int, du: np.ndarray, dv: np.ndarray):
+    """Shortest-path counts from u to each vertex on a shortest u-v path, and
+    those vertices in order of distance from u. Positive weights only.
+
+    Brandes-style accumulation (Brandes 2001) over the tight edges of the u-v
+    shortest-path DAG: every edge into a vertex leaves a strictly closer one,
+    so each count is final before it is passed on.
+    """
+    on = (du >= 0) & (dv >= 0) & (du + dv == du[v])
+    nodes = np.flatnonzero(on)
+    nodes = nodes[np.argsort(du[nodes], kind="stable")].tolist()
+    mat = _search_matrix(g)[1]
+    indptr, indices, data = mat.indptr, mat.indices, mat.data
+    cnt = dict.fromkeys(nodes, 0)
+    cnt[u] = 1
+    for x in nodes:
+        lo, hi = indptr[x], indptr[x + 1]
+        ys = indices[lo:hi]
+        for y in ys[on[ys] & (du[ys] == du[x] + data[lo:hi])].tolist():
+            cnt[y] += cnt[x]
+    return cnt, nodes
+
+
+def count_shortest_paths(
+    g: WeightedGraph, u: int, v: int, *, dists_u=None, dists_v=None
+) -> int:
     """Exact number of shortest u-v paths via the tight-edge DAG.
 
     Requires strictly positive weights; counts are exact big integers.
+    dists_u and dists_v, when given, are the distances from u and from v.
     """
     if g.has_zero_weights:
         raise ZeroWeightError("path counting requires positive edge weights")
-    if dists_u is None:
-        dists_u = distances_from(g, u)
-    dlist = dists_u.tolist() if isinstance(dists_u, np.ndarray) else list(dists_u)
-    target = dlist[v]
-    if target < 0:
+    du = distances_from(g, u) if dists_u is None else np.asarray(dists_u)
+    if du[v] < 0:
         raise UnreachablePairError(f"{u} and {v} are not mutually reachable")
     if u == v:
         return 1
-    nodes = [x for x in range(g.n) if 0 <= dlist[x] <= target]
-    nodes.sort(key=lambda x: dlist[x])
-    cnt = [0] * g.n
-    cnt[u] = 1
-    if g._adj is None:
-        g._build_adj()
-    adj = g._adj
-    for x in nodes:
-        cx = cnt[x]
-        if cx == 0:
-            continue
-        dx = dlist[x]
-        for y, w in adj[x]:
-            if dlist[y] == dx + w and dlist[y] <= target:
-                cnt[y] += cx
-    return cnt[v]
+    dv = distances_from(g, v) if dists_v is None else np.asarray(dists_v)
+    return _dag_counts(g, u, v, du, dv)[0][v]
 
 
 def is_unique_shortest_path(dm, g: WeightedGraph, u: int, v: int):
     """(True, path) when exactly one shortest u-v path exists, else (False, None)."""
-    dists_u = dm.row(u) if dm is not None else distances_from(g, u)
-    dlist = dists_u.tolist()
-    target = dlist[v]
-    if target < 0:
+    du = dm.row(u) if dm is not None else distances_from(g, u)
+    if du[v] < 0:
         raise UnreachablePairError(f"{u} and {v} are not mutually reachable")
     if u == v:
         return True, [u]
     if g.has_zero_weights:
         raise ZeroWeightError("path counting requires positive edge weights")
-    nodes = [x for x in range(g.n) if 0 <= dlist[x] <= target]
-    nodes.sort(key=lambda x: dlist[x])
-    cnt = [0] * g.n
-    cnt[u] = 1
-    if g._adj is None:
-        g._build_adj()
-    adj = g._adj
-    for x in nodes:
-        cx = cnt[x]
-        if cx == 0:
-            continue
-        dx = dlist[x]
-        for y, w in adj[x]:
-            if dlist[y] == dx + w and dlist[y] <= target:
-                cnt[y] += cx
+    dv = dm.row(v) if dm is not None else distances_from(g, v)
+    cnt, nodes = _dag_counts(g, u, v, du, dv)
+    # A single u-v path makes every vertex on the DAG a vertex of that path.
     if cnt[v] != 1:
         return False, None
-    path = [v]
-    y = v
-    while y != u:
-        for x, w in adj[y]:
-            if dlist[x] >= 0 and dlist[x] + w == dlist[y] and cnt[x] == 1:
-                y = x
-                break
-        else:  # pragma: no cover - impossible when cnt[v] == 1
-            raise RuntimeError("path reconstruction failed")
-        path.append(y)
-    path.reverse()
-    return True, path
+    return True, nodes
 
 
 def path_weight(g: WeightedGraph, path: list[int]) -> int:

@@ -58,15 +58,15 @@ def _audit_one_pair(g: WeightedGraph, inst: FamilyInstance, x, z):
     mid_coords = tuple((xk + zk) // 2 for xk, zk in zip(x, z))
     mid = inst.id_of(params.ell, mid_coords)
     du = distances_from(g, u)
+    dv = distances_from(g, v)
     problems = []
     duv = int(du[v])
     if duv != expected_unique_length(params, x, z):
         problems.append("length")
-    count = count_shortest_paths(g, u, v, dists_u=du)
+    count = count_shortest_paths(g, u, v, dists_u=du, dists_v=dv)
     unique = count == 1
     if not unique:
         problems.append(f"count={count}")
-    dv = distances_from(g, v)
     midpoint = int(du[mid]) >= 0 and int(dv[mid]) >= 0 and int(du[mid]) + int(dv[mid]) == duv
     if not midpoint:
         problems.append("midpoint")

@@ -25,7 +25,7 @@ from .family_gen import (
 )
 from .graph_core import UNREACHABLE, WeightedGraph, distance_between, distances_from
 from .hub_labeling import query as hub_query
-from .upperbound_builder import BuilderConfig, build_for_graph
+from .upperbound_builder import BuilderConfig, BuildResult, build_for_graph
 
 
 @dataclass(frozen=True)
@@ -136,13 +136,15 @@ def run_protocol(
     gprime: FamilyInstance | None = None,
     builder: BuilderConfig | None = None,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
+    hub_build: BuildResult | None = None,
 ) -> SumIndexTranscript:
     """One protocol round. The decoded bit is 1 iff the measured distance
     equals the ideal unique-path length; disconnection decodes 0.
 
-    mode "oracle" measures exact distances; mode "hub" builds a hub labeling
-    of the deleted graph and answers the query from labels, pricing messages
-    by the labeling's bit convention.
+    mode "oracle" measures exact distances; mode "hub" answers the query from
+    a hub labeling of the deleted graph, pricing messages by the labeling's
+    bit convention. That labeling is hub_build, the build_for_graph result for
+    gprime, when given, and is built from builder otherwise.
     """
     params = inst.params
     m = inst.m
@@ -166,7 +168,7 @@ def run_protocol(
         label_bits = _oracle_label_bits(params, gprime.graph.n)
         alice_bits = bob_bits = label_bits + index_bits
     else:
-        result = build_for_graph(gprime.graph, builder or BuilderConfig())
+        result = hub_build or build_for_graph(gprime.graph, builder or BuilderConfig())
         hl = result.labeling
         measured = hub_query(hl, u, v)
         per_entry = _ceil_log2(hl.n) + _ceil_log2(result.report.diameter + 1)
@@ -199,12 +201,15 @@ def sweep(
     builder: BuilderConfig | None = None,
 ) -> list[SumIndexTranscript]:
     """Run the protocol on every (a, b) pair, or on the given pairs, against a
-    single deleted graph."""
+    single deleted graph. Hub mode builds that graph's labeling once."""
     gprime = build_instance_graph(inst, base=base, vertex_cap=vertex_cap)
+    hub_build = None
+    if mode == "hub":
+        hub_build = build_for_graph(gprime.graph, builder or BuilderConfig())
     if pairs is None:
         pairs = itertools.product(range(inst.m), repeat=2)
     return [
-        run_protocol(inst, a, b, mode=mode, gprime=gprime, builder=builder)
+        run_protocol(inst, a, b, mode=mode, gprime=gprime, hub_build=hub_build)
         for a, b in pairs
     ]
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hublab.family_gen import FamilyParams, build_H
 from hublab.graph_core import (
     UNREACHABLE,
+    WEIGHT_LIMIT,
     DenseDistanceMatrix,
     GraphFormatError,
     LazyDistanceMatrix,
@@ -269,3 +270,81 @@ def test_zero_weight_contraction_all_pairs():
     assert dm.d(0, 3) == 1
     assert dm.d(3, 4) == 3
     assert dm.d(0, 1) == 0
+
+
+# -- differential tests against networkx ------------------------------------------
+
+
+def _differential_graphs():
+    """Seeded graphs with zero weights, disconnected parts, general weights,
+    and the degenerate sizes n = 0 and n = 1."""
+    graphs = [WeightedGraph(0, []), WeightedGraph(1, [])]
+    for seed in range(1, 5):
+        graphs.append(seeded_sparse_graph(14, 12, seed=seed))  # zero weights, disconnected
+        graphs.append(seeded_sparse_graph(24, 34, seed=seed, max_w=1))  # {0,1} weights
+        graphs.append(seeded_sparse_graph(14, 22, seed=seed, min_w=1, max_w=9))
+        graphs.append(seeded_sparse_graph(16, 24, seed=seed, min_w=1, max_w=1))
+    return graphs
+
+
+def _nx_distances(g):
+    nx = pytest.importorskip("networkx")
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_weighted_edges_from(g.edges)
+    rows = []
+    for src in range(g.n):
+        found = nx.single_source_dijkstra_path_length(G, src)
+        rows.append([found.get(v, -1) for v in range(g.n)])
+    return G, rows
+
+
+def test_distances_match_networkx():
+    for g in _differential_graphs():
+        _, expected = _nx_distances(g)
+        dm = all_pairs(g)
+        for src in range(g.n):
+            assert distances_from(g, src).tolist() == expected[src]
+            assert dm.row(src).tolist() == expected[src]
+            for t in range(g.n):
+                want = expected[src][t]
+                assert distance_between(g, src, t) == (UNREACHABLE if want < 0 else want)
+
+
+def test_path_counts_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for g in _differential_graphs():
+        if g.has_zero_weights:
+            continue
+        G, dist = _nx_distances(g)
+        for u in range(g.n):
+            for v in range(g.n):
+                if dist[u][v] < 0:
+                    continue
+                expected = len(list(nx.all_shortest_paths(G, u, v, weight="weight")))
+                assert count_shortest_paths(g, u, v) == expected
+
+
+def test_tree_parents_are_lowest_id_tight_neighbors():
+    for g in _differential_graphs():
+        if g.has_zero_weights:
+            continue
+        _, dist = _nx_distances(g)
+        for root in range(g.n):
+            d = dist[root]
+            parents = shortest_paths_from(g, root).parents
+            for v in range(g.n):
+                tight = [x for x, w in g.adj(v) if d[x] >= 0 and d[x] + w == d[v]]
+                want = root if v == root else min(tight, default=-1)
+                assert parents[v] == want
+
+
+def test_search_rejects_total_weight_at_limit():
+    half = WEIGHT_LIMIT // 2
+    below = WeightedGraph(3, [(0, 1, half), (1, 2, half - 1)])
+    assert all_pairs(below).d(0, 2) == WEIGHT_LIMIT - 1
+    at = WeightedGraph(3, [(0, 1, half), (1, 2, half)])
+    with pytest.raises(ValueError, match=r"2\*\*52"):
+        all_pairs(at)
+    with pytest.raises(ValueError, match=r"2\*\*52"):
+        distances_from(at, 0)
