@@ -5,7 +5,6 @@ from .graph_core import (
     UNREACHABLE,
     DenseDistanceMatrix,
     GraphFormatError,
-    LazyDistanceMatrix,
     ResourceLimitError,
     ShortestPathTree,
     UnreachablePairError,
@@ -16,7 +15,6 @@ from .graph_core import (
     count_shortest_paths,
     distance_between,
     distances_from,
-    hub_candidates,
     is_unique_shortest_path,
     path_weight,
     read_graph,

@@ -16,7 +16,7 @@ from . import family_gen, graph_core, hub_labeling, lowerbound_audit, sumindex_p
 from .family_gen import FamilyParams, LevelCoord
 from .graph_core import all_pairs, canonical_trees, read_graph, write_graph
 from .hub_labeling import read_labels, verify_cover, write_labels
-from .sumindex_protocol import SumIndexInstance, build_base_graph, run_protocol
+from .sumindex_protocol import SumIndexInstance, build_base_graph
 from .upperbound_builder import BuilderConfig, build_for_graph
 
 EXIT_OK = 0
@@ -34,12 +34,16 @@ def _report(command: str, config: dict, payload: dict) -> dict:
     return out
 
 
-def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=1, sort_keys=True) + "\n"
+def _output(text: str, args) -> None:
+    """Write text to stdout and, with --report, to that file as well."""
     if getattr(args, "report", None):
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text)
     sys.stdout.write(text)
+
+
+def _emit(report: dict, args) -> None:
+    _output(json.dumps(report, indent=1, sort_keys=True) + "\n", args)
 
 
 def _csv_text(rows: list[dict]) -> str:
@@ -285,11 +289,7 @@ def _cmd_sumindex(args) -> int:
         (max(r["alice_label_bits"], r["bob_label_bits"]) for r in rows), default=0
     )
     if args.format == "csv":
-        text = _csv_text(rows)
-        if getattr(args, "report", None):
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        sys.stdout.write(text)
+        _output(_csv_text(rows), args)
         print(
             f"runs={len(rows)} mismatches={mismatches} max_message_bits={max_bits}",
             file=sys.stderr,
@@ -337,11 +337,7 @@ def _cmd_bench(args) -> int:
         )
     config = {"graph": args.graph, "D_range": d_values, "seed": args.seed}
     if args.format == "csv":
-        text = _csv_text(rows)
-        if getattr(args, "report", None):
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        sys.stdout.write(text)
+        _output(_csv_text(rows), args)
     else:
         _emit(_report("bench", config, {"rows": rows}), args)
     return EXIT_OK if all_valid else EXIT_FAILED_CHECK
@@ -357,9 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed recorded in reports")
-    common.add_argument(
-        "--threads", type=int, default=1, help="worker bound (reserved; runs are sequential)"
-    )
     common.add_argument(
         "--vertex-cap",
         type=int,

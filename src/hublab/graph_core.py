@@ -1,9 +1,8 @@
 """Weighted graph core: representation, shortest-path searches, distance
-matrices, and hub candidate sets used by every other module."""
+matrices, and shortest-path counts used by every other module."""
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -439,36 +438,6 @@ class DenseDistanceMatrix:
         return int(finite.max()) if finite.size else 0
 
 
-class LazyDistanceMatrix:
-    """Distance matrix computed per source on demand with an LRU row cache.
-
-    Suitable for instances whose n^2 footprint exceeds the pair cap.
-    """
-
-    __slots__ = ("n", "_g", "_cache", "_max_rows")
-
-    def __init__(self, g: WeightedGraph, *, max_rows: int = 64):
-        self._g = g
-        self.n = g.n
-        self._cache: OrderedDict[int, np.ndarray] = OrderedDict()
-        self._max_rows = max_rows
-
-    def row(self, u: int) -> np.ndarray:
-        hit = self._cache.get(u)
-        if hit is not None:
-            self._cache.move_to_end(u)
-            return hit
-        arr = distances_from(self._g, u)
-        self._cache[u] = arr
-        if len(self._cache) > self._max_rows:
-            self._cache.popitem(last=False)
-        return arr
-
-    def d(self, u: int, v: int):
-        val = int(self.row(u)[v])
-        return UNREACHABLE if val < 0 else val
-
-
 def all_pairs(g: WeightedGraph, *, pair_cap: int = DEFAULT_PAIR_CAP) -> DenseDistanceMatrix:
     """All-pairs shortest-path distances as a dense matrix.
 
@@ -483,46 +452,7 @@ def all_pairs(g: WeightedGraph, *, pair_cap: int = DEFAULT_PAIR_CAP) -> DenseDis
     return DenseDistanceMatrix(_distances(g))
 
 
-def verify_metric(dm, *, samples: int | None = None, seed: int = 0) -> bool:
-    """Check symmetry and the triangle inequality.
-
-    Full check when samples is None (dense matrices only), otherwise a seeded
-    sample of that many triples.
-    """
-    if samples is None:
-        mat = dm.matrix()
-        if not (mat == mat.T).all():
-            return False
-        inf = dm.inf_matrix()
-        for x in range(dm.n):
-            via = inf[:, x][:, None] + inf[x, :][None, :]
-            if (np.minimum(via, _INF64) < inf).any():
-                return False
-        return True
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        u, v, x = (int(t) for t in rng.integers(0, dm.n, size=3))
-        duv, dux, dxv = dm.d(u, v), dm.d(u, x), dm.d(x, v)
-        if dm.d(v, u) is not UNREACHABLE and duv is not UNREACHABLE and dm.d(v, u) != duv:
-            return False
-        if dux is not UNREACHABLE and dxv is not UNREACHABLE:
-            if duv is UNREACHABLE or duv > dux + dxv:
-                return False
-    return True
-
-
-# -- hub candidates and path uniqueness -------------------------------------
-
-
-def hub_candidates(dm, u: int, v: int) -> set[int]:
-    """All x with d(u,x) + d(x,v) = d(u,v). Always contains u and v."""
-    ru = dm.row(u)
-    duv = int(ru[v])
-    if duv < 0:
-        raise UnreachablePairError(f"{u} and {v} are not mutually reachable")
-    rv = dm.row(v)
-    mask = (ru >= 0) & (rv >= 0) & (ru + rv == duv)
-    return {int(x) for x in np.flatnonzero(mask)}
+# -- path uniqueness ---------------------------------------------------------
 
 
 def _dag_counts(g: WeightedGraph, u: int, v: int, du: np.ndarray, dv: np.ndarray):

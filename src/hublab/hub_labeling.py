@@ -172,17 +172,6 @@ def verify_cover(
     )
 
 
-def check_stored_distances(hl: HubLabeling, dm) -> list[tuple[int, int, int]]:
-    """Entries whose stored distance differs from the true distance."""
-    bad = []
-    for v in range(hl.n):
-        row = dm.row(v)
-        for h, d in hl.hubs[v]:
-            if int(row[h]) != d:
-                bad.append((v, h, d))
-    return bad
-
-
 def baseline_full(dm) -> HubLabeling:
     """Trivial upper baseline: every vertex stores all reachable vertices."""
     sets = []
@@ -228,6 +217,7 @@ def monotone_closure(hl: HubLabeling, trees: Mapping[int, ShortestPathTree]) -> 
 # One line per vertex: "v: (h1,d1) (h2,d2) ...". Hubs sorted by id.
 
 _ENTRY_RE = re.compile(r"\((\d+),(\d+)\)")
+_BODY_RE = re.compile(r"\s*(?:\((0|[1-9][0-9]*),(0|[1-9][0-9]*)\)\s*)*")
 
 
 def write_labels(hl: HubLabeling, path) -> None:
@@ -257,10 +247,7 @@ def read_labels(path) -> HubLabeling:
                 raise GraphFormatError(f"line {lineno + 1}: bad vertex id") from exc
             if v != len(sets):
                 raise GraphFormatError(f"line {lineno + 1}: vertex ids must be consecutive")
-            entries = [(int(h), int(d)) for h, d in _ENTRY_RE.findall(body)]
-            stripped = re.sub(r"\s+", "", body)
-            rebuilt = "".join(f"({h},{d})" for h, d in entries)
-            if stripped != rebuilt:
+            if _BODY_RE.fullmatch(body) is None:
                 raise GraphFormatError(f"line {lineno + 1}: malformed hub entries")
-            sets.append(entries)
+            sets.append([(int(h), int(d)) for h, d in _ENTRY_RE.findall(body)])
     return HubLabeling(len(sets), sets)

@@ -10,7 +10,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .family_gen import KIND_G, KIND_H, FamilyInstance, LevelCoord
+from .family_gen import KIND_G, KIND_H, FamilyInstance
 from .graph_core import (
     ShortestPathTree,
     WeightedGraph,
@@ -51,14 +51,14 @@ def expected_unique_length(params, x, z) -> int:
     return 2 * params.ell * params.base_weight + 2 * sum(d * d for d in half)
 
 
-def _audit_one_pair(g: WeightedGraph, inst: FamilyInstance, x, z):
+def _audit_one_pair(g: WeightedGraph, inst: FamilyInstance, x, z, dists_from):
     params = inst.params
     u = inst.id_of(0, x)
     v = inst.id_of(2 * params.ell, z)
     mid_coords = tuple((xk + zk) // 2 for xk, zk in zip(x, z))
     mid = inst.id_of(params.ell, mid_coords)
-    du = distances_from(g, u)
-    dv = distances_from(g, v)
+    du = dists_from(u)
+    dv = dists_from(v)
     problems = []
     duv = int(du[v])
     if duv != expected_unique_length(params, x, z):
@@ -89,11 +89,19 @@ def audit_lemma1(
         picks = rng.choice(len(pairs), size=sample, replace=False)
         pairs = [pairs[int(i)] for i in sorted(picks)]
     g = inst.graph
+    # Pairs share endpoints: search from each distinct endpoint once.
+    dists: dict[int, np.ndarray] = {}
+
+    def dists_from(v: int) -> np.ndarray:
+        if v not in dists:
+            dists[v] = distances_from(g, v)
+        return dists[v]
+
     checked = unique_ok = midpoint_ok = 0
     failures = []
     for x, z in pairs:
         checked += 1
-        unique, midpoint, problems = _audit_one_pair(g, inst, x, z)
+        unique, midpoint, problems = _audit_one_pair(g, inst, x, z, dists_from)
         unique_ok += unique
         midpoint_ok += midpoint
         if problems:

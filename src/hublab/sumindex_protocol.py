@@ -11,8 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .family_gen import (
     DEFAULT_VERTEX_CAP,
     KIND_G_PRIME,
@@ -23,7 +21,7 @@ from .family_gen import (
     delete_level_mid,
     expand_to_G,
 )
-from .graph_core import UNREACHABLE, WeightedGraph, distance_between, distances_from
+from .graph_core import distance_between, distances_from
 from .hub_labeling import query as hub_query
 from .upperbound_builder import BuilderConfig, BuildResult, build_for_graph
 

@@ -2,16 +2,16 @@
 
 Stages: a random cover set for pairs with many hub candidates, a random
 coloring whose conflicts are stored outright, per-(a,b,h) bucket matchings
-whose endpoints collect hubs, and final assembly with verification. Includes
-the average-degree to max-degree reduction via zero-weight vertex splitting.
+whose endpoints collect hubs, and final assembly. Includes the average-degree
+to max-degree reduction via zero-weight vertex splitting. The stages only
+build; build_for_graph checks the size ledger and the cover once.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .graph_core import (
     WeightedGraph,
     all_pairs,
 )
-from .hub_labeling import CoverReport, HubLabeling, bit_estimate, verify_cover
+from .hub_labeling import CoverReport, HubLabeling, verify_cover
 
 
 class ResampleExhausted(RuntimeError):
@@ -85,6 +85,19 @@ def _rng(seed: int, stage: int, attempt: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed & (2**64 - 1), stage, attempt]))
 
 
+def _resample(cfg: BuilderConfig, stage: int, name: str, n: int, D: int, draw):
+    """Call draw(rng) on the stage's per-attempt streams until the sample size
+    it returns with its result meets the 2 n^2 / D budget; returns
+    (result, attempts)."""
+    for attempt in range(cfg.max_resamples):
+        result, sample_size = draw(_rng(cfg.seed, stage, attempt))
+        if sample_size * D <= 2 * n * n:
+            return result, attempt + 1
+    raise ResampleExhausted(
+        f"{name} stage missed the {2 * n * n}/{D} budget {cfg.max_resamples} times"
+    )
+
+
 # -- shared pair classification ----------------------------------------------
 
 
@@ -93,21 +106,20 @@ class PairIndex:
     """Per-graph classification of vertex pairs by candidate-set size.
 
     small holds the explicit candidate set for every pair with |H_uv| <= D
-    (keys u < v). Pairs with |H_uv| >= D are "big": on {0,1}-weight graphs a
-    pair is big whenever d(u,v) >= D because |H_uv| >= d(u,v) + 1, so only
-    close pairs need explicit sets; general weights require exact counts and
-    also produce "forced" pairs (|H_uv| < D at distance > D) that no other
-    stage would cover.
+    (keys u < v). big[u, v] (upper triangle only) marks the reachable pairs
+    with |H_uv| >= D: on {0,1}-weight graphs a pair is big whenever
+    d(u,v) >= D because |H_uv| >= d(u,v) + 1, so only close pairs need
+    explicit counts; general weights require exact counts and also produce
+    "forced" pairs (|H_uv| < D at distance > D) that no other stage would
+    cover.
     """
 
     n: int
     D: int
-    zero_one: bool
     small: dict[tuple[int, int], tuple[int, ...]]
     small_dist: dict[tuple[int, int], int]
     forced: tuple[tuple[int, int], ...]
-    big_extra: dict[int, np.ndarray] | None
-    big_rows: np.ndarray | None
+    big: np.ndarray
 
 
 def build_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
@@ -117,7 +129,7 @@ def build_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
     small: dict[tuple[int, int], tuple[int, ...]] = {}
     small_dist: dict[tuple[int, int], int] = {}
     if zero_one:
-        big_extra: dict[int, np.ndarray] = {}
+        big = np.triu(mat >= D, 1)
         for u in range(n):
             ru = mat[u]
             close = np.flatnonzero((ru >= 0) & (ru <= D - 1))
@@ -127,18 +139,15 @@ def build_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
             sums = inf[:, close] + inf[u][:, None]
             mask = sums == ru[close][None, :]
             counts = mask.sum(axis=0)
-            extra = []
             for j, v in enumerate(close.tolist()):
                 c = int(counts[j])
                 if c <= D:
                     small[(u, v)] = tuple(int(x) for x in np.flatnonzero(mask[:, j]))
                     small_dist[(u, v)] = int(ru[v])
                 if c >= D:
-                    extra.append(v)
-            if extra:
-                big_extra[u] = np.array(extra, dtype=np.int64)
-        return PairIndex(n, D, True, small, small_dist, (), big_extra, None)
-    big_rows = np.zeros((n, n), dtype=bool)
+                    big[u, v] = True
+        return PairIndex(n, D, small, small_dist, (), big)
+    big = np.zeros((n, n), dtype=bool)
     ids = np.arange(n)
     for u in range(n):
         ru = mat[u]
@@ -146,7 +155,7 @@ def build_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
         mask = sums == inf[u][None, :]
         counts = mask.sum(axis=0)
         reach = (ru >= 0) & (ids > u)
-        big_rows[u] = reach & (counts >= D)
+        big[u] = reach & (counts >= D)
         for v in np.flatnonzero(reach & (counts <= D)).tolist():
             small[(u, v)] = tuple(int(x) for x in np.flatnonzero(mask[:, v]))
             small_dist[(u, v)] = int(ru[v])
@@ -157,97 +166,59 @@ def build_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
             if len(H) < D and small_dist[(u, v)] > D
         )
     )
-    return PairIndex(n, D, False, small, small_dist, forced, None, big_rows)
+    return PairIndex(n, D, small, small_dist, forced, big)
 
 
-def _index_for(dm, D: int, g: WeightedGraph | None = None) -> PairIndex:
-    zero_one = g is not None and g.weight_kind in ("unit", "01")
-    return build_pair_index(dm, D, zero_one=zero_one)
+def _given_or_built(dm, cfg: BuilderConfig, index: PairIndex | None) -> PairIndex:
+    if index is None:
+        index = build_pair_index(dm, resolve_threshold(dm.n, cfg.D))
+    return index
 
 
 # -- stage 1: random cover set ------------------------------------------------
 
 
-@dataclass
-class _CoverStats:
-    attempts: int
-    q_random: int
-    q_forced: int
-
-
 def _sample_cover(dm, cfg: BuilderConfig, index: PairIndex):
+    """(S, Q, attempts); Q holds the big pairs S misses plus the forced pairs."""
     n = dm.n
     D = index.D
     if D == 1 or n == 0:
         # Degenerate threshold: the stage is skipped and all pairs flow to the
         # coloring and matching stages.
-        return frozenset(), {}, _CoverStats(attempts=0, q_random=0, q_forced=0)
-    mat = dm.matrix()
+        return frozenset(), {}, 0
     inf = dm.inf_matrix()
     s_size = math.ceil((n / D) * math.log(D))
-    budget = 2 * n * n
-    for attempt in range(cfg.max_resamples):
-        rng = _rng(cfg.seed, 1, attempt)
-        if s_size:
-            s_arr = np.sort(rng.choice(n, size=s_size, replace=False))
-            sm = inf[s_arr, :]
-        else:
-            s_arr = np.zeros(0, dtype=np.int64)
-            sm = None
+
+    def draw(rng):
+        s_arr = np.sort(rng.choice(n, size=s_size, replace=False))
+        sm = inf[s_arr, :]
         q: dict[int, np.ndarray] = {}
-        q_random = 0
         for u in range(n):
-            if index.zero_one:
-                idx = np.flatnonzero(mat[u] >= D)
-                idx = idx[idx > u]
-                extra = index.big_extra.get(u)
-                if extra is not None:
-                    idx = np.union1d(idx, extra)
-            else:
-                idx = np.flatnonzero(index.big_rows[u])
+            idx = np.flatnonzero(index.big[u])
             if idx.size == 0:
                 continue
-            if sm is not None:
-                lhs = inf[u, s_arr]
-                hits = (lhs[:, None] + sm[:, idx] == inf[u, idx][None, :]).any(axis=0)
-                missed = idx[~hits]
-            else:
-                missed = idx
+            lhs = inf[u, s_arr]
+            hits = (lhs[:, None] + sm[:, idx] == inf[u, idx][None, :]).any(axis=0)
+            missed = idx[~hits]
             if missed.size:
                 q[u] = missed
-                q_random += int(missed.size)
-        if q_random * D <= budget:
-            out = {u: set(vs.tolist()) for u, vs in q.items()}
-            for (u, v) in index.forced:
-                out.setdefault(u, set()).add(v)
-            final = {u: frozenset(vs) for u, vs in out.items()}
-            return (
-                frozenset(int(x) for x in s_arr),
-                final,
-                _CoverStats(attempts=attempt + 1, q_random=q_random, q_forced=len(index.forced)),
-            )
-    raise ResampleExhausted(
-        f"cover-set stage missed the {2 * n * n}/{D} budget {cfg.max_resamples} times"
-    )
+        return (s_arr, q), sum(int(vs.size) for vs in q.values())
+
+    (s_arr, q), attempts = _resample(cfg, 1, "cover-set", n, D, draw)
+    out = {u: set(vs.tolist()) for u, vs in q.items()}
+    for (u, v) in index.forced:
+        out.setdefault(u, set()).add(v)
+    final = {u: frozenset(vs) for u, vs in out.items()}
+    return frozenset(int(x) for x in s_arr), final, attempts
 
 
 def sample_cover_set(dm, cfg: BuilderConfig, *, index: PairIndex | None = None):
     """(S, Q): a uniform cover set of size ceil((n/D) ln D) plus the pairs it
     leaves uncovered, resampled until sum |Q_v| <= 2 n^2 / D."""
-    D = resolve_threshold(dm.n, cfg.D)
-    if index is None:
-        index = build_pair_index(dm, D)
-    S, Q, _ = _sample_cover(dm, cfg, index)
-    return S, Q
+    return _sample_cover(dm, cfg, _given_or_built(dm, cfg, index))[:2]
 
 
 # -- stage 2: random coloring --------------------------------------------------
-
-
-@dataclass
-class _ColorStats:
-    attempts: int
-    r_total: int
 
 
 def _has_conflict(colors: list[int], H) -> bool:
@@ -261,6 +232,7 @@ def _has_conflict(colors: list[int], H) -> bool:
 
 
 def _sample_colors(dm, cfg: BuilderConfig, index: PairIndex):
+    """(colors, R, attempts)."""
     n = dm.n
     D = index.D
     if D == 1:
@@ -268,44 +240,29 @@ def _sample_colors(dm, cfg: BuilderConfig, index: PairIndex):
         # every reachable pair is stored outright.
         mat = dm.matrix()
         r = {}
-        total = 0
         for u in range(n):
             vs = np.flatnonzero(mat[u] >= 0)
             vs = vs[vs > u]
             if vs.size:
                 r[u] = frozenset(int(v) for v in vs)
-                total += int(vs.size)
-        return (1,) * n, r, _ColorStats(attempts=1, r_total=total)
-    budget = 2 * n * n
-    n_colors = D**3
-    for attempt in range(cfg.max_resamples):
-        rng = _rng(cfg.seed, 2, attempt)
-        colors = rng.integers(1, n_colors + 1, size=n).tolist() if n else []
+        return (1,) * n, r, 1
+
+    def draw(rng):
+        colors = rng.integers(1, D**3 + 1, size=n).tolist()
         r: dict[int, set[int]] = {}
-        total = 0
         for (u, v), H in index.small.items():
             if _has_conflict(colors, H):
                 r.setdefault(u, set()).add(v)
-                total += 1
-        if total * D <= budget:
-            return (
-                tuple(colors),
-                {u: frozenset(vs) for u, vs in r.items()},
-                _ColorStats(attempts=attempt + 1, r_total=total),
-            )
-    raise ResampleExhausted(
-        f"coloring stage missed the {2 * n * n}/{D} budget {cfg.max_resamples} times"
-    )
+        return (colors, r), sum(len(vs) for vs in r.values())
+
+    (colors, r), attempts = _resample(cfg, 2, "coloring", n, D, draw)
+    return tuple(colors), {u: frozenset(vs) for u, vs in r.items()}, attempts
 
 
 def sample_coloring(dm, cfg: BuilderConfig, *, index: PairIndex | None = None):
     """(colors, R): uniform colors in [1, D^3] and, for every pair with a
     small candidate set, the partners whose set got a repeated color."""
-    D = resolve_threshold(dm.n, cfg.D)
-    if index is None:
-        index = build_pair_index(dm, D)
-    colors, R, _ = _sample_colors(dm, cfg, index)
-    return colors, R
+    return _sample_colors(dm, cfg, _given_or_built(dm, cfg, index))[:2]
 
 
 # -- stage 3: bucket matchings --------------------------------------------------
@@ -331,9 +288,8 @@ def build_matchings(dm, colors, cfg: BuilderConfig, *, index: PairIndex | None =
     conflict-free small pairs; matched endpoints collect h, and every vertex
     holds itself. Runtime-checks the induced-matching invariant."""
     n = dm.n
-    D = resolve_threshold(n, cfg.D)
-    if index is None:
-        index = build_pair_index(dm, D)
+    index = _given_or_built(dm, cfg, index)
+    D = index.D
     colors = list(colors)
     mat = dm.matrix()
     buckets: dict[tuple[int, int, int], list[tuple[int, int]]] = defaultdict(list)
@@ -417,7 +373,9 @@ def size_ledger(S, Q, R, F, g: WeightedGraph, hl: HubLabeling) -> SizeLedger:
     )
 
 
-def _assemble(S, Q, R, F, g: WeightedGraph, dm) -> tuple[HubLabeling, CoverReport]:
+def assemble(S, Q, R, F, g: WeightedGraph, dm) -> HubLabeling:
+    """hubs(v) = S union Q_v union R_v union N(F_v), distances filled from the
+    matrix. Builds only; build_for_graph checks the result."""
     mat = dm.matrix()
     neigh = _closed_neighborhoods(F, g)
     sets = []
@@ -428,24 +386,7 @@ def _assemble(S, Q, R, F, g: WeightedGraph, dm) -> tuple[HubLabeling, CoverRepor
         members.update(neigh[v])
         row = mat[v]
         sets.append([(h, int(row[h])) for h in sorted(members) if row[h] >= 0])
-    hl = HubLabeling(g.n, sets)
-    ledger = size_ledger(S, Q, R, F, g, hl)
-    if not ledger.bound_ok:
-        raise CoverVerificationError(f"size ledger bound violated: {ledger}")
-    report = verify_cover(hl, dm)
-    if not report.valid:
-        raise CoverVerificationError(
-            f"assembled labeling fails cover verification on "
-            f"{report.uncovered_total} pairs, first {report.uncovered[:5]}"
-        )
-    return hl, report
-
-
-def assemble(S, Q, R, F, g: WeightedGraph, dm) -> HubLabeling:
-    """hubs(v) = S union Q_v union R_v union N(F_v), distances filled from the
-    matrix. Verifies the cover and the size-ledger bound; failures raise."""
-    hl, _ = _assemble(S, Q, R, F, g, dm)
-    return hl
+    return HubLabeling(g.n, sets)
 
 
 # -- degree reduction -------------------------------------------------------------
@@ -494,7 +435,10 @@ def reduce_degree(g: WeightedGraph):
     return WeightedGraph(acc, edges), representative, origin
 
 
-def _project(hl_reduced: HubLabeling, representative, origin, dm) -> tuple[HubLabeling, CoverReport]:
+def project_back(hl_reduced: HubLabeling, representative, origin, dm) -> HubLabeling:
+    """Pull a labeling of the reduced graph back to the original vertices,
+    recomputing distances from the original matrix. Builds only;
+    build_for_graph checks the result."""
     n = dm.n
     mat = dm.matrix()
     sets = []
@@ -503,20 +447,7 @@ def _project(hl_reduced: HubLabeling, representative, origin, dm) -> tuple[HubLa
         hubs = {origin[h] for h, _ in hl_reduced.hubs[rep]}
         row = mat[v]
         sets.append([(h, int(row[h])) for h in sorted(hubs) if row[h] >= 0])
-    hl = HubLabeling(n, sets)
-    report = verify_cover(hl, dm)
-    if not report.valid:
-        raise CoverVerificationError(
-            f"projected labeling fails cover verification on {report.uncovered_total} pairs"
-        )
-    return hl, report
-
-
-def project_back(hl_reduced: HubLabeling, representative, origin, dm) -> HubLabeling:
-    """Pull a labeling of the reduced graph back to the original vertices,
-    recomputing distances from the original matrix. Verifies the cover."""
-    hl, _ = _project(hl_reduced, representative, origin, dm)
-    return hl
+    return HubLabeling(n, sets)
 
 
 # -- driver -----------------------------------------------------------------------
@@ -598,17 +529,6 @@ def needs_reduction(g: WeightedGraph) -> bool:
     return g.max_degree > 2 + (-(-g.m // g.n))
 
 
-def _run_stages(g: WeightedGraph, dm, cfg: BuilderConfig):
-    D = resolve_threshold(g.n, cfg.D)
-    index = _index_for(dm, D, g)
-    S, Q, cover_stats = _sample_cover(dm, cfg, index)
-    colors, R, color_stats = _sample_colors(dm, cfg, index)
-    F, log = build_matchings(dm, colors, cfg, index=index)
-    hl, cover = _assemble(S, Q, R, F, g, dm)
-    artifacts = BuilderArtifacts(S=S, Q=Q, R=R, F=F, colors=colors, matchings_log=log)
-    return hl, cover, artifacts, cover_stats, color_stats, D
-
-
 def build_for_graph(
     g: WeightedGraph,
     cfg: BuilderConfig | None = None,
@@ -616,24 +536,45 @@ def build_for_graph(
     pair_cap: int = DEFAULT_PAIR_CAP,
 ) -> BuildResult:
     """Run the full pipeline, inserting the degree reduction when the graph's
-    maximum degree exceeds 2 + ceil(m/n)."""
+    maximum degree exceeds 2 + ceil(m/n), and certify the result: the size
+    ledger bound, then the cover of the stage labeling, then (reduced builds
+    only) the cover of the projected labeling. A failed check raises
+    CoverVerificationError."""
     cfg = cfg or BuilderConfig()
     dm = all_pairs(g, pair_cap=pair_cap)
-    reduced_info = None
+    stage_graph, stage_dm, reduced_info = g, dm, None
     if needs_reduction(g):
-        g2, representative, origin = reduce_degree(g)
-        dm2 = all_pairs(g2, pair_cap=pair_cap)
-        hl2, _, artifacts, cover_stats, color_stats, D = _run_stages(g2, dm2, cfg)
-        hl, cover = _project(hl2, representative, origin, dm)
-        stage_graph, stage_dm, stage_hl = g2, dm2, hl2
-        reduced_info = {"n": g2.n, "m": g2.m, "t": -(-g.m // g.n)}
-    else:
-        hl, cover, artifacts, cover_stats, color_stats, D = _run_stages(g, dm, cfg)
-        stage_graph, stage_dm, stage_hl = g, dm, hl
-    ledger = size_ledger(artifacts.S, artifacts.Q, artifacts.R, artifacts.F, stage_graph, stage_hl)
+        stage_graph, representative, origin = reduce_degree(g)
+        stage_dm = all_pairs(stage_graph, pair_cap=pair_cap)
+        reduced_info = {"n": stage_graph.n, "m": stage_graph.m, "t": -(-g.m // g.n)}
+    D = resolve_threshold(stage_graph.n, cfg.D)
+    index = build_pair_index(stage_dm, D, zero_one=stage_graph.weight_kind in ("unit", "01"))
+    S, Q, cover_attempts = _sample_cover(stage_dm, cfg, index)
+    colors, R, color_attempts = _sample_colors(stage_dm, cfg, index)
+    F, log = build_matchings(stage_dm, colors, cfg, index=index)
+    stage_hl = assemble(S, Q, R, F, stage_graph, stage_dm)
+    ledger = size_ledger(S, Q, R, F, stage_graph, stage_hl)
+    if not ledger.bound_ok:
+        raise CoverVerificationError(f"size ledger bound violated: {ledger}")
+    cover = verify_cover(stage_hl, stage_dm)
+    if not cover.valid:
+        raise CoverVerificationError(
+            f"assembled labeling fails cover verification on "
+            f"{cover.uncovered_total} pairs, first {cover.uncovered[:5]}"
+        )
+    hl = stage_hl
+    if reduced_info is not None:
+        hl = project_back(stage_hl, representative, origin, dm)
+        cover = verify_cover(hl, dm)
+        if not cover.valid:
+            raise CoverVerificationError(
+                f"projected labeling fails cover verification on {cover.uncovered_total} pairs"
+            )
+    artifacts = BuilderArtifacts(S=S, Q=Q, R=R, F=F, colors=colors, matchings_log=log)
     hist: dict[int, int] = defaultdict(int)
-    for size in artifacts.matchings_log.values():
+    for size in log.values():
         hist[size] += 1
+    q_total = sum(len(s) for s in Q.values())
     report = BuildReport(
         n=g.n,
         m=g.m,
@@ -641,15 +582,15 @@ def build_for_graph(
         D=D,
         seed=cfg.seed,
         reduced=reduced_info,
-        s_size=len(artifacts.S),
-        q_total=sum(len(s) for s in artifacts.Q.values()),
-        q_random=cover_stats.q_random,
-        q_forced=cover_stats.q_forced,
-        r_total=sum(len(s) for s in artifacts.R.values()),
-        f_total=sum(len(s) for s in artifacts.F.values()),
-        cover_resamples=cover_stats.attempts,
-        color_resamples=color_stats.attempts,
-        bucket_count=len(artifacts.matchings_log),
+        s_size=len(S),
+        q_total=q_total,
+        q_random=q_total - len(index.forced),
+        q_forced=len(index.forced),
+        r_total=sum(len(s) for s in R.values()),
+        f_total=sum(len(s) for s in F.values()),
+        cover_resamples=cover_attempts,
+        color_resamples=color_attempts,
+        bucket_count=len(log),
         matching_hist=dict(hist),
         ledger=ledger,
         cover=cover,

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from hublab.graph_core import WeightedGraph
+from hublab.graph_core import UnreachablePairError, WeightedGraph
 
 settings.register_profile(
     "hublab",
@@ -75,6 +75,43 @@ def oracle_count_shortest(g: WeightedGraph, u: int, v: int) -> int:
         return 0
     lo = min(w for w, _ in paths)
     return sum(1 for w, _ in paths if w == lo)
+
+
+def verify_metric(dm) -> bool:
+    """Symmetry and the triangle inequality of a dense distance matrix (-1 for
+    unreachable): whenever d(u,x) and d(x,v) are finite, d(u,v) is finite and
+    at most their sum."""
+    mat = dm.matrix()
+    if not (mat == mat.T).all():
+        return False
+    for x in range(dm.n):
+        finite = (mat[:, x] >= 0)[:, None] & (mat[x, :] >= 0)[None, :]
+        via = mat[:, x][:, None] + mat[x, :][None, :]
+        if (finite & ((mat < 0) | (mat > via))).any():
+            return False
+    return True
+
+
+def hub_candidates(dm, u: int, v: int) -> set[int]:
+    """All x with d(u,x) + d(x,v) = d(u,v). Always contains u and v."""
+    ru = dm.row(u)
+    duv = int(ru[v])
+    if duv < 0:
+        raise UnreachablePairError(f"{u} and {v} are not mutually reachable")
+    rv = dm.row(v)
+    mask = (ru >= 0) & (rv >= 0) & (ru + rv == duv)
+    return {int(x) for x in np.flatnonzero(mask)}
+
+
+def check_stored_distances(hl, dm) -> list[tuple[int, int, int]]:
+    """Label entries whose stored distance differs from the true distance."""
+    bad = []
+    for v in range(hl.n):
+        row = dm.row(v)
+        for h, d in hl.hubs[v]:
+            if int(row[h]) != d:
+                bad.append((v, h, d))
+    return bad
 
 
 # -- strategies ----------------------------------------------------------------

@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from conftest import oracle_count_shortest, oracle_distances, seeded_sparse_graph, small_graphs
+from conftest import (
+    hub_candidates,
+    oracle_count_shortest,
+    oracle_distances,
+    seeded_sparse_graph,
+    small_graphs,
+    verify_metric,
+)
 from hypothesis import given
 
 from hublab.family_gen import FamilyParams, build_H
@@ -9,7 +16,6 @@ from hublab.graph_core import (
     WEIGHT_LIMIT,
     DenseDistanceMatrix,
     GraphFormatError,
-    LazyDistanceMatrix,
     ResourceLimitError,
     UnreachablePairError,
     WeightedGraph,
@@ -18,12 +24,10 @@ from hublab.graph_core import (
     count_shortest_paths,
     distance_between,
     distances_from,
-    hub_candidates,
     is_unique_shortest_path,
     path_weight,
     read_graph,
     shortest_paths_from,
-    verify_metric,
     write_graph,
 )
 
@@ -226,15 +230,6 @@ def test_distance_between_matches_full_search():
         for u in range(g.n):
             for v in range(g.n):
                 assert distance_between(g, u, v) == dm.d(u, v)
-
-
-def test_lazy_matrix_matches_dense():
-    g = seeded_sparse_graph(15, 25, seed=4)
-    dense = all_pairs(g)
-    lazy = LazyDistanceMatrix(g, max_rows=4)
-    for u in range(g.n):
-        assert lazy.row(u).tolist() == dense.row(u).tolist()
-    assert lazy.d(0, 1) == dense.d(0, 1)
 
 
 def test_graph_file_round_trip(tmp_path):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import seeded_sparse_graph, small_graphs
+from conftest import check_stored_distances, seeded_sparse_graph, small_graphs
 from hypothesis import given
 
 from hublab.family_gen import FamilyParams, build_H, expand_to_G
@@ -18,7 +18,6 @@ from hublab.hub_labeling import (
     HubLabeling,
     baseline_full,
     bit_estimate,
-    check_stored_distances,
     format_labels,
     monotone_closure,
     query,
@@ -193,6 +192,54 @@ def test_label_file_errors(tmp_path):
     path.write_text("0: (1,2) junk\n")
     with pytest.raises(GraphFormatError):
         read_labels(path)
+
+
+# Bodies of one label line and the entries they parse to; None marks a body
+# the reader must reject. Numbers are plain ASCII decimals without leading
+# zeros, an entry is "(h,d)" with nothing inside the parentheses but the two
+# numbers and the comma, and entries are separated by optional whitespace.
+LABEL_BODIES = [
+    ("", []),
+    ("(0,0)", [(0, 0)]),
+    ("(0,0) (1,5)", [(0, 0), (1, 5)]),
+    ("(0,0)(1,5)", [(0, 0), (1, 5)]),
+    ("(0,0) \t  (1,5)", [(0, 0), (1, 5)]),
+    ("(0,0)\u00a0(1,5)", [(0, 0), (1, 5)]),
+    ("(10,20) (11,0)", [(10, 20), (11, 0)]),
+    ("(01,2)", None),
+    ("(1,02)", None),
+    ("(00,0)", None),
+    ("( 1,2)", None),
+    ("(1 ,2)", None),
+    ("(1, 2)", None),
+    ("(1,2 )", None),
+    ("(\u0661,2)", None),
+    ("(1,\uff12)", None),
+    ("(1,2),(3,4)", None),
+    ("(1,2);(3,4)", None),
+    ("1,2", None),
+    ("(1,2", None),
+    ("1,2)", None),
+    ("((1,2))", None),
+    ("(1,2))", None),
+    ("(-1,2)", None),
+    ("(+1,2)", None),
+    ("(1,2,3)", None),
+    ("()", None),
+    ("(1,2) x", None),
+]
+
+
+@pytest.mark.parametrize("body,entries", LABEL_BODIES)
+def test_label_line_syntax(tmp_path, body, entries):
+    path = tmp_path / "labels.txt"
+    filler = "".join(f"{v}:\n" for v in range(1, 24))
+    path.write_text(f"0: {body}\n{filler}", encoding="utf-8")
+    if entries is None:
+        with pytest.raises(GraphFormatError):
+            read_labels(path)
+    else:
+        assert list(read_labels(path).entries(0)) == entries
 
 
 def test_empty_hub_line_round_trip(tmp_path):

@@ -1,0 +1,37 @@
+"""Static checks on the package sources."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import hublab
+
+SRC = Path(hublab.__file__).resolve().parent
+# __init__ imports names only to re-export them.
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never mentions again."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_check_catches_one():
+    assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == ["os (line 1)"]
+    assert unused_imports("from a import b as c\nc()\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

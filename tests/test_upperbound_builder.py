@@ -1,14 +1,18 @@
 import pytest
-from conftest import seeded_sparse_graph
+from conftest import hub_candidates, seeded_sparse_graph
 
 from hublab.corpus import erdos_renyi_m, grid_graph, path_graph, random_regular_graph, star_graph
 from hublab.family_gen import FamilyParams, build_H, expand_to_G
-from hublab.graph_core import WeightedGraph, all_pairs, hub_candidates
-from hublab.hub_labeling import format_labels, query, verify_cover
+from hublab.graph_core import WeightedGraph, all_pairs
+from hublab import upperbound_builder
+from hublab.hub_labeling import HubLabeling, baseline_full, format_labels, query, verify_cover
 from hublab.upperbound_builder import (
     BuilderConfig,
+    CoverVerificationError,
     InducedMatchingViolation,
+    ResampleExhausted,
     _check_induced,
+    _resample,
     assemble,
     build_for_graph,
     build_matchings,
@@ -46,14 +50,25 @@ def test_pair_index_path_candidate_sizes():
 
 
 def test_pair_index_exact_matches_zero_one():
-    for seed in (1, 2):
-        g = seeded_sparse_graph(12, 16, seed=seed, min_w=1, max_w=1)
+    graphs = [seeded_sparse_graph(12, 16, seed=seed, min_w=1, max_w=1) for seed in (1, 2)]
+    graphs += [
+        random_regular_graph(30, 3, seed=2),
+        reduce_degree(star_graph(9))[0],
+        reduce_degree(erdos_renyi_m(40, 80, seed=1))[0],
+        grid_graph(4, 5),
+        WeightedGraph(7, [(0, 1, 1), (1, 2, 1), (3, 4, 1), (4, 5, 1), (5, 3, 1)]),
+    ]
+    for g in graphs:
+        assert g.weight_kind in ("unit", "01")
         dm = all_pairs(g)
-        a = build_pair_index(dm, 3, zero_one=True)
-        b = build_pair_index(dm, 3, zero_one=False)
-        assert a.small == b.small
-        assert a.small_dist == b.small_dist
-        assert not a.forced and not b.forced
+        for D in (2, 3):
+            a = build_pair_index(dm, D, zero_one=True)
+            b = build_pair_index(dm, D, zero_one=False)
+            assert a.small == b.small
+            assert a.small_dist == b.small_dist
+            assert not a.forced and not b.forced
+            assert a.big.shape == (g.n, g.n)
+            assert (a.big == b.big).all()
 
 
 def test_cover_set_degenerate_threshold():
@@ -87,6 +102,21 @@ def test_cover_and_coloring_bounds_three_regular():
     colors, R = sample_coloring(dm, cfg, index=index)
     assert sum(len(v) for v in R.values()) * 5 <= 2 * 200 * 200
     assert len(colors) == 200 and all(1 <= c <= 125 for c in colors)
+
+
+def test_resampling_counts_attempts_and_runs_out():
+    cfg = BuilderConfig(seed=0, max_resamples=3)
+    sizes = iter([26, 25])  # budget for n = 5, D = 2: at most 25 pairs
+    assert _resample(cfg, 1, "cover-set", 5, 2, lambda rng: ("ok", next(sizes))) == ("ok", 2)
+    draws = []
+
+    def over_budget(rng):
+        draws.append(rng.integers(1 << 30))
+        return None, 26
+
+    with pytest.raises(ResampleExhausted, match=r"^coloring stage missed the 50/2 budget 3 times$"):
+        _resample(cfg, 2, "coloring", 5, 2, over_budget)
+    assert len(set(draws)) == 3  # a fresh stream per attempt
 
 
 def test_coloring_single_edge_conflict_rule():
@@ -260,3 +290,81 @@ def test_disconnected_graph():
     assert res.report.cover.valid
     assert query(res.labeling, 0, 2) is UNREACHABLE
     assert query(res.labeling, 0, 1) == 1
+
+
+# -- certification inside build_for_graph -----------------------------------
+
+REG = (random_regular_graph(60, 3, seed=1), BuilderConfig(seed=1))
+SPARSE = (erdos_renyi_m(80, 160, seed=2), BuilderConfig(seed=3))
+
+
+def _only_self_hub(hl: HubLabeling, x: int) -> HubLabeling:
+    hubs = [list(entries) for entries in hl.hubs]
+    hubs[x] = [(x, 0)]
+    return HubLabeling(hl.n, hubs)
+
+
+def _vertex_outside_cover_set(g, cfg) -> int:
+    """Lowest vertex of g that is not (a clone of) a cover-set vertex, so that
+    few other labels hold it."""
+    res = build_for_graph(g, cfg)
+    origin = reduce_degree(g)[2] if res.report.reduced else {v: v for v in range(g.n)}
+    return min(set(range(g.n)) - {origin[s] for s in res.artifacts.S})
+
+
+def test_build_verifies_each_labeling_once(monkeypatch):
+    calls = []
+    real = upperbound_builder.verify_cover
+
+    def counted(hl, dm, **kwargs):
+        calls.append(hl.n)
+        return real(hl, dm, **kwargs)
+
+    monkeypatch.setattr(upperbound_builder, "verify_cover", counted)
+    build_for_graph(*REG)
+    assert calls == [60]
+    calls.clear()
+    res = build_for_graph(*SPARSE)
+    # the stage labeling on the reduced graph first, then the projected one
+    assert calls == [res.report.reduced["n"], 80]
+
+
+def test_build_rejects_corrupted_assembly(monkeypatch):
+    x = _vertex_outside_cover_set(*REG)
+    real = upperbound_builder.assemble
+    monkeypatch.setattr(
+        upperbound_builder, "assemble", lambda *args: _only_self_hub(real(*args), x)
+    )
+    with pytest.raises(CoverVerificationError, match="assembled labeling fails"):
+        build_for_graph(*REG)
+
+
+def test_build_rejects_corrupted_projection(monkeypatch):
+    x = _vertex_outside_cover_set(*SPARSE)
+    real = upperbound_builder.project_back
+    monkeypatch.setattr(
+        upperbound_builder, "project_back", lambda *args: _only_self_hub(real(*args), x)
+    )
+    with pytest.raises(CoverVerificationError, match="projected labeling fails"):
+        build_for_graph(*SPARSE)
+
+
+def test_build_rejects_ledger_overrun(monkeypatch):
+    # every reachable vertex as a hub is a valid cover, but far above the ledger
+    monkeypatch.setattr(upperbound_builder, "assemble", lambda *args: baseline_full(args[-1]))
+    with pytest.raises(CoverVerificationError, match="size ledger bound violated"):
+        build_for_graph(*REG)
+
+
+def test_stages_do_not_verify(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a stage ran the cover verifier")
+
+    g = SPARSE[0]
+    dm = all_pairs(g)
+    g2, rep, orig = reduce_degree(g)
+    res = build_for_graph(g2, BuilderConfig(seed=3))
+    monkeypatch.setattr(upperbound_builder, "verify_cover", forbidden)
+    a = res.artifacts
+    assert assemble(a.S, a.Q, a.R, a.F, g2, res.dm) == res.labeling
+    project_back(res.labeling, rep, orig, dm)
