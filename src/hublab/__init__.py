@@ -44,6 +44,7 @@ from .hub_labeling import (
 )
 from .lowerbound_audit import (
     CountingReport,
+    InvalidCoverError,
     TripletReport,
     audit_counting,
     audit_lemma1,

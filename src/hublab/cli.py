@@ -17,7 +17,13 @@ from .family_gen import FamilyParams, LevelCoord
 from .graph_core import all_pairs, canonical_trees, read_graph, write_graph
 from .hub_labeling import read_labels, verify_cover, write_labels
 from .sumindex_protocol import SumIndexInstance, build_base_graph
-from .upperbound_builder import BuilderConfig, build_for_graph
+from .upperbound_builder import (
+    BuilderConfig,
+    CoverVerificationError,
+    InducedMatchingViolation,
+    ResampleExhausted,
+    build_for_graph,
+)
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -211,21 +217,11 @@ def _cmd_audit_counting(args) -> int:
     inst = _load_instance(args)
     hl = read_labels(args.labels)
     config = {"graph": args.graph, "meta": args.meta, "labels": args.labels}
-    cover = verify_cover(hl, all_pairs(inst.graph))
-    if not cover.valid:
-        _emit(
-            _report(
-                "audit-counting",
-                config,
-                {
-                    "passed": False,
-                    "reason": f"labeling is not a valid cover ({cover.uncovered_total} uncovered pairs)",
-                },
-            ),
-            args,
-        )
+    try:
+        rep = lowerbound_audit.audit_counting(inst, hl)
+    except lowerbound_audit.InvalidCoverError as exc:
+        _emit(_report("audit-counting", config, {"passed": False, "reason": str(exc)}), args)
         return EXIT_FAILED_CHECK
-    rep = lowerbound_audit.audit_counting(inst, hl)
     _emit(
         _report(
             "audit-counting",
@@ -429,6 +425,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (CoverVerificationError, InducedMatchingViolation, ResampleExhausted) as exc:
+        # Failed internal checks of a run, not bad arguments or files.
+        print(f"hublab: error: {exc}", file=sys.stderr)
+        return EXIT_FAILED_CHECK
     except (
         graph_core.GraphFormatError,
         graph_core.ResourceLimitError,

@@ -403,15 +403,17 @@ def canonical_trees(g: WeightedGraph) -> dict[int, ShortestPathTree]:
 
 
 class DenseDistanceMatrix:
-    """All-pairs distances in a dense int64 matrix, -1 for unreachable."""
+    """All-pairs distances of `graph` in a dense int64 matrix, -1 for
+    unreachable."""
 
-    __slots__ = ("n", "_mat", "_inf")
+    __slots__ = ("n", "graph", "_mat", "_inf")
 
-    def __init__(self, mat: np.ndarray):
+    def __init__(self, mat: np.ndarray, graph: WeightedGraph):
         mat = mat.astype(np.int64, copy=False)
         mat.flags.writeable = False
         self._mat = mat
         self.n = mat.shape[0]
+        self.graph = graph
         self._inf = None
 
     def d(self, u: int, v: int):
@@ -449,7 +451,81 @@ def all_pairs(g: WeightedGraph, *, pair_cap: int = DEFAULT_PAIR_CAP) -> DenseDis
         raise ResourceLimitError(
             f"all-pairs matrix needs {g.n * g.n} entries, cap is {pair_cap}"
         )
-    return DenseDistanceMatrix(_distances(g))
+    return DenseDistanceMatrix(_distances(g), g)
+
+
+#: Sources per block of shortest_path_hits; bounds its temporaries to a few
+#: arrays of _HIT_BLOCK * (n + 2m) entries.
+_HIT_BLOCK = 32
+
+
+def shortest_path_hits(dm: DenseDistanceMatrix, mask) -> np.ndarray:
+    """n x n bool matrix: hit[u, v] iff v is reachable from u and some vertex
+    of the bool vertex mask lies on a shortest u-v path, that is
+    d(u,c) + d(c,v) == d(u,v) for some c in mask.
+
+    Brandes-style propagation (Brandes 2001) over tight edges, O(n m) in all:
+    hit[u, v] holds iff u or v is in the mask or hit[u, x] holds for a tight
+    in-edge x->v, one with d(u,x) + w = d(u,v). Rows are independent and run
+    in blocks of _HIT_BLOCK sources. Inside a block the pending pairs are taken
+    in bands of d(u,v) // wmin, wmin the least positive weight, so every
+    positive tight in-edge leaves an earlier band; zero-weight tight edges
+    stay inside a band and are closed by a fixpoint.
+    """
+    g = dm.graph
+    n = dm.n
+    mat = dm.matrix()
+    mask = np.asarray(mask, dtype=bool)
+    hit = np.zeros((n, n), dtype=bool)
+    if not mask.any():
+        return hit
+    eu, ev, ew = g.edge_arrays()
+    # In-edges x->v in CSR order by target v.
+    heads = np.concatenate([ev, eu])
+    order = np.argsort(heads, kind="stable")
+    e_src = np.concatenate([eu, ev])[order]
+    e_w = np.concatenate([ew, ew])[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(heads, minlength=n), out=indptr[1:])
+    positive = ew[ew > 0]
+    wmin = int(positive.min()) if positive.size else 1
+    for lo in range(0, n, _HIT_BLOCK):
+        d = mat[lo : lo + _HIT_BLOCK]
+        reach = d >= 0
+        h = hit[lo : lo + _HIT_BLOCK]
+        # Seeds: v in the mask, and whole rows of sources in the mask (those
+        # would follow from hit[u, u], but need no propagation this way).
+        np.logical_and(reach, mask[None, :] | mask[lo : lo + _HIT_BLOCK, None], out=h)
+        df, hf = d.reshape(-1), h.reshape(-1)
+        # Pending pairs as flat ids u * n + v within the block, by band.
+        pend = np.flatnonzero(reach & ~h)
+        if pend.size == 0:
+            continue
+        pend = pend[np.argsort(df[pend] // wmin, kind="stable")]
+        dv = df[pend]
+        pv = pend % n
+        # Every in-edge of every pending pair, in pair order; keep the tight ones.
+        starts = indptr[pv]
+        counts = indptr[pv + 1] - starts
+        pair = np.repeat(np.arange(pend.size), counts)
+        e = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(pair.size)
+        src = (pend - pv)[pair] + e_src[e]
+        tight = df[src] + e_w[e] == dv[pair]
+        src, pair, zero = src[tight], pair[tight], e_w[e[tight]] == 0
+        dst = pend[pair]
+        band = dv[pair] // wmin
+        cuts = np.flatnonzero(band[1:] != band[:-1]) + 1
+        for a, b in zip(np.concatenate([[0], cuts]), np.concatenate([cuts, [band.size]])):
+            hf[dst[a:b][hf[src[a:b]]]] = True
+            z = zero[a:b]
+            if z.any():
+                zs, zd = src[a:b][z], dst[a:b][z]
+                while True:
+                    new = hf[zs] & ~hf[zd]
+                    if not new.any():
+                        break
+                    hf[zd[new]] = True
+    return hit
 
 
 # -- path uniqueness ---------------------------------------------------------

@@ -3,6 +3,7 @@ and monotone closures along fixed shortest-path trees."""
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,9 +18,14 @@ from .graph_core import (
     ResourceLimitError,
     ShortestPathTree,
     UnreachablePairError,
+    shortest_path_hits,
 )
 
 _INF32 = np.int32(1 << 29)
+#: Rows per block of the verifier's n x n passes.
+_ROWS = 256
+#: Label entries, or joined entry pairs, per chunk of the verifier.
+_CHUNK = 1 << 15
 
 
 class HubLabeling:
@@ -122,6 +128,15 @@ def verify_cover(
 
     Pairs are enumerated in canonical (u, v) order with u < v; the uncovered
     list is truncated but the total count is exact.
+
+    An entry is exact when its hub is reachable and its stored distance is
+    the true one. The core is the set of hubs that every vertex of the hub's
+    component stores exactly; through the core, a pair's query reaches d(u,v)
+    iff a core hub lies on a shortest u-v path, which shortest_path_hits
+    decides. Every other entry goes into a sparse join per hub that gives
+    m(u,v), the least stored sum over the remaining common hubs (infinite when
+    there is none). A pair is then uncovered iff m < d where the core hits it
+    and m != d where it does not.
     """
     n = hl.n
     if n != dm.n:
@@ -132,35 +147,25 @@ def verify_cover(
     diam = int(mat.max(initial=0))
     if diam >= int(_INF32) // 4:
         raise ResourceLimitError("distances too large for vectorized verification")
-    hub_mat = np.full((n, n), _INF32, dtype=np.int32)
-    for v in range(n):
-        ent = hl.hubs[v]
-        if ent:
-            ids = np.fromiter((h for h, _ in ent), dtype=np.int64, count=len(ent))
-            ds = np.fromiter((d for _, d in ent), dtype=np.int32, count=len(ent))
-            if ds.size and int(ds.max()) >= int(_INF32) // 4:
-                raise ResourceLimitError("stored distances too large for vectorized verification")
-            hub_mat[v, ids] = ds
+    core, owner, hub, stored = _split_entries(hl, mat)
+    keys, m = _min_stored_sums(n, owner, hub, stored)
+    hit = shortest_path_hits(dm, core)
+    d = mat.reshape(-1)[keys]
+    joined = (d >= 0) & np.where(hit.reshape(-1)[keys], m < d, m != d)
     uncovered = []
     total_bad = 0
-    for u in range(n):
-        ent = hl.hubs[u]
-        row_true = mat[u]
-        if ent:
-            ids = np.fromiter((h for h, _ in ent), dtype=np.int64, count=len(ent))
-            ds = np.fromiter((d for _, d in ent), dtype=np.int32, count=len(ent))
-            q = (hub_mat[:, ids] + ds[None, :]).min(axis=1)
-        else:
-            q = np.full(n, 2 * _INF32, dtype=np.int32)
-        reachable = row_true >= 0
-        bad = reachable & (q.astype(np.int64) != row_true)
-        bad[: u + 1] = False
-        total_bad += int(bad.sum())
+    cols = np.arange(n)
+    for lo in range(0, n, _ROWS):
+        bad = hit[lo : lo + _ROWS]
+        np.logical_not(bad, out=bad)
+        bad &= mat[lo : lo + _ROWS] >= 0
+        bad &= cols[None, :] > np.arange(lo, lo + bad.shape[0])[:, None]
+        a, b = np.searchsorted(keys, [lo * n, (lo + bad.shape[0]) * n])
+        bad.reshape(-1)[keys[a:b] - lo * n] = joined[a:b]
+        total_bad += int(np.count_nonzero(bad))
         if len(uncovered) < truncate:
-            for v in np.flatnonzero(bad):
-                if len(uncovered) >= truncate:
-                    break
-                uncovered.append((u, int(v)))
+            for i in np.flatnonzero(bad)[: truncate - len(uncovered)].tolist():
+                uncovered.append((lo + i // n, i % n))
     total = hl.total_size
     return CoverReport(
         valid=(total_bad == 0),
@@ -170,6 +175,77 @@ def verify_cover(
         total_size=total,
         bit_estimate=bit_estimate(hl, diam),
     )
+
+
+def _split_entries(hl: HubLabeling, mat: np.ndarray):
+    """(core, owner, hub, stored): the core hubs as a bool mask and int32
+    arrays of the entries that are not exact entries of a core hub.
+
+    The labeling is flattened once into int32 and then read in chunks of
+    _CHUNK entries, so no temporary grows with the label size.
+    """
+    n = hl.n
+    sizes = np.fromiter((len(e) for e in hl.hubs), dtype=np.int64, count=n)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(itertools.chain.from_iterable(hl.hubs)),
+        dtype=np.int32,
+        count=2 * int(sizes.sum()),
+    ).reshape(-1, 2)
+    hub, stored = flat[:, 0], flat[:, 1]
+    if stored.size and int(stored.max()) >= int(_INF32) // 4:
+        raise ResourceLimitError("stored distances too large for vectorized verification")
+    owner = np.repeat(np.arange(n, dtype=np.int32), sizes)
+    reach = np.zeros(n, dtype=np.int64)
+    for lo in range(0, n, _ROWS):
+        reach[lo : lo + _ROWS] = np.count_nonzero(mat[lo : lo + _ROWS] >= 0, axis=1)
+    exact = np.zeros(hub.size, dtype=bool)
+    held = np.zeros(n, dtype=np.int64)
+    chunks = [slice(a, a + _CHUNK) for a in range(0, hub.size, _CHUNK)]
+    for c in chunks:
+        true = mat[owner[c], hub[c]]
+        exact[c] = (true >= 0) & (true == stored[c])
+        held += np.bincount(hub[c][exact[c]], minlength=n)
+    core = held == reach
+    for c in chunks:
+        exact[c] &= core[hub[c]]
+    rest = ~exact
+    return core, owner[rest], hub[rest], stored[rest]
+
+
+def _min_stored_sums(n: int, owner: np.ndarray, hub: np.ndarray, stored: np.ndarray):
+    """(keys, m): for every pair u < v of owners that share a hub, the key
+    u * n + v in ascending order and the least stored sum over their common
+    hubs.
+
+    The entries come in owner order. Entry i pairs with the entries after it
+    in its hub's run of the hub-major order. The pairs are expanded for whole
+    owners at a time, about _CHUNK pairs per step, so every step's
+    minima are final.
+    """
+    by_hub = np.lexsort((owner, hub))
+    pos = np.empty_like(by_hub)
+    pos[by_hub] = np.arange(by_hub.size)
+    later = np.searchsorted(hub[by_hub], hub, side="right") - pos - 1
+    ends = np.cumsum(later)
+    keys, mins = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int32)]
+    a = 0
+    while a < owner.size:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - later[a] + _CHUNK, side="right")))
+        b = int(np.searchsorted(owner, owner[b - 1], side="right"))
+        cnt = later[a:b]
+        left = np.repeat(np.arange(a, b), cnt)
+        step = np.arange(left.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        right = by_hub[pos[left] + 1 + step]
+        key = owner[left].astype(np.int64) * n + owner[right]
+        m = stored[left] + stored[right]
+        order = np.lexsort((m, key))
+        key, m = key[order], m[order]
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        keys.append(key[first])
+        mins.append(m[first])
+        a = b
+    return np.concatenate(keys), np.concatenate(mins)
 
 
 def baseline_full(dm) -> HubLabeling:

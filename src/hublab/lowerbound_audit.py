@@ -19,7 +19,7 @@ from .graph_core import (
     count_shortest_paths,
     distances_from,
 )
-from .hub_labeling import HubLabeling, monotone_closure, verify_cover
+from .hub_labeling import CoverReport, HubLabeling, monotone_closure, verify_cover
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,17 @@ def audit_lemma1(
     )
 
 
+class InvalidCoverError(ValueError):
+    """The labeling handed to the counting audit is not a valid cover;
+    `report` is its CoverReport."""
+
+    def __init__(self, report: CoverReport):
+        self.report = report
+        super().__init__(
+            f"labeling is not a valid cover ({report.uncovered_total} uncovered pairs)"
+        )
+
+
 @dataclass(frozen=True)
 class CountingReport:
     lhs: int
@@ -140,16 +151,13 @@ def audit_counting(
     """Closure-counting audit: every triplet's midpoint must sit in the closure
     of one endpoint, and total closure size must reach the counting floor.
 
-    The labeling must pass cover verification first; an invalid labeling is an
-    error, not a reported failure.
+    The labeling must pass cover verification first; an invalid labeling
+    raises InvalidCoverError, not a reported failure.
     """
     g = inst.graph
-    dm = all_pairs(g)
-    report = verify_cover(hl, dm)
+    report = verify_cover(hl, all_pairs(g))
     if not report.valid:
-        raise ValueError(
-            f"labeling is not a valid cover ({report.uncovered_total} uncovered pairs)"
-        )
+        raise InvalidCoverError(report)
     if trees is None:
         trees = canonical_trees(g)
     closed = monotone_closure(hl, trees)

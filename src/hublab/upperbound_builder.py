@@ -19,6 +19,7 @@ from .graph_core import (
     DEFAULT_PAIR_CAP,
     WeightedGraph,
     all_pairs,
+    shortest_path_hits,
 )
 from .hub_labeling import CoverReport, HubLabeling, verify_cover
 
@@ -125,7 +126,6 @@ class PairIndex:
 def build_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
     n = dm.n
     mat = dm.matrix()
-    inf = dm.inf_matrix()
     small: dict[tuple[int, int], tuple[int, ...]] = {}
     small_dist: dict[tuple[int, int], int] = {}
     if zero_one:
@@ -136,7 +136,9 @@ def build_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
             close = close[close > u]
             if close.size == 0:
                 continue
-            sums = inf[:, close] + inf[u][:, None]
+            # -1 marks unreachable: a vertex unreachable from u is unreachable
+            # from v too, so its sum is -2 and never matches d(u,v) >= 0.
+            sums = mat[:, close] + ru[:, None]
             mask = sums == ru[close][None, :]
             counts = mask.sum(axis=0)
             for j, v in enumerate(close.tolist()):
@@ -147,6 +149,7 @@ def build_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
                 if c >= D:
                     big[u, v] = True
         return PairIndex(n, D, small, small_dist, (), big)
+    inf = dm.inf_matrix()
     big = np.zeros((n, n), dtype=bool)
     ids = np.arange(n)
     for u in range(n):
@@ -186,26 +189,18 @@ def _sample_cover(dm, cfg: BuilderConfig, index: PairIndex):
         # Degenerate threshold: the stage is skipped and all pairs flow to the
         # coloring and matching stages.
         return frozenset(), {}, 0
-    inf = dm.inf_matrix()
     s_size = math.ceil((n / D) * math.log(D))
 
     def draw(rng):
         s_arr = np.sort(rng.choice(n, size=s_size, replace=False))
-        sm = inf[s_arr, :]
-        q: dict[int, np.ndarray] = {}
-        for u in range(n):
-            idx = np.flatnonzero(index.big[u])
-            if idx.size == 0:
-                continue
-            lhs = inf[u, s_arr]
-            hits = (lhs[:, None] + sm[:, idx] == inf[u, idx][None, :]).any(axis=0)
-            missed = idx[~hits]
-            if missed.size:
-                q[u] = missed
-        return (s_arr, q), sum(int(vs.size) for vs in q.values())
+        s_mask = np.zeros(n, dtype=bool)
+        s_mask[s_arr] = True
+        miss = index.big & ~shortest_path_hits(dm, s_mask)
+        return (s_arr, miss), int(miss.sum())
 
-    (s_arr, q), attempts = _resample(cfg, 1, "cover-set", n, D, draw)
-    out = {u: set(vs.tolist()) for u, vs in q.items()}
+    (s_arr, miss), attempts = _resample(cfg, 1, "cover-set", n, D, draw)
+    rows = np.flatnonzero(miss.any(axis=1)).tolist()
+    out = {u: set(np.flatnonzero(miss[u]).tolist()) for u in rows}
     for (u, v) in index.forced:
         out.setdefault(u, set()).add(v)
     final = {u: frozenset(vs) for u, vs in out.items()}

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from hublab.graph_core import UnreachablePairError, WeightedGraph
+from hublab.graph_core import (
+    DEFAULT_PAIR_CAP,
+    ResourceLimitError,
+    UnreachablePairError,
+    WeightedGraph,
+)
+from hublab.hub_labeling import CoverReport, bit_estimate
 
 settings.register_profile(
     "hublab",
@@ -112,6 +120,75 @@ def check_stored_distances(hl, dm) -> list[tuple[int, int, int]]:
             if int(row[h]) != d:
                 bad.append((v, h, d))
     return bad
+
+
+def oracle_hits(dm, mask) -> np.ndarray:
+    """hit[u, v] iff v is reachable from u and d(u,c) + d(c,v) == d(u,v) for
+    some c in the bool vertex mask, by a min-plus scan over the mask."""
+    mat = dm.matrix()
+    hit = np.zeros((dm.n, dm.n), dtype=bool)
+    for c in np.flatnonzero(mask):
+        to_c, from_c = mat[:, c][:, None], mat[c, :][None, :]
+        hit |= (to_c >= 0) & (from_c >= 0) & (to_c + from_c == mat)
+    return hit & (mat >= 0)
+
+
+_INF32 = np.int32(1 << 29)
+
+
+def dense_verify_cover(
+    hl, dm, *, truncate: int = 1000, pair_cap: int = DEFAULT_PAIR_CAP
+) -> CoverReport:
+    """Reference cover check: evaluates query(u, v) for every pair from a
+    dense n x n matrix of stored hub distances and compares it with d(u, v).
+    Same report, guards and messages as hub_labeling.verify_cover."""
+    n = hl.n
+    if n != dm.n:
+        raise ValueError("labeling and distance matrix disagree on n")
+    if n * n > pair_cap:
+        raise ResourceLimitError(f"verification needs {n * n} comparisons, cap is {pair_cap}")
+    mat = dm.matrix()
+    diam = int(mat.max(initial=0))
+    if diam >= int(_INF32) // 4:
+        raise ResourceLimitError("distances too large for vectorized verification")
+    hub_mat = np.full((n, n), _INF32, dtype=np.int32)
+    for v in range(n):
+        ent = hl.hubs[v]
+        if ent:
+            ids = np.fromiter((h for h, _ in ent), dtype=np.int64, count=len(ent))
+            ds = np.fromiter((d for _, d in ent), dtype=np.int32, count=len(ent))
+            if ds.size and int(ds.max()) >= int(_INF32) // 4:
+                raise ResourceLimitError("stored distances too large for vectorized verification")
+            hub_mat[v, ids] = ds
+    uncovered = []
+    total_bad = 0
+    for u in range(n):
+        ent = hl.hubs[u]
+        row_true = mat[u]
+        if ent:
+            ids = np.fromiter((h for h, _ in ent), dtype=np.int64, count=len(ent))
+            ds = np.fromiter((d for _, d in ent), dtype=np.int32, count=len(ent))
+            q = (hub_mat[:, ids] + ds[None, :]).min(axis=1)
+        else:
+            q = np.full(n, 2 * _INF32, dtype=np.int32)
+        reachable = row_true >= 0
+        bad = reachable & (q.astype(np.int64) != row_true)
+        bad[: u + 1] = False
+        total_bad += int(bad.sum())
+        if len(uncovered) < truncate:
+            for v in np.flatnonzero(bad):
+                if len(uncovered) >= truncate:
+                    break
+                uncovered.append((u, int(v)))
+    total = hl.total_size
+    return CoverReport(
+        valid=(total_bad == 0),
+        uncovered=tuple(uncovered),
+        uncovered_total=total_bad,
+        avg_hub_size=Fraction(total, n) if n else Fraction(0),
+        total_size=total,
+        bit_estimate=bit_estimate(hl, diam),
+    )
 
 
 # -- strategies ----------------------------------------------------------------

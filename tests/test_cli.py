@@ -8,6 +8,11 @@ from hublab.cli import main
 from hublab.family_gen import FamilyParams, build_H
 from hublab.graph_core import all_pairs, read_graph, write_graph
 from hublab.hub_labeling import baseline_full, read_labels, write_labels
+from hublab.upperbound_builder import (
+    CoverVerificationError,
+    InducedMatchingViolation,
+    ResampleExhausted,
+)
 
 
 def run_cli(capsys, *argv):
@@ -223,3 +228,58 @@ def test_usage_error_exit_code():
 def test_missing_file_reports_usage_error(capsys):
     code, _ = run_cli(capsys, "verify", "--graph", "/nonexistent", "--labels", "/nonexistent")
     assert code == 2
+
+
+def test_audit_counting_verifies_once(capsys, tmp_path, monkeypatch):
+    from hublab import cli, lowerbound_audit
+    from hublab.upperbound_builder import BuilderConfig, build_for_graph
+
+    inst = build_H(FamilyParams(1, 1))
+    gpath, lpath = tmp_path / "h.txt", tmp_path / "l.txt"
+    code, _ = run_cli(capsys, "gen", "--kind", "H", "--b", "1", "--ell", "1", "--out", str(gpath))
+    assert code == 0
+    calls = {"verify_cover": 0, "all_pairs": 0}
+    for module in (cli, lowerbound_audit):
+        for name in calls:
+            real = getattr(module, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    argv = ["audit", "counting", "--graph", str(gpath), "--meta", str(gpath) + ".meta.json"]
+    write_labels(build_for_graph(inst.graph, BuilderConfig(seed=1)).labeling, lpath)
+    code, out = run_cli(capsys, *argv, "--labels", str(lpath))
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert calls == {"verify_cover": 1, "all_pairs": 1}
+    lpath.write_text("".join(f"{v}: ({v},0)\n" for v in range(inst.graph.n)))
+    code, out = run_cli(capsys, *argv, "--labels", str(lpath))
+    rep = json.loads(out)
+    assert code == 1 and rep["passed"] is False
+    assert rep["reason"].startswith("labeling is not a valid cover (")
+    assert calls == {"verify_cover": 2, "all_pairs": 2}
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        CoverVerificationError("assembled labeling fails cover verification on 3 pairs"),
+        InducedMatchingViolation(1, 2, 3, 4, 5, 6),
+        ResampleExhausted("cover-set stage missed the 50/2 budget 32 times"),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+def test_internal_check_failures_exit_one(capsys, tmp_path, monkeypatch, exc):
+    gpath = tmp_path / "g.txt"
+    write_graph(build_H(FamilyParams(1, 1)).graph, gpath)
+
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("hublab.cli.build_for_graph", failing)
+    code = main(["build", "--graph", str(gpath), "--out", str(tmp_path / "l.txt")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"hublab: error: {exc}\n"
+    assert captured.out == ""

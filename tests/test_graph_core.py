@@ -4,12 +4,15 @@ from conftest import (
     hub_candidates,
     oracle_count_shortest,
     oracle_distances,
+    oracle_hits,
     seeded_sparse_graph,
     small_graphs,
     verify_metric,
 )
 from hypothesis import given
+from hypothesis import strategies as st
 
+from hublab.corpus import erdos_renyi_m, random_regular_graph
 from hublab.family_gen import FamilyParams, build_H
 from hublab.graph_core import (
     UNREACHABLE,
@@ -27,9 +30,11 @@ from hublab.graph_core import (
     is_unique_shortest_path,
     path_weight,
     read_graph,
+    shortest_path_hits,
     shortest_paths_from,
     write_graph,
 )
+from hublab.upperbound_builder import reduce_degree
 
 PATH3 = WeightedGraph(3, [(0, 1, 1), (1, 2, 1)])
 CYCLE4 = WeightedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
@@ -343,3 +348,33 @@ def test_search_rejects_total_weight_at_limit():
         all_pairs(at)
     with pytest.raises(ValueError, match=r"2\*\*52"):
         distances_from(at, 0)
+
+
+@given(small_graphs(min_weight=0), st.data())
+def test_shortest_path_hits_match_min_plus_oracle(g, data):
+    dm = all_pairs(g)
+    drawn = np.array(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)), dtype=bool)
+    for mask in (drawn, np.zeros(g.n, dtype=bool), np.ones(g.n, dtype=bool)):
+        assert (shortest_path_hits(dm, mask) == oracle_hits(dm, mask)).all()
+
+
+def test_shortest_path_hits_on_fixed_graphs():
+    graphs = [
+        WeightedGraph(0, []),
+        WeightedGraph(1, []),
+        # two zero-weight chains in separate components, one isolated vertex
+        WeightedGraph(9, [(0, 1, 0), (1, 2, 0), (2, 3, 1), (4, 5, 1), (5, 6, 0), (6, 7, 0)]),
+        reduce_degree(erdos_renyi_m(60, 140, seed=4))[0],
+        random_regular_graph(70, 3, seed=5),
+        seeded_sparse_graph(50, 90, seed=6, min_w=0, max_w=4),
+        build_H(FamilyParams(2, 2)).graph,
+    ]
+    rng = np.random.default_rng(11)
+    for g in graphs:
+        dm = all_pairs(g)
+        masks = [np.zeros(g.n, dtype=bool), np.ones(g.n, dtype=bool)]
+        masks += [rng.random(g.n) < p for p in (0.05, 0.3)]
+        for mask in masks:
+            hit = shortest_path_hits(dm, mask)
+            assert hit.shape == (g.n, g.n) and hit.dtype == bool
+            assert (hit == oracle_hits(dm, mask)).all(), g

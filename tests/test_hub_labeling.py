@@ -1,13 +1,17 @@
+from dataclasses import astuple
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from conftest import check_stored_distances, seeded_sparse_graph, small_graphs
+from conftest import check_stored_distances, dense_verify_cover, seeded_sparse_graph, small_graphs
 from hypothesis import given
 
+from hublab import graph_core, hub_labeling
 from hublab.family_gen import FamilyParams, build_H, expand_to_G
 from hublab.graph_core import (
     UNREACHABLE,
     GraphFormatError,
+    ResourceLimitError,
     UnreachablePairError,
     WeightedGraph,
     all_pairs,
@@ -25,6 +29,7 @@ from hublab.hub_labeling import (
     verify_cover,
     write_labels,
 )
+from hublab.upperbound_builder import BuilderConfig, build_for_graph
 
 PATH3 = WeightedGraph(3, [(0, 1, 1), (1, 2, 1)])
 CYCLE4 = WeightedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
@@ -254,3 +259,111 @@ def test_bit_estimate_formula():
     hl = HubLabeling(8, [[(v, 0)] for v in range(8)])
     # 8 entries, ceil(log2 8) = 3 id bits, diameter 5 -> ceil(log2 6) = 3
     assert bit_estimate(hl, 5) == 8 * (3 + 3)
+
+
+# -- verify_cover against the dense oracle ---------------------------------------
+
+KINDS = ("drop", "shift", "retarget", "foreign")
+
+
+def _mutated(hl, dm, kind: str, rng):
+    """A copy of hl with one seeded corruption of the given kind, or None when
+    no vertex admits it."""
+    hubs = [dict(e) for e in hl.hubs]
+
+    def options(v):
+        if kind == "retarget":
+            return sorted(set(range(hl.n)) - set(hubs[v]))
+        if kind == "foreign":
+            return [x for x in np.flatnonzero(dm.row(v) < 0).tolist() if x not in hubs[v]]
+        return [0]
+
+    owners = [v for v in range(hl.n) if (hubs[v] or kind == "foreign") and options(v)]
+    if not owners:
+        return None
+    v = int(rng.choice(owners))
+    target = int(rng.choice(options(v)))
+    if kind == "foreign":
+        hubs[v][target] = int(rng.integers(0, 4))
+    else:
+        h = int(rng.choice(sorted(hubs[v])))
+        d = hubs[v].pop(h)
+        if kind == "shift":
+            hubs[v][h] = d + 1 if d == 0 or rng.random() < 0.5 else d - 1
+        elif kind == "retarget":
+            hubs[v][target] = d
+    return HubLabeling(hl.n, [e.items() for e in hubs])
+
+
+def _assert_same_report(hl, dm):
+    for truncate in (1000, 2):
+        got = verify_cover(hl, dm, truncate=truncate)
+        want = dense_verify_cover(hl, dm, truncate=truncate)
+        assert astuple(got) == astuple(want)
+
+
+def _two_component_graph():
+    edges = [(i, i + 1, 1) for i in range(11)] + [(12 + i, 13 + i, 1) for i in range(7)]
+    return WeightedGraph(20, edges + [(0, 5, 1), (12, 17, 2), (13, 18, 0)])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_verify_cover_matches_dense_oracle_under_mutation(kind):
+    graphs = [
+        seeded_sparse_graph(40, 70, seed=3, min_w=1, max_w=1),
+        seeded_sparse_graph(30, 45, seed=4, min_w=0, max_w=3),
+        _two_component_graph(),
+        expand_to_G(build_H(FamilyParams(1, 1))).graph,
+    ]
+    rng = np.random.default_rng(KINDS.index(kind))
+    for g in graphs:
+        dm = all_pairs(g)
+        labelings = [baseline_full(dm)]
+        labelings += [build_for_graph(g, BuilderConfig(D=D, seed=2)).labeling for D in (None, 1, 2)]
+        for hl in labelings:
+            _assert_same_report(hl, dm)
+            for _ in range(4):
+                bad = _mutated(hl, dm, kind, rng)
+                if bad is not None:
+                    _assert_same_report(bad, dm)
+
+
+def test_verify_cover_matches_dense_oracle_across_chunk_boundaries(monkeypatch):
+    monkeypatch.setattr(hub_labeling, "_ROWS", 3)
+    monkeypatch.setattr(hub_labeling, "_CHUNK", 5)
+    monkeypatch.setattr(graph_core, "_HIT_BLOCK", 2)
+    rng = np.random.default_rng(9)
+    for g in (_two_component_graph(), seeded_sparse_graph(25, 40, seed=5, min_w=0, max_w=3)):
+        dm = all_pairs(g)
+        for hl in (baseline_full(dm), build_for_graph(g, BuilderConfig(seed=4)).labeling):
+            _assert_same_report(hl, dm)
+            for kind in KINDS:
+                bad = _mutated(hl, dm, kind, rng)
+                if bad is not None:
+                    _assert_same_report(bad, dm)
+
+
+def test_verify_cover_matches_dense_oracle_without_core():
+    # Every stored distance is one too large, so no entry is exact and the
+    # verdict rests on the join alone.
+    for g in (_two_component_graph(), seeded_sparse_graph(30, 50, seed=8, min_w=1, max_w=1)):
+        dm = all_pairs(g)
+        full = baseline_full(dm)
+        shifted = HubLabeling(g.n, [[(h, d + 1) for h, d in full.hubs[v]] for v in range(g.n)])
+        _assert_same_report(shifted, dm)
+        assert not verify_cover(shifted, dm).valid
+        half = HubLabeling(g.n, [[e for e in full.hubs[v] if (e[0] + v) % 2] for v in range(g.n)])
+        _assert_same_report(half, dm)
+        _assert_same_report(HubLabeling(g.n, [[] for _ in range(g.n)]), dm)
+
+
+def test_verify_cover_keeps_guards():
+    dm = all_pairs(PATH3)
+    with pytest.raises(ResourceLimitError, match="verification needs 9 comparisons"):
+        verify_cover(baseline_full(dm), dm, pair_cap=8)
+    huge = HubLabeling(3, [[(0, 1 << 27)], [], []])
+    with pytest.raises(ResourceLimitError, match="stored distances too large"):
+        verify_cover(huge, dm)
+    far = all_pairs(WeightedGraph(2, [(0, 1, 1 << 27)]))
+    with pytest.raises(ResourceLimitError, match="^distances too large"):
+        verify_cover(HubLabeling(2, [[], []]), far)

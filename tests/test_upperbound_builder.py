@@ -1,9 +1,12 @@
+import math
+
+import numpy as np
 import pytest
 from conftest import hub_candidates, seeded_sparse_graph
 
 from hublab.corpus import erdos_renyi_m, grid_graph, path_graph, random_regular_graph, star_graph
 from hublab.family_gen import FamilyParams, build_H, expand_to_G
-from hublab.graph_core import WeightedGraph, all_pairs
+from hublab.graph_core import DenseDistanceMatrix, WeightedGraph, all_pairs
 from hublab import upperbound_builder
 from hublab.hub_labeling import HubLabeling, baseline_full, format_labels, query, verify_cover
 from hublab.upperbound_builder import (
@@ -13,6 +16,8 @@ from hublab.upperbound_builder import (
     ResampleExhausted,
     _check_induced,
     _resample,
+    _rng,
+    _sample_cover,
     assemble,
     build_for_graph,
     build_matchings,
@@ -368,3 +373,52 @@ def test_stages_do_not_verify(monkeypatch):
     a = res.artifacts
     assert assemble(a.S, a.Q, a.R, a.F, g2, res.dm) == res.labeling
     project_back(res.labeling, rep, orig, dm)
+
+
+def _min_plus_cover(dm, cfg, index):
+    """Reference for _sample_cover: the same draws, with each big pair tested
+    by a min-plus scan over S."""
+    n, D = dm.n, index.D
+    mat = dm.matrix()
+    inf = np.where(mat < 0, 1 << 40, mat)
+    s_size = math.ceil((n / D) * math.log(D))
+    for attempt in range(cfg.max_resamples):
+        s_arr = np.sort(_rng(cfg.seed, 1, attempt).choice(n, size=s_size, replace=False))
+        q = {}
+        for u in range(n):
+            idx = np.flatnonzero(index.big[u])
+            hits = (inf[u, s_arr][:, None] + inf[s_arr][:, idx] == inf[u, idx][None, :]).any(axis=0)
+            if not hits.all():
+                q[u] = set(idx[~hits].tolist())
+        if sum(len(vs) for vs in q.values()) * D <= 2 * n * n:
+            break
+    for u, v in index.forced:
+        q.setdefault(u, set()).add(v)
+    return frozenset(s_arr.tolist()), {u: frozenset(vs) for u, vs in q.items()}, attempt + 1
+
+
+def test_cover_stage_matches_min_plus_reference():
+    cases = [
+        random_regular_graph(150, 3, seed=7),
+        reduce_degree(erdos_renyi_m(90, 220, seed=2))[0],
+        build_H(FamilyParams(1, 1)).graph,
+    ]
+    for g in cases:
+        dm = all_pairs(g)
+        for D in (2, 3, 5):
+            index = build_pair_index(dm, D, zero_one=g.weight_kind != "general")
+            cfg = BuilderConfig(D=D, seed=D)
+            got = _sample_cover(dm, cfg, index)
+            assert got == _min_plus_cover(dm, cfg, index)
+            assert got[1], "every case leaves some big pair to Q"
+
+
+def test_unit_and_zero_one_builds_never_build_the_inf_matrix(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("inf_matrix built for a {0,1}-weight build")
+
+    monkeypatch.setattr(DenseDistanceMatrix, "inf_matrix", forbidden)
+    plain = build_for_graph(random_regular_graph(60, 3, seed=1), BuilderConfig(seed=1))
+    reduced = build_for_graph(erdos_renyi_m(50, 100, seed=2), BuilderConfig(seed=1))
+    assert plain.report.reduced is None and reduced.report.reduced is not None
+    assert plain.report.cover.valid and reduced.report.cover.valid
