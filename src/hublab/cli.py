@@ -12,6 +12,8 @@ import sys
 import time
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import family_gen, graph_core, hub_labeling, lowerbound_audit, sumindex_protocol
 from .family_gen import FamilyParams, LevelCoord
 from .graph_core import all_pairs, canonical_trees, read_graph, write_graph
@@ -157,8 +159,8 @@ def _cmd_closure(args) -> int:
 
 def _cmd_stats(args) -> int:
     hl = read_labels(args.labels)
-    sizes = [hl.size(v) for v in range(hl.n)]
-    max_stored = max((d for v in range(hl.n) for _, d in hl.entries(v)), default=0)
+    sizes = np.diff(hl.offsets)
+    max_stored = int(hl.dist.max(initial=0))
     config = {"labels": args.labels}
     _emit(
         _report(
@@ -168,8 +170,8 @@ def _cmd_stats(args) -> int:
                 "n": hl.n,
                 "total_size": hl.total_size,
                 "avg_hub_size": (hl.total_size / hl.n) if hl.n else 0.0,
-                "max_hub_size": max(sizes, default=0),
-                "min_hub_size": min(sizes, default=0),
+                "max_hub_size": int(sizes.max(initial=0)),
+                "min_hub_size": int(sizes.min()) if hl.n else 0,
                 "bit_estimate": hub_labeling.bit_estimate(hl, max_stored),
             },
         ),

@@ -3,11 +3,10 @@ and monotone closures along fixed shortest-path trees."""
 
 from __future__ import annotations
 
-import itertools
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -22,6 +21,8 @@ from .graph_core import (
 )
 
 _INF32 = np.int32(1 << 29)
+_I64_MIN, _I64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+_NO_SUM = np.uint64(np.iinfo(np.uint64).max)
 #: Rows per block of the verifier's n x n passes.
 _ROWS = 256
 #: Label entries, or joined entry pairs, per chunk of the verifier.
@@ -29,51 +30,135 @@ _CHUNK = 1 << 15
 
 
 class HubLabeling:
-    """Per-vertex hub sets with stored distances, sorted by hub id.
+    """Per-vertex hub sets with stored distances, in CSR arrays.
 
-    Immutable after construction; the stored distance of every entry is
-    expected to equal the true graph distance.
+    The entries of vertex v are hub[offsets[v]:offsets[v + 1]] (int32 hub
+    ids, strictly increasing) with the stored distances at the same positions
+    of dist (int64). Immutable after construction; the stored distance of
+    every entry is expected to equal the true graph distance.
     """
 
-    __slots__ = ("n", "hubs")
+    __slots__ = ("n", "offsets", "hub", "dist")
 
     def __init__(self, n: int, hubs: Iterable[Iterable[tuple[int, int]]]):
-        self.n = int(n)
-        norm = []
-        for v, entries in enumerate(hubs):
-            seen = {}
+        """One iterable of (hub, distance) pairs per vertex, in any order."""
+        counts, flat = [], []
+        for entries in hubs:
+            k = len(flat)
             for h, d in entries:
-                h, d = int(h), int(d)
-                if not 0 <= h < self.n:
+                flat.append(int(h))
+                flat.append(int(d))
+            counts.append((len(flat) - k) // 2)
+        owner = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        try:
+            pairs = np.array(flat, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:
+            i = next(i for i, x in enumerate(flat) if not _I64_MIN <= x <= _I64_MAX)
+            what = ("hub id", "stored distance")[i % 2]
+            raise ValueError(
+                f"vertex {owner[i // 2]}: {what} {flat[i]} does not fit in 64 bits"
+            ) from None
+        self._set(int(n), len(counts), owner, pairs[:, 0], pairs[:, 1])
+
+    @classmethod
+    def from_entries(cls, n: int, owner, hub, dist) -> "HubLabeling":
+        """The labeling of n vertices with one entry (owner[i], hub[i],
+        dist[i]) per i; the same checks and merging as the constructor."""
+        hl = cls.__new__(cls)
+        hl._set(int(n), int(n), *(np.asarray(a, dtype=np.int64) for a in (owner, hub, dist)))
+        return hl
+
+    def _set(self, n: int, rows: int, owner, hub, dist) -> None:
+        """Validate flat int64 entries of `rows` rows and store them sorted,
+        with equal-distance duplicates merged. The first faulty entry in
+        the given order is reported."""
+        fault = (hub < 0) | (hub >= n) | (dist < 0)
+        key = owner * n + hub
+        if rows == n and not fault.any() and bool((key[1:] > key[:-1]).all()):
+            first = np.ones(hub.size, dtype=bool)  # already sorted, no duplicates
+        else:
+            order = np.lexsort((hub, owner))
+            owner, hub, dist, fault = owner[order], hub[order], dist[order], fault[order]
+            first = np.ones(order.size, dtype=bool)
+            first[1:] = (owner[1:] != owner[:-1]) | (hub[1:] != hub[:-1])
+            fault |= dist != dist[first][np.cumsum(first) - 1]
+            if fault.any():
+                bad = np.flatnonzero(fault)
+                j = bad[np.argmin(order[bad])]
+                v, h = owner[j], hub[j]
+                if not 0 <= h < n:
                     raise ValueError(f"vertex {v}: hub {h} out of range")
-                if d < 0:
+                if dist[j] < 0:
                     raise ValueError(f"vertex {v}: negative stored distance")
-                if h in seen and seen[h] != d:
-                    raise ValueError(f"vertex {v}: conflicting distances for hub {h}")
-                seen[h] = d
-            norm.append(tuple(sorted(seen.items())))
-        if len(norm) != self.n:
-            raise ValueError("hub sets must cover every vertex id")
-        self.hubs = tuple(norm)
+                raise ValueError(f"vertex {v}: conflicting distances for hub {h}")
+            if rows != n:
+                raise ValueError("hub sets must cover every vertex id")
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner[first], minlength=n), out=offsets[1:])
+        self.n = n
+        self.offsets, self.hub, self.dist = offsets, hub[first].astype(np.int32), dist[first]
+        for a in (self.offsets, self.hub, self.dist):
+            a.flags.writeable = False
+
+    def _span(self, v: int) -> tuple[int, int]:
+        v = range(self.n)[v]
+        return int(self.offsets[v]), int(self.offsets[v + 1])
+
+    @property
+    def hubs(self) -> "_Rows":
+        """Read-only view of the rows as tuples of (hub, distance) pairs."""
+        return _Rows(self)
 
     def entries(self, v: int) -> tuple[tuple[int, int], ...]:
-        return self.hubs[v]
-
-    def hub_ids(self, v: int) -> tuple[int, ...]:
-        return tuple(h for h, _ in self.hubs[v])
+        a, b = self._span(v)
+        return tuple(zip(self.hub[a:b].tolist(), self.dist[a:b].tolist()))
 
     def size(self, v: int) -> int:
-        return len(self.hubs[v])
+        a, b = self._span(v)
+        return b - a
 
     @property
     def total_size(self) -> int:
-        return sum(len(e) for e in self.hubs)
+        return int(self.offsets[-1])
+
+    def owners(self) -> np.ndarray:
+        """The vertex of every entry, in entry order."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.offsets))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, HubLabeling) and self.n == other.n and self.hubs == other.hubs
+        return (
+            isinstance(other, HubLabeling)
+            and self.n == other.n
+            and np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.hub, other.hub)
+            and np.array_equal(self.dist, other.dist)
+        )
 
     def __repr__(self) -> str:
         return f"HubLabeling(n={self.n}, total={self.total_size})"
+
+
+class _Rows(Sequence):
+    """The rows of a labeling, each built as a tuple of (hub, distance) pairs
+    only when it is read; two views are equal iff their labelings are."""
+
+    __slots__ = ("_hl",)
+
+    def __init__(self, hl: HubLabeling):
+        self._hl = hl
+
+    def __len__(self) -> int:
+        return self._hl.n
+
+    def __getitem__(self, v):
+        if isinstance(v, slice):
+            return tuple(map(self._hl.entries, range(self._hl.n)[v]))
+        return self._hl.entries(v)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _Rows):
+            return NotImplemented
+        return self._hl == other._hl
 
 
 @dataclass(frozen=True)
@@ -89,22 +174,18 @@ class CoverReport:
 def query(hl: HubLabeling, u: int, v: int):
     """min over common hubs of stored(u,w) + stored(w,v); UNREACHABLE when the
     hub sets are disjoint. Always an over-approximation of the distance."""
-    a, b = hl.hubs[u], hl.hubs[v]
-    i = j = 0
-    best = None
-    while i < len(a) and j < len(b):
-        ha, hb = a[i][0], b[j][0]
-        if ha == hb:
-            s = a[i][1] + b[j][1]
-            if best is None or s < best:
-                best = s
-            i += 1
-            j += 1
-        elif ha < hb:
-            i += 1
-        else:
-            j += 1
-    return UNREACHABLE if best is None else best
+    a0, a1 = hl._span(u)
+    b0, b1 = hl._span(v)
+    a, b = hl.hub[a0:a1], hl.hub[b0:b1]
+    if not (a.size and b.size):
+        return UNREACHABLE
+    at = np.searchsorted(b, a)
+    common = b.take(at, mode="clip") == a
+    # Stored distances are below 2**63, so their sums fit below _NO_SUM.
+    sums = hl.dist[a0:a1][common].astype(np.uint64)
+    sums += hl.dist[b0:b1].take(at[common]).astype(np.uint64)
+    best = int(sums.min(initial=_NO_SUM))
+    return UNREACHABLE if best == _NO_SUM else best
 
 
 def _ceil_log2(x: int) -> int:
@@ -181,20 +262,14 @@ def _split_entries(hl: HubLabeling, mat: np.ndarray):
     """(core, owner, hub, stored): the core hubs as a bool mask and int32
     arrays of the entries that are not exact entries of a core hub.
 
-    The labeling is flattened once into int32 and then read in chunks of
-    _CHUNK entries, so no temporary grows with the label size.
+    The entries are read in chunks of _CHUNK, so no temporary but the int32
+    copies grows with the label size.
     """
     n = hl.n
-    sizes = np.fromiter((len(e) for e in hl.hubs), dtype=np.int64, count=n)
-    flat = np.fromiter(
-        itertools.chain.from_iterable(itertools.chain.from_iterable(hl.hubs)),
-        dtype=np.int32,
-        count=2 * int(sizes.sum()),
-    ).reshape(-1, 2)
-    hub, stored = flat[:, 0], flat[:, 1]
-    if stored.size and int(stored.max()) >= int(_INF32) // 4:
+    if hl.dist.size and int(hl.dist.max()) >= int(_INF32) // 4:
         raise ResourceLimitError("stored distances too large for vectorized verification")
-    owner = np.repeat(np.arange(n, dtype=np.int32), sizes)
+    hub, stored = hl.hub, hl.dist.astype(np.int32)
+    owner = hl.owners().astype(np.int32)
     reach = np.zeros(n, dtype=np.int64)
     for lo in range(0, n, _ROWS):
         reach[lo : lo + _ROWS] = np.count_nonzero(mat[lo : lo + _ROWS] >= 0, axis=1)
@@ -250,12 +325,9 @@ def _min_stored_sums(n: int, owner: np.ndarray, hub: np.ndarray, stored: np.ndar
 
 def baseline_full(dm) -> HubLabeling:
     """Trivial upper baseline: every vertex stores all reachable vertices."""
-    sets = []
-    for v in range(dm.n):
-        row = dm.row(v)
-        reach = np.flatnonzero(row >= 0)
-        sets.append([(int(h), int(row[h])) for h in reach])
-    return HubLabeling(dm.n, sets)
+    mat = dm.matrix()
+    owner, hub = np.nonzero(mat >= 0)
+    return HubLabeling.from_entries(dm.n, owner, hub, mat[owner, hub])
 
 
 def monotone_closure(hl: HubLabeling, trees: Mapping[int, ShortestPathTree]) -> HubLabeling:
@@ -264,20 +336,20 @@ def monotone_closure(hl: HubLabeling, trees: Mapping[int, ShortestPathTree]) -> 
     The closure of S_v is the vertex set of the minimal subtree of T_v rooted
     at v containing S_v; distances come from the tree.
     """
-    out = []
+    offsets, ids = hl.offsets.tolist(), hl.hub.tolist()
+    counts, hubs, dists = [], [], []
     for v in range(hl.n):
-        ent = hl.hubs[v]
-        if not ent:
-            out.append(())
+        row = ids[offsets[v] : offsets[v + 1]]
+        if not row:
+            counts.append(0)
             continue
         tree = trees[v]
         if tree.root != v:
             raise ValueError(f"tree for vertex {v} is rooted at {tree.root}")
         parents = tree.parents
-        dists = tree.dists
         member = set()
-        for h, _ in ent:
-            if dists[h] < 0:
+        for h in row:
+            if tree.dists[h] < 0:
                 raise UnreachablePairError(f"hub {h} unreachable in the tree of {v}")
             x = h
             while x not in member:
@@ -285,15 +357,23 @@ def monotone_closure(hl: HubLabeling, trees: Mapping[int, ShortestPathTree]) -> 
                 if x == v:
                     break
                 x = parents[x]
-        out.append(sorted((x, dists[x]) for x in member))
-    return HubLabeling(hl.n, out)
+        closed = sorted(member)
+        counts.append(len(closed))
+        hubs += closed
+        dists += [tree.dists[x] for x in closed]
+    owner = np.repeat(np.arange(hl.n), counts)
+    return HubLabeling.from_entries(hl.n, owner, hubs, dists)
 
 
 # -- label file format -------------------------------------------------------
 # One line per vertex: "v: (h1,d1) (h2,d2) ...". Hubs sorted by id.
 
-_ENTRY_RE = re.compile(r"\((\d+),(\d+)\)")
 _BODY_RE = re.compile(r"\s*(?:\((0|[1-9][0-9]*),(0|[1-9][0-9]*)\)\s*)*")
+# A well-formed body holds only ASCII digits, "(),", and whitespace; every
+# character but the digits becomes a space before the numbers are parsed.
+_NON_DIGIT = str.maketrans({c: " " for c in map(chr, range(128)) if not c.isdigit()})
+_NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
+_LONG_NUMBER_RE = re.compile(r"[0-9]{19,}")
 
 
 def write_labels(hl: HubLabeling, path) -> None:
@@ -302,15 +382,18 @@ def write_labels(hl: HubLabeling, path) -> None:
 
 
 def format_labels(hl: HubLabeling) -> str:
-    lines = []
-    for v in range(hl.n):
-        body = " ".join(f"({h},{d})" for h, d in hl.hubs[v])
-        lines.append(f"{v}: {body}".rstrip())
-    return "\n".join(lines) + "\n"
+    sizes = np.diff(hl.offsets).tolist()
+    lines = (f"{v}: {('(%d,%d) ' * k)[:-1]}" if k else f"{v}:" for v, k in enumerate(sizes))
+    template = "\n".join(lines) + "\n"
+    pairs = np.empty((hl.total_size, 2), dtype=np.int64)
+    pairs[:, 0], pairs[:, 1] = hl.hub, hl.dist
+    return template % tuple(pairs.ravel().tolist())
 
 
 def read_labels(path) -> HubLabeling:
-    sets = []
+    """Parse a label file. Every line's syntax is checked first, then that
+    every number fits in int64, then the labeling itself."""
+    lines, bodies = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh):
             line = raw.strip()
@@ -321,9 +404,23 @@ def read_labels(path) -> HubLabeling:
                 v = int(head)
             except ValueError as exc:
                 raise GraphFormatError(f"line {lineno + 1}: bad vertex id") from exc
-            if v != len(sets):
+            if v != len(bodies):
                 raise GraphFormatError(f"line {lineno + 1}: vertex ids must be consecutive")
             if _BODY_RE.fullmatch(body) is None:
                 raise GraphFormatError(f"line {lineno + 1}: malformed hub entries")
-            sets.append([(int(h), int(d)) for h, d in _ENTRY_RE.findall(body)])
-    return HubLabeling(len(sets), sets)
+            lines.append(lineno + 1)
+            bodies.append(body)
+    counts = [body.count("(") for body in bodies]
+    text = "".join(bodies).translate(_NON_DIGIT)
+    if not text.isascii():
+        text = _NON_ASCII_RE.sub(" ", text)  # only Unicode whitespace is left
+    # fromstring reads a number beyond int64 as the int64 maximum, and a text
+    # of spaces alone as one 0.
+    nums = np.fromstring(text, dtype=np.int64, sep=" ") if sum(counts) else np.zeros(0, np.int64)
+    if nums.size and nums.max() == _I64_MAX:
+        for lineno, body in zip(lines, bodies):
+            if any(int(x) > _I64_MAX for x in _LONG_NUMBER_RE.findall(body)):
+                raise GraphFormatError(f"line {lineno}: number does not fit in 64 bits")
+    pairs = nums.reshape(-1, 2)
+    owner = np.repeat(np.arange(len(bodies)), counts)
+    return HubLabeling.from_entries(len(bodies), owner, pairs[:, 0], pairs[:, 1])

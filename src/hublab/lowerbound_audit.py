@@ -161,22 +161,19 @@ def audit_counting(
     if trees is None:
         trees = canonical_trees(g)
     closed = monotone_closure(hl, trees)
-    closure_sets = [frozenset(h for h, _ in closed.hubs[v]) for v in range(g.n)]
-    lhs = sum(len(s) for s in closure_sets)
     params = inst.params
-    failures = []
-    count = 0
+    triplets, ends = [], []
     for x, z in parity_pairs(params):
-        count += 1
         y = tuple((xk + zk) // 2 for xk, zk in zip(x, z))
-        xv = inst.id_of(0, x)
-        zv = inst.id_of(2 * params.ell, z)
-        yv = inst.id_of(params.ell, y)
-        if yv not in closure_sets[xv] and yv not in closure_sets[zv]:
-            failures.append((x, y, z))
+        triplets.append((x, y, z))
+        ends.append((inst.id_of(0, x), inst.id_of(params.ell, y), inst.id_of(2 * params.ell, z)))
+    xv, yv, zv = np.array(ends, dtype=np.int64).reshape(-1, 3).T
+    held = closed.owners() * g.n + closed.hub
+    missed = ~np.isin(xv * g.n + yv, held) & ~np.isin(zv * g.n + yv, held)
+    failures = [t for t, bad in zip(triplets, missed.tolist()) if bad]
     return CountingReport(
-        lhs=lhs,
+        lhs=closed.total_size,
         rhs=counting_rhs(params),
-        triplets=count,
+        triplets=len(triplets),
         membership_failures=tuple(sorted(failures)),
     )

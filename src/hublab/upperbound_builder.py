@@ -23,6 +23,9 @@ from .graph_core import (
 )
 from .hub_labeling import CoverReport, HubLabeling, verify_cover
 
+#: Rows per block of the membership masks in assemble.
+_ASSEMBLE_ROWS = 256
+
 
 class ResampleExhausted(RuntimeError):
     """No sample met its size budget within max_resamples attempts."""
@@ -372,16 +375,26 @@ def assemble(S, Q, R, F, g: WeightedGraph, dm) -> HubLabeling:
     """hubs(v) = S union Q_v union R_v union N(F_v), distances filled from the
     matrix. Builds only; build_for_graph checks the result."""
     mat = dm.matrix()
+    n = g.n
     neigh = _closed_neighborhoods(F, g)
-    sets = []
-    for v in range(g.n):
-        members = set(S)
-        members.update(Q.get(v, ()))
-        members.update(R.get(v, ()))
-        members.update(neigh[v])
-        row = mat[v]
-        sets.append([(h, int(row[h])) for h in sorted(members) if row[h] >= 0])
-    return HubLabeling(g.n, sets)
+    own = [
+        (v, h) for v in range(n) for part in (Q.get(v, ()), R.get(v, ()), neigh[v]) for h in part
+    ]
+    own_v, own_h = np.array(own, dtype=np.int64).reshape(-1, 2).T
+    shared = np.fromiter(S, dtype=np.int64, count=len(S))
+    owners, hubs = [], []
+    for lo in range(0, n, _ASSEMBLE_ROWS):
+        hi = min(lo + _ASSEMBLE_ROWS, n)
+        member = np.zeros((hi - lo, n), dtype=bool)
+        member[:, shared] = True
+        a, b = np.searchsorted(own_v, [lo, hi])
+        member[own_v[a:b] - lo, own_h[a:b]] = True
+        member &= mat[lo:hi] >= 0
+        rows, cols = np.nonzero(member)
+        owners.append(rows + lo)
+        hubs.append(cols)
+    owner, hub = np.concatenate(owners), np.concatenate(hubs)
+    return HubLabeling.from_entries(n, owner, hub, mat[owner, hub])
 
 
 # -- degree reduction -------------------------------------------------------------
@@ -436,13 +449,17 @@ def project_back(hl_reduced: HubLabeling, representative, origin, dm) -> HubLabe
     build_for_graph checks the result."""
     n = dm.n
     mat = dm.matrix()
-    sets = []
-    for v in range(n):
-        rep = representative[v]
-        hubs = {origin[h] for h, _ in hl_reduced.hubs[rep]}
-        row = mat[v]
-        sets.append([(h, int(row[h])) for h in sorted(hubs) if row[h] >= 0])
-    return HubLabeling(n, sets)
+    rep = np.fromiter((representative[v] for v in range(n)), dtype=np.int64, count=n)
+    orig = np.fromiter((origin[c] for c in range(hl_reduced.n)), dtype=np.int64, count=hl_reduced.n)
+    start = hl_reduced.offsets[rep]
+    size = hl_reduced.offsets[rep + 1] - start
+    # positions of the representatives' entries, row after row
+    at = np.arange(int(size.sum())) + np.repeat(start - (np.cumsum(size) - size), size)
+    key = np.unique(np.repeat(np.arange(n), size) * n + orig[hl_reduced.hub[at]])
+    owner, hub = np.divmod(key, max(n, 1))
+    reach = mat[owner, hub] >= 0
+    owner, hub = owner[reach], hub[reach]
+    return HubLabeling.from_entries(n, owner, hub, mat[owner, hub])
 
 
 # -- driver -----------------------------------------------------------------------

@@ -5,16 +5,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from hublab.corpus import erdos_renyi_m, grid_graph, path_graph, random_regular_graph
+from hublab.family_gen import FamilyParams, build_H, expand_to_G
 from hublab.graph_core import (
     DEFAULT_PAIR_CAP,
+    UNREACHABLE,
     ResourceLimitError,
     UnreachablePairError,
     WeightedGraph,
 )
 from hublab.hub_labeling import CoverReport, bit_estimate
+from hublab.upperbound_builder import BuilderConfig, build_for_graph
 
 settings.register_profile(
     "hublab",
@@ -189,6 +194,87 @@ def dense_verify_cover(
         total_size=total,
         bit_estimate=bit_estimate(hl, diam),
     )
+
+
+def oracle_label_rows(n: int, hubs) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The rows HubLabeling(n, hubs) must hold, by the tuple normaliser the
+    labeling used before it stored arrays; raises the same ValueError."""
+    norm = []
+    for v, entries in enumerate(hubs):
+        seen = {}
+        for h, d in entries:
+            h, d = int(h), int(d)
+            if not 0 <= h < n:
+                raise ValueError(f"vertex {v}: hub {h} out of range")
+            if d < 0:
+                raise ValueError(f"vertex {v}: negative stored distance")
+            if h in seen and seen[h] != d:
+                raise ValueError(f"vertex {v}: conflicting distances for hub {h}")
+            seen[h] = d
+        norm.append(tuple(sorted(seen.items())))
+    if len(norm) != n:
+        raise ValueError("hub sets must cover every vertex id")
+    return tuple(norm)
+
+
+def oracle_query(rows, u: int, v: int):
+    """query() on normalised tuple rows by a merge of the two sorted rows."""
+    a, b = rows[u], rows[v]
+    i = j = 0
+    best = None
+    while i < len(a) and j < len(b):
+        ha, hb = a[i][0], b[j][0]
+        if ha == hb:
+            s = a[i][1] + b[j][1]
+            if best is None or s < best:
+                best = s
+            i += 1
+            j += 1
+        elif ha < hb:
+            i += 1
+        else:
+            j += 1
+    return UNREACHABLE if best is None else best
+
+
+# -- the acceptance corpus -------------------------------------------------------
+
+
+def corpus_entries():
+    """(name, graph factory, D) of the 51 graphs of the acceptance corpus."""
+    entries = []
+    for i, n in enumerate((20, 40, 60, 80, 120, 160, 200, 300, 400, 600)):
+        entries.append((f"3reg-{n}", lambda n=n, s=i: random_regular_graph(n, 3, seed=s + 1), None))
+    entries.append(("3reg-50b", lambda: random_regular_graph(50, 3, seed=21), 2))
+    entries.append(("3reg-50c", lambda: random_regular_graph(50, 3, seed=22), 4))
+    entries.append(("3reg-100b", lambda: random_regular_graph(100, 3, seed=23), None))
+    entries.append(("3reg-200-D5", lambda: random_regular_graph(200, 3, seed=42), 5))
+    entries.append(("3reg-2000", lambda: random_regular_graph(2000, 3, seed=7), None))
+    for i, n in enumerate((20, 50, 80, 120, 200, 300, 400, 600)):
+        entries.append((f"er-{n}", lambda n=n, s=i: erdos_renyi_m(n, 2 * n, seed=s + 1), None))
+    for i, n in enumerate((20, 50, 80, 120)):
+        entries.append((f"er-{n}b", lambda n=n, s=i: erdos_renyi_m(n, 2 * n, seed=s + 31), None))
+    entries.append(("er-100-D2", lambda: erdos_renyi_m(100, 200, seed=9), 2))
+    entries.append(("er-2000", lambda: erdos_renyi_m(2000, 4000, seed=5), None))
+    for r in (3, 4, 5, 6, 7, 8, 10, 12, 15, 20):
+        entries.append((f"grid-{r}x{r}", lambda r=r: grid_graph(r, r), 2 if r == 10 else None))
+    for n in (2, 3, 5, 8, 13, 21, 34, 55, 89, 144):
+        entries.append((f"path-{n}", lambda n=n: path_graph(n), 4 if n == 144 else None))
+    entries.append(("G11", lambda: expand_to_G(build_H(FamilyParams(1, 1))).graph, None))
+    entries.append(("G21", lambda: expand_to_G(build_H(FamilyParams(2, 1))).graph, None))
+    return entries
+
+
+@pytest.fixture(scope="session")
+def corpus_results():
+    """(name, config, BuildResult) of every corpus graph, built once per session."""
+    results = []
+    for idx, (name, factory, d) in enumerate(corpus_entries()):
+        g = factory()
+        cfg = BuilderConfig(D=d, seed=13 * idx + 1)
+        res = build_for_graph(g, cfg)
+        results.append((name, cfg, res))
+    return results
 
 
 # -- strategies ----------------------------------------------------------------

@@ -11,8 +11,9 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from conftest import corpus_entries
 
-from hublab.corpus import erdos_renyi_m, grid_graph, path_graph, random_regular_graph
+from hublab.corpus import erdos_renyi_m
 from hublab.family_gen import (
     FamilyParams,
     build_H,
@@ -67,41 +68,6 @@ def g22(h22):
 @pytest.fixture(scope="session")
 def g11():
     return expand_to_G(build_H(FamilyParams(1, 1)))
-
-
-def _corpus_entries():
-    entries = []
-    for i, n in enumerate((20, 40, 60, 80, 120, 160, 200, 300, 400, 600)):
-        entries.append((f"3reg-{n}", lambda n=n, s=i: random_regular_graph(n, 3, seed=s + 1), None))
-    entries.append(("3reg-50b", lambda: random_regular_graph(50, 3, seed=21), 2))
-    entries.append(("3reg-50c", lambda: random_regular_graph(50, 3, seed=22), 4))
-    entries.append(("3reg-100b", lambda: random_regular_graph(100, 3, seed=23), None))
-    entries.append(("3reg-200-D5", lambda: random_regular_graph(200, 3, seed=42), 5))
-    entries.append(("3reg-2000", lambda: random_regular_graph(2000, 3, seed=7), None))
-    for i, n in enumerate((20, 50, 80, 120, 200, 300, 400, 600)):
-        entries.append((f"er-{n}", lambda n=n, s=i: erdos_renyi_m(n, 2 * n, seed=s + 1), None))
-    for i, n in enumerate((20, 50, 80, 120)):
-        entries.append((f"er-{n}b", lambda n=n, s=i: erdos_renyi_m(n, 2 * n, seed=s + 31), None))
-    entries.append(("er-100-D2", lambda: erdos_renyi_m(100, 200, seed=9), 2))
-    entries.append(("er-2000", lambda: erdos_renyi_m(2000, 4000, seed=5), None))
-    for r in (3, 4, 5, 6, 7, 8, 10, 12, 15, 20):
-        entries.append((f"grid-{r}x{r}", lambda r=r: grid_graph(r, r), 2 if r == 10 else None))
-    for n in (2, 3, 5, 8, 13, 21, 34, 55, 89, 144):
-        entries.append((f"path-{n}", lambda n=n: path_graph(n), 4 if n == 144 else None))
-    entries.append(("G11", lambda: expand_to_G(build_H(FamilyParams(1, 1))).graph, None))
-    entries.append(("G21", lambda: expand_to_G(build_H(FamilyParams(2, 1))).graph, None))
-    return entries
-
-
-@pytest.fixture(scope="session")
-def corpus_results():
-    results = []
-    for idx, (name, factory, d) in enumerate(_corpus_entries()):
-        g = factory()
-        cfg = BuilderConfig(D=d, seed=13 * idx + 1)
-        res = build_for_graph(g, cfg)
-        results.append((name, cfg, res))
-    return results
 
 
 # -- criteria -----------------------------------------------------------------
@@ -296,5 +262,5 @@ def test_criterion_9_determinism(tmp_path, corpus_results):
         assert sweep(inst) == sweep(inst)
         # and one corpus rebuild reproduces its recorded run
         name, cfg0, res0 = corpus_results[2]
-        res1 = build_for_graph(_corpus_entries()[2][1](), cfg0)
+        res1 = build_for_graph(corpus_entries()[2][1](), cfg0)
         assert format_labels(res1.labeling) == format_labels(res0.labeling)

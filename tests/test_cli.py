@@ -283,3 +283,22 @@ def test_internal_check_failures_exit_one(capsys, tmp_path, monkeypatch, exc):
     assert code == 1
     assert captured.err == f"hublab: error: {exc}\n"
     assert captured.out == ""
+
+
+def test_verify_oversized_stored_distance_exits_two(capsys, tmp_path):
+    gpath, lpath = tmp_path / "g.txt", tmp_path / "l.txt"
+    gpath.write_text("3 2\n0 1 1\n1 2 1\n")
+    lpath.write_text("0: (0,0) (1,4294967296)\n1:\n2:\n")
+    code = main(["verify", "--graph", str(gpath), "--labels", str(lpath)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "hublab: error: stored distances too large for vectorized verification\n"
+
+
+def test_stats_rejects_number_beyond_int64(capsys, tmp_path):
+    lpath = tmp_path / "l.txt"
+    lpath.write_text("0: (1,99999999999999999999999)\n1:\n")
+    code = main(["stats", "--labels", str(lpath)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "hublab: error: line 1: number does not fit in 64 bits\n"

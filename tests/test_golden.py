@@ -1,7 +1,8 @@
 """Byte-identity contract for the builder.
 
 SHA-256 digests of the label file text and of the sorted-key JSON report of
-six small seeded builds. A refactor of the builder must leave every digest
+six small seeded builds, and of the label file text of every build in the
+acceptance corpus. A refactor of the builder must leave every digest
 unchanged; a deliberate change of output must update them together with a
 note of why the output moved.
 """
@@ -64,6 +65,63 @@ GOLDEN = {
 }
 
 
+# SHA-256 of the label file text of every build in the acceptance corpus
+# (conftest.corpus_entries), recorded before labelings were stored as arrays.
+CORPUS_LABELS = {
+    "3reg-20": "ea6399f03f7e70a1d878c7cfbae01cd2f39dc0b2fadea83da82e37713b28c852",
+    "3reg-40": "0d6035bda1f74f71f224d7517d6ff079b9de5419cd5f1b67b05da366b3aa6e4a",
+    "3reg-60": "13743f31b85c8bee79df6b3f125b1271741982eeae2ef35b9fddba47b970b764",
+    "3reg-80": "9dccb9a9d9446f7243906f871c19dc221f8a65202d1cb03c51ea170fdf32f2ad",
+    "3reg-120": "213499df3a8233dacd6ad0af699a9d49ef3699b540f35d8f99d73a978db486a3",
+    "3reg-160": "c86d2ce832a14ecc49ef462d864a632d37b44f6c89072fe5f74e1cb1914ecf94",
+    "3reg-200": "500cacdd64b42625a1a7e7937ac7ed90be74c43d261456a7292465189b362466",
+    "3reg-300": "5b57a816bfdc4b5b975e1e3f1cfca0ed53ff0e204e12e2f2173b45e318b5de76",
+    "3reg-400": "f5ffd5c834879433fa9bb3c9b4f2553c34538004a045c40aa69869948df197f0",
+    "3reg-600": "3cc3af67276c137d158c50b45fce97e6f96130ebb4a4f223b18bf21289eb405b",
+    "3reg-50b": "b3801d1295a8f5ecbadbcd5b9cca6c8027d0a9b735e88c1d473d83f2d4dbc2e6",
+    "3reg-50c": "3f326d59572b3dcfd115fce2acd9c1ad012efb7cda5f05163398b6de50da9dcb",
+    "3reg-100b": "2843a39984c543be426481a1fc6750de896378e4026b96cc9f180f417556d6c8",
+    "3reg-200-D5": "6f0baf8d6ff8db07fe5ae54d605faff45e37a0626e4aede5d5969d11c89dc38b",
+    "3reg-2000": "1048c2dd96526e4e0dddc6ee7ca6073780a5c939f5932cf8035830c295192734",
+    "er-20": "d8ba0abe0f35f16f7617ed8e020c9ee6b8f235453f3f6bce225465f23ce5fc7f",
+    "er-50": "489e5ef6e3a9809e26abe4c03dd73459c5dfdc5d1d81fbca5a3e1c307a25aa07",
+    "er-80": "fc5c3df90217e79a1296b09cc0d7915891e50e4965de213369b5cd32c1b87201",
+    "er-120": "6b63d6ed12dd7e4d64c786e0bb708b34b6e037dbad7ec3ad5b6cf3ecfb1f2dc5",
+    "er-200": "e239c9390854fb9a76c3b0d8291eb7cf1274a7af87d6b56721d608558e7a54c8",
+    "er-300": "a851753c7cba0cb1be81db0512a579ffe4cea4d45afec4214e58f32fb356c269",
+    "er-400": "c893bb6c4283df27b7741dac099ead4e236de41e35483e17218d028430846c1f",
+    "er-600": "66485673778d0f3acf818acd9a7e69905e369719f053367e7cdc1ecbc0fffe78",
+    "er-20b": "894e129cdf31e18392d6c5da780bcc53d693027abc14a1222f8178a545ff67a7",
+    "er-50b": "4f2a697954db237c453004fcb980cbdb80764fc755f312399c6dcfcb19591f7e",
+    "er-80b": "189e104210a34d08a6f6f6a712fdec3eb514bc57d249e1e5af77cefe748d3ac6",
+    "er-120b": "95de1557d10b86fd30699f8dd6eac62243a042935298d2bbebe81b7d6413cc59",
+    "er-100-D2": "a436b840a3e377e46bbdd1e2379c6b62e166c6e29db09465360e220bc1b0c7d7",
+    "er-2000": "338c94d8382f4aeb7d8ddb63b0b9d8f8d51b24c59bbe7db29fd6bfafc94c96b2",
+    "grid-3x3": "9053740ef22bebc9ebc54fa8d7ea237cd0e70a16cbb1e01a9e4745dae14163e4",
+    "grid-4x4": "08ab67358ce1018c281a45b02ba706a704a7bea758f63cc35a09fbdfc786617e",
+    "grid-5x5": "74298b8d7abbdb8241414f6e15b737edeb85aa16587992998f317a991f31b6f0",
+    "grid-6x6": "db9ac893fedeeee3ccc2b1e4edf08f290bbe7313a419525f4e637c3252419222",
+    "grid-7x7": "6b39a61753720a65b6a3edfe93690aefbc1677a9e915302a931a12fb9dc6cbfd",
+    "grid-8x8": "3809cf8ddd67144b4208ebff4f57f72f4d27426f4847d9c81f4d5aa926bcddb7",
+    "grid-10x10": "2774907821e4fa71ae384bbe8f4662ba7c62fbe8d81c26a628a3797ea7d0d2e9",
+    "grid-12x12": "c225488c4828d84ec3760cadb46e84ee002a46ba8fbb2cd3cad4f4f78dd61a23",
+    "grid-15x15": "345d07d97bbfd4ef32e8d22a6fc21d0cf5a4318e627e5893bf31e075a4bd52b7",
+    "grid-20x20": "542726e302295716f416bf0de160bd36ccece71ae4302c75ecd6159fa470ade3",
+    "path-2": "572b0e88c986eb7d7b5e3ea478eb268cb469d2fba6c4773a566f0bed22a08e4c",
+    "path-3": "cd6bc1e2521feb7ae00f75af5ddbf2c3e522aeccaff52ca0811b267790734db8",
+    "path-5": "b96ba81e90f18b8e23d59b6dc89213c22eb5af4c87043eb24d0197e2f27c2fd7",
+    "path-8": "ff6aa1f2b0e0b0d79b243ccd7891305c55c5981ea340a07837b21805d3eebca5",
+    "path-13": "e8f083da84d2b2b27f7054f18196dd36590bb33ba46143b1c1a65c7a9f3a940b",
+    "path-21": "0e24edd1113f0292099677c4c6a4a1d89222e925b96bce2cdae831038456092b",
+    "path-34": "d5d566fdad17e5e988c276257dfa2c8bb9fd930490fb3ce96a1dec35e08a41dd",
+    "path-55": "d4b537f529db67bcf560864c880528e69ec7502864c8eedd72848d0ea2cdb236",
+    "path-89": "c2635016db8fc72340b36406abaadfdb9a942423897558630db73525048528ad",
+    "path-144": "f8330083696675eca6530d0eb3778c8eff4a88b579aca4a1592eb33d761e88bb",
+    "G11": "2c3186ee925d342657a5d6779f5d60087c2fb7506afedadca5b0b52baeef5282",
+    "G21": "2d3bdbf53417b977d99db9883625e7ee293b49ac37b3198c20f63fc2b69ed930",
+}
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -87,3 +145,8 @@ def test_golden_cases_cover_their_paths():
     h21 = build_for_graph(CASES["H21-forced"][0](), CASES["H21-forced"][1])
     assert h21.report.q_forced > 0
     assert CASES["grid6x6-D1"][1].D == 1
+
+
+def test_golden_corpus_label_digests(corpus_results):
+    got = {name: _digest(format_labels(res.labeling)) for name, _, res in corpus_results}
+    assert got == CORPUS_LABELS

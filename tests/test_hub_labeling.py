@@ -3,8 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import check_stored_distances, dense_verify_cover, seeded_sparse_graph, small_graphs
-from hypothesis import given
+from conftest import (
+    check_stored_distances,
+    dense_verify_cover,
+    oracle_label_rows,
+    oracle_query,
+    seeded_sparse_graph,
+    small_graphs,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hublab import graph_core, hub_labeling
 from hublab.family_gen import FamilyParams, build_H, expand_to_G
@@ -44,6 +52,112 @@ def test_labeling_normalization_and_validation():
         HubLabeling(2, [[(5, 0)], []])
     with pytest.raises(ValueError):
         HubLabeling(1, [])
+
+
+# -- the array layout against the tuple normaliser and merge query ----------------
+
+# Small distances, and distances whose pairwise sums overflow int64.
+DISTS = st.one_of(st.integers(0, 5), st.integers(2**62, 2**63 - 1))
+
+
+@st.composite
+def valid_rows(draw, max_n: int = 6):
+    """(n, rows) of a valid labeling, rows unsorted with equal-distance
+    duplicates."""
+    n = draw(st.integers(0, max_n))
+    rows = []
+    for _ in range(n):
+        row = list(draw(st.dictionaries(st.integers(0, n - 1), DISTS, max_size=n)).items())
+        rows.append(row + draw(st.lists(st.sampled_from(row), max_size=3)) if row else row)
+    return n, rows
+
+
+@st.composite
+def faulty_rows(draw):
+    """(n, rows) with out-of-range hubs, negative distances, conflicting
+    duplicates, or too few or too many rows."""
+    n = draw(st.integers(0, 5))
+    count = draw(st.sampled_from((n, n, n, max(n - 1, 0), n + 1)))
+    entry = st.tuples(st.integers(-1, n), st.integers(-1, 3))
+    return n, draw(st.lists(st.lists(entry, max_size=6), min_size=count, max_size=count))
+
+
+def _flat(rows):
+    owner = [v for v, row in enumerate(rows) for _ in row]
+    return owner, [h for row in rows for h, _ in row], [d for row in rows for _, d in row]
+
+
+@settings(max_examples=300)
+@given(st.one_of(valid_rows(), faulty_rows()))
+def test_constructor_matches_tuple_normaliser(case):
+    n, rows = case
+    try:
+        want = oracle_label_rows(n, rows)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            HubLabeling(n, rows)
+        assert str(got.value) == str(exc)
+        if len(rows) == n:
+            with pytest.raises(ValueError) as got:
+                HubLabeling.from_entries(n, *_flat(rows))
+            assert str(got.value) == str(exc)
+        return
+    hl = HubLabeling(n, rows)
+    assert tuple(hl.hubs) == want
+    assert hl.total_size == sum(map(len, want))
+    assert [hl.size(v) for v in range(n)] == [len(r) for r in want]
+    assert HubLabeling.from_entries(n, *_flat(rows)) == hl
+
+
+@given(valid_rows())
+def test_query_matches_merge_oracle(case):
+    n, rows = case
+    hl, want = HubLabeling(n, rows), oracle_label_rows(n, rows)
+    for u in range(n):
+        for v in range(n):
+            expected = oracle_query(want, u, v)
+            got = query(hl, u, v)
+            if expected is UNREACHABLE:
+                assert got is UNREACHABLE
+            else:
+                assert type(got) is int and got == expected
+
+
+def _old_format(rows) -> str:
+    """format_labels as it was on tuple rows."""
+    lines = []
+    for v, row in enumerate(rows):
+        body = " ".join(f"({h},{d})" for h, d in row)
+        lines.append(f"{v}: {body}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
+@given(valid_rows())
+def test_label_file_round_trip_matches_old_text(tmp_path_factory, case):
+    hl = HubLabeling(*case)
+    path = tmp_path_factory.mktemp("labels") / "labels.txt"
+    write_labels(hl, path)
+    assert path.read_text(encoding="utf-8") == _old_format(oracle_label_rows(*case))
+    assert read_labels(path) == hl
+
+
+@given(valid_rows(max_n=2), valid_rows(max_n=2))
+def test_hubs_view_equals_exactly_when_labelings_do(a, b):
+    ha, hb = HubLabeling(*a), HubLabeling(*b)
+    ra, rb = oracle_label_rows(*a), oracle_label_rows(*b)
+    assert tuple(ha.hubs) == ra and len(ha.hubs) == len(ra)
+    assert ha.hubs[-1:] == ra[-1:] and list(ha.hubs) == list(ra)
+    assert (ha.hubs == hb.hubs) == (ha == hb) == (ra == rb)
+    assert ha.hubs == HubLabeling(*a).hubs
+
+
+def test_numbers_beyond_int64_rejected_by_constructor():
+    big = 2**63
+    with pytest.raises(ValueError, match=f"^vertex 1: stored distance {big} does not fit in 64"):
+        HubLabeling(2, [[(0, 0)], [(1, big)]])
+    with pytest.raises(ValueError, match=f"^vertex 0: hub id {-big - 1} does not fit in 64 bits$"):
+        HubLabeling(2, [[(-big - 1, 0)], []])
+    assert HubLabeling(2, [[], [(1, big - 1)]]).entries(1) == ((1, big - 1),)
 
 
 def test_query_basic():
@@ -197,6 +311,16 @@ def test_label_file_errors(tmp_path):
     path.write_text("0: (1,2) junk\n")
     with pytest.raises(GraphFormatError):
         read_labels(path)
+
+
+def test_label_file_rejects_numbers_beyond_int64(tmp_path):
+    path = tmp_path / "wide.txt"
+    for body in ("(1,99999999999999999999999)", f"(1,{2**63})", f"({2**63},0)"):
+        path.write_text(f"0: (0,0)\n\n1: (0,1) {body}\n")
+        with pytest.raises(GraphFormatError, match="^line 3: number does not fit in 64 bits$"):
+            read_labels(path)
+    path.write_text(f"0: (0,0)\n1: (1,{2**63 - 1})\n")
+    assert read_labels(path).entries(1) == ((1, 2**63 - 1),)
 
 
 # Bodies of one label line and the entries they parse to; None marks a body

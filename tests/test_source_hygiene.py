@@ -35,3 +35,23 @@ def test_unused_import_check_catches_one():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def hubs_reads(source: str) -> list[int]:
+    """Lines that read an attribute named `hubs`, the tuple view of a
+    labeling."""
+    tree = ast.parse(source)
+    attrs = (n for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    return sorted(n.lineno for n in attrs if n.attr == "hubs")
+
+
+def test_hubs_read_check_catches_one():
+    assert hubs_reads("rows = hl.hubs[0]\nids = hl.hub\n") == [1]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "hub_labeling.py"], ids=lambda p: p.name
+)
+def test_labels_read_through_arrays(path):
+    # One label representation: consumers read the arrays or entries(v).
+    assert hubs_reads(path.read_text(encoding="utf-8")) == []
