@@ -12,11 +12,6 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 #: Largest number of distance entries a dense all-pairs matrix may hold.
 DEFAULT_PAIR_CAP = 250_000_000
 
-#: Internal stand-in for "no path" inside int64 arrays. Chosen so that the sum
-#: of two of them still fits comfortably in int64 and can never collide with a
-#: real distance.
-_INF64 = 1 << 40
-
 
 class _Unreachable:
     """Sentinel for missing paths.
@@ -89,8 +84,8 @@ class WeightedGraph:
                 raise ValueError("self loops are not allowed")
             if (w < 0).any():
                 raise ValueError("edge weights must be nonnegative")
-            keys = u * self.n + v
-            if np.unique(keys).shape[0] != keys.shape[0]:
+            keys = u * self.n + v  # sorted by the lexsort above
+            if (keys[1:] == keys[:-1]).any():
                 raise ValueError("duplicate edge for an unordered pair")
         for a in (u, v, w):
             a.flags.writeable = False
@@ -406,7 +401,7 @@ class DenseDistanceMatrix:
     """All-pairs distances of `graph` in a dense int64 matrix, -1 for
     unreachable."""
 
-    __slots__ = ("n", "graph", "_mat", "_inf")
+    __slots__ = ("n", "graph", "_mat")
 
     def __init__(self, mat: np.ndarray, graph: WeightedGraph):
         mat = mat.astype(np.int64, copy=False)
@@ -414,7 +409,6 @@ class DenseDistanceMatrix:
         self._mat = mat
         self.n = mat.shape[0]
         self.graph = graph
-        self._inf = None
 
     def d(self, u: int, v: int):
         val = int(self._mat[u, v])
@@ -425,15 +419,6 @@ class DenseDistanceMatrix:
 
     def matrix(self) -> np.ndarray:
         return self._mat
-
-    def inf_matrix(self) -> np.ndarray:
-        """Copy of the matrix with -1 replaced by a large finite value, for
-        vectorized sums. Cached."""
-        if self._inf is None:
-            inf = np.where(self._mat < 0, np.int64(_INF64), self._mat)
-            inf.flags.writeable = False
-            self._inf = inf
-        return self._inf
 
     def diameter(self) -> int:
         finite = self._mat[self._mat >= 0]

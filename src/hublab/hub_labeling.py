@@ -368,7 +368,9 @@ def monotone_closure(hl: HubLabeling, trees: Mapping[int, ShortestPathTree]) -> 
 # -- label file format -------------------------------------------------------
 # One line per vertex: "v: (h1,d1) (h2,d2) ...". Hubs sorted by id.
 
-_BODY_RE = re.compile(r"\s*(?:\((0|[1-9][0-9]*),(0|[1-9][0-9]*)\)\s*)*")
+# Possessive quantifiers: nothing is given back, so one match over a whole
+# file keeps no backtracking state per entry.
+_BODY_RE = re.compile(r"\s*+(?:\((?:0|[1-9][0-9]*+),(?:0|[1-9][0-9]*+)\)\s*+)*+")
 # A well-formed body holds only ASCII digits, "(),", and whitespace; every
 # character but the digits becomes a space before the numbers are parsed.
 _NON_DIGIT = str.maketrans({c: " " for c in map(chr, range(128)) if not c.isdigit()})
@@ -393,23 +395,30 @@ def format_labels(hl: HubLabeling) -> str:
 def read_labels(path) -> HubLabeling:
     """Parse a label file. Every line's syntax is checked first, then that
     every number fits in int64, then the labeling itself."""
-    lines, bodies = [], []
+    lines, bodies, error = [], [], None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh):
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
                 continue
             head, _, body = line.partition(":")
             try:
                 v = int(head)
-            except ValueError as exc:
-                raise GraphFormatError(f"line {lineno + 1}: bad vertex id") from exc
+            except ValueError:
+                error = f"line {lineno}: bad vertex id"
+                break
             if v != len(bodies):
-                raise GraphFormatError(f"line {lineno + 1}: vertex ids must be consecutive")
-            if _BODY_RE.fullmatch(body) is None:
-                raise GraphFormatError(f"line {lineno + 1}: malformed hub entries")
-            lines.append(lineno + 1)
+                error = f"line {lineno}: vertex ids must be consecutive"
+                break
+            lines.append(lineno)
             bodies.append(body)
+    # No body holds a newline, so the joined text is well formed iff every
+    # body is; the lines are searched only when it is not.
+    if _BODY_RE.fullmatch("\n".join(bodies)) is None:
+        bad = next(n for n, body in zip(lines, bodies) if _BODY_RE.fullmatch(body) is None)
+        raise GraphFormatError(f"line {bad}: malformed hub entries")
+    if error is not None:
+        raise GraphFormatError(error)
     counts = [body.count("(") for body in bodies]
     text = "".join(bodies).translate(_NON_DIGIT)
     if not text.isascii():

@@ -19,7 +19,7 @@ from hublab.graph_core import (
     WeightedGraph,
 )
 from hublab.hub_labeling import CoverReport, bit_estimate
-from hublab.upperbound_builder import BuilderConfig, build_for_graph
+from hublab.upperbound_builder import BuilderConfig, PairIndex, build_for_graph
 
 settings.register_profile(
     "hublab",
@@ -136,6 +136,59 @@ def oracle_hits(dm, mask) -> np.ndarray:
         to_c, from_c = mat[:, c][:, None], mat[c, :][None, :]
         hit |= (to_c >= 0) & (from_c >= 0) & (to_c + from_c == mat)
     return hit & (mat >= 0)
+
+
+def oracle_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
+    """The pair index by the two branches the builder used before the ball
+    rule: with zero_one, explicit counts for pairs at distance below D (valid
+    for {0,1} weights only); otherwise exact counts over all n candidates for
+    every pair."""
+    n = dm.n
+    mat = dm.matrix()
+    small: dict[tuple[int, int], tuple[int, ...]] = {}
+    small_dist: dict[tuple[int, int], int] = {}
+    if zero_one:
+        big = np.triu(mat >= D, 1)
+        for u in range(n):
+            ru = mat[u]
+            close = np.flatnonzero((ru >= 0) & (ru <= D - 1))
+            close = close[close > u]
+            if close.size == 0:
+                continue
+            # -1 marks unreachable: a vertex unreachable from u is unreachable
+            # from v too, so its sum is -2 and never matches d(u,v) >= 0.
+            sums = mat[:, close] + ru[:, None]
+            mask = sums == ru[close][None, :]
+            counts = mask.sum(axis=0)
+            for j, v in enumerate(close.tolist()):
+                c = int(counts[j])
+                if c <= D:
+                    small[(u, v)] = tuple(int(x) for x in np.flatnonzero(mask[:, j]))
+                    small_dist[(u, v)] = int(ru[v])
+                if c >= D:
+                    big[u, v] = True
+        return PairIndex(n, D, small, small_dist, (), big)
+    inf = np.where(mat < 0, np.int64(1 << 40), mat)
+    big = np.zeros((n, n), dtype=bool)
+    ids = np.arange(n)
+    for u in range(n):
+        ru = mat[u]
+        sums = inf[u][:, None] + inf
+        mask = sums == inf[u][None, :]
+        counts = mask.sum(axis=0)
+        reach = (ru >= 0) & (ids > u)
+        big[u] = reach & (counts >= D)
+        for v in np.flatnonzero(reach & (counts <= D)).tolist():
+            small[(u, v)] = tuple(int(x) for x in np.flatnonzero(mask[:, v]))
+            small_dist[(u, v)] = int(ru[v])
+    forced = tuple(
+        sorted(
+            (u, v)
+            for (u, v), H in small.items()
+            if len(H) < D and small_dist[(u, v)] > D
+        )
+    )
+    return PairIndex(n, D, small, small_dist, forced, big)
 
 
 _INF32 = np.int32(1 << 29)

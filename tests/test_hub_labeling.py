@@ -1,5 +1,6 @@
 from dataclasses import astuple
 from fractions import Fraction
+import re
 
 import numpy as np
 import pytest
@@ -369,6 +370,27 @@ def test_label_line_syntax(tmp_path, body, entries):
             read_labels(path)
     else:
         assert list(read_labels(path).entries(0)) == entries
+
+
+def test_label_file_names_the_first_bad_line(tmp_path):
+    path = tmp_path / "labels.txt"
+    good = "".join(f"{v}: ({v},0)\n" for v in range(4))
+    for body, entries in LABEL_BODIES:
+        if entries is None:
+            path.write_text(f"{good}\n4: {body}\n5: (1,2) x\n", encoding="utf-8")
+            with pytest.raises(GraphFormatError, match="^line 6: malformed hub entries$"):
+                read_labels(path)
+    # the first fault in file order wins, whichever kind it is
+    cases = [
+        ("0: (0,0) x\n2: (1,2)\n", "line 1: malformed hub entries"),
+        ("0: (0,0)\nq: (1,2) x\n", "line 2: bad vertex id"),
+        ("0: (0,0)\n2: (1,2) x\n", "line 2: vertex ids must be consecutive"),
+        ("0: (0,0)\n1: (1,2) x\n3: (0,1)\n", "line 2: malformed hub entries"),
+    ]
+    for text, message in cases:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+            read_labels(path)
 
 
 def test_empty_hub_line_round_trip(tmp_path):

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import hub_candidates, seeded_sparse_graph
+from conftest import hub_candidates, oracle_pair_index, seeded_sparse_graph, small_graphs
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hublab.corpus import erdos_renyi_m, grid_graph, path_graph, random_regular_graph, star_graph
 from hublab.family_gen import FamilyParams, build_H, expand_to_G
-from hublab.graph_core import DenseDistanceMatrix, WeightedGraph, all_pairs
+from hublab.graph_core import WeightedGraph, all_pairs
 from hublab import upperbound_builder
 from hublab.hub_labeling import HubLabeling, baseline_full, format_labels, query, verify_cover
 from hublab.upperbound_builder import (
@@ -47,11 +49,20 @@ def test_pair_index_path_candidate_sizes():
     dm = all_pairs(PATH5)
     for v in range(1, 5):
         assert len(hub_candidates(dm, 0, v)) == v + 1
-    index = build_pair_index(dm, 3, zero_one=True)
+    index = build_pair_index(dm, 3)
     assert index.small[(0, 1)] == (0, 1)
     assert index.small[(0, 2)] == (0, 1, 2)
     assert (0, 3) not in index.small  # 4 candidates > D
     assert not index.forced
+
+
+def assert_same_index(got, want):
+    assert got.small == want.small
+    assert list(got.small) == list(want.small)
+    assert got.small_dist == want.small_dist
+    assert got.forced == want.forced
+    assert got.big.shape == want.big.shape
+    assert (got.big == want.big).all()
 
 
 def test_pair_index_exact_matches_zero_one():
@@ -67,13 +78,38 @@ def test_pair_index_exact_matches_zero_one():
         assert g.weight_kind in ("unit", "01")
         dm = all_pairs(g)
         for D in (2, 3):
-            a = build_pair_index(dm, D, zero_one=True)
-            b = build_pair_index(dm, D, zero_one=False)
-            assert a.small == b.small
-            assert a.small_dist == b.small_dist
-            assert not a.forced and not b.forced
-            assert a.big.shape == (g.n, g.n)
-            assert (a.big == b.big).all()
+            index = build_pair_index(dm, D)
+            assert not index.forced
+            assert_same_index(index, oracle_pair_index(dm, D, zero_one=True))
+            assert_same_index(index, oracle_pair_index(dm, D))
+
+
+PAIR_INDEX_EDGE_CASES = [
+    WeightedGraph(0, []),
+    WeightedGraph(1, []),
+    WeightedGraph(5, [(0, 1, 0), (1, 2, 0), (3, 4, 7)]),
+    WeightedGraph(6, [(0, 1, 1000), (1, 2, 1), (0, 2, 1000), (3, 4, 0), (4, 5, 2)]),
+]
+
+
+@pytest.mark.parametrize("g", PAIR_INDEX_EDGE_CASES, ids=lambda g: f"n{g.n}-m{g.m}")
+@pytest.mark.parametrize("D", [1, 2, 3, 5])
+def test_pair_index_edge_cases_match_oracle(g, D):
+    dm = all_pairs(g)
+    assert_same_index(build_pair_index(dm, D), oracle_pair_index(dm, D))
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(small_graphs(min_weight=0), small_graphs(min_weight=0, max_weight=1000)),
+    st.sampled_from([1, 2, 3, 5]),
+)
+def test_pair_index_matches_oracle(g, D):
+    dm = all_pairs(g)
+    index = build_pair_index(dm, D)
+    assert_same_index(index, oracle_pair_index(dm, D))
+    if g.weight_kind != "general":
+        assert_same_index(index, oracle_pair_index(dm, D, zero_one=True))
 
 
 def test_cover_set_degenerate_threshold():
@@ -101,7 +137,7 @@ def test_cover_and_coloring_bounds_three_regular():
     g = random_regular_graph(200, 3, seed=42)
     dm = all_pairs(g)
     cfg = BuilderConfig(D=5, seed=7)
-    index = build_pair_index(dm, 5, zero_one=True)
+    index = build_pair_index(dm, 5)
     S, Q = sample_cover_set(dm, cfg, index=index)
     assert sum(len(v) for v in Q.values()) * 5 <= 2 * 200 * 200
     colors, R = sample_coloring(dm, cfg, index=index)
@@ -317,7 +353,8 @@ def _vertex_outside_cover_set(g, cfg) -> int:
     return min(set(range(g.n)) - {origin[s] for s in res.artifacts.S})
 
 
-def test_build_verifies_each_labeling_once(monkeypatch):
+def _counted_verify(monkeypatch) -> list[int]:
+    """Record the n of every labeling build_for_graph verifies."""
     calls = []
     real = upperbound_builder.verify_cover
 
@@ -326,12 +363,17 @@ def test_build_verifies_each_labeling_once(monkeypatch):
         return real(hl, dm, **kwargs)
 
     monkeypatch.setattr(upperbound_builder, "verify_cover", counted)
+    return calls
+
+
+def test_build_verifies_each_labeling_once(monkeypatch):
+    calls = _counted_verify(monkeypatch)
     build_for_graph(*REG)
     assert calls == [60]
     calls.clear()
-    res = build_for_graph(*SPARSE)
-    # the stage labeling on the reduced graph first, then the projected one
-    assert calls == [res.report.reduced["n"], 80]
+    build_for_graph(*SPARSE)
+    # only the projected labeling; the stage labeling is checked on failure
+    assert calls == [80]
 
 
 def test_build_rejects_corrupted_assembly(monkeypatch):
@@ -346,12 +388,30 @@ def test_build_rejects_corrupted_assembly(monkeypatch):
 
 def test_build_rejects_corrupted_projection(monkeypatch):
     x = _vertex_outside_cover_set(*SPARSE)
+    stage_n = build_for_graph(*SPARSE).report.reduced["n"]
     real = upperbound_builder.project_back
     monkeypatch.setattr(
         upperbound_builder, "project_back", lambda *args: _only_self_hub(real(*args), x)
     )
+    calls = _counted_verify(monkeypatch)
     with pytest.raises(CoverVerificationError, match="projected labeling fails"):
         build_for_graph(*SPARSE)
+    # the stage labeling is verified only after the projected one failed
+    assert calls == [80, stage_n]
+
+
+def test_reduced_build_rejects_corrupted_assembly(monkeypatch):
+    g, cfg = SPARSE
+    x = reduce_degree(g)[1][_vertex_outside_cover_set(g, cfg)]
+    stage_n = build_for_graph(g, cfg).report.reduced["n"]
+    real = upperbound_builder.assemble
+    monkeypatch.setattr(
+        upperbound_builder, "assemble", lambda *args: _only_self_hub(real(*args), x)
+    )
+    calls = _counted_verify(monkeypatch)
+    with pytest.raises(CoverVerificationError, match="assembled labeling fails"):
+        build_for_graph(g, cfg)
+    assert calls == [80, stage_n]
 
 
 def test_build_rejects_ledger_overrun(monkeypatch):
@@ -406,19 +466,8 @@ def test_cover_stage_matches_min_plus_reference():
     for g in cases:
         dm = all_pairs(g)
         for D in (2, 3, 5):
-            index = build_pair_index(dm, D, zero_one=g.weight_kind != "general")
+            index = build_pair_index(dm, D)
             cfg = BuilderConfig(D=D, seed=D)
             got = _sample_cover(dm, cfg, index)
             assert got == _min_plus_cover(dm, cfg, index)
             assert got[1], "every case leaves some big pair to Q"
-
-
-def test_unit_and_zero_one_builds_never_build_the_inf_matrix(monkeypatch):
-    def forbidden(self):
-        raise AssertionError("inf_matrix built for a {0,1}-weight build")
-
-    monkeypatch.setattr(DenseDistanceMatrix, "inf_matrix", forbidden)
-    plain = build_for_graph(random_regular_graph(60, 3, seed=1), BuilderConfig(seed=1))
-    reduced = build_for_graph(erdos_renyi_m(50, 100, seed=2), BuilderConfig(seed=1))
-    assert plain.report.reduced is None and reduced.report.reduced is not None
-    assert plain.report.cover.valid and reduced.report.cover.valid
