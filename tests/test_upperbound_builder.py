@@ -58,7 +58,6 @@ def test_pair_index_path_candidate_sizes():
 
 def assert_same_index(got, want):
     assert got.small == want.small
-    assert list(got.small) == list(want.small)
     assert got.small_dist == want.small_dist
     assert got.forced == want.forced
     assert got.big.shape == want.big.shape
