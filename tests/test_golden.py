@@ -12,11 +12,11 @@ import json
 
 import pytest
 
-from hublab.corpus import erdos_renyi_m, grid_graph, random_regular_graph
+from hublab.corpus import erdos_renyi_m, grid_graph, random_regular_graph, star_graph
 from hublab.family_gen import FamilyParams, build_H, expand_to_G
-from hublab.graph_core import WeightedGraph
-from hublab.hub_labeling import format_labels
-from hublab.upperbound_builder import BuilderConfig, build_for_graph
+from hublab.graph_core import WeightedGraph, all_pairs, canonical_trees
+from hublab.hub_labeling import baseline_full, format_labels, monotone_closure
+from hublab.upperbound_builder import BuilderConfig, build_for_graph, reduce_degree
 
 
 def _disconnected() -> WeightedGraph:
@@ -145,6 +145,35 @@ def test_golden_cases_cover_their_paths():
     h21 = build_for_graph(CASES["H21-forced"][0](), CASES["H21-forced"][1])
     assert h21.report.q_forced > 0
     assert CASES["grid6x6-D1"][1].D == 1
+
+
+# SHA-256 of the label file text of monotone closures, recorded while the
+# closure still walked one tuple-based tree object per root.
+CLOSURES = {
+    "3reg": "90ca734887b5f72ec96f496aa049e1c693a74c30c3f724b891478bca8405afe6",
+    "disconnected": "4e8ea1bb19f529baa77d904394aaa2b8daed970accd70376bea54ff9df9323f0",
+    "baseline-H22": "69d88d32a5b00d665701fdba0ef20e7386b7348d919dcdd23de03569ec6d971c",
+    "star9-reduced": "c01803ae6077230509f77c10b1f3b27f4fa7f2e8c841974060ba61ebee23b09b",
+}
+
+
+def closure_digest(name: str) -> str:
+    if name == "baseline-H22":
+        g = build_H(FamilyParams(2, 2)).graph
+        hl = baseline_full(all_pairs(g))
+    elif name == "star9-reduced":
+        g = reduce_degree(star_graph(9))[0]  # zero-weight chains
+        hl = build_for_graph(g, BuilderConfig(seed=1)).labeling
+    else:
+        make, cfg = CASES[name]
+        g = make()
+        hl = build_for_graph(g, cfg).labeling
+    return _digest(format_labels(monotone_closure(hl, canonical_trees(g))))
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURES))
+def test_golden_closure_digests(name):
+    assert closure_digest(name) == CLOSURES[name]
 
 
 def test_golden_corpus_label_digests(corpus_results):
