@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Time one `hublab build` on a named graph and record it in BENCH_<label>.json.
+"""Time one `hublab build` or `hublab closure` on a named graph and record it
+in BENCH_<label>.json.
 
 Usage:
     python scripts/bench.py --label pair_index --side after --graph er:2000:4000:1
+    python scripts/bench.py --label closure --command closure --side after --graph reg:2000:3:1
 
 Graphs: H:<b>:<ell> (the graph `hublab gen --kind H` writes),
 er:<n>:<m>:<seed> (corpus.erdos_renyi_m), reg:<n>:<degree>:<seed>
@@ -18,6 +20,12 @@ graph, the wall time of the build command, the builder's own wall time from
 its report, the peak RSS and a SHA-256 of the label file, so that two sides
 can be checked for identical labels. It replaces any earlier record for the
 same graph and side.
+
+With --command closure, the labels are built first by `hublab build` in a
+child process, outside the timed span; only `hublab closure` of them runs in
+this process and is timed. Its record holds the wall time and peak RSS of the
+closure command, the input's entry count and digest, and the closure's entry
+count and SHA-256.
 """
 
 from __future__ import annotations
@@ -77,8 +85,62 @@ def make_graph(spec: str):
     raise SystemExit(f"bench.py: unknown graph spec {spec!r}")
 
 
+def _digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _timed_cli(argv: list[str]) -> tuple[int, float, str]:
+    """(exit code, wall seconds, stdout) of one in-process CLI command."""
+    from hublab import cli
+
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, time.perf_counter() - t0, out.getvalue()
+
+
+def _peak_rss_mb() -> float:
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
+def run_closure(spec: str) -> dict:
+    from hublab import graph_core
+
+    g, graph_info = make_graph(spec)
+    graph_info.update(n=g.n, m=g.m, weight_kind=g.weight_kind)
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_path = os.path.join(tmp, "graph.txt")
+        labels_path = os.path.join(tmp, "labels.txt")
+        closure_path = os.path.join(tmp, "closure.txt")
+        graph_core.write_graph(g, graph_path)
+        del g
+        build = ["build", "--graph", graph_path, "--out", labels_path]
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        subprocess.run(
+            [sys.executable, "-m", "hublab.cli", *build],
+            env=env, check=True, stdout=subprocess.DEVNULL,
+        )
+        argv = ["closure", "--graph", graph_path, "--labels", labels_path, "--out", closure_path]
+        code, wall, out = _timed_cli(argv)
+        report = json.loads(out)
+        labels_digest, closure_digest = _digest(labels_path), _digest(closure_path)
+    return {
+        "graph": graph_info,
+        "hublab_command": "hublab " + " ".join(argv).replace(tmp, "<tmp>"),
+        "exit_code": code,
+        "wall_s": round(wall, 3),
+        "peak_rss_mb": _peak_rss_mb(),
+        "label_entries": report["input_total"],
+        "labels_sha256": labels_digest,
+        "closure_entries": report["closure_total"],
+        "closure_sha256": closure_digest,
+    }
+
+
 def run(spec: str) -> dict:
-    from hublab import cli, graph_core
+    from hublab import graph_core
 
     g, graph_info = make_graph(spec)
     graph_info.update(n=g.n, m=g.m, weight_kind=g.weight_kind)
@@ -88,22 +150,17 @@ def run(spec: str) -> dict:
         report_path = os.path.join(tmp, "report.json")
         graph_core.write_graph(g, graph_path)
         argv = ["build", "--graph", graph_path, "--out", labels_path, "--report", report_path]
-        t0 = time.perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(argv)
-        wall = time.perf_counter() - t0
-        with open(labels_path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
+        code, wall, _ = _timed_cli(argv)
+        digest = _digest(labels_path)
         with open(report_path, encoding="utf-8") as fh:
             report = json.load(fh)
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
         "graph": graph_info,
         "hublab_command": "hublab " + " ".join(argv).replace(tmp, "<tmp>"),
         "exit_code": code,
         "wall_s": round(wall, 3),
         "build_wall_time_s": report["timing"]["wall_time_s"],
-        "peak_rss_mb": round(peak_kb / 1024, 1),
+        "peak_rss_mb": _peak_rss_mb(),
         "label_entries": report["ledger"]["total_size"],
         "labels_sha256": digest,
     }
@@ -115,10 +172,11 @@ def main() -> int:
     ap.add_argument("--side", required=True, help="e.g. before or after")
     ap.add_argument("--graph", required=True, help="graph spec, see above")
     ap.add_argument("--name", help="key of the graph in the file (default: the spec)")
+    ap.add_argument("--command", choices=("build", "closure"), default="build", help="command to time")
     args = ap.parse_args()
 
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    record = run(args.graph)
+    record = (run_closure if args.command == "closure" else run)(args.graph)
     record.update(
         command=" ".join(["python", "scripts/bench.py", *sys.argv[1:]]),
         commit=commit_of(ROOT),
