@@ -6,7 +6,6 @@ from .graph_core import (
     DenseDistanceMatrix,
     GraphFormatError,
     ResourceLimitError,
-    ShortestPathTree,
     UnreachablePairError,
     WeightedGraph,
     ZeroWeightError,
@@ -18,7 +17,6 @@ from .graph_core import (
     is_unique_shortest_path,
     path_weight,
     read_graph,
-    shortest_paths_from,
     write_graph,
 )
 from .family_gen import (

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import family_gen, graph_core, hub_labeling, lowerbound_audit, sumindex_protocol
 from .family_gen import FamilyParams, LevelCoord
-from .graph_core import all_pairs, canonical_trees, read_graph, write_graph
+from .graph_core import all_pairs, read_graph, write_graph
 from .hub_labeling import read_labels, verify_cover, write_labels
 from .sumindex_protocol import SumIndexInstance, build_base_graph
 from .upperbound_builder import (
@@ -143,7 +143,7 @@ def _cmd_verify(args) -> int:
 def _cmd_closure(args) -> int:
     g = read_graph(args.graph)
     hl = read_labels(args.labels)
-    closed = hub_labeling.monotone_closure(hl, canonical_trees(g))
+    closed = hub_labeling.monotone_closure(hl, all_pairs(g))
     write_labels(closed, args.out)
     config = {"graph": args.graph, "labels": args.labels, "out": args.out}
     _emit(

@@ -3,8 +3,6 @@ matrices, and shortest-path counts used by every other module."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
@@ -55,7 +53,7 @@ class WeightedGraph:
     to share across workers.
     """
 
-    __slots__ = ("n", "_eu", "_ev", "_ew", "_degrees", "_kind", "_edges", "_adj", "_nbrs", "_csr")
+    __slots__ = ("n", "_eu", "_ev", "_ew", "_degrees", "_kind", "_edges", "_in", "_csr")
 
     def __init__(self, n: int, edges, *, validate: bool = True):
         if n < 0:
@@ -103,8 +101,7 @@ class WeightedGraph:
         else:
             self._kind = "general"
         self._edges = None
-        self._adj = None
-        self._nbrs = None
+        self._in = None
         self._csr = None
 
     # -- basic accessors ---------------------------------------------------
@@ -125,9 +122,6 @@ class WeightedGraph:
         """Read-only (u, v, w) arrays with u < v, lexicographically sorted."""
         return self._eu, self._ev, self._ew
 
-    def degree(self, v: int) -> int:
-        return int(self._degrees[v])
-
     @property
     def degrees(self) -> np.ndarray:
         return self._degrees
@@ -145,33 +139,19 @@ class WeightedGraph:
     def has_zero_weights(self) -> bool:
         return bool(self.m) and bool((self._ew == 0).any())
 
-    def _build_adj(self) -> None:
-        adj = [[] for _ in range(self.n)]
-        nbrs = [[] for _ in range(self.n)]
-        for u, v, w in zip(self._eu.tolist(), self._ev.tolist(), self._ew.tolist()):
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        self._adj = adj
-        self._nbrs = nbrs
-
-    def adj(self, v: int) -> list[tuple[int, int]]:
-        """Neighbors of v as (neighbor, weight) pairs."""
-        if self._adj is None:
-            self._build_adj()
-        return self._adj[v]
-
-    def neighbors(self, v: int) -> list[int]:
-        if self._nbrs is None:
-            self._build_adj()
-        return self._nbrs[v]
-
-    def edge_weight(self, u: int, v: int) -> int:
-        for x, w in self.adj(u):
-            if x == v:
-                return w
-        raise ValueError(f"no edge between {u} and {v}")
+    def in_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (indptr, nbr, w), built once: the neighbours of v are
+        nbr[indptr[v]:indptr[v + 1]], ascending, and w holds the weights of
+        those edges at the same positions."""
+        if self._in is None:
+            heads = np.concatenate([self._eu, self._ev])
+            tails = np.concatenate([self._ev, self._eu])
+            order = np.lexsort((tails, heads))
+            indptr = np.concatenate([[0], np.cumsum(self._degrees)])
+            self._in = (indptr, tails[order], np.concatenate([self._ew, self._ew])[order])
+            for a in self._in:
+                a.flags.writeable = False
+        return self._in
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, m={self.m}, weights={self._kind})"
@@ -309,91 +289,6 @@ def distance_between(g: WeightedGraph, s: int, t: int):
     return UNREACHABLE if d < 0 else d
 
 
-@dataclass(frozen=True)
-class ShortestPathTree:
-    """Shortest-path tree with deterministic parents.
-
-    parents[root] == root; unreachable vertices carry -1 in both arrays.
-    """
-
-    root: int
-    parents: tuple[int, ...]
-    dists: tuple[int, ...]
-
-    def dist(self, v: int):
-        d = self.dists[v]
-        return UNREACHABLE if d < 0 else d
-
-    def parent(self, v: int):
-        p = self.parents[v]
-        return None if p < 0 else p
-
-    def path_from_root(self, v: int) -> list[int]:
-        if self.dists[v] < 0:
-            raise UnreachablePairError(f"{v} unreachable from root {self.root}")
-        out = [v]
-        while v != self.root:
-            v = self.parents[v]
-            out.append(v)
-        out.reverse()
-        return out
-
-
-def _assign_parents(g: WeightedGraph, dists: np.ndarray, root: int) -> list[int]:
-    # Positive weights: every valid parent is strictly closer to the root, so
-    # the lowest-id tight neighbor of each reached vertex yields a tree. With
-    # 0-weight ties the lowest-id rule can create parent cycles, so those
-    # graphs fall back to a deterministic fixpoint that only attaches to
-    # already-rooted vertices.
-    n = g.n
-    if not g.has_zero_weights:
-        eu, ev, ew = g.edge_arrays()
-        a, b = np.concatenate([eu, ev]), np.concatenate([ev, eu])
-        da = dists[a]
-        tight = (da >= 0) & (da + np.concatenate([ew, ew]) == dists[b])
-        best = np.full(n, n, dtype=np.int64)
-        np.minimum.at(best, b[tight], a[tight])
-        best[best == n] = -1
-        best[root] = root
-        return best.tolist()
-    dists = dists.tolist()
-    parents = [-1] * n
-    parents[root] = root
-    pending = [v for v in range(n) if v != root and dists[v] >= 0]
-    pending.sort(key=lambda v: (dists[v], v))
-    while pending:
-        rest = []
-        changed = False
-        for v in pending:
-            dv = dists[v]
-            best = -1
-            for u, w in g.adj(v):
-                if dists[u] >= 0 and dists[u] + w == dv and parents[u] != -1:
-                    if best < 0 or u < best:
-                        best = u
-            if best >= 0:
-                parents[v] = best
-                changed = True
-            else:
-                rest.append(v)
-        if not changed:
-            break
-        pending = rest
-    return parents
-
-
-def shortest_paths_from(g: WeightedGraph, src: int) -> ShortestPathTree:
-    """Single-source shortest paths with lowest-id parent tie-breaks."""
-    dists = _distances(g, src)
-    parents = _assign_parents(g, dists, src)
-    return ShortestPathTree(root=src, parents=tuple(parents), dists=tuple(dists.tolist()))
-
-
-def canonical_trees(g: WeightedGraph) -> dict[int, ShortestPathTree]:
-    """The deterministic shortest-path tree rooted at every vertex."""
-    return {v: shortest_paths_from(g, v) for v in range(g.n)}
-
-
 # -- distance matrices -----------------------------------------------------
 
 
@@ -428,7 +323,7 @@ class DenseDistanceMatrix:
 def all_pairs(g: WeightedGraph, *, pair_cap: int = DEFAULT_PAIR_CAP) -> DenseDistanceMatrix:
     """All-pairs shortest-path distances as a dense matrix.
 
-    Equals n invocations of shortest_paths_from; raises ResourceLimitError
+    Equals n invocations of distances_from; raises ResourceLimitError
     when n^2 entries would exceed pair_cap, and ValueError when the total edge
     weight reaches WEIGHT_LIMIT.
     """
@@ -464,15 +359,8 @@ def shortest_path_hits(dm: DenseDistanceMatrix, mask) -> np.ndarray:
     hit = np.zeros((n, n), dtype=bool)
     if not mask.any():
         return hit
-    eu, ev, ew = g.edge_arrays()
-    # In-edges x->v in CSR order by target v.
-    heads = np.concatenate([ev, eu])
-    order = np.argsort(heads, kind="stable")
-    e_src = np.concatenate([eu, ev])[order]
-    e_w = np.concatenate([ew, ew])[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(heads, minlength=n), out=indptr[1:])
-    positive = ew[ew > 0]
+    indptr, e_src, e_w = g.in_edges()
+    positive = e_w[e_w > 0]
     wmin = int(positive.min()) if positive.size else 1
     for lo in range(0, n, _HIT_BLOCK):
         d = mat[lo : lo + _HIT_BLOCK]
@@ -513,6 +401,67 @@ def shortest_path_hits(dm: DenseDistanceMatrix, mask) -> np.ndarray:
     return hit
 
 
+# -- shortest-path trees -----------------------------------------------------
+
+#: Distances per temporary of canonical_trees.
+_TREE_ENTRIES = 1 << 18
+
+
+def canonical_trees(dm: DenseDistanceMatrix) -> np.ndarray:
+    """The shortest-path tree rooted at every vertex as an int32 n x n parents
+    matrix: row r holds each vertex's parent in the tree rooted at r, r at r,
+    and -1 where r does not reach.
+
+    With positive weights a tight in-edge x->v (d(r,x) + w = d(r,v)) leaves a
+    closer vertex, so the lowest-id tight in-neighbour yields a tree; as d is
+    symmetric, a block of vertices gets its parents in every tree from the
+    rows of its neighbours, taken from the highest id down. Zero weights can
+    close parent cycles under that rule, so each root runs a fixpoint
+    attaching only to rooted vertices.
+    """
+    g, n, mat = dm.graph, dm.n, dm.matrix()
+    indptr, nbr, w = g.in_edges()
+    if g.has_zero_weights:
+        csr = [a.tolist() for a in (indptr, nbr, w)]
+        rows = [_fixpoint_parents(*csr, mat[r].tolist(), r) for r in range(n)]
+        return np.array(rows, dtype=np.int32).reshape(n, n)
+    deg = np.diff(indptr)
+    by_vertex = np.full((n, n), -1, dtype=np.int32)  # row v: the parent of v in every tree
+    step = max(1, _TREE_ENTRIES // max(1, n * g.max_degree))
+    for lo in range(0, n, step):
+        best = by_vertex[lo : lo + step]
+        for j in range(int(deg[lo : lo + step].max(initial=0)) - 1, -1, -1):
+            vs = np.flatnonzero(deg[lo : lo + step] > j)  # vertices with a j-th neighbour
+            e = indptr[lo + vs] + j
+            tight = mat[nbr[e]] + w[e, None] == mat[lo + vs]
+            best[vs] = np.where(tight, nbr[e, None], best[vs])
+        roots = np.arange(lo, lo + best.shape[0])
+        best[roots - lo, roots] = roots
+    return np.ascontiguousarray(by_vertex.T)
+
+
+def _fixpoint_parents(ip: list, nb: list, wt: list, dists: list, root: int) -> list[int]:
+    """One tree on a graph with zero weights, from in_edges() as lists:
+    passes over the pending reached vertices in (distance, id) order attach
+    each to its lowest-id tight neighbour that is already rooted."""
+    parents = [-1] * len(dists)
+    parents[root] = root
+    pending = sorted((dv, v) for v, dv in enumerate(dists) if v != root and dv >= 0)
+    while pending:
+        rest = []
+        for dv, v in pending:
+            for i in range(ip[v], ip[v + 1]):
+                if parents[nb[i]] != -1 and dists[nb[i]] + wt[i] == dv:
+                    parents[v] = nb[i]
+                    break
+            else:
+                rest.append((dv, v))
+        if len(rest) == len(pending):
+            break
+        pending = rest
+    return parents
+
+
 # -- path uniqueness ---------------------------------------------------------
 
 
@@ -527,8 +476,7 @@ def _dag_counts(g: WeightedGraph, u: int, v: int, du: np.ndarray, dv: np.ndarray
     on = (du >= 0) & (dv >= 0) & (du + dv == du[v])
     nodes = np.flatnonzero(on)
     nodes = nodes[np.argsort(du[nodes], kind="stable")].tolist()
-    mat = _search_matrix(g)[1]
-    indptr, indices, data = mat.indptr, mat.indices, mat.data
+    indptr, indices, data = g.in_edges()
     cnt = dict.fromkeys(nodes, 0)
     cnt[u] = 1
     for x in nodes:
@@ -577,4 +525,11 @@ def is_unique_shortest_path(dm, g: WeightedGraph, u: int, v: int):
 
 def path_weight(g: WeightedGraph, path: list[int]) -> int:
     """Total weight of an explicit vertex path; rejects non-edges."""
-    return sum(g.edge_weight(a, b) for a, b in zip(path, path[1:]))
+    indptr, nbr, w = g.in_edges()
+    total = 0
+    for a, b in zip(path, path[1:]):
+        i = indptr[a] + np.searchsorted(nbr[indptr[a] : indptr[a + 1]], b)
+        if i == indptr[a + 1] or nbr[i] != b:
+            raise ValueError(f"no edge between {a} and {b}")
+        total += int(w[i])
+    return total

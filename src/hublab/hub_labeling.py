@@ -4,7 +4,7 @@ and monotone closures along fixed shortest-path trees."""
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,8 +15,8 @@ from .graph_core import (
     UNREACHABLE,
     GraphFormatError,
     ResourceLimitError,
-    ShortestPathTree,
     UnreachablePairError,
+    canonical_trees,
     shortest_path_hits,
 )
 
@@ -330,39 +330,41 @@ def baseline_full(dm) -> HubLabeling:
     return HubLabeling.from_entries(dm.n, owner, hub, mat[owner, hub])
 
 
-def monotone_closure(hl: HubLabeling, trees: Mapping[int, ShortestPathTree]) -> HubLabeling:
-    """Close each hub set upward along the fixed tree rooted at its vertex.
-
-    The closure of S_v is the vertex set of the minimal subtree of T_v rooted
-    at v containing S_v; distances come from the tree.
-    """
-    offsets, ids = hl.offsets.tolist(), hl.hub.tolist()
-    counts, hubs, dists = [], [], []
-    for v in range(hl.n):
-        row = ids[offsets[v] : offsets[v + 1]]
-        if not row:
-            counts.append(0)
-            continue
-        tree = trees[v]
-        if tree.root != v:
-            raise ValueError(f"tree for vertex {v} is rooted at {tree.root}")
-        parents = tree.parents
-        member = set()
-        for h in row:
-            if tree.dists[h] < 0:
-                raise UnreachablePairError(f"hub {h} unreachable in the tree of {v}")
-            x = h
-            while x not in member:
-                member.add(x)
-                if x == v:
-                    break
-                x = parents[x]
-        closed = sorted(member)
-        counts.append(len(closed))
-        hubs += closed
-        dists += [tree.dists[x] for x in closed]
-    owner = np.repeat(np.arange(hl.n), counts)
-    return HubLabeling.from_entries(hl.n, owner, hubs, dists)
+def monotone_closure(hl: HubLabeling, dm) -> HubLabeling:
+    """Close each hub set upward along the tree rooted at its vertex in
+    canonical_trees(dm): the closure of S_v is the vertex set of the minimal
+    subtree rooted at v that contains S_v, with distances from dm. Per block
+    of owners, hubs walk up one level per step and stop at marked vertices."""
+    n = hl.n
+    if n != dm.n:
+        raise ValueError("labeling and distance matrix disagree on n")
+    mat = dm.matrix()
+    owner, hub = hl.owners(), hl.hub.astype(np.int64)
+    far = np.flatnonzero(mat[owner, hub] < 0)
+    if far.size:
+        raise UnreachablePairError(f"hub {hub[far[0]]} unreachable in the tree of {owner[far[0]]}")
+    parents = canonical_trees(dm)
+    flat = [owner[:0]]  # entries as flat ids v * n + hub
+    for lo in range(0, n, _ROWS):
+        hi = min(lo + _ROWS, n)
+        par = parents[lo:hi].reshape(-1)
+        mark = np.full(par.size, -1, dtype=np.int32)  # >= 0 once in the closure
+        a, b = hl.offsets[lo], hl.offsets[hi]
+        base = (owner[a:b] - lo) * n
+        x = base + hub[a:b]
+        mark[x] = 0
+        while x.size:
+            x = base + par[x]
+            new = mark[x] < 0
+            base, x = base[new], x[new]
+            step = np.arange(x.size)
+            mark[x] = step
+            first = mark[x] == step  # one walker per newly marked vertex
+            base, x = base[first], x[first]
+        flat.append(np.flatnonzero(mark >= 0) + lo * n)
+    flat = np.concatenate(flat)
+    owner, hub = np.divmod(flat, max(n, 1))
+    return HubLabeling.from_entries(n, owner, hub, mat.reshape(-1)[flat])
 
 
 # -- label file format -------------------------------------------------------

@@ -6,16 +6,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
 from .family_gen import KIND_G, KIND_H, FamilyInstance
 from .graph_core import (
-    ShortestPathTree,
     WeightedGraph,
     all_pairs,
-    canonical_trees,
     count_shortest_paths,
     distances_from,
 )
@@ -143,11 +141,7 @@ def counting_rhs(params) -> int:
     return (params.level_size**2) >> params.ell
 
 
-def audit_counting(
-    inst: FamilyInstance,
-    hl: HubLabeling,
-    trees: Mapping[int, ShortestPathTree] | None = None,
-) -> CountingReport:
+def audit_counting(inst: FamilyInstance, hl: HubLabeling) -> CountingReport:
     """Closure-counting audit: every triplet's midpoint must sit in the closure
     of one endpoint, and total closure size must reach the counting floor.
 
@@ -155,12 +149,11 @@ def audit_counting(
     raises InvalidCoverError, not a reported failure.
     """
     g = inst.graph
-    report = verify_cover(hl, all_pairs(g))
+    dm = all_pairs(g)
+    report = verify_cover(hl, dm)
     if not report.valid:
         raise InvalidCoverError(report)
-    if trees is None:
-        trees = canonical_trees(g)
-    closed = monotone_closure(hl, trees)
+    closed = monotone_closure(hl, dm)
     params = inst.params
     triplets, ends = [], []
     for x, z in parity_pairs(params):

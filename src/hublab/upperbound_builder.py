@@ -9,6 +9,7 @@ build; build_for_graph checks the size ledger and the cover once.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -311,15 +312,23 @@ def build_matchings(dm, colors, cfg: BuilderConfig, *, index: PairIndex | None =
 # -- stage 4: assembly -----------------------------------------------------------
 
 
-def _closed_neighborhoods(F, g: WeightedGraph) -> dict[int, set[int]]:
-    out = {}
-    for v in range(g.n):
-        base = F.get(v, frozenset((v,)))
-        ball = set(base)
-        for x in base:
-            ball.update(g.neighbors(x))
-        out[v] = ball
-    return out
+def _entries(sets: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, member) int64 arrays of a dict of vertex sets."""
+    owner = np.repeat(np.fromiter(sets, dtype=np.int64), [len(s) for s in sets.values()])
+    member = np.fromiter(itertools.chain(*sets.values()), dtype=np.int64, count=owner.size)
+    return owner, member
+
+
+def _closed_neighborhoods(F, g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, hub) of N(F_v), F_v and the neighbours of its vertices, for
+    every v, sorted; F_v = {v} where F lacks v."""
+    n = g.n
+    indptr, nbr, _ = g.in_edges()
+    owner, x = _entries({**{v: (v,) for v in range(n)}, **F})
+    deg = indptr[x + 1] - indptr[x]
+    at = np.arange(int(deg.sum())) + np.repeat(indptr[x] - (np.cumsum(deg) - deg), deg)
+    key = np.concatenate([owner * n + x, np.repeat(owner, deg) * n + nbr[at]])
+    return np.divmod(np.unique(key), max(n, 1))
 
 
 @dataclass
@@ -341,14 +350,13 @@ class SizeLedger:
 
 
 def size_ledger(S, Q, R, F, g: WeightedGraph, hl: HubLabeling) -> SizeLedger:
-    nf = _closed_neighborhoods(F, g)
     sum_f = sum(len(s) for s in F.values())
     return SizeLedger(
         total_size=hl.total_size,
         n_times_s=g.n * len(S),
         sum_q=sum(len(s) for s in Q.values()),
         sum_r=sum(len(s) for s in R.values()),
-        sum_nf=sum(len(s) for s in nf.values()),
+        sum_nf=_closed_neighborhoods(F, g)[0].size,
         sum_f=sum_f,
         degree_bound=None if g.has_zero_weights else (g.max_degree + 1) * sum_f,
     )
@@ -359,11 +367,10 @@ def assemble(S, Q, R, F, g: WeightedGraph, dm) -> HubLabeling:
     matrix. Builds only; build_for_graph checks the result."""
     mat = dm.matrix()
     n = g.n
-    neigh = _closed_neighborhoods(F, g)
-    own = [
-        (v, h) for v in range(n) for part in (Q.get(v, ()), R.get(v, ()), neigh[v]) for h in part
-    ]
-    own_v, own_h = np.array(own, dtype=np.int64).reshape(-1, 2).T
+    parts = (_entries(Q), _entries(R), _closed_neighborhoods(F, g))
+    own_v, own_h = map(np.concatenate, zip(*parts))
+    order = np.argsort(own_v, kind="stable")
+    own_v, own_h = own_v[order], own_h[order]
     shared = np.fromiter(S, dtype=np.int64, count=len(S))
     owners, hubs = [], []
     for lo in range(0, n, _ASSEMBLE_ROWS):
@@ -385,45 +392,29 @@ def assemble(S, Q, R, F, g: WeightedGraph, dm) -> HubLabeling:
 
 def reduce_degree(g: WeightedGraph):
     """Split high-degree vertices of a unit-weight graph into zero-weight
-    chains of clones so that every clone has degree at most 2 + ceil(m/n).
+    chains of clones, each taking t = ceil(m/n) of the neighbours in id order,
+    so that every clone has degree at most 2 + t.
 
-    Returns (reduced graph, representative: original -> clone,
-    origin: clone -> original). Distances between representatives equal the
-    original distances.
+    Returns (reduced graph, representative, origin): int64 arrays of the first
+    clone of every vertex and the vertex of every clone. Distances between
+    representatives equal the original distances.
     """
     if g.weight_kind != "unit":
         raise ValueError("degree reduction expects a unit-weight graph")
-    n, m = g.n, g.m
-    t = -(-m // n) if n else 0
-    thresh = 2 + t
-    counts = []
-    for v in range(n):
-        deg = g.degree(v)
-        counts.append(1 if deg <= thresh else -(-deg // t))
-    starts = [0] * n
-    acc = 0
-    for v in range(n):
-        starts[v] = acc
-        acc += counts[v]
-    representative = {v: starts[v] for v in range(n)}
-    origin = {}
-    for v in range(n):
-        for i in range(counts[v]):
-            origin[starts[v] + i] = v
-    slot: dict[tuple[int, int], int] = {}
-    for v in range(n):
-        if counts[v] > 1:
-            for idx, u in enumerate(sorted(g.neighbors(v))):
-                slot[(v, u)] = idx // t
-    edges = []
-    for u, v, _w in g.edges:
-        cu = starts[u] + slot.get((u, v), 0)
-        cv = starts[v] + slot.get((v, u), 0)
-        edges.append((cu, cv, 1))
-    for v in range(n):
-        for i in range(counts[v] - 1):
-            edges.append((starts[v] + i, starts[v] + i + 1, 0))
-    return WeightedGraph(acc, edges), representative, origin
+    n, m, deg = g.n, g.m, g.degrees
+    t = max(-(-m // n) if n else 0, 1)
+    counts = np.where(deg <= 2 + t, 1, -(-deg // t))
+    starts = np.cumsum(counts) - counts
+    origin = np.repeat(np.arange(n), counts)
+    indptr, nbr, _ = g.in_edges()
+    head = np.repeat(np.arange(n), deg)
+    clone = starts[head] + np.where(counts[head] > 1, (np.arange(nbr.size) - indptr[head]) // t, 0)
+    back = np.searchsorted(head * n + nbr, nbr * n + head)  # the same edge seen from nbr
+    ends = np.flatnonzero(head < nbr)
+    chain = np.flatnonzero(origin[1:] == origin[:-1])
+    split = np.c_[clone[ends], clone[back[ends]], np.ones(m, int)]
+    edges = np.concatenate([split, np.c_[chain, chain + 1, np.zeros_like(chain)]])
+    return WeightedGraph(origin.size, edges), starts, origin
 
 
 def project_back(hl_reduced: HubLabeling, representative, origin, dm) -> HubLabeling:
@@ -432,8 +423,7 @@ def project_back(hl_reduced: HubLabeling, representative, origin, dm) -> HubLabe
     build_for_graph checks the result."""
     n = dm.n
     mat = dm.matrix()
-    rep = np.fromiter((representative[v] for v in range(n)), dtype=np.int64, count=n)
-    orig = np.fromiter((origin[c] for c in range(hl_reduced.n)), dtype=np.int64, count=hl_reduced.n)
+    rep, orig = np.asarray(representative), np.asarray(origin)
     start = hl_reduced.offsets[rep]
     size = hl_reduced.offsets[rep + 1] - start
     # positions of the representatives' entries, row after row

@@ -17,6 +17,7 @@ from hublab.graph_core import (
     ResourceLimitError,
     UnreachablePairError,
     WeightedGraph,
+    distances_from,
 )
 from hublab.hub_labeling import CoverReport, bit_estimate
 from hublab.upperbound_builder import BuilderConfig, PairIndex, build_for_graph
@@ -34,6 +35,15 @@ settings.load_profile("hublab")
 # -- brute-force oracles -------------------------------------------------------
 
 
+def oracle_adjacency(g: WeightedGraph) -> list[list[tuple[int, int]]]:
+    """(neighbour, weight) lists per vertex, built from g.edges alone."""
+    adj = [[] for _ in range(g.n)]
+    for u, v, w in g.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    return adj
+
+
 def oracle_distances(g: WeightedGraph) -> list[list[int]]:
     """All-pairs distances by exhaustive enumeration of simple paths.
 
@@ -42,11 +52,12 @@ def oracle_distances(g: WeightedGraph) -> list[list[int]]:
     """
     n = g.n
     best = [[-1] * n for _ in range(n)]
+    adj = oracle_adjacency(g)
 
     def dfs(start: int, v: int, used: list[bool], wsum: int):
         if best[start][v] < 0 or wsum < best[start][v]:
             best[start][v] = wsum
-        for y, w in g.adj(v):
+        for y, w in adj[v]:
             if not used[y]:
                 used[y] = True
                 dfs(start, y, used, wsum + w)
@@ -62,12 +73,13 @@ def oracle_distances(g: WeightedGraph) -> list[list[int]]:
 def oracle_simple_paths(g: WeightedGraph, u: int, v: int) -> list[tuple[int, list[int]]]:
     """(weight, vertex list) of every simple u-v path."""
     out = []
+    adj = oracle_adjacency(g)
 
     def dfs(x: int, used: list[bool], wsum: int, trail: list[int]):
         if x == v:
             out.append((wsum, list(trail)))
             return
-        for y, w in g.adj(x):
+        for y, w in adj[x]:
             if not used[y]:
                 used[y] = True
                 trail.append(y)
@@ -88,6 +100,83 @@ def oracle_count_shortest(g: WeightedGraph, u: int, v: int) -> int:
         return 0
     lo = min(w for w, _ in paths)
     return sum(1 for w, _ in paths if w == lo)
+
+
+def oracle_assign_parents(g: WeightedGraph, dists: np.ndarray, root: int) -> list[int]:
+    """Parents of the shortest-path tree rooted at root, by the per-root rule
+    the trees were built with before they became one matrix; -1 marks
+    unreachable vertices."""
+    # Positive weights: every valid parent is strictly closer to the root, so
+    # the lowest-id tight neighbor of each reached vertex yields a tree. With
+    # 0-weight ties the lowest-id rule can create parent cycles, so those
+    # graphs fall back to a deterministic fixpoint that only attaches to
+    # already-rooted vertices.
+    n = g.n
+    if not g.has_zero_weights:
+        eu, ev, ew = g.edge_arrays()
+        a, b = np.concatenate([eu, ev]), np.concatenate([ev, eu])
+        da = dists[a]
+        tight = (da >= 0) & (da + np.concatenate([ew, ew]) == dists[b])
+        best = np.full(n, n, dtype=np.int64)
+        np.minimum.at(best, b[tight], a[tight])
+        best[best == n] = -1
+        best[root] = root
+        return best.tolist()
+    adj = oracle_adjacency(g)
+    dists = dists.tolist()
+    parents = [-1] * n
+    parents[root] = root
+    pending = [v for v in range(n) if v != root and dists[v] >= 0]
+    pending.sort(key=lambda v: (dists[v], v))
+    while pending:
+        rest = []
+        changed = False
+        for v in pending:
+            dv = dists[v]
+            best = -1
+            for u, w in adj[v]:
+                if dists[u] >= 0 and dists[u] + w == dv and parents[u] != -1:
+                    if best < 0 or u < best:
+                        best = u
+            if best >= 0:
+                parents[v] = best
+                changed = True
+            else:
+                rest.append(v)
+        if not changed:
+            break
+        pending = rest
+    return parents
+
+
+def oracle_shortest_paths_from(g: WeightedGraph, src: int) -> tuple[list[int], list[int]]:
+    """(parents, dists) of the tree rooted at src, from one single-source
+    search; -1 marks unreachable vertices in both."""
+    dists = distances_from(g, src)
+    return oracle_assign_parents(g, dists, src), dists.tolist()
+
+
+def oracle_reduce_degree(g: WeightedGraph):
+    """(reduced graph, representative, origin) by the per-vertex loops the
+    degree reduction used before it was vectorised, as lists."""
+    n, m = g.n, g.m
+    adj = oracle_adjacency(g)
+    t = -(-m // n) if n else 0
+    counts = [1 if len(adj[v]) <= 2 + t else -(-len(adj[v]) // t) for v in range(n)]
+    starts = [sum(counts[:v]) for v in range(n)]
+    origin = [v for v in range(n) for _ in range(counts[v])]
+    slot = {}
+    for v in range(n):
+        if counts[v] > 1:
+            for idx, (u, _) in enumerate(sorted(adj[v])):
+                slot[(v, u)] = idx // t
+    edges = [
+        (starts[u] + slot.get((u, v), 0), starts[v] + slot.get((v, u), 0), 1)
+        for u, v, _ in g.edges
+    ]
+    for v in range(n):
+        edges += [(starts[v] + i, starts[v] + i + 1, 0) for i in range(counts[v] - 1)]
+    return WeightedGraph(len(origin), edges), starts, origin
 
 
 def verify_metric(dm) -> bool:

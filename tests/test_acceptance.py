@@ -23,7 +23,6 @@ from hublab.family_gen import (
 )
 from hublab.graph_core import (
     all_pairs,
-    canonical_trees,
     distance_between,
     distances_from,
     is_unique_shortest_path,
@@ -187,25 +186,23 @@ def test_criterion_7_counting_floor(h22, g11):
     with criterion(7, "closure counting floor and 100% triplet membership"):
         # b = ell = 2 level instance: floor is 64
         dm = all_pairs(h22.graph)
-        trees = canonical_trees(h22.graph)
         assert counting_rhs(h22.params) == 64
         for hl in (
             baseline_full(dm),
             build_for_graph(h22.graph, BuilderConfig(seed=2)).labeling,
         ):
-            rep = audit_counting(h22, hl, trees)
+            rep = audit_counting(h22, hl)
             assert rep.rhs == 64
             assert rep.lhs >= 64
             assert not rep.membership_failures
             assert rep.triplets == 64
         # degree-3 expansion pathway at b = ell = 1
         dm11 = all_pairs(g11.graph)
-        trees11 = canonical_trees(g11.graph)
         for hl in (
             baseline_full(dm11),
             build_for_graph(g11.graph, BuilderConfig(seed=3)).labeling,
         ):
-            rep = audit_counting(g11, hl, trees11)
+            rep = audit_counting(g11, hl)
             assert rep.passed and rep.rhs == 2
 
 

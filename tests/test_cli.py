@@ -6,7 +6,7 @@ import pytest
 
 from hublab.cli import main
 from hublab.family_gen import FamilyParams, build_H
-from hublab.graph_core import all_pairs, read_graph, write_graph
+from hublab.graph_core import WeightedGraph, all_pairs, read_graph, write_graph
 from hublab.hub_labeling import baseline_full, read_labels, write_labels
 from hublab.upperbound_builder import (
     CoverVerificationError,
@@ -129,6 +129,19 @@ def test_closure_and_stats(capsys, tmp_path):
     assert code == 0
     rep = json.loads(out)
     assert rep["total_size"] == 3
+
+
+@pytest.mark.parametrize("rows", [2, 4])
+def test_closure_rejects_labels_for_another_vertex_count(capsys, tmp_path, rows):
+    # the graph has 3 vertices; the label file has one row too few or too many
+    gpath, lpath, cpath = tmp_path / "g.txt", tmp_path / "l.txt", tmp_path / "c.txt"
+    write_graph(WeightedGraph(3, [(0, 1, 1), (1, 2, 1)]), gpath)
+    lpath.write_text("".join(f"{v}: ({v},0)\n" for v in range(rows)))
+    code = main(["closure", "--graph", str(gpath), "--labels", str(lpath), "--out", str(cpath)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == ["hublab: error: labeling and distance matrix disagree on n"]
+    assert not cpath.exists()
 
 
 def test_audit_cli_lemma1_and_counting(capsys, tmp_path):

@@ -73,12 +73,15 @@ def test_edge_rule_neighbor_counts(b, ell):
     inst = build_H(p)
     g = inst.graph
     per = p.level_size
+    above, below = [0] * g.n, [0] * g.n
+    for u, v, _ in g.edges:  # u < v, so u's level is at most v's
+        if v // per == u // per + 1:
+            above[u] += 1
+            below[v] += 1
     for v in range(g.n):
         level = v // per
-        above = sum(1 for u in g.neighbors(v) if u // per == level + 1)
-        below = sum(1 for u in g.neighbors(v) if u // per == level - 1)
-        assert above == (p.s if level < 2 * ell else 0)
-        assert below == (p.s if level > 0 else 0)
+        assert above[v] == (p.s if level < 2 * ell else 0)
+        assert below[v] == (p.s if level > 0 else 0)
 
 
 def test_level_zero_to_top_paths_stay_below_extra_level_cost():

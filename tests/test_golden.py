@@ -14,7 +14,7 @@ import pytest
 
 from hublab.corpus import erdos_renyi_m, grid_graph, random_regular_graph, star_graph
 from hublab.family_gen import FamilyParams, build_H, expand_to_G
-from hublab.graph_core import WeightedGraph, all_pairs, canonical_trees
+from hublab.graph_core import WeightedGraph, all_pairs
 from hublab.hub_labeling import baseline_full, format_labels, monotone_closure
 from hublab.upperbound_builder import BuilderConfig, build_for_graph, reduce_degree
 
@@ -168,7 +168,7 @@ def closure_digest(name: str) -> str:
         make, cfg = CASES[name]
         g = make()
         hl = build_for_graph(g, cfg).labeling
-    return _digest(format_labels(monotone_closure(hl, canonical_trees(g))))
+    return _digest(format_labels(monotone_closure(hl, all_pairs(g))))
 
 
 @pytest.mark.parametrize("name", sorted(CLOSURES))

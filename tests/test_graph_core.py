@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 from conftest import (
     hub_candidates,
+    oracle_adjacency,
     oracle_count_shortest,
     oracle_distances,
     oracle_hits,
+    oracle_shortest_paths_from,
     seeded_sparse_graph,
     small_graphs,
     verify_metric,
 )
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hublab.corpus import erdos_renyi_m, random_regular_graph
+from hublab.corpus import erdos_renyi_m, random_regular_graph, star_graph
 from hublab.family_gen import FamilyParams, build_H
 from hublab.graph_core import (
     UNREACHABLE,
@@ -24,6 +26,7 @@ from hublab.graph_core import (
     WeightedGraph,
     ZeroWeightError,
     all_pairs,
+    canonical_trees,
     count_shortest_paths,
     distance_between,
     distances_from,
@@ -31,7 +34,6 @@ from hublab.graph_core import (
     path_weight,
     read_graph,
     shortest_path_hits,
-    shortest_paths_from,
     write_graph,
 )
 from hublab.upperbound_builder import reduce_degree
@@ -55,7 +57,7 @@ def test_graph_canonical_edges():
     g1 = WeightedGraph(3, [(2, 1, 5), (1, 0, 2)])
     g2 = WeightedGraph(3, [(0, 1, 2), (1, 2, 5)])
     assert g1.edges == g2.edges == ((0, 1, 2), (1, 2, 5))
-    assert g1.degree(1) == 2 and g1.max_degree == 2
+    assert g1.degrees[1] == 2 and g1.max_degree == 2
 
 
 def test_weight_kinds():
@@ -65,18 +67,27 @@ def test_weight_kinds():
     assert WeightedGraph(3, [(0, 1, 0), (1, 2, 5)]).has_zero_weights
 
 
+def path_from_root(parents: np.ndarray, root: int, v: int) -> list[int]:
+    """The vertices from root to v along one row of a parents matrix."""
+    out = [v]
+    while v != root:
+        v = int(parents[v])
+        out.append(v)
+    return out[::-1]
+
+
 def test_single_vertex_tree():
-    g = WeightedGraph(1, [])
-    tree = shortest_paths_from(g, 0)
-    assert tree.dist(0) == 0
-    assert tree.parent(0) == 0
+    parents = canonical_trees(all_pairs(WeightedGraph(1, [])))
+    assert parents.dtype == np.int32 and parents.tolist() == [[0]]
+    assert canonical_trees(all_pairs(WeightedGraph(0, []))).shape == (0, 0)
 
 
 def test_path_tree():
-    tree = shortest_paths_from(PATH3, 0)
-    assert tree.dist(2) == 2
-    assert tree.parent(2) == 1
-    assert tree.path_from_root(2) == [0, 1, 2]
+    dm = all_pairs(PATH3)
+    parents = canonical_trees(dm)
+    assert parents.tolist() == [[0, 0, 1], [1, 1, 1], [1, 2, 2]]
+    assert dm.d(0, 2) == 2
+    assert path_from_root(parents[0], 0, 2) == [0, 1, 2]
 
 
 def test_parent_lowest_id_tie_break():
@@ -85,15 +96,24 @@ def test_parent_lowest_id_tie_break():
     g = WeightedGraph(
         10, [(0, 1, 1), (0, 2, 1), (1, 8, 1), (2, 3, 1), (8, 9, 1), (3, 9, 1)]
     )
-    tree = shortest_paths_from(g, 0)
-    assert tree.dist(9) == 3
-    assert tree.parent(9) == 3
+    dm = all_pairs(g)
+    assert dm.d(0, 9) == 3
+    assert canonical_trees(dm)[0, 9] == 3
+
+
+def test_zero_weight_parents_attach_to_rooted_vertices():
+    # Every vertex is at distance 0 from 0; the lowest-id tight neighbour
+    # rule alone would make 1 and 2 each other's parents.
+    g = WeightedGraph(4, [(0, 3, 0), (1, 2, 0), (1, 3, 0)])
+    parents = canonical_trees(all_pairs(g))
+    assert parents[0].tolist() == [0, 3, 1, 0]
+    assert parents[3].tolist() == [3, 3, 1, 3]
 
 
 def test_figure_path_distance_on_level_graph():
     inst = build_H(FamilyParams(2, 2))
-    tree = shortest_paths_from(inst.graph, inst.id_of(0, (1, 0)))
-    assert tree.dist(inst.id_of(4, (3, 2))) == 388  # 4A + 4 with A = 96
+    dist = distances_from(inst.graph, inst.id_of(0, (1, 0)))
+    assert dist[inst.id_of(4, (3, 2))] == 388  # 4A + 4 with A = 96
 
 
 def test_all_pairs_empty_and_triangle():
@@ -156,15 +176,50 @@ def test_distance_matrix_symmetry_and_triangle(g):
 
 @given(small_graphs())
 def test_tree_parent_edges_are_tight(g):
+    dm = all_pairs(g)
+    parents = canonical_trees(dm)
+    weight = {(u, v): w for u, v, w in g.edges}
+    weight.update({(v, u): w for (u, v), w in weight.items()})
     for root in range(g.n):
-        tree = shortest_paths_from(g, root)
-        assert tree.parents[root] == root
+        dist = dm.row(root)
+        assert parents[root, root] == root
         for v in range(g.n):
-            if v == root or tree.dists[v] < 0:
+            if v == root:
                 continue
-            p = tree.parents[v]
-            assert p >= 0
-            assert tree.dists[p] + g.edge_weight(p, v) == tree.dists[v]
+            p = int(parents[root, v])
+            if dist[v] < 0:
+                assert p == -1
+                continue
+            assert dist[p] + weight[(p, v)] == dist[v]
+            # the walk up from v reaches the root: no parent cycles
+            assert path_from_root(parents[root], root, v)[0] == root
+
+
+@settings(max_examples=200)
+@given(small_graphs(max_n=10))
+def test_canonical_trees_match_per_root_oracle(g):
+    parents = canonical_trees(all_pairs(g))
+    assert parents.shape == (g.n, g.n) and parents.dtype == np.int32
+    for root in range(g.n):
+        assert parents[root].tolist() == oracle_shortest_paths_from(g, root)[0]
+
+
+def test_canonical_trees_match_oracle_on_fixed_graphs():
+    graphs = [
+        WeightedGraph(0, []),
+        WeightedGraph(1, []),
+        WeightedGraph(9, [(0, 1, 0), (1, 2, 0), (2, 3, 1), (4, 5, 1), (5, 6, 0), (6, 7, 0)]),
+        reduce_degree(star_graph(9))[0],
+        reduce_degree(erdos_renyi_m(40, 90, seed=3))[0],
+        random_regular_graph(40, 3, seed=2),
+        seeded_sparse_graph(30, 45, seed=7, min_w=0, max_w=3),
+        seeded_sparse_graph(30, 45, seed=8, min_w=1, max_w=9),
+        build_H(FamilyParams(2, 1)).graph,
+    ]
+    for g in graphs:
+        parents = canonical_trees(all_pairs(g))
+        for root in range(g.n):
+            assert parents[root].tolist() == oracle_shortest_paths_from(g, root)[0], g
 
 
 def test_hub_candidates_identity_and_path():
@@ -330,13 +385,45 @@ def test_tree_parents_are_lowest_id_tight_neighbors():
         if g.has_zero_weights:
             continue
         _, dist = _nx_distances(g)
+        adj = oracle_adjacency(g)
+        parents = canonical_trees(all_pairs(g))
         for root in range(g.n):
             d = dist[root]
-            parents = shortest_paths_from(g, root).parents
             for v in range(g.n):
-                tight = [x for x, w in g.adj(v) if d[x] >= 0 and d[x] + w == d[v]]
+                tight = [x for x, w in adj[v] if d[x] >= 0 and d[x] + w == d[v]]
                 want = root if v == root else min(tight, default=-1)
-                assert parents[v] == want
+                assert parents[root, v] == want
+
+
+@given(small_graphs(min_weight=1, max_weight=3))
+def test_unique_shortest_path_matches_networkx(g):
+    nx = pytest.importorskip("networkx")
+    G, dist = _nx_distances(g)
+    dm = all_pairs(g)
+    for u in range(g.n):
+        for v in range(g.n):
+            if dist[u][v] < 0:
+                with pytest.raises(UnreachablePairError):
+                    is_unique_shortest_path(dm, g, u, v)
+                continue
+            paths = list(nx.all_shortest_paths(G, u, v, weight="weight"))
+            unique, path = is_unique_shortest_path(dm, g, u, v)
+            assert unique == (len(paths) == 1)
+            assert path == (paths[0] if unique else None)
+
+
+def test_unique_shortest_path_rejects_zero_weights():
+    g = WeightedGraph(3, [(0, 1, 0), (1, 2, 1)])
+    assert is_unique_shortest_path(all_pairs(g), g, 1, 1) == (True, [1])
+    with pytest.raises(ZeroWeightError):
+        is_unique_shortest_path(all_pairs(g), g, 0, 2)
+
+
+@given(small_graphs(max_n=10, max_weight=2))
+def test_zero_weight_all_pairs_match_networkx(g):
+    _, expected = _nx_distances(g)
+    dm = all_pairs(g)
+    assert [dm.row(src).tolist() for src in range(g.n)] == expected
 
 
 def test_search_rejects_total_weight_at_limit():

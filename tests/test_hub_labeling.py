@@ -9,6 +9,7 @@ from conftest import (
     dense_verify_cover,
     oracle_label_rows,
     oracle_query,
+    oracle_shortest_paths_from,
     seeded_sparse_graph,
     small_graphs,
 )
@@ -24,8 +25,6 @@ from hublab.graph_core import (
     UnreachablePairError,
     WeightedGraph,
     all_pairs,
-    canonical_trees,
-    shortest_paths_from,
 )
 from hublab.hub_labeling import (
     HubLabeling,
@@ -242,39 +241,75 @@ def test_check_stored_distances_flags_corruption():
 
 
 def test_closure_identity_and_path():
-    trees = canonical_trees(PATH3)
+    dm = all_pairs(PATH3)
     hl = HubLabeling(3, [[(0, 0)], [], []])
-    assert monotone_closure(hl, trees).entries(0) == ((0, 0),)
+    assert monotone_closure(hl, dm).entries(0) == ((0, 0),)
     hl = HubLabeling(3, [[(2, 2)], [], []])
-    closed = monotone_closure(hl, trees)
+    closed = monotone_closure(hl, dm)
     assert closed.entries(0) == ((0, 0), (1, 1), (2, 2))
 
 
 def test_closure_empty_set_stays_empty():
-    trees = canonical_trees(PATH3)
     hl = HubLabeling(3, [[], [(1, 0)], []])
-    closed = monotone_closure(hl, trees)
+    closed = monotone_closure(hl, all_pairs(PATH3))
     assert closed.entries(0) == ()
 
 
 def test_closure_unreachable_hub_raises():
     g = WeightedGraph(3, [(0, 1, 1)])
-    trees = canonical_trees(g)
     hl = HubLabeling(3, [[(2, 5)], [], []])
     with pytest.raises(UnreachablePairError):
-        monotone_closure(hl, trees)
+        monotone_closure(hl, all_pairs(g))
+
+
+def test_closure_rejects_labels_of_another_vertex_count():
+    for n in (2, 4):
+        hl = HubLabeling(n, [[(0, 0)]] + [[] for _ in range(n - 1)])
+        with pytest.raises(ValueError, match="disagree on n"):
+            monotone_closure(hl, all_pairs(PATH3))
+
+
+def oracle_closure(hl, dm, parents_of) -> list[list[tuple[int, int]]]:
+    """Rows of the monotone closure, by walking each hub up the tree of its
+    owner; parents_of(v) gives that tree's parents row."""
+    rows = []
+    for v in range(hl.n):
+        member = set()
+        for h, _ in hl.entries(v):
+            x = h
+            while x not in member:
+                member.add(x)
+                if x == v:
+                    break
+                x = parents_of(v)[x]
+        rows.append([(x, dm.d(v, x)) for x in sorted(member)])
+    return rows
+
+
+@given(small_graphs(max_n=10), st.data())
+def test_closure_matches_walk_oracle(g, data):
+    dm = all_pairs(g)
+    picks = st.lists(st.booleans(), min_size=g.n, max_size=g.n)
+    sets = []
+    for v in range(g.n):
+        row = dm.row(v)
+        drawn = data.draw(picks)
+        sets.append([(h, int(row[h])) for h in range(g.n) if row[h] >= 0 and drawn[h]])
+    hl = HubLabeling(g.n, sets)
+    closed = monotone_closure(hl, dm)
+    want = oracle_closure(hl, dm, lambda v: oracle_shortest_paths_from(g, v)[0])
+    assert [list(closed.entries(v)) for v in range(g.n)] == want
 
 
 @given(small_graphs(min_weight=1))
 def test_closure_preserves_validity_and_size_bound(g):
     dm = all_pairs(g)
-    trees = canonical_trees(g)
     sets = []
     for v in range(g.n):
         row = dm.row(v)
         sets.append([(h, int(row[h])) for h in range(g.n) if row[h] >= 0])
     hl = HubLabeling(g.n, sets)
-    closed = monotone_closure(hl, trees)
+    closed = monotone_closure(hl, dm)
     assert verify_cover(closed, dm).valid
     diam = dm.diameter()
     for v in range(g.n):
@@ -288,7 +323,7 @@ def test_closure_size_floor_on_figure_instance():
     inst = build_H(FamilyParams(2, 2))
     dm = all_pairs(inst.graph)
     hl = baseline_full(dm)
-    closed = monotone_closure(hl, canonical_trees(inst.graph))
+    closed = monotone_closure(hl, dm)
     assert closed.total_size >= 64
 
 

@@ -2,7 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import hub_candidates, oracle_pair_index, seeded_sparse_graph, small_graphs
+from conftest import (
+    hub_candidates,
+    oracle_pair_index,
+    oracle_reduce_degree,
+    seeded_sparse_graph,
+    small_graphs,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -255,14 +261,15 @@ def test_reduce_degree_three_regular_unchanged():
     g = random_regular_graph(20, 3, seed=1)
     g2, rep, orig = reduce_degree(g)
     assert g2.n == g.n and g2.edges == g.edges
-    assert rep == {v: v for v in range(20)}
+    assert rep.dtype == orig.dtype == np.int64
+    assert rep.tolist() == orig.tolist() == list(range(20))
 
 
 def test_reduce_degree_star():
     g = star_graph(6)
     assert not needs_reduction(star_graph(2)) and needs_reduction(g)
     g2, rep, orig = reduce_degree(g)
-    center_clones = [c for c, v in orig.items() if v == 0]
+    center_clones = [c for c, v in enumerate(orig.tolist()) if v == 0]
     assert len(center_clones) == 6
     assert g2.max_degree <= 3
     assert g2.weight_kind == "01"
@@ -271,6 +278,23 @@ def test_reduce_degree_star():
         for v in range(g.n):
             assert dm2.d(rep[u], rep[v]) == dm.d(u, v)
     assert g2.n <= 2 * (g.n + g.m)
+
+
+def test_reduce_degree_matches_loop_oracle():
+    graphs = [
+        WeightedGraph(0, []),
+        WeightedGraph(1, []),
+        WeightedGraph(4, []),
+        star_graph(9),
+        erdos_renyi_m(60, 120, seed=1),
+        erdos_renyi_m(90, 300, seed=2),
+        WeightedGraph(8, [(0, v, 1) for v in range(1, 8)] + [(1, 2, 1)]),
+    ]
+    for g in graphs:
+        g2, rep, orig = reduce_degree(g)
+        want, want_rep, want_orig = oracle_reduce_degree(g)
+        assert (g2.n, g2.edges) == (want.n, want.edges)
+        assert rep.tolist() == want_rep and orig.tolist() == want_orig
 
 
 def test_project_back_identity():
@@ -348,7 +372,7 @@ def _vertex_outside_cover_set(g, cfg) -> int:
     """Lowest vertex of g that is not (a clone of) a cover-set vertex, so that
     few other labels hold it."""
     res = build_for_graph(g, cfg)
-    origin = reduce_degree(g)[2] if res.report.reduced else {v: v for v in range(g.n)}
+    origin = reduce_degree(g)[2] if res.report.reduced else np.arange(g.n)
     return min(set(range(g.n)) - {origin[s] for s in res.artifacts.S})
 
 
