@@ -1,5 +1,5 @@
 """Weighted graph core: representation, shortest-path searches, distance
-matrices, and shortest-path counts used by every other module."""
+matrices, shortest-path trees and counts used by every other module."""
 
 from __future__ import annotations
 
@@ -426,18 +426,19 @@ def canonical_trees(dm: DenseDistanceMatrix) -> np.ndarray:
         rows = [_fixpoint_parents(*csr, mat[r].tolist(), r) for r in range(n)]
         return np.array(rows, dtype=np.int32).reshape(n, n)
     deg = np.diff(indptr)
-    by_vertex = np.full((n, n), -1, dtype=np.int32)  # row v: the parent of v in every tree
+    parents = np.empty((n, n), dtype=np.int32)
     step = max(1, _TREE_ENTRIES // max(1, n * g.max_degree))
     for lo in range(0, n, step):
-        best = by_vertex[lo : lo + step]
-        for j in range(int(deg[lo : lo + step].max(initial=0)) - 1, -1, -1):
-            vs = np.flatnonzero(deg[lo : lo + step] > j)  # vertices with a j-th neighbour
-            e = indptr[lo + vs] + j
-            tight = mat[nbr[e]] + w[e, None] == mat[lo + vs]
-            best[vs] = np.where(tight, nbr[e, None], best[vs])
-        roots = np.arange(lo, lo + best.shape[0])
-        best[roots - lo, roots] = roots
-    return np.ascontiguousarray(by_vertex.T)
+        vs = np.arange(lo, min(lo + step, n))
+        best = np.full((vs.size, n), -1, dtype=np.int32)  # row i: the parents of lo + i
+        best[vs - lo, vs] = vs
+        for j in range(int(deg[vs].max(initial=0)) - 1, -1, -1):
+            i = np.flatnonzero(deg[vs] > j)  # vertices with a j-th neighbour
+            e = indptr[lo + i] + j
+            tight = mat[nbr[e]] + w[e, None] == mat[lo + i]
+            best[i] = np.where(tight, nbr[e, None], best[i])
+        parents[:, lo : lo + step] = best.T
+    return parents
 
 
 def _fixpoint_parents(ip: list, nb: list, wt: list, dists: list, root: int) -> list[int]:

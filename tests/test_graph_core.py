@@ -68,9 +68,11 @@ def test_weight_kinds():
 
 
 def path_from_root(parents: np.ndarray, root: int, v: int) -> list[int]:
-    """The vertices from root to v along one row of a parents matrix."""
+    """The vertices from root to v along one row of a parents matrix; fails
+    on a parent cycle."""
     out = [v]
     while v != root:
+        assert len(out) <= len(parents), "parent cycle"
         v = int(parents[v])
         out.append(v)
     return out[::-1]
