@@ -430,7 +430,7 @@ def canonical_trees(dm: DenseDistanceMatrix) -> np.ndarray:
     step = max(1, _TREE_ENTRIES // max(1, n * g.max_degree))
     for lo in range(0, n, step):
         vs = np.arange(lo, min(lo + step, n))
-        best = np.full((vs.size, n), -1, dtype=np.int32)  # row i: the parents of lo + i
+        best = np.full((vs.size, n), -1, dtype=np.int32)  # [i, r]: parent of lo + i in tree r
         best[vs - lo, vs] = vs
         for j in range(int(deg[vs].max(initial=0)) - 1, -1, -1):
             i = np.flatnonzero(deg[vs] > j)  # vertices with a j-th neighbour
