@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Time one `hublab build` or `hublab closure` on a named graph and record it
-in BENCH_<label>.json.
+"""Time one `hublab build`, `hublab verify` or `hublab closure` on a named
+graph and record it in BENCH_<label>.json.
 
 Usage:
     python scripts/bench.py --label pair_index --side after --graph er:2000:4000:1
     python scripts/bench.py --label closure --command closure --side after --graph reg:2000:3:1
+    python scripts/bench.py --label unit_search --command verify --side after --graph reg:2000:3:1
 
 Graphs: H:<b>:<ell> (the graph `hublab gen --kind H` writes),
 er:<n>:<m>:<seed> (corpus.erdos_renyi_m), reg:<n>:<degree>:<seed>
@@ -21,11 +22,12 @@ its report, the peak RSS and a SHA-256 of the label file, so that two sides
 can be checked for identical labels. It replaces any earlier record for the
 same graph and side.
 
-With --command closure, the labels are built first by `hublab build` in a
-child process, outside the timed span; only `hublab closure` of them runs in
-this process and is timed. Its record holds the wall time and peak RSS of the
-closure command, the input's entry count and digest, and the closure's entry
-count and SHA-256.
+With --command verify or --command closure, the labels are built first by
+`hublab build` in a child process, outside the timed span; only the command
+on them runs in this process and is timed. Its record holds the wall time and
+peak RSS of that command and the input's entry count and digest; a verify
+record adds the verdict, a closure record the closure's entry count and
+SHA-256.
 """
 
 from __future__ import annotations
@@ -105,7 +107,9 @@ def _peak_rss_mb() -> float:
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
-def run_closure(spec: str) -> dict:
+def run_on_labels(spec: str, command: str) -> dict:
+    """Build labels for the graph in a child process, then time `hublab
+    verify` or `hublab closure` of them in this one."""
     from hublab import graph_core
 
     g, graph_info = make_graph(spec)
@@ -122,21 +126,28 @@ def run_closure(spec: str) -> dict:
             [sys.executable, "-m", "hublab.cli", *build],
             env=env, check=True, stdout=subprocess.DEVNULL,
         )
-        argv = ["closure", "--graph", graph_path, "--labels", labels_path, "--out", closure_path]
+        argv = [command, "--graph", graph_path, "--labels", labels_path]
+        if command == "closure":
+            argv += ["--out", closure_path]
         code, wall, out = _timed_cli(argv)
         report = json.loads(out)
-        labels_digest, closure_digest = _digest(labels_path), _digest(closure_path)
-    return {
-        "graph": graph_info,
-        "hublab_command": "hublab " + " ".join(argv).replace(tmp, "<tmp>"),
-        "exit_code": code,
-        "wall_s": round(wall, 3),
-        "peak_rss_mb": _peak_rss_mb(),
-        "label_entries": report["input_total"],
-        "labels_sha256": labels_digest,
-        "closure_entries": report["closure_total"],
-        "closure_sha256": closure_digest,
-    }
+        record = {
+            "graph": graph_info,
+            "hublab_command": "hublab " + " ".join(argv).replace(tmp, "<tmp>"),
+            "exit_code": code,
+            "wall_s": round(wall, 3),
+            "peak_rss_mb": _peak_rss_mb(),
+            "labels_sha256": _digest(labels_path),
+        }
+        if command == "closure":
+            record.update(
+                label_entries=report["input_total"],
+                closure_entries=report["closure_total"],
+                closure_sha256=_digest(closure_path),
+            )
+        else:
+            record.update(label_entries=report["total_size"], valid=report["valid"])
+    return record
 
 
 def run(spec: str) -> dict:
@@ -172,11 +183,11 @@ def main() -> int:
     ap.add_argument("--side", required=True, help="e.g. before or after")
     ap.add_argument("--graph", required=True, help="graph spec, see above")
     ap.add_argument("--name", help="key of the graph in the file (default: the spec)")
-    ap.add_argument("--command", choices=("build", "closure"), default="build", help="command to time")
+    ap.add_argument("--command", choices=("build", "verify", "closure"), default="build", help="command to time")
     args = ap.parse_args()
 
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    record = (run_closure if args.command == "closure" else run)(args.graph)
+    record = run(args.graph) if args.command == "build" else run_on_labels(args.graph, args.command)
     record.update(
         command=" ".join(["python", "scripts/bench.py", *sys.argv[1:]]),
         commit=commit_of(ROOT),

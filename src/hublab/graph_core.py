@@ -198,11 +198,17 @@ def read_graph(path) -> WeightedGraph:
 
 
 # -- searches --------------------------------------------------------------
-# Every search runs scipy's csgraph Dijkstra on one CSR matrix per graph.
-# csgraph reads a stored zero as a missing edge and csr_matrix sums duplicate
-# entries, so zero-weight components are contracted first and parallel
-# quotient edges keep their minimum weight. csgraph distances are float64,
-# exact only below 2**53.
+# Every search runs on one CSR matrix per graph, the quotient by its
+# zero-weight components, whose parallel edges keep their minimum weight
+# (csgraph reads a stored zero as a missing edge and csr_matrix sums
+# duplicate entries). A zero-weight component is a single quotient vertex at
+# distance 0 from each of its members, so every result is gathered back
+# through the component labels. Single-source searches, and all-pairs
+# searches on quotients with a weight other than 1, run scipy's csgraph
+# Dijkstra, whose float64 distances are exact only below 2**53. All-pairs
+# searches on quotients whose weights are all 1, the quotient of every
+# "unit" and "01" graph, run one bit-parallel BFS from every source at once
+# (_bfs_fronts).
 
 #: Total edge weight from which searches refuse to run, because a path length
 #: might no longer be exact in float64.
@@ -262,16 +268,115 @@ def _distances(g: WeightedGraph, src: int | None = None) -> np.ndarray:
     if src is not None and not 0 <= src < g.n:
         raise ValueError(f"source {src} out of range")
     labels, mat = _search_matrix(g)
-    if src is None:
-        dist = dijkstra(mat, directed=True)
-        if labels is not None:
-            dist = dist[np.ix_(labels, labels)]
+    if src is None and _unit_weights(mat):
+        dist = _bfs_distances(mat)
     else:
-        dist = dijkstra(mat, directed=True, indices=src if labels is None else labels[src])
-        if labels is not None:
-            dist = dist[labels]
-    dist[np.isinf(dist)] = -1
-    return dist.astype(np.int64)
+        qsrc = src if labels is None or src is None else labels[src]
+        dist = dijkstra(mat, directed=True, indices=qsrc)
+        dist[np.isinf(dist)] = -1
+        dist = dist.astype(np.int64)
+    if labels is None:
+        return dist
+    return dist[labels] if src is not None else dist[np.ix_(labels, labels)]
+
+
+def _unit_weights(mat) -> bool:
+    return bool((mat.data == 1).all())
+
+
+#: Word of the bit-parallel searches: bit i of word j of a row stands for
+#: source 64 j + i. Little-endian, so a row viewed as bytes unpacks in order.
+_WORD = np.dtype("<u8")
+
+
+#: Neighbour positions that _NeighbourOr gathers one at a time; the
+#: neighbours of a vertex past this many go into one reduceat.
+_SLOTS = 8
+
+
+class _NeighbourOr:
+    """Callable rows -> out on a k x k CSR matrix, with out[v] the bitwise or
+    of rows[x] over the neighbours x of v. rows and out have k + 1 rows, and
+    row k is zero in both.
+
+    The j-th neighbours of all vertices, for j < _SLOTS, are one gather each,
+    pointing at the zero row k where a vertex has fewer neighbours; that runs
+    several times faster than a reduceat over every CSR row while degrees are
+    small. The neighbours past _SLOTS of the vertices of higher degree are one
+    reduceat, so a few hubs cost no Python loop of their degree."""
+
+    def __init__(self, mat):
+        ip, nbr = mat.indptr, mat.indices
+        k = ip.size - 1
+        deg = np.diff(ip)
+        self.slots = []
+        for j in range(min(int(deg.max(initial=0)), _SLOTS)):
+            has = np.flatnonzero(deg > j)
+            x = np.full(k + 1, k, dtype=np.int64)
+            x[has] = nbr[ip[has] + j]
+            self.slots.append(x)
+        self.big = np.flatnonzero(deg > _SLOTS)
+        counts = deg[self.big] - _SLOTS
+        self.starts = np.cumsum(counts) - counts
+        self.rest = nbr[np.repeat(ip[self.big] + _SLOTS - self.starts, counts) + np.arange(counts.sum())]
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        if not self.slots:
+            return np.zeros_like(rows)
+        out = rows.take(self.slots[0], axis=0)
+        for x in self.slots[1:]:
+            out |= rows.take(x, axis=0)
+        if self.big.size:
+            out[self.big] |= np.bitwise_or.reduceat(rows[self.rest], self.starts, axis=0)
+        return out
+
+
+def _bfs_fronts(k: int, spread: _NeighbourOr):
+    """Yield (level, front) of one level-synchronous BFS from every vertex of
+    a unit-weight graph on k vertices at once, spread being its _NeighbourOr,
+    as in the bit-parallel BFS of pruned landmark labeling (Akiba, Iwata,
+    Yoshida 2013): front is a (k + 1) x ceil(k / 64) array of _WORD rows,
+    with the bit of source s in row v set iff d(s, v) == level. Row k and the
+    bits past k stay clear. Callers must not write to front."""
+    ids = np.arange(k)
+    front = np.zeros((k + 1, (k + 63) // 64), dtype=_WORD)
+    front[ids, ids >> 6] = np.uint64(1) << (ids & 63).astype(np.uint64)
+    seen = front.copy()
+    level = 0
+    while front.any():
+        yield level, front
+        front = spread(front)
+        front |= seen
+        front ^= seen  # front & ~seen, without a temporary
+        seen |= front
+        level += 1
+
+
+def _bfs_distances(mat) -> np.ndarray:
+    """All-pairs int64 distances of the unit-weight CSR mat, -1 for
+    unreachable. Each level ors its front into the bit planes of its number,
+    so only the planes are unpacked, once each. Off the diagonal, distance 0
+    can only mean unreachable, as every weight is 1."""
+    k = mat.shape[0]
+    planes = []  # planes[p] holds bit p of every distance
+    for level, front in _bfs_fronts(k, _NeighbourOr(mat)):
+        if level >> len(planes):
+            planes.append(np.zeros_like(front))
+        for p, plane in enumerate(planes):
+            if level >> p & 1:
+                plane |= front
+    acc = np.zeros((k, k), dtype=np.min_scalar_type((1 << len(planes)) - 1))
+    for p, plane in enumerate(planes):
+        acc |= _unpack(plane, k).astype(acc.dtype) << p
+    dist = acc.astype(np.int64)
+    dist[acc == 0] = -1
+    np.fill_diagonal(dist, 0)
+    return dist
+
+
+def _unpack(rows: np.ndarray, k: int) -> np.ndarray:
+    """The k x k bool matrix of the first k bits of the first k _WORD rows."""
+    return np.unpackbits(rows[:k].view(np.uint8), axis=1, count=k, bitorder="little").view(bool)
 
 
 def distances_from(g: WeightedGraph, src: int) -> np.ndarray:
@@ -283,6 +388,8 @@ def distances_from(g: WeightedGraph, src: int) -> np.ndarray:
 
 def distance_between(g: WeightedGraph, s: int, t: int):
     """Distance between two vertices, UNREACHABLE when no path exists."""
+    if not (0 <= s < g.n and 0 <= t < g.n):
+        raise ValueError(f"endpoints ({s}, {t}) out of range for n = {g.n}")
     if s == t:
         return 0
     d = int(_distances(g, s)[t])
@@ -334,8 +441,8 @@ def all_pairs(g: WeightedGraph, *, pair_cap: int = DEFAULT_PAIR_CAP) -> DenseDis
     return DenseDistanceMatrix(_distances(g), g)
 
 
-#: Sources per block of shortest_path_hits; bounds its temporaries to a few
-#: arrays of _HIT_BLOCK * (n + 2m) entries.
+#: Sources per block of _band_hits; bounds its temporaries to a few arrays of
+#: _HIT_BLOCK * (k + 2m) entries on a quotient of k vertices and m edges.
 _HIT_BLOCK = 32
 
 
@@ -344,39 +451,82 @@ def shortest_path_hits(dm: DenseDistanceMatrix, mask) -> np.ndarray:
     of the bool vertex mask lies on a shortest u-v path, that is
     d(u,c) + d(c,v) == d(u,v) for some c in mask.
 
-    Brandes-style propagation (Brandes 2001) over tight edges, O(n m) in all:
-    hit[u, v] holds iff u or v is in the mask or hit[u, x] holds for a tight
-    in-edge x->v, one with d(u,x) + w = d(u,v). Rows are independent and run
-    in blocks of _HIT_BLOCK sources. Inside a block the pending pairs are taken
-    in bands of d(u,v) // wmin, wmin the least positive weight, so every
-    positive tight in-edge leaves an earlier band; zero-weight tight edges
-    stay inside a band and are closed by a fixpoint.
+    Runs on the quotient of the search section: a masked vertex lies on a
+    shortest u-v walk iff its zero-weight component lies on a shortest path
+    between the components of u and v, so a component counts as masked when
+    it holds a masked vertex, and the quotient's matrix is gathered back
+    through the component labels. On that quotient, Brandes-style propagation
+    (Brandes 2001) decides every pair: hit[u, v] holds iff u or v is masked
+    or hit[u, x] holds for a tight in-edge x->v, one with
+    d(u,x) + w = d(u,v). With unit quotient weights it rides the bit-parallel
+    BFS of all_pairs level by level (_bfs_hits); otherwise it reads the
+    distances of dm (_band_hits).
     """
-    g = dm.graph
-    n = dm.n
-    mat = dm.matrix()
+    g, n = dm.graph, dm.n
+    labels, mat = _search_matrix(g)
     mask = np.asarray(mask, dtype=bool)
-    hit = np.zeros((n, n), dtype=bool)
+    if labels is not None:
+        mask = np.bincount(labels[mask], minlength=mat.shape[0]) > 0
     if not mask.any():
-        return hit
-    indptr, e_src, e_w = g.in_edges()
-    positive = e_w[e_w > 0]
-    wmin = int(positive.min()) if positive.size else 1
-    for lo in range(0, n, _HIT_BLOCK):
-        d = mat[lo : lo + _HIT_BLOCK]
+        return np.zeros((n, n), dtype=bool)
+    if _unit_weights(mat):
+        hit = _bfs_hits(mat, mask)
+    elif labels is None:
+        hit = _band_hits(mat, dm.matrix(), mask)
+    else:
+        rep = np.unique(labels, return_index=True)[1]
+        hit = _band_hits(mat, dm.matrix()[np.ix_(rep, rep)], mask)
+    return hit if labels is None else hit[np.ix_(labels, labels)]
+
+
+def _bfs_hits(mat, mask) -> np.ndarray:
+    """shortest_path_hits on the unit-weight CSR mat with a vertex mask.
+
+    At level l of _bfs_fronts, the sources of v's hit row are those of its
+    front whose paths to v meet the mask: all of them when v is masked, the
+    masked ones, and those carried in the previous level's hit row of a
+    neighbour, which is exactly a tight in-edge of v."""
+    k = mat.shape[0]
+    words = (k + 63) // 64
+    packed = np.zeros(words * 8, dtype=np.uint8)
+    packed[: (k + 7) // 8] = np.packbits(mask, bitorder="little")
+    seed = np.repeat(packed.view(_WORD)[None, :], k + 1, axis=0)
+    seed[np.flatnonzero(mask)] = np.iinfo(np.uint64).max
+    acc = np.zeros((k + 1, words), dtype=_WORD)
+    spread = _NeighbourOr(mat)
+    hit = None
+    for _, front in _bfs_fronts(k, spread):
+        hit = front & (seed if hit is None else seed | spread(hit))
+        acc |= hit
+    return _unpack(acc, k)
+
+
+def _band_hits(mat, dist: np.ndarray, mask) -> np.ndarray:
+    """shortest_path_hits on the CSR mat, whose weights are positive, with
+    its all-pairs distances dist.
+
+    Rows are independent and run in blocks of _HIT_BLOCK sources. Inside a
+    block the pending pairs are taken in bands of d(u,v) // wmin, wmin the
+    least weight, so every tight in-edge leaves an earlier band."""
+    k = mat.shape[0]
+    indptr, e_src, e_w = mat.indptr.astype(np.int64), mat.indices, mat.data.astype(np.int64)
+    wmin = int(e_w.min()) if e_w.size else 1
+    hit = np.zeros((k, k), dtype=bool)
+    for lo in range(0, k, _HIT_BLOCK):
+        d = dist[lo : lo + _HIT_BLOCK]
         reach = d >= 0
         h = hit[lo : lo + _HIT_BLOCK]
         # Seeds: v in the mask, and whole rows of sources in the mask (those
         # would follow from hit[u, u], but need no propagation this way).
         np.logical_and(reach, mask[None, :] | mask[lo : lo + _HIT_BLOCK, None], out=h)
         df, hf = d.reshape(-1), h.reshape(-1)
-        # Pending pairs as flat ids u * n + v within the block, by band.
+        # Pending pairs as flat ids u * k + v within the block, by band.
         pend = np.flatnonzero(reach & ~h)
         if pend.size == 0:
             continue
         pend = pend[np.argsort(df[pend] // wmin, kind="stable")]
         dv = df[pend]
-        pv = pend % n
+        pv = pend % k
         # Every in-edge of every pending pair, in pair order; keep the tight ones.
         starts = indptr[pv]
         counts = indptr[pv + 1] - starts
@@ -384,20 +534,12 @@ def shortest_path_hits(dm: DenseDistanceMatrix, mask) -> np.ndarray:
         e = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(pair.size)
         src = (pend - pv)[pair] + e_src[e]
         tight = df[src] + e_w[e] == dv[pair]
-        src, pair, zero = src[tight], pair[tight], e_w[e[tight]] == 0
+        src, pair = src[tight], pair[tight]
         dst = pend[pair]
         band = dv[pair] // wmin
         cuts = np.flatnonzero(band[1:] != band[:-1]) + 1
         for a, b in zip(np.concatenate([[0], cuts]), np.concatenate([cuts, [band.size]])):
             hf[dst[a:b][hf[src[a:b]]]] = True
-            z = zero[a:b]
-            if z.any():
-                zs, zd = src[a:b][z], dst[a:b][z]
-                while True:
-                    new = hf[zs] & ~hf[zd]
-                    if not new.any():
-                        break
-                    hf[zd[new]] = True
     return hit
 
 

@@ -294,6 +294,12 @@ def test_distance_between_matches_full_search():
                 assert distance_between(g, u, v) == dm.d(u, v)
 
 
+def test_distance_between_rejects_endpoints_out_of_range():
+    for s, t in ((0, -1), (-1, 0), (0, 3), (3, 0), (7, 7), (-1, -1)):
+        with pytest.raises(ValueError, match="out of range"):
+            distance_between(PATH3, s, t)
+
+
 def test_graph_file_round_trip(tmp_path):
     g = seeded_sparse_graph(9, 12, seed=2)
     path = tmp_path / "g.txt"
@@ -447,6 +453,14 @@ def test_shortest_path_hits_match_min_plus_oracle(g, data):
         assert (shortest_path_hits(dm, mask) == oracle_hits(dm, mask)).all()
 
 
+def _weights_025(g: WeightedGraph, seed: int) -> WeightedGraph:
+    """g with each edge weight drawn from {0, 2, 5}: general weights with
+    zero-weight components."""
+    rng = np.random.default_rng(seed)
+    u, v, _ = g.edge_arrays()
+    return WeightedGraph(g.n, np.stack([u, v, rng.choice([0, 2, 5], size=u.size)], axis=1))
+
+
 def test_shortest_path_hits_on_fixed_graphs():
     graphs = [
         WeightedGraph(0, []),
@@ -456,6 +470,8 @@ def test_shortest_path_hits_on_fixed_graphs():
         reduce_degree(erdos_renyi_m(60, 140, seed=4))[0],
         random_regular_graph(70, 3, seed=5),
         seeded_sparse_graph(50, 90, seed=6, min_w=0, max_w=4),
+        _weights_025(random_regular_graph(60, 3, seed=8), seed=1),
+        _weights_025(erdos_renyi_m(50, 70, seed=9), seed=2),
         build_H(FamilyParams(2, 2)).graph,
     ]
     rng = np.random.default_rng(11)
@@ -467,3 +483,81 @@ def test_shortest_path_hits_on_fixed_graphs():
             hit = shortest_path_hits(dm, mask)
             assert hit.shape == (g.n, g.n) and hit.dtype == bool
             assert (hit == oracle_hits(dm, mask)).all(), g
+
+
+# -- the 64-source words of the unit-weight searches -----------------------------
+
+
+def _word_boundary_graphs():
+    """Unit and {0,1} graphs around the 64-source words of the unit-weight
+    searches. For n in {0, 1, 63, 64, 65, 129}, the last word of n sources is
+    empty, full or partial: two random parts with no edge between them and an
+    isolated last vertex, with unit weights, then with {0,1} weights. A third
+    graph adds to the unit one 64 vertices tied to it by zero-weight edges,
+    so its quotient has exactly n vertices, one word less than the graph."""
+    graphs = []
+    for n in (0, 1, 63, 64, 65, 129):
+        half = max(n - 1, 0) // 2
+        for min_w in (1, 0):
+            edges = []
+            for lo, size in ((0, half), (half, max(n - 1, 0) - half)):
+                part = seeded_sparse_graph(size, size + size // 2, seed=n + lo, min_w=min_w, max_w=1)
+                edges += [(a + lo, b + lo, w) for a, b, w in part.edges]
+            graphs.append(WeightedGraph(n, edges))
+        if n:
+            pendants = [(i % n, n + i, 0) for i in range(64)]
+            graphs.append(WeightedGraph(n + 64, list(graphs[-2].edges) + pendants))
+    return graphs
+
+
+def _word_boundary_masks(n: int, rng) -> list[np.ndarray]:
+    masks = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]
+    masks += [rng.random(n) < p for p in (0.03, 0.3)]
+    for v in (0, 62, 63, 64, 65, 127, 128, n - 1):
+        if 0 <= v < n:
+            single = np.zeros(n, dtype=bool)
+            single[v] = True
+            masks.append(single)
+    return masks
+
+
+def test_word_boundary_all_pairs_match_networkx():
+    for g in _word_boundary_graphs():
+        _, expected = _nx_distances(g)
+        dm = all_pairs(g)
+        assert dm.matrix().shape == (g.n, g.n)
+        assert [dm.row(src).tolist() for src in range(g.n)] == expected, g
+
+
+def test_word_boundary_hits_match_oracle():
+    rng = np.random.default_rng(5)
+    for g in _word_boundary_graphs():
+        dm = all_pairs(g)
+        for mask in _word_boundary_masks(g.n, rng):
+            hit = shortest_path_hits(dm, mask)
+            assert hit.shape == (g.n, g.n) and hit.dtype == bool
+            assert (hit == oracle_hits(dm, mask)).all(), (g, np.flatnonzero(mask))
+
+
+def test_unit_quotients_never_run_dijkstra(monkeypatch):
+    import hublab.graph_core as graph_core
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dijkstra called")
+
+    monkeypatch.setattr(graph_core, "dijkstra", refuse)
+    unit = random_regular_graph(70, 3, seed=3)
+    zero_one = seeded_sparse_graph(70, 90, seed=4, min_w=0, max_w=1)
+    # general weights, all inside one zero-weight component: the quotient
+    # has no edge at all
+    inside = WeightedGraph(3, [(0, 1, 0), (1, 2, 0), (0, 2, 5)])
+    for g in (unit, zero_one, inside):
+        dm = all_pairs(g)
+        shortest_path_hits(dm, np.ones(g.n, dtype=bool))
+    assert zero_one.weight_kind == "01" and inside.weight_kind == "general"
+    assert all_pairs(inside).d(0, 2) == 0
+    general = WeightedGraph(3, [(0, 1, 2), (1, 2, 1)])
+    with pytest.raises(AssertionError, match="dijkstra called"):
+        all_pairs(general)
+    with pytest.raises(AssertionError, match="dijkstra called"):
+        distances_from(unit, 0)
