@@ -208,7 +208,8 @@ def read_graph(path) -> WeightedGraph:
 # Dijkstra, whose float64 distances are exact only below 2**53. All-pairs
 # searches on quotients whose weights are all 1, the quotient of every
 # "unit" and "01" graph, run one bit-parallel BFS from every source at once
-# (_bfs_fronts).
+# (_bfs_fronts). shortest_path_hits takes the same two paths: hit bits carried
+# along that BFS, or propagated in distance bands over Dijkstra's distances.
 
 #: Total edge weight from which searches refuse to run, because a path length
 #: might no longer be exact in float64.
