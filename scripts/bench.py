@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Time one `hublab build`, `hublab verify` or `hublab closure` on a named
-graph and record it in BENCH_<label>.json.
+"""Time one `hublab build`, `hublab verify` or `hublab closure`, or the two
+all-pairs searches, on a named graph and record it in BENCH_<label>.json.
 
 Usage:
     python scripts/bench.py --label pair_index --side after --graph er:2000:4000:1
     python scripts/bench.py --label closure --command closure --side after --graph reg:2000:3:1
     python scripts/bench.py --label unit_search --command verify --side after --graph reg:2000:3:1
+    python scripts/bench.py --label unit_search --command searches --side after --graph path:2000
 
 Graphs: H:<b>:<ell> (the graph `hublab gen --kind H` writes),
 er:<n>:<m>:<seed> (corpus.erdos_renyi_m), reg:<n>:<degree>:<seed>
-(corpus.random_regular_graph), or the path of a graph file.
+(corpus.random_regular_graph), path:<n> (corpus.path_graph), or the path of
+a graph file.
 
 The script imports hublab from the `src` of the checkout that holds it and
 updates BENCH_<label>.json in the current directory. To compare two commits,
@@ -28,6 +30,11 @@ on them runs in this process and is timed. Its record holds the wall time and
 peak RSS of that command and the input's entry count and digest; a verify
 record adds the verdict, a closure record the closure's entry count and
 SHA-256.
+
+With --command searches, graph_core.all_pairs and then
+graph_core.shortest_path_hits, with every 20th vertex masked, run in this
+process; the record holds the time of each, the peak RSS and a SHA-256 of
+each result.
 """
 
 from __future__ import annotations
@@ -82,6 +89,8 @@ def make_graph(spec: str):
         n, degree, seed = args
         g = corpus.random_regular_graph(n, degree, seed=seed)
         return g, {"generator": "corpus.random_regular_graph", "n": n, "degree": degree, "seed": seed}
+    if kind == "path" and len(args) == 1:
+        return corpus.path_graph(args[0]), {"generator": "corpus.path_graph", "n": args[0]}
     if os.path.isfile(spec):
         return graph_core.read_graph(spec), {"file": os.path.abspath(spec)}
     raise SystemExit(f"bench.py: unknown graph spec {spec!r}")
@@ -150,6 +159,29 @@ def run_on_labels(spec: str, command: str) -> dict:
     return record
 
 
+def run_searches(spec: str) -> dict:
+    """Time all_pairs and shortest_path_hits on the graph in this process."""
+    import numpy as np
+
+    from hublab import graph_core
+
+    g, graph_info = make_graph(spec)
+    graph_info.update(n=g.n, m=g.m, weight_kind=g.weight_kind)
+    t0 = time.perf_counter()
+    dm = graph_core.all_pairs(g)
+    t1 = time.perf_counter()
+    hit = graph_core.shortest_path_hits(dm, np.arange(g.n) % 20 == 0)
+    t2 = time.perf_counter()
+    return {
+        "graph": graph_info,
+        "all_pairs_s": round(t1 - t0, 3),
+        "hits_s": round(t2 - t1, 3),
+        "peak_rss_mb": _peak_rss_mb(),
+        "distances_sha256": hashlib.sha256(dm.matrix().tobytes()).hexdigest(),
+        "hits_sha256": hashlib.sha256(hit.tobytes()).hexdigest(),
+    }
+
+
 def run(spec: str) -> dict:
     from hublab import graph_core
 
@@ -183,11 +215,18 @@ def main() -> int:
     ap.add_argument("--side", required=True, help="e.g. before or after")
     ap.add_argument("--graph", required=True, help="graph spec, see above")
     ap.add_argument("--name", help="key of the graph in the file (default: the spec)")
-    ap.add_argument("--command", choices=("build", "verify", "closure"), default="build", help="command to time")
+    ap.add_argument(
+        "--command", choices=("build", "verify", "closure", "searches"), default="build", help="what to time"
+    )
     args = ap.parse_args()
 
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    record = run(args.graph) if args.command == "build" else run_on_labels(args.graph, args.command)
+    if args.command == "build":
+        record = run(args.graph)
+    elif args.command == "searches":
+        record = run_searches(args.graph)
+    else:
+        record = run_on_labels(args.graph, args.command)
     record.update(
         command=" ".join(["python", "scripts/bench.py", *sys.argv[1:]]),
         commit=commit_of(ROOT),

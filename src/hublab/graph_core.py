@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
 
 #: Largest number of distance entries a dense all-pairs matrix may hold.
 DEFAULT_PAIR_CAP = 250_000_000
@@ -208,8 +208,10 @@ def read_graph(path) -> WeightedGraph:
 # Dijkstra, whose float64 distances are exact only below 2**53. All-pairs
 # searches on quotients whose weights are all 1, the quotient of every
 # "unit" and "01" graph, run one bit-parallel BFS from every source at once
-# (_bfs_fronts). shortest_path_hits takes the same two paths: hit bits carried
-# along that BFS, or propagated in distance bands over Dijkstra's distances.
+# (_bfs_fronts), unless the quotient's diameter, estimated by a double sweep,
+# makes that BFS dearer than Dijkstra (_bfs_pays). shortest_path_hits takes
+# the same two paths: hit bits carried along that BFS, or propagated in
+# distance bands over the distances of all_pairs.
 
 #: Total edge weight from which searches refuse to run, because a path length
 #: might no longer be exact in float64.
@@ -269,7 +271,7 @@ def _distances(g: WeightedGraph, src: int | None = None) -> np.ndarray:
     if src is not None and not 0 <= src < g.n:
         raise ValueError(f"source {src} out of range")
     labels, mat = _search_matrix(g)
-    if src is None and _unit_weights(mat):
+    if src is None and _bfs_pays(mat, _DIJKSTRA_OPS):
         dist = _bfs_distances(mat)
     else:
         qsrc = src if labels is None or src is None else labels[src]
@@ -281,8 +283,60 @@ def _distances(g: WeightedGraph, src: int | None = None) -> np.ndarray:
     return dist[labels] if src is not None else dist[np.ix_(labels, labels)]
 
 
-def _unit_weights(mat) -> bool:
-    return bool((mat.data == 1).all())
+#: Word operations per source and per vertex or stored entry of the quotient
+#: CSR that the searches the bit-parallel BFS replaces cost at least: csgraph
+#: Dijkstra in all_pairs (paths are its cheapest case), and _band_hits in
+#: shortest_path_hits. Fitted on 2 cores to paths, cycles, brooms, lollipops,
+#: caterpillars, ladders, grids, random trees and 3-regular graphs of 100 to
+#: 4000 vertices, so that neither search gets slower than its rival but by
+#: a few milliseconds on graphs of a few hundred vertices.
+_DIJKSTRA_OPS = 8
+_BAND_OPS = 16
+
+
+def _bfs_pays(mat, rival_ops: int) -> bool:
+    """Whether the bit-parallel BFS should run on the CSR mat in place of a
+    search that costs rival_ops word operations per source and per vertex or
+    stored entry.
+
+    Only unit weights qualify. The BFS runs a level per distance up to the
+    largest diameter D; a level gathers each row of ceil(k / 64) words once
+    per neighbour slot and a few more times besides, and once (at about four
+    times the cost) per neighbour past the slots. On long paths that
+    D k^2 / 64 outgrows the rival's k (k + nnz)."""
+    if not (mat.data == 1).all():
+        return False
+    k = mat.shape[0]
+    deg = np.diff(mat.indptr)
+    slots = min(int(deg.max(initial=0)), _SLOTS)
+    rows = (k + 1) * (slots + 3) + 4 * int(np.maximum(deg - _SLOTS, 0).sum())
+    levels = _diameter_estimate(mat) + 1
+    return levels * ((k + 63) // 64) * rows <= rival_ops * k * (k + mat.nnz)
+
+
+def _diameter_estimate(mat) -> int:
+    """Largest eccentricity that a double sweep finds over the components of
+    the CSR mat: a BFS from the lowest vertex of each component, then one
+    from the vertex that BFS reached last. At least half the largest
+    diameter, and exact on trees."""
+    k = mat.shape[0]
+    _, comp = connected_components(mat, directed=False)
+    starts = np.unique(comp, return_index=True)[1]
+    for _ in range(2):
+        # One BFS from every start at once, through a root k linked to them.
+        root = csr_matrix(
+            (np.ones(mat.nnz + starts.size), np.concatenate([mat.indices, starts]),
+             np.append(mat.indptr, mat.nnz + starts.size)),
+            shape=(k + 1, k + 1),
+        )
+        order, pred = breadth_first_order(root, k, return_predecessors=True)
+        # In BFS order the last vertex of each component is a farthest one.
+        last = order[:0:-1]
+        starts = last[np.unique(comp[last], return_index=True)[1]]
+    depth, v = -1, order[-1]
+    while v != k:
+        v, depth = pred[v], depth + 1
+    return max(depth, 0)
 
 
 #: Word of the bit-parallel searches: bit i of word j of a row stands for
@@ -459,9 +513,10 @@ def shortest_path_hits(dm: DenseDistanceMatrix, mask) -> np.ndarray:
     through the component labels. On that quotient, Brandes-style propagation
     (Brandes 2001) decides every pair: hit[u, v] holds iff u or v is masked
     or hit[u, x] holds for a tight in-edge x->v, one with
-    d(u,x) + w = d(u,v). With unit quotient weights it rides the bit-parallel
-    BFS of all_pairs level by level (_bfs_hits); otherwise it reads the
-    distances of dm (_band_hits).
+    d(u,x) + w = d(u,v). With unit quotient weights, unless the quotient's
+    diameter is long for its size (_bfs_pays), it rides the bit-parallel BFS
+    of all_pairs level by level (_bfs_hits); otherwise it reads the
+    distances of dm in distance bands (_band_hits).
     """
     g, n = dm.graph, dm.n
     labels, mat = _search_matrix(g)
@@ -470,7 +525,7 @@ def shortest_path_hits(dm: DenseDistanceMatrix, mask) -> np.ndarray:
         mask = np.bincount(labels[mask], minlength=mat.shape[0]) > 0
     if not mask.any():
         return np.zeros((n, n), dtype=bool)
-    if _unit_weights(mat):
+    if _bfs_pays(mat, _BAND_OPS):
         hit = _bfs_hits(mat, mask)
     elif labels is None:
         hit = _band_hits(mat, dm.matrix(), mask)

@@ -521,7 +521,14 @@ def _word_boundary_masks(n: int, rng) -> list[np.ndarray]:
     return masks
 
 
-def test_word_boundary_all_pairs_match_networkx():
+def _refuse(*args, **kwargs):
+    raise AssertionError("rival search called")
+
+
+def test_word_boundary_all_pairs_match_networkx(monkeypatch):
+    import hublab.graph_core as graph_core
+
+    monkeypatch.setattr(graph_core, "dijkstra", _refuse)
     for g in _word_boundary_graphs():
         _, expected = _nx_distances(g)
         dm = all_pairs(g)
@@ -529,7 +536,10 @@ def test_word_boundary_all_pairs_match_networkx():
         assert [dm.row(src).tolist() for src in range(g.n)] == expected, g
 
 
-def test_word_boundary_hits_match_oracle():
+def test_word_boundary_hits_match_oracle(monkeypatch):
+    import hublab.graph_core as graph_core
+
+    monkeypatch.setattr(graph_core, "_band_hits", _refuse)
     rng = np.random.default_rng(5)
     for g in _word_boundary_graphs():
         dm = all_pairs(g)
@@ -539,7 +549,7 @@ def test_word_boundary_hits_match_oracle():
             assert (hit == oracle_hits(dm, mask)).all(), (g, np.flatnonzero(mask))
 
 
-def test_unit_quotients_never_run_dijkstra(monkeypatch):
+def test_short_unit_quotients_never_run_dijkstra(monkeypatch):
     import hublab.graph_core as graph_core
 
     def refuse(*args, **kwargs):
@@ -561,3 +571,63 @@ def test_unit_quotients_never_run_dijkstra(monkeypatch):
         all_pairs(general)
     with pytest.raises(AssertionError, match="dijkstra called"):
         distances_from(unit, 0)
+
+
+def test_long_unit_quotients_run_dijkstra_and_band_hits(monkeypatch):
+    """On a path, whose diameter is its size, the bit-parallel BFS would
+    cost D k^2 / 64 word operations; all_pairs runs Dijkstra and
+    shortest_path_hits the band kernel instead, for unit and {0,1} weights."""
+    import hublab.graph_core as graph_core
+
+    calls = []
+    for name in ("dijkstra", "_bfs_distances", "_bfs_hits", "_band_hits"):
+        def record(*args, _real=getattr(graph_core, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(graph_core, name, record)
+    n = 1200
+    for ws in (np.ones(n - 1, dtype=np.int64), (np.arange(n - 1) % 3 != 2).astype(np.int64)):
+        g = WeightedGraph(n, [(i, i + 1, int(w)) for i, w in enumerate(ws)])
+        calls.clear()
+        dm = all_pairs(g)
+        pos = np.concatenate([[0], np.cumsum(ws)])
+        assert (dm.matrix() == np.abs(pos[:, None] - pos[None, :])).all()
+        mask = np.zeros(n, dtype=bool)
+        mask[[0, 63, 64, 700]] = True
+        assert (shortest_path_hits(dm, mask) == oracle_hits(dm, mask)).all()
+        assert calls == ["dijkstra", "_band_hits"], g
+
+
+def _hop_diameter(mat) -> int:
+    from scipy.sparse.csgraph import dijkstra
+
+    hops = dijkstra(mat, unweighted=True)
+    return int(hops[np.isfinite(hops)].max(initial=0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(max_n=12, min_weight=0, max_weight=1))
+def test_diameter_estimate_within_a_factor_two(g):
+    from hublab.graph_core import _diameter_estimate, _search_matrix
+
+    _, mat = _search_matrix(g)
+    est = _diameter_estimate(mat)
+    assert est <= _hop_diameter(mat) <= 2 * est
+
+
+def test_diameter_estimate_exact_on_forests():
+    from hublab.graph_core import _diameter_estimate, _search_matrix
+
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 40, 300):
+        for _ in range(5):
+            # two random trees and an isolated vertex, under shuffled ids
+            ids = rng.permutation(n + 1)
+            half = n // 2
+            edges = [(int(ids[rng.integers(0, i)]), int(ids[i]), 1) for i in range(1, half)]
+            edges += [
+                (int(ids[half + rng.integers(0, i - half)]), int(ids[i]), 1) for i in range(half + 1, n)
+            ]
+            _, mat = _search_matrix(WeightedGraph(n + 1, edges))
+            assert _diameter_estimate(mat) == _hop_diameter(mat)
