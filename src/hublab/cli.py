@@ -349,20 +349,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hublab",
         description="Hub labeling toolkit: generators, builder, verifiers, audits, protocol.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed recorded in reports")
-    common.add_argument(
+    # Shared flags, each given only to the subcommands that read it.
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--report", help="also write the report/table to this path")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="RNG seed recorded in reports")
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument(
         "--vertex-cap",
         type=int,
         default=family_gen.DEFAULT_VERTEX_CAP,
         help="refuse to generate instances above this vertex count",
     )
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--report", help="also write the report/table to this path")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "csv"), default="json")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a family instance")
+    p = sub.add_parser("gen", parents=[report, cap], help="generate a family instance")
     p.add_argument("--kind", choices=("H", "G", "Gprime"), required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
@@ -370,41 +374,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("build", parents=[common], help="run the labeling pipeline")
+    p = sub.add_parser("build", parents=[report, seed], help="run the labeling pipeline")
     p.add_argument("--graph", required=True)
     p.add_argument("--D", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("verify", parents=[common], help="verify a labeling against the oracle")
+    p = sub.add_parser("verify", parents=[report], help="verify a labeling against the oracle")
     p.add_argument("--graph", required=True)
     p.add_argument("--labels", required=True)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("closure", parents=[common], help="monotone closure of a labeling")
+    p = sub.add_parser("closure", parents=[report], help="monotone closure of a labeling")
     p.add_argument("--graph", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_closure)
 
-    p = sub.add_parser("stats", parents=[common], help="size statistics of a label file")
+    p = sub.add_parser("stats", parents=[report], help="size statistics of a label file")
     p.add_argument("--labels", required=True)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("audit", parents=[], help="structural audits")
     audit_sub = p.add_subparsers(dest="audit_command", required=True)
-    pl = audit_sub.add_parser("lemma1", parents=[common], help="unique midpoint paths")
+    pl = audit_sub.add_parser("lemma1", parents=[report, seed], help="unique midpoint paths")
     pl.add_argument("--graph", required=True)
     pl.add_argument("--meta", required=True)
     pl.add_argument("--sample", type=int, default=None)
     pl.set_defaults(func=_cmd_audit_lemma1)
-    pc = audit_sub.add_parser("counting", parents=[common], help="closure counting bound")
+    pc = audit_sub.add_parser("counting", parents=[report], help="closure counting bound")
     pc.add_argument("--graph", required=True)
     pc.add_argument("--meta", required=True)
     pc.add_argument("--labels", required=True)
     pc.set_defaults(func=_cmd_audit_counting)
 
-    p = sub.add_parser("sumindex", parents=[common], help="run the protocol simulator")
+    p = sub.add_parser(
+        "sumindex", parents=[report, seed, cap, fmt], help="run the protocol simulator"
+    )
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--bits", required=True)
@@ -414,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("oracle", "hub"), default="oracle")
     p.set_defaults(func=_cmd_sumindex)
 
-    p = sub.add_parser("bench", parents=[common], help="size-vs-threshold sweep")
+    p = sub.add_parser("bench", parents=[report, seed, fmt], help="size-vs-threshold sweep")
     p.add_argument("--graph", required=True)
     p.add_argument("--D-range", required=True, help="comma-separated thresholds, e.g. 2,4,8")
     p.set_defaults(func=_cmd_bench)

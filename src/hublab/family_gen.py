@@ -4,9 +4,10 @@ vertices."""
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,16 +61,6 @@ class LevelCoord(NamedTuple):
 
 
 @dataclass
-class _ExpansionInfo:
-    """Bookkeeping for mid-level deletions: which expansion vertices belong to
-    each level vertex and each subdivided edge."""
-
-    tree_ids: dict[int, list[int]]
-    edge_aux: dict[tuple[int, int], list[int]]
-    h_edges: tuple[tuple[int, int, int], ...]
-
-
-@dataclass
 class FamilyInstance:
     graph: WeightedGraph
     params: FamilyParams
@@ -77,15 +68,12 @@ class FamilyInstance:
     coord_to_id: dict[LevelCoord, int]
     id_roles: list[str]
     removed: frozenset[LevelCoord] = frozenset()
-    expansion: _ExpansionInfo | None = field(default=None, repr=False)
+    # Set by expand_to_G: for every vertex, the level vertex whose removal
+    # drops it (see delete_level_mid).
+    anchor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def id_of(self, level: int, coords) -> int:
         return self.coord_to_id[LevelCoord(level, tuple(coords))]
-
-    def level_coords(self, level: int) -> Iterator[LevelCoord]:
-        for key in self.coord_to_id:
-            if key.level == level:
-                yield key
 
 
 def coords_of_index(idx: int, params: FamilyParams) -> tuple[int, ...]:
@@ -191,19 +179,22 @@ def expand_to_G(inst: FamilyInstance, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -
         raise ResourceLimitError(f"expansion needs about {est} vertices, cap is {vertex_cap}")
 
     edges: list[tuple[int, int, int]] = []
-    tree_ids: dict[int, list[int]] = {v: [] for v in range(n_level)}
     in_block: dict[int, int] = {}
     out_block: dict[int, int] = {}
     roles = [ROLE_LEVEL] * n_level
+    # Runs of consecutive ids and the level vertex each run is anchored to.
+    anchor_of_run = list(range(n_level))
+    run_length = [1] * n_level
     next_id = n_level
 
     def add_tree(owner: int) -> int:
         nonlocal next_id
         block = next_id
         next_id += tree_size
-        tree_ids[owner].extend(range(block, block + tree_size))
         roles.extend([ROLE_TREE_INTERNAL] * (s - 1))
         roles.extend([ROLE_TREE_LEAF] * s)
+        anchor_of_run.append(owner)
+        run_length.append(tree_size)
         edges.append((owner, block, 1))
         # Heap layout: node h at block + h - 1, children 2h and 2h + 1.
         for h in range(1, s):
@@ -222,8 +213,6 @@ def expand_to_G(inst: FamilyInstance, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -
     def leaf_id(block: int, k: int) -> int:
         return block + s - 1 + k
 
-    edge_aux: dict[tuple[int, int], list[int]] = {}
-    h_edges = []
     for u, v, w in zip(eu.tolist(), ev.tolist(), ew.tolist()):
         # u sits one level below v by construction of build_H.
         i = u // per_level
@@ -237,13 +226,15 @@ def expand_to_G(inst: FamilyInstance, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -
         aux = list(range(next_id, next_id + n_aux))
         next_id += n_aux
         roles.extend([ROLE_AUX] * n_aux)
+        # The path dies with its mid-level endpoint; u is never removed when
+        # neither endpoint sits on level ell.
+        anchor_of_run.append(v if i + 1 == ell else u)
+        run_length.append(n_aux)
         prev = start
         for a in aux:
             edges.append((prev, a, 1))
             prev = a
         edges.append((prev, end, 1))
-        edge_aux[(u, v)] = aux
-        h_edges.append((u, v, w))
 
     graph = WeightedGraph(next_id, edges)
     return FamilyInstance(
@@ -252,7 +243,7 @@ def expand_to_G(inst: FamilyInstance, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -
         kind=KIND_G,
         coord_to_id=dict(inst.coord_to_id),
         id_roles=roles,
-        expansion=_ExpansionInfo(tree_ids=tree_ids, edge_aux=edge_aux, h_edges=tuple(h_edges)),
+        anchor=np.repeat(anchor_of_run, run_length),
     )
 
 
@@ -265,53 +256,38 @@ def delete_level_mid(inst: FamilyInstance, keep: Callable[[LevelCoord], bool]) -
     """
     if inst.kind != KIND_G:
         raise ValueError("deletion applies to expanded instances")
-    params = inst.params
-    per_level = params.level_size
-    mid = params.ell
-    info = inst.expansion
-    removed_coords = []
-    dropped = np.zeros(inst.graph.n, dtype=bool)
-    for idx in range(per_level):
-        coord = LevelCoord(mid, coords_of_index(idx, params))
-        if keep(coord):
-            continue
-        removed_coords.append(coord)
-        v = inst.coord_to_id[coord]
-        dropped[v] = True
-        dropped[info.tree_ids[v]] = True
-        for (a, b_), aux in info.edge_aux.items():
-            if a == v or b_ == v:
-                if aux:
-                    dropped[aux] = True
-    if not removed_coords:
-        return FamilyInstance(
-            graph=inst.graph,
-            params=params,
-            kind=KIND_G_PRIME,
-            coord_to_id=dict(inst.coord_to_id),
-            id_roles=list(inst.id_roles),
-            removed=frozenset(),
+    if inst.anchor is None:
+        raise ValueError(
+            "deletion needs the instance expand_to_G returned, not one read from files"
         )
-    keep_mask = ~dropped
+    params = inst.params
+    mid_coords = (
+        LevelCoord(params.ell, coords_of_index(idx, params)) for idx in range(params.level_size)
+    )
+    removed = frozenset(coord for coord in mid_coords if not keep(coord))
+    gone = np.zeros(params.num_levels * params.level_size, dtype=bool)
+    gone[[inst.coord_to_id[coord] for coord in removed]] = True
+    keep_mask = ~gone[inst.anchor]
     new_ids = np.cumsum(keep_mask) - 1
-    eu, ev, ew = inst.graph.edge_arrays()
-    emask = keep_mask[eu] & keep_mask[ev]
-    new_edges = np.stack([new_ids[eu[emask]], new_ids[ev[emask]], ew[emask]], axis=1)
-    n_new = int(keep_mask.sum())
-    graph = WeightedGraph(n_new, new_edges, validate=False)
+    graph = inst.graph
+    if removed:
+        eu, ev, ew = graph.edge_arrays()
+        emask = keep_mask[eu] & keep_mask[ev]
+        new_edges = np.stack([new_ids[eu[emask]], new_ids[ev[emask]], ew[emask]], axis=1)
+        n_new = int(keep_mask.sum())
+        graph = WeightedGraph(n_new, new_edges, validate=False)
     coord_to_id = {
         coord: int(new_ids[old])
         for coord, old in inst.coord_to_id.items()
         if keep_mask[old]
     }
-    roles_arr = np.array(inst.id_roles, dtype=object)[keep_mask]
     return FamilyInstance(
         graph=graph,
         params=params,
         kind=KIND_G_PRIME,
         coord_to_id=coord_to_id,
-        id_roles=list(roles_arr),
-        removed=frozenset(removed_coords),
+        id_roles=list(itertools.compress(inst.id_roles, keep_mask.tolist())),
+        removed=removed,
     )
 
 

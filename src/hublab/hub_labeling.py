@@ -188,14 +188,19 @@ def query(hl: HubLabeling, u: int, v: int):
     return UNREACHABLE if best == _NO_SUM else best
 
 
-def _ceil_log2(x: int) -> int:
+def ceil_log2(x: int) -> int:
+    """Bits needed to tell x values apart (0 for x <= 1)."""
     return (x - 1).bit_length() if x >= 1 else 0
 
 
-def bit_estimate(hl: HubLabeling, diameter: int) -> int:
+def entry_bits(n: int, diameter: int) -> int:
     """Accounting convention: every entry costs id bits plus distance bits."""
-    per_entry = _ceil_log2(hl.n) + _ceil_log2(diameter + 1)
-    return hl.total_size * per_entry
+    return ceil_log2(n) + ceil_log2(diameter + 1)
+
+
+def bit_estimate(hl: HubLabeling, diameter: int) -> int:
+    """Bits of the whole labeling at entry_bits per entry."""
+    return hl.total_size * entry_bits(hl.n, diameter)
 
 
 def verify_cover(

@@ -22,7 +22,7 @@ from .family_gen import (
     expand_to_G,
 )
 from .graph_core import distance_between, distances_from
-from .hub_labeling import query as hub_query
+from .hub_labeling import ceil_log2, entry_bits, query as hub_query
 from .upperbound_builder import BuilderConfig, BuildResult, build_for_graph
 
 
@@ -40,6 +40,11 @@ class SumIndexInstance:
     @property
     def m(self) -> int:
         return (self.params.s // 2) ** self.params.ell
+
+    @property
+    def index_bits(self) -> int:
+        """Bits of the index each player sends with its label."""
+        return ceil_log2(self.m) if self.m > 1 else 1
 
 
 @dataclass(frozen=True)
@@ -86,16 +91,14 @@ def build_base_graph(params: FamilyParams, *, vertex_cap: int = DEFAULT_VERTEX_C
 
 
 def build_instance_graph(
-    inst: SumIndexInstance,
-    *,
-    base: FamilyInstance | None = None,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
+    inst: SumIndexInstance, *, base: FamilyInstance | None = None
 ) -> FamilyInstance:
     """Deleted variant encoding the bit string: mid-level vertex v_{ell,x}
-    survives iff bits[repr(x)] is 1. Each bit controls 2^ell mid vertices."""
+    survives iff bits[repr(x)] is 1. Each bit controls 2^ell mid vertices.
+    A caller that needs a vertex cap passes base built with it."""
     params = inst.params
     if base is None:
-        base = build_base_graph(params, vertex_cap=vertex_cap)
+        base = build_base_graph(params)
     bits = inst.bits
 
     def keep(coord: LevelCoord) -> bool:
@@ -112,16 +115,12 @@ def ideal_distance(params: FamilyParams, xs, zs) -> int:
     )
 
 
-def _ceil_log2(x: int) -> int:
-    return (x - 1).bit_length() if x >= 1 else 0
-
-
 def _oracle_label_bits(params: FamilyParams, n: int) -> int:
     # Accounting convention for the no-labeling baseline: a full distance row,
     # each entry wide enough for the largest finite distance plus a
     # reachability flag.
     upper = (2 * params.ell + 1) * (params.base_weight + (params.s - 1) ** 2)
-    return n * (_ceil_log2(upper + 1) + 1)
+    return n * (ceil_log2(upper + 1) + 1)
 
 
 def run_protocol(
@@ -129,49 +128,39 @@ def run_protocol(
     a: int,
     b: int,
     *,
-    mode: str = "oracle",
-    base: FamilyInstance | None = None,
-    gprime: FamilyInstance | None = None,
-    builder: BuilderConfig | None = None,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
+    gprime: FamilyInstance,
     hub_build: BuildResult | None = None,
 ) -> SumIndexTranscript:
-    """One protocol round. The decoded bit is 1 iff the measured distance
-    equals the ideal unique-path length; disconnection decodes 0.
+    """One protocol round on gprime, the deleted graph build_instance_graph
+    returns for inst. The decoded bit is 1 iff the measured distance equals
+    the ideal unique-path length; disconnection decodes 0.
 
-    mode "oracle" measures exact distances; mode "hub" answers the query from
-    a hub labeling of the deleted graph, pricing messages by the labeling's
-    bit convention. That labeling is hub_build, the build_for_graph result for
-    gprime, when given, and is built from builder otherwise.
+    Without hub_build the round measures exact distances (oracle mode). With
+    it, the build_for_graph result for gprime, the round answers the query
+    from that hub labeling and prices messages by its bit convention (hub
+    mode).
     """
     params = inst.params
     m = inst.m
     if not 0 <= a < m or not 0 <= b < m:
         raise ValueError(f"indices must lie in [0, {m})")
-    if mode not in ("oracle", "hub"):
-        raise ValueError(f"unknown labeling mode {mode!r}")
+    if gprime.kind != KIND_G_PRIME:
+        raise ValueError("protocol runs on the deleted instance")
     xs = repr_decode(a, params)
     zs = repr_decode(b, params)
     alice = LevelCoord(0, tuple(2 * x for x in xs))
     bob = LevelCoord(2 * params.ell, tuple(2 * z for z in zs))
-    if gprime is None:
-        gprime = build_instance_graph(inst, base=base, vertex_cap=vertex_cap)
-    if gprime.kind != KIND_G_PRIME:
-        raise ValueError("protocol runs on the deleted instance")
     u = gprime.coord_to_id[alice]
     v = gprime.coord_to_id[bob]
-    index_bits = _ceil_log2(m) if m > 1 else 1
-    if mode == "oracle":
+    if hub_build is None:
         measured = distance_between(gprime.graph, u, v)
-        label_bits = _oracle_label_bits(params, gprime.graph.n)
-        alice_bits = bob_bits = label_bits + index_bits
+        alice_bits = bob_bits = _oracle_label_bits(params, gprime.graph.n) + inst.index_bits
     else:
-        result = hub_build or build_for_graph(gprime.graph, builder or BuilderConfig())
-        hl = result.labeling
+        hl = hub_build.labeling
         measured = hub_query(hl, u, v)
-        per_entry = _ceil_log2(hl.n) + _ceil_log2(result.report.diameter + 1)
-        alice_bits = hl.size(u) * per_entry + index_bits
-        bob_bits = hl.size(v) * per_entry + index_bits
+        per_entry = entry_bits(hl.n, hub_build.report.diameter)
+        alice_bits = hl.size(u) * per_entry + inst.index_bits
+        bob_bits = hl.size(v) * per_entry + inst.index_bits
     ideal = ideal_distance(params, xs, zs)
     decoded = 1 if measured == ideal else 0
     expected = int(inst.bits[(a + b) % m])
@@ -189,27 +178,32 @@ def run_protocol(
     )
 
 
+def _hub_build(
+    gprime: FamilyInstance, mode: str, builder: BuilderConfig | None
+) -> BuildResult | None:
+    """The labeling of gprime that hub mode answers from; None in oracle mode."""
+    if mode not in ("oracle", "hub"):
+        raise ValueError(f"unknown labeling mode {mode!r}")
+    if mode == "oracle":
+        return None
+    return build_for_graph(gprime.graph, builder or BuilderConfig())
+
+
 def sweep(
     inst: SumIndexInstance,
     *,
     mode: str = "oracle",
     base: FamilyInstance | None = None,
     pairs=None,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
     builder: BuilderConfig | None = None,
 ) -> list[SumIndexTranscript]:
     """Run the protocol on every (a, b) pair, or on the given pairs, against a
     single deleted graph. Hub mode builds that graph's labeling once."""
-    gprime = build_instance_graph(inst, base=base, vertex_cap=vertex_cap)
-    hub_build = None
-    if mode == "hub":
-        hub_build = build_for_graph(gprime.graph, builder or BuilderConfig())
+    gprime = build_instance_graph(inst, base=base)
+    hub_build = _hub_build(gprime, mode, builder)
     if pairs is None:
         pairs = itertools.product(range(inst.m), repeat=2)
-    return [
-        run_protocol(inst, a, b, mode=mode, gprime=gprime, hub_build=hub_build)
-        for a, b in pairs
-    ]
+    return [run_protocol(inst, a, b, gprime=gprime, hub_build=hub_build) for a, b in pairs]
 
 
 def measure_message_size(
@@ -218,28 +212,24 @@ def measure_message_size(
     mode: str = "oracle",
     base: FamilyInstance | None = None,
     builder: BuilderConfig | None = None,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> tuple[int, float]:
     """(max, average) message size in bits over the endpoint vertices of the
     deleted graph, including the transmitted index."""
     params = inst.params
-    gprime = build_instance_graph(inst, base=base, vertex_cap=vertex_cap)
+    gprime = build_instance_graph(inst, base=base)
+    hub_build = _hub_build(gprime, mode, builder)
     endpoints = [
         vid
         for coord, vid in gprime.coord_to_id.items()
         if coord.level in (0, 2 * params.ell)
     ]
-    index_bits = _ceil_log2(inst.m) if inst.m > 1 else 1
     sizes = []
-    if mode == "oracle":
+    if hub_build is None:
         for vid in endpoints:
             ecc = int(distances_from(gprime.graph, vid).max())
-            sizes.append(gprime.graph.n * (_ceil_log2(max(ecc, 0) + 1) + 1) + index_bits)
-    elif mode == "hub":
-        result = build_for_graph(gprime.graph, builder or BuilderConfig())
-        per_entry = _ceil_log2(result.labeling.n) + _ceil_log2(result.report.diameter + 1)
-        for vid in endpoints:
-            sizes.append(result.labeling.size(vid) * per_entry + index_bits)
+            sizes.append(gprime.graph.n * (ceil_log2(max(ecc, 0) + 1) + 1) + inst.index_bits)
     else:
-        raise ValueError(f"unknown labeling mode {mode!r}")
+        per_entry = entry_bits(hub_build.labeling.n, hub_build.report.diameter)
+        for vid in endpoints:
+            sizes.append(hub_build.labeling.size(vid) * per_entry + inst.index_bits)
     return max(sizes), sum(sizes) / len(sizes)

@@ -527,6 +527,7 @@ def build_for_graph(
     in reduced builds, whose stage labeling is verified only to tell which
     side broke). A failed check raises CoverVerificationError."""
     cfg = cfg or BuilderConfig()
+    # The verifier's own search, so certification never trusts reduce_degree's distances.
     dm = all_pairs(g, pair_cap=pair_cap)
     stage_graph, stage_dm, reduced_info = g, dm, None
     if needs_reduction(g):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hublab.cli import main
+from hublab.cli import build_parser, main
 from hublab.family_gen import FamilyParams, build_H
 from hublab.graph_core import WeightedGraph, all_pairs, read_graph, write_graph
 from hublab.hub_labeling import baseline_full, read_labels, write_labels
@@ -235,6 +235,38 @@ def test_bench_three_regular_rows(capsys, tmp_path):
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
+    assert exc.value.code == 2
+
+
+# Each subcommand's required arguments, and the shared flags it does not read.
+SUBCOMMANDS_UNREAD_FLAGS = [
+    (["gen", "--kind", "H", "--b", "1", "--ell", "1", "--out", "x"], ["--seed", "--format"]),
+    (["build", "--graph", "g", "--out", "l"], ["--vertex-cap", "--format"]),
+    (["verify", "--graph", "g", "--labels", "l"], ["--seed", "--vertex-cap", "--format"]),
+    (["closure", "--graph", "g", "--labels", "l", "--out", "c"], ["--seed", "--vertex-cap", "--format"]),
+    (["stats", "--labels", "l"], ["--seed", "--vertex-cap", "--format"]),
+    (["audit", "lemma1", "--graph", "g", "--meta", "m"], ["--vertex-cap", "--format"]),
+    (
+        ["audit", "counting", "--graph", "g", "--meta", "m", "--labels", "l"],
+        ["--seed", "--vertex-cap", "--format"],
+    ),
+    (["bench", "--graph", "g", "--D-range", "2"], ["--vertex-cap"]),
+]
+FLAG_VALUES = {"--seed": "1", "--vertex-cap": "10", "--format": "json"}
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(argv, flag, id=" ".join(argv[: 2 if argv[0] == "audit" else 1] + [flag]))
+        for argv, flags in SUBCOMMANDS_UNREAD_FLAGS
+        for flag in flags
+    ],
+)
+def test_unread_flag_is_rejected(argv, flag):
+    build_parser().parse_args(argv + ["--report", "r"])  # parses without the flag
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, FLAG_VALUES[flag]])
     assert exc.value.code == 2
 
 

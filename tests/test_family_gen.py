@@ -249,6 +249,17 @@ def test_metadata_round_trip(tmp_path):
     assert loaded.params == gp.params
 
 
+def test_delete_rejects_instance_read_from_files(tmp_path):
+    g = expand_to_G(build_H(FamilyParams(1, 1)))
+    gpath, mpath = tmp_path / "g.txt", tmp_path / "g.meta.json"
+    write_graph(g.graph, gpath)
+    write_metadata(g, mpath)
+    loaded = instance_from_files(read_graph(gpath), read_metadata(mpath))
+    assert loaded.kind == KIND_G
+    with pytest.raises(ValueError, match="expand_to_G"):
+        delete_level_mid(loaded, lambda c: True)
+
+
 def test_deterministic_rebuild():
     a = build_H(FamilyParams(2, 2))
     b = build_H(FamilyParams(2, 2))

@@ -13,9 +13,10 @@ import json
 import pytest
 
 from hublab.corpus import erdos_renyi_m, grid_graph, random_regular_graph, star_graph
-from hublab.family_gen import FamilyParams, build_H, expand_to_G
-from hublab.graph_core import WeightedGraph, all_pairs
+from hublab.family_gen import FamilyParams, build_H, expand_to_G, write_metadata
+from hublab.graph_core import WeightedGraph, all_pairs, write_graph
 from hublab.hub_labeling import baseline_full, format_labels, monotone_closure
+from hublab.sumindex_protocol import SumIndexInstance, build_instance_graph
 from hublab.upperbound_builder import BuilderConfig, build_for_graph, reduce_degree
 
 
@@ -179,3 +180,52 @@ def test_golden_closure_digests(name):
 def test_golden_corpus_label_digests(corpus_results):
     got = {name: _digest(format_labels(res.labeling)) for name, _, res in corpus_results}
     assert got == CORPUS_LABELS
+
+
+# SHA-256 of the write_graph and write_metadata text of generated instances,
+# recorded while mid-level deletion still looked up each removed vertex's
+# trees and subdivided edges in per-vertex and per-edge lists:
+# (graph file digest, metadata file digest).
+INSTANCES = {
+    "G12": (
+        "65fd31198e49874c3993a4f89d84b1cfd7cdcfa14d056f5809b74f0b25ea96e7",
+        "8fe557c77ececfcd5a5ff07543bc7dccc3cb36d1be13f5447d3d6779f94b233d",
+    ),
+    "G22": (
+        "7f28e209c018ce2eb3d26b0a3a9bf63a76c04159f89e4494617a43cf4cc38bef",
+        "7a210ff34777cb048fd0135acef61173a560b35a9f9dd92241b8ca0e51c275d5",
+    ),
+    "G'22-1111": (
+        "7f28e209c018ce2eb3d26b0a3a9bf63a76c04159f89e4494617a43cf4cc38bef",
+        "8cd1531169471a4e736d396820055552f2c1b211a53756894f52f3ea3106e221",
+    ),
+    "G'22-1001": (
+        "cc64fa80a68df07a5f058080cbdcb1e497c8c9fa99f299d1710a8f84339a69d5",
+        "03618acfae8f1b7f1f7d4dbf4e03d0e26d3f9a195fc4fc94ed89530775803834",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def g22_instance():
+    return expand_to_G(build_H(FamilyParams(2, 2)))
+
+
+def _instance(name: str, g22):
+    if name == "G12":
+        return expand_to_G(build_H(FamilyParams(1, 2)))
+    if name == "G22":
+        return g22
+    bits = name.rpartition("-")[2]
+    return build_instance_graph(SumIndexInstance(FamilyParams(2, 2), bits), base=g22)
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_golden_instance_file_digests(name, g22_instance, tmp_path):
+    inst = _instance(name, g22_instance)
+    write_graph(inst.graph, tmp_path / "g.txt")
+    write_metadata(inst, tmp_path / "g.meta.json")
+    got = tuple(
+        hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in ("g.txt", "g.meta.json")
+    )
+    assert got == INSTANCES[name]

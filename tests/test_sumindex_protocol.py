@@ -15,7 +15,7 @@ from hublab.sumindex_protocol import (
     run_protocol,
     sweep,
 )
-from hublab.upperbound_builder import BuilderConfig
+from hublab.upperbound_builder import BuilderConfig, build_for_graph
 
 P22 = FamilyParams(2, 2)
 
@@ -95,7 +95,7 @@ def test_protocol_all_ones_decodes_one():
 def test_protocol_removed_midpoint_decodes_zero():
     base = build_base_graph(P22)
     inst = SumIndexInstance(P22, "0111")
-    t = run_protocol(inst, 0, 0, base=base)
+    t = run_protocol(inst, 0, 0, gprime=build_instance_graph(inst, base=base))
     assert t.ideal_dist == 4 * 96
     assert t.measured_dist is UNREACHABLE or t.measured_dist > t.ideal_dist
     assert t.decoded == 0 == t.expected
@@ -103,10 +103,11 @@ def test_protocol_removed_midpoint_decodes_zero():
 
 def test_protocol_index_range_errors():
     inst = SumIndexInstance(P22, "1111")
+    gp = build_instance_graph(inst)
     with pytest.raises(ValueError):
-        run_protocol(inst, 4, 0)
+        run_protocol(inst, 4, 0, gprime=gp)
     with pytest.raises(ValueError):
-        run_protocol(inst, 0, -1)
+        run_protocol(inst, 0, -1, gprime=gp)
 
 
 def test_protocol_matches_lemma_length_formula():
@@ -118,7 +119,9 @@ def test_hub_mode_small_instance():
     p = FamilyParams(1, 1)
     for bits, expected in (("1", 1), ("0", 0)):
         inst = SumIndexInstance(p, bits)
-        t = run_protocol(inst, 0, 0, mode="hub", builder=BuilderConfig(seed=2))
+        gp = build_instance_graph(inst)
+        hub_build = build_for_graph(gp.graph, BuilderConfig(seed=2))
+        t = run_protocol(inst, 0, 0, gprime=gp, hub_build=hub_build)
         assert t.decoded == expected == t.expected
         assert t.alice_label_bits > 0 and t.bob_label_bits > 0
 
@@ -139,3 +142,9 @@ def test_sweep_small_exhaustive():
     transcripts = sweep(inst)
     assert len(transcripts) == 1
     assert all(t.decoded == t.expected for t in transcripts)
+
+
+@pytest.mark.parametrize("run", [sweep, measure_message_size])
+def test_unknown_mode_rejected(run):
+    with pytest.raises(ValueError, match="unknown labeling mode"):
+        run(SumIndexInstance(FamilyParams(1, 1), "1"), mode="exact")
