@@ -178,63 +178,52 @@ def expand_to_G(inst: FamilyInstance, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -
     if est > vertex_cap:
         raise ResourceLimitError(f"expansion needs about {est} vertices, cap is {vertex_cap}")
 
-    edges: list[tuple[int, int, int]] = []
-    in_block: dict[int, int] = {}
-    out_block: dict[int, int] = {}
-    roles = [ROLE_LEVEL] * n_level
-    # Runs of consecutive ids and the level vertex each run is anchored to.
-    anchor_of_run = list(range(n_level))
-    run_length = [1] * n_level
-    next_id = n_level
+    # Every vertex above level 0 gets an in-tree, then every vertex below the
+    # top an out-tree, tree after tree in vertex order; each tree takes
+    # tree_size consecutive ids in heap layout, node c's parent at (c - 1) // 2.
+    level = np.arange(n_level) // per_level
+    has_in = (level > 0).astype(np.int64)
+    per_vertex = has_in + (level < params.num_levels - 1)
+    tree_owner = np.repeat(np.arange(n_level), per_vertex)
+    block = n_level + np.arange(n_trees) * tree_size
+    in_block = n_level + (np.cumsum(per_vertex) - per_vertex) * tree_size
+    out_block = in_block + has_in * tree_size
+    kid = np.arange(1, tree_size)
+    tree_edges = [
+        np.c_[tree_owner, block],
+        np.c_[(block[:, None] + (kid - 1) // 2).ravel(), (block[:, None] + kid).ravel()],
+    ]
 
-    def add_tree(owner: int) -> int:
-        nonlocal next_id
-        block = next_id
-        next_id += tree_size
-        roles.extend([ROLE_TREE_INTERNAL] * (s - 1))
-        roles.extend([ROLE_TREE_LEAF] * s)
-        anchor_of_run.append(owner)
-        run_length.append(tree_size)
-        edges.append((owner, block, 1))
-        # Heap layout: node h at block + h - 1, children 2h and 2h + 1.
-        for h in range(1, s):
-            edges.append((block + h - 1, block + 2 * h - 1, 1))
-            edges.append((block + h - 1, block + 2 * h, 1))
-        return block
-
-    for level in range(params.num_levels):
-        for idx in range(per_level):
-            v = level * per_level + idx
-            if level > 0:
-                in_block[v] = add_tree(v)
-            if level < params.num_levels - 1:
-                out_block[v] = add_tree(v)
-
-    def leaf_id(block: int, k: int) -> int:
-        return block + s - 1 + k
-
-    for u, v, w in zip(eu.tolist(), ev.tolist(), ew.tolist()):
-        # u sits one level below v by construction of build_H.
-        i = u // per_level
-        c = _gap_coordinate(i, ell)
-        stride = s ** (c - 1)
-        ku = (v % per_level) // stride % s  # leaf of u's fan-out: v's coordinate
-        kv = (u % per_level) // stride % s  # leaf of v's fan-in: u's coordinate
-        start = leaf_id(out_block[u], ku)
-        end = leaf_id(in_block[v], kv)
-        n_aux = w - path_edge_deficit - 1
-        aux = list(range(next_id, next_id + n_aux))
-        next_id += n_aux
-        roles.extend([ROLE_AUX] * n_aux)
-        # The path dies with its mid-level endpoint; u is never removed when
-        # neither endpoint sits on level ell.
-        anchor_of_run.append(v if i + 1 == ell else u)
-        run_length.append(n_aux)
-        prev = start
-        for a in aux:
-            edges.append((prev, a, 1))
-            prev = a
-        edges.append((prev, end, 1))
+    # Every weighted edge (u one level below v, by construction of build_H)
+    # becomes a path from the leaf of u's out-tree at v's gap coordinate,
+    # through n_aux >= 1 auxiliary vertices with consecutive ids in edge
+    # order, to the leaf of v's in-tree at u's gap coordinate.
+    i = eu // per_level
+    stride = s ** (np.where(i < ell, i + 1, 2 * ell - i) - 1)
+    start = out_block[eu] + s - 1 + (ev % per_level) // stride % s
+    end = in_block[ev] + s - 1 + (eu % per_level) // stride % s
+    n_aux = ew - path_edge_deficit - 1
+    aux_base = n_level + n_trees * tree_size
+    next_id = aux_base + int(n_aux.sum())
+    first_aux = aux_base + np.cumsum(n_aux) - n_aux
+    last_aux = first_aux + n_aux - 1
+    inner = np.ones(next_id - aux_base, dtype=bool)  # auxiliary vertices but the last of a path
+    inner[last_aux - aux_base] = False
+    chain = aux_base + np.flatnonzero(inner)
+    path_edges = [np.c_[start, first_aux], np.c_[chain, chain + 1], np.c_[last_aux, end]]
+    edges = np.concatenate(tree_edges + path_edges)
+    edges = np.c_[edges, np.ones(len(edges), dtype=np.int64)]
+    roles = (
+        [ROLE_LEVEL] * n_level
+        + ([ROLE_TREE_INTERNAL] * (s - 1) + [ROLE_TREE_LEAF] * s) * n_trees
+        + [ROLE_AUX] * (next_id - aux_base)
+    )
+    # A path dies with its mid-level endpoint; u is never removed when
+    # neither endpoint sits on level ell.
+    path_anchor = np.where(i + 1 == ell, ev, eu)
+    anchor = np.concatenate(
+        [np.arange(n_level), np.repeat(tree_owner, tree_size), np.repeat(path_anchor, n_aux)]
+    )
 
     graph = WeightedGraph(next_id, edges)
     return FamilyInstance(
@@ -243,7 +232,7 @@ def expand_to_G(inst: FamilyInstance, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -
         kind=KIND_G,
         coord_to_id=dict(inst.coord_to_id),
         id_roles=roles,
-        anchor=np.repeat(anchor_of_run, run_length),
+        anchor=anchor,
     )
 
 

@@ -4,7 +4,7 @@ and monotone closures along fixed shortest-path trees."""
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +21,7 @@ from .graph_core import (
 )
 
 _INF32 = np.int32(1 << 29)
-_I64_MIN, _I64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+_I64_MAX = int(np.iinfo(np.int64).max)
 _NO_SUM = np.uint64(np.iinfo(np.uint64).max)
 #: Rows per block of the verifier's n x n passes.
 _ROWS = 256
@@ -40,43 +40,22 @@ class HubLabeling:
 
     __slots__ = ("n", "offsets", "hub", "dist")
 
-    def __init__(self, n: int, hubs: Iterable[Iterable[tuple[int, int]]]):
-        """One iterable of (hub, distance) pairs per vertex, in any order."""
-        counts, flat = [], []
-        for entries in hubs:
-            k = len(flat)
-            for h, d in entries:
-                flat.append(int(h))
-                flat.append(int(d))
-            counts.append((len(flat) - k) // 2)
-        owner = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        try:
-            pairs = np.array(flat, dtype=np.int64).reshape(-1, 2)
-        except OverflowError:
-            i = next(i for i, x in enumerate(flat) if not _I64_MIN <= x <= _I64_MAX)
-            what = ("hub id", "stored distance")[i % 2]
-            raise ValueError(
-                f"vertex {owner[i // 2]}: {what} {flat[i]} does not fit in 64 bits"
-            ) from None
-        self._set(int(n), len(counts), owner, pairs[:, 0], pairs[:, 1])
-
-    @classmethod
-    def from_entries(cls, n: int, owner, hub, dist) -> "HubLabeling":
+    def __init__(self, n: int, owner, hub, dist):
         """The labeling of n vertices with one entry (owner[i], hub[i],
-        dist[i]) per i; the same checks and merging as the constructor."""
-        hl = cls.__new__(cls)
-        hl._set(int(n), int(n), *(np.asarray(a, dtype=np.int64) for a in (owner, hub, dist)))
-        return hl
-
-    def _set(self, n: int, rows: int, owner, hub, dist) -> None:
-        """Validate flat int64 entries of `rows` rows and store them sorted,
-        with equal-distance duplicates merged. The first faulty entry in
-        the given order is reported."""
+        dist[i]) per i, in any order. Entries of one hub stored twice with
+        equal distances are merged; an owner or hub out of range, a negative
+        distance or two distances for one hub raise ValueError, which
+        reports the first faulty entry in the given order."""
+        n = int(n)
+        owner, hub, dist = (np.asarray(a, dtype=np.int64) for a in (owner, hub, dist))
         fault = (hub < 0) | (hub >= n) | (dist < 0)
         key = owner * n + hub
-        if rows == n and not fault.any() and bool((key[1:] > key[:-1]).all()):
+        if not fault.any() and bool((key[1:] > key[:-1]).all()) and (
+            owner.size == 0 or 0 <= owner[0] <= owner[-1] < n
+        ):
             first = np.ones(hub.size, dtype=bool)  # already sorted, no duplicates
         else:
+            fault |= (owner < 0) | (owner >= n)
             order = np.lexsort((hub, owner))
             owner, hub, dist, fault = owner[order], hub[order], dist[order], fault[order]
             first = np.ones(order.size, dtype=bool)
@@ -86,13 +65,13 @@ class HubLabeling:
                 bad = np.flatnonzero(fault)
                 j = bad[np.argmin(order[bad])]
                 v, h = owner[j], hub[j]
+                if not 0 <= v < n:
+                    raise ValueError(f"owner {v} out of range")
                 if not 0 <= h < n:
                     raise ValueError(f"vertex {v}: hub {h} out of range")
                 if dist[j] < 0:
                     raise ValueError(f"vertex {v}: negative stored distance")
                 raise ValueError(f"vertex {v}: conflicting distances for hub {h}")
-            if rows != n:
-                raise ValueError("hub sets must cover every vertex id")
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(owner[first], minlength=n), out=offsets[1:])
         self.n = n
@@ -332,7 +311,7 @@ def baseline_full(dm) -> HubLabeling:
     """Trivial upper baseline: every vertex stores all reachable vertices."""
     mat = dm.matrix()
     owner, hub = np.nonzero(mat >= 0)
-    return HubLabeling.from_entries(dm.n, owner, hub, mat[owner, hub])
+    return HubLabeling(dm.n, owner, hub, mat[owner, hub])
 
 
 def monotone_closure(hl: HubLabeling, dm) -> HubLabeling:
@@ -369,7 +348,7 @@ def monotone_closure(hl: HubLabeling, dm) -> HubLabeling:
         flat.append(np.flatnonzero(mark >= 0) + lo * n)
     flat = np.concatenate(flat)
     owner, hub = np.divmod(flat, max(n, 1))
-    return HubLabeling.from_entries(n, owner, hub, mat.reshape(-1)[flat])
+    return HubLabeling(n, owner, hub, mat.reshape(-1)[flat])
 
 
 # -- label file format -------------------------------------------------------
@@ -439,4 +418,4 @@ def read_labels(path) -> HubLabeling:
                 raise GraphFormatError(f"line {lineno}: number does not fit in 64 bits")
     pairs = nums.reshape(-1, 2)
     owner = np.repeat(np.arange(len(bodies)), counts)
-    return HubLabeling.from_entries(len(bodies), owner, pairs[:, 0], pairs[:, 1])
+    return HubLabeling(len(bodies), owner, pairs[:, 0], pairs[:, 1])

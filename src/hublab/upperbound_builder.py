@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,11 +70,14 @@ class BuilderConfig:
 
 @dataclass
 class BuilderArtifacts:
-    S: frozenset[int]
-    Q: dict[int, frozenset[int]]
-    R: dict[int, frozenset[int]]
-    F: dict[int, frozenset[int]]
-    colors: tuple[int, ...]
+    """The stage outputs: S as sorted ids, Q, R and F as ascending (owner,
+    member) rows, the colors, and the size of every bucket's matching."""
+
+    S: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+    F: np.ndarray
+    colors: np.ndarray
     matchings_log: dict[tuple[int, int, int], int]
 
 
@@ -103,6 +106,11 @@ def _resample(cfg: BuilderConfig, stage: int, name: str, n: int, D: int, draw):
     )
 
 
+def _rows(keys: np.ndarray, n: int) -> np.ndarray:
+    """(owner, member) rows of the keys owner * n + member."""
+    return np.stack(np.divmod(keys, max(n, 1)), axis=1)
+
+
 # -- shared pair classification ----------------------------------------------
 
 
@@ -110,19 +118,23 @@ def _resample(cfg: BuilderConfig, stage: int, name: str, n: int, D: int, draw):
 class PairIndex:
     """Per-graph classification of vertex pairs by candidate-set size.
 
-    small holds the explicit candidate set for every pair with |H_uv| <= D
-    (keys u < v). big[u, v] (upper triangle only) marks the reachable pairs
-    with |H_uv| >= D. A path of length d has at least ceil(d / wmax) edges,
-    so |H_uv| > D whenever d(u,v) > r = (D - 1) * wmax, and only the pairs
-    within r need explicit counts. "Forced" pairs (|H_uv| < D at distance
-    > D, possible only with weights above 1) are left to the cover stage.
+    small holds the (u, v) rows, u < v in ascending order, of every pair with
+    |H_uv| <= D; small_dist their distances, and cand[cand_ptr[i]:
+    cand_ptr[i + 1]] the candidates of row i in ascending order. big[u, v]
+    (upper triangle only) marks the reachable pairs with |H_uv| >= D. A path
+    of length d has at least ceil(d / wmax) edges, so |H_uv| > D whenever
+    d(u,v) > r = (D - 1) * wmax, and only the pairs within r need explicit
+    counts. The forced rows (|H_uv| < D at distance > D, possible only with
+    weights above 1) are left to the cover stage.
     """
 
     n: int
     D: int
-    small: dict[tuple[int, int], tuple[int, ...]]
-    small_dist: dict[tuple[int, int], int]
-    forced: tuple[tuple[int, int], ...]
+    small: np.ndarray
+    small_dist: np.ndarray
+    cand_ptr: np.ndarray
+    cand: np.ndarray
+    forced: np.ndarray
     big: np.ndarray
 
 
@@ -133,8 +145,7 @@ def build_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
     w = dm.graph.edge_arrays()[2]
     r = (D - 1) * (int(w.max()) if w.size else 1)
     big = np.triu(mat > r, 1)
-    small: dict[tuple[int, int], tuple[int, ...]] = {}
-    small_dist: dict[tuple[int, int], int] = {}
+    us, vs, sizes, cands = ([np.zeros(0, dtype=np.int64)] for _ in range(4))
     for u in range(n):
         ru = mat[u]
         ball = np.flatnonzero((ru >= 0) & (ru <= r))
@@ -145,24 +156,16 @@ def build_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
         mask = mat[ball[:, None], close] + ru[ball, None] == ru[close]
         counts = mask.sum(axis=0)
         big[u, close[counts >= D]] = True
-        for j in np.flatnonzero(counts <= D).tolist():
-            v = int(close[j])
-            small[(u, v)] = tuple(ball[mask[:, j]].tolist())
-            small_dist[(u, v)] = int(ru[v])
-    forced = tuple(
-        sorted(
-            (u, v)
-            for (u, v), H in small.items()
-            if len(H) < D and small_dist[(u, v)] > D
-        )
-    )
-    return PairIndex(n, D, small, small_dist, forced, big)
-
-
-def _given_or_built(dm, cfg: BuilderConfig, index: PairIndex | None) -> PairIndex:
-    if index is None:
-        index = build_pair_index(dm, resolve_threshold(dm.n, cfg.D))
-    return index
+        keep = counts <= D
+        vs.append(close[keep])
+        us.append(np.full(vs[-1].size, u))
+        sizes.append(counts[keep])
+        cands.append(ball[np.nonzero(mask.T[keep])[1]])
+    small = np.stack([np.concatenate(us), np.concatenate(vs)], axis=1)
+    small_dist = mat[small[:, 0], small[:, 1]]
+    cand_ptr = np.concatenate([[0], np.cumsum(np.concatenate(sizes))])
+    forced = small[(np.diff(cand_ptr) < D) & (small_dist > D)]
+    return PairIndex(n, D, small, small_dist, cand_ptr, np.concatenate(cands), forced, big)
 
 
 # -- stage 1: random cover set ------------------------------------------------
@@ -175,7 +178,7 @@ def _sample_cover(dm, cfg: BuilderConfig, index: PairIndex):
     if D == 1 or n == 0:
         # Degenerate threshold: the stage is skipped and all pairs flow to the
         # coloring and matching stages.
-        return frozenset(), {}, 0
+        return np.zeros(0, dtype=np.int64), np.zeros((0, 2), dtype=np.int64), 0
     s_size = math.ceil((n / D) * math.log(D))
 
     def draw(rng):
@@ -186,31 +189,28 @@ def _sample_cover(dm, cfg: BuilderConfig, index: PairIndex):
         return (s_arr, miss), int(miss.sum())
 
     (s_arr, miss), attempts = _resample(cfg, 1, "cover-set", n, D, draw)
-    rows = np.flatnonzero(miss.any(axis=1)).tolist()
-    out = {u: set(np.flatnonzero(miss[u]).tolist()) for u in rows}
-    for (u, v) in index.forced:
-        out.setdefault(u, set()).add(v)
-    final = {u: frozenset(vs) for u, vs in out.items()}
-    return frozenset(int(x) for x in s_arr), final, attempts
+    keys = np.union1d(np.flatnonzero(miss), index.forced[:, 0] * n + index.forced[:, 1])
+    return s_arr, _rows(keys, n), attempts
 
 
-def sample_cover_set(dm, cfg: BuilderConfig, *, index: PairIndex | None = None):
+def sample_cover_set(dm, cfg: BuilderConfig, *, index: PairIndex):
     """(S, Q): a uniform cover set of size ceil((n/D) ln D) plus the pairs it
-    leaves uncovered, resampled until sum |Q_v| <= 2 n^2 / D."""
-    return _sample_cover(dm, cfg, _given_or_built(dm, cfg, index))[:2]
+    leaves uncovered, resampled until |Q| <= 2 n^2 / D."""
+    return _sample_cover(dm, cfg, index)[:2]
 
 
 # -- stage 2: random coloring --------------------------------------------------
 
 
-def _has_conflict(colors: list[int], H) -> bool:
-    seen = set()
-    for h in H:
-        c = colors[h]
-        if c in seen:
-            return True
-        seen.add(c)
-    return False
+def _conflicts(colors: np.ndarray, ptr: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Whether two vertices of the set cand[ptr[i]:ptr[i + 1]] share a color,
+    for every i; colors are nonnegative."""
+    width = int(colors.max(initial=0)) + 1
+    sets = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+    key = np.sort(sets * width + colors[cand])
+    out = np.zeros(ptr.size - 1, dtype=bool)
+    out[key[1:][key[1:] == key[:-1]] // width] = True
+    return out
 
 
 def _sample_colors(dm, cfg: BuilderConfig, index: PairIndex):
@@ -220,31 +220,21 @@ def _sample_colors(dm, cfg: BuilderConfig, index: PairIndex):
     if D == 1:
         # One color: every candidate set of two or more vertices conflicts, so
         # every reachable pair is stored outright.
-        mat = dm.matrix()
-        r = {}
-        for u in range(n):
-            vs = np.flatnonzero(mat[u] >= 0)
-            vs = vs[vs > u]
-            if vs.size:
-                r[u] = frozenset(int(v) for v in vs)
-        return (1,) * n, r, 1
+        return np.ones(n, dtype=np.int64), np.argwhere(np.triu(dm.matrix() >= 0, 1)), 1
 
     def draw(rng):
-        colors = rng.integers(1, D**3 + 1, size=n).tolist()
-        r: dict[int, set[int]] = {}
-        for (u, v), H in index.small.items():
-            if _has_conflict(colors, H):
-                r.setdefault(u, set()).add(v)
-        return (colors, r), sum(len(vs) for vs in r.values())
+        colors = rng.integers(1, D**3 + 1, size=n)
+        r = index.small[_conflicts(colors, index.cand_ptr, index.cand)]
+        return (colors, r), len(r)
 
     (colors, r), attempts = _resample(cfg, 2, "coloring", n, D, draw)
-    return tuple(colors), {u: frozenset(vs) for u, vs in r.items()}, attempts
+    return colors, r, attempts
 
 
-def sample_coloring(dm, cfg: BuilderConfig, *, index: PairIndex | None = None):
-    """(colors, R): uniform colors in [1, D^3] and, for every pair with a
-    small candidate set, the partners whose set got a repeated color."""
-    return _sample_colors(dm, cfg, _given_or_built(dm, cfg, index))[:2]
+def sample_coloring(dm, cfg: BuilderConfig, *, index: PairIndex):
+    """(colors, R): uniform colors in [1, D^3] and the small pairs whose
+    candidate set got a repeated color."""
+    return _sample_colors(dm, cfg, index)[:2]
 
 
 # -- stage 3: bucket matchings --------------------------------------------------
@@ -265,70 +255,60 @@ def _check_induced(groups):
                     raise InducedMatchingViolation(a, b, h, origin, x, y)
 
 
-def build_matchings(dm, colors, cfg: BuilderConfig, *, index: PairIndex | None = None):
+def build_matchings(dm, colors, cfg: BuilderConfig, *, index: PairIndex):
     """(F, matchings_log): greedy maximal matchings per (a, b, h) bucket over
-    conflict-free small pairs; matched endpoints collect h, and every vertex
-    holds itself. Runtime-checks the induced-matching invariant."""
+    conflict-free small pairs; F holds (v, h) for every endpoint v matched in
+    a bucket of h, and (v, v) for every v. Runtime-checks the
+    induced-matching invariant."""
     n = dm.n
-    index = _given_or_built(dm, cfg, index)
-    D = index.D
-    colors = list(colors)
+    colors = np.asarray(colors)
     mat = dm.matrix()
-    buckets: dict[tuple[int, int, int], list[tuple[int, int]]] = defaultdict(list)
-    for (u, v) in sorted(index.small):
-        d = index.small_dist[(u, v)]
-        if d > D:
-            continue  # routed through the cover stage as a forced pair
-        H = index.small[(u, v)]
-        if _has_conflict(colors, H):
-            continue
-        for h in H:
-            a = int(mat[u, h])
-            b = int(mat[h, v])
-            buckets[(a, b, h)].append((u, v))
-            buckets[(b, a, h)].append((v, u))
-    F: dict[int, set[int]] = {v: {v} for v in range(n)}
+    sizes = np.diff(index.cand_ptr)
+    # pairs beyond D are routed through the cover stage as forced pairs
+    live = (index.small_dist <= index.D) & ~_conflicts(colors, index.cand_ptr, index.cand)
+    h = index.cand[np.repeat(live, sizes)]
+    u, v = np.repeat(index.small[live], sizes[live], axis=0).T
+    a, b = mat[u, h], mat[h, v]
+    # every pair enters the buckets (a, b, h) as (u, v) and (b, a, h) as (v, u)
+    entries = [np.concatenate(c) for c in ((a, b), (b, a), (h, h), (u, v), (v, u))]
+    order = np.lexsort(entries[::-1])
+    rows = zip(*(c[order].tolist() for c in entries))
+    col = colors.tolist()
     log: dict[tuple[int, int, int], int] = {}
     groups: dict[tuple[int, int, int], list] = defaultdict(list)
-    for key in sorted(buckets):
-        a, b, h = key
+    owner, hub = list(range(n)), list(range(n))
+    for key, items in itertools.groupby(rows, key=lambda e: e[:3]):
         left_used: set[int] = set()
         right_used: set[int] = set()
         mm = []
-        for x, y in sorted(buckets[key]):
+        for *_, x, y in items:
             if x not in left_used and y not in right_used:
                 mm.append((x, y))
                 left_used.add(x)
                 right_used.add(y)
         log[key] = len(mm)
-        for x, y in mm:
-            F[x].add(h)
-            F[y].add(h)
-        groups[(a, b, colors[h])].append((h, mm))
+        ends = left_used | right_used
+        owner += ends
+        hub += [key[2]] * len(ends)
+        groups[(key[0], key[1], col[key[2]])].append((key[2], mm))
     _check_induced(groups)
-    return {v: frozenset(s) for v, s in F.items()}, log
+    keys = np.unique(np.array(owner, dtype=np.int64) * n + np.array(hub, dtype=np.int64))
+    return _rows(keys, n), log
 
 
 # -- stage 4: assembly -----------------------------------------------------------
 
 
-def _entries(sets: dict) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, member) int64 arrays of a dict of vertex sets."""
-    owner = np.repeat(np.fromiter(sets, dtype=np.int64), [len(s) for s in sets.values()])
-    member = np.fromiter(itertools.chain(*sets.values()), dtype=np.int64, count=owner.size)
-    return owner, member
-
-
-def _closed_neighborhoods(F, g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, hub) of N(F_v), F_v and the neighbours of its vertices, for
-    every v, sorted; F_v = {v} where F lacks v."""
+def _closed_neighborhoods(F, g: WeightedGraph) -> np.ndarray:
+    """Ascending (owner, hub) rows of N(F_v), F_v and the neighbours of its
+    vertices, for every v."""
     n = g.n
     indptr, nbr, _ = g.in_edges()
-    owner, x = _entries({**{v: (v,) for v in range(n)}, **F})
+    owner, x = F.T
     deg = indptr[x + 1] - indptr[x]
     at = np.arange(int(deg.sum())) + np.repeat(indptr[x] - (np.cumsum(deg) - deg), deg)
     key = np.concatenate([owner * n + x, np.repeat(owner, deg) * n + nbr[at]])
-    return np.divmod(np.unique(key), max(n, 1))
+    return _rows(np.unique(key), n)
 
 
 @dataclass
@@ -350,15 +330,14 @@ class SizeLedger:
 
 
 def size_ledger(S, Q, R, F, g: WeightedGraph, hl: HubLabeling) -> SizeLedger:
-    sum_f = sum(len(s) for s in F.values())
     return SizeLedger(
         total_size=hl.total_size,
         n_times_s=g.n * len(S),
-        sum_q=sum(len(s) for s in Q.values()),
-        sum_r=sum(len(s) for s in R.values()),
-        sum_nf=_closed_neighborhoods(F, g)[0].size,
-        sum_f=sum_f,
-        degree_bound=None if g.has_zero_weights else (g.max_degree + 1) * sum_f,
+        sum_q=len(Q),
+        sum_r=len(R),
+        sum_nf=len(_closed_neighborhoods(F, g)),
+        sum_f=len(F),
+        degree_bound=None if g.has_zero_weights else (g.max_degree + 1) * len(F),
     )
 
 
@@ -367,16 +346,14 @@ def assemble(S, Q, R, F, g: WeightedGraph, dm) -> HubLabeling:
     matrix. Builds only; build_for_graph checks the result."""
     mat = dm.matrix()
     n = g.n
-    parts = (_entries(Q), _entries(R), _closed_neighborhoods(F, g))
-    own_v, own_h = map(np.concatenate, zip(*parts))
+    own_v, own_h = np.concatenate([Q, R, _closed_neighborhoods(F, g)]).T
     order = np.argsort(own_v, kind="stable")
     own_v, own_h = own_v[order], own_h[order]
-    shared = np.fromiter(S, dtype=np.int64, count=len(S))
-    owners, hubs = [], []
+    owners, hubs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for lo in range(0, n, _ASSEMBLE_ROWS):
         hi = min(lo + _ASSEMBLE_ROWS, n)
         member = np.zeros((hi - lo, n), dtype=bool)
-        member[:, shared] = True
+        member[:, S] = True
         a, b = np.searchsorted(own_v, [lo, hi])
         member[own_v[a:b] - lo, own_h[a:b]] = True
         member &= mat[lo:hi] >= 0
@@ -384,7 +361,7 @@ def assemble(S, Q, R, F, g: WeightedGraph, dm) -> HubLabeling:
         owners.append(rows + lo)
         hubs.append(cols)
     owner, hub = np.concatenate(owners), np.concatenate(hubs)
-    return HubLabeling.from_entries(n, owner, hub, mat[owner, hub])
+    return HubLabeling(n, owner, hub, mat[owner, hub])
 
 
 # -- degree reduction -------------------------------------------------------------
@@ -433,7 +410,7 @@ def project_back(hl_reduced: HubLabeling, representative, origin, dm) -> HubLabe
     owner, hub = np.divmod(key, max(n, 1))
     reach = mat[owner, hub] >= 0
     owner, hub = owner[reach], hub[reach]
-    return HubLabeling.from_entries(n, owner, hub, mat[owner, hub])
+    return HubLabeling(n, owner, hub, mat[owner, hub])
 
 
 # -- driver -----------------------------------------------------------------------
@@ -559,10 +536,6 @@ def build_for_graph(
             f"projected labeling fails cover verification on {cover.uncovered_total} pairs"
         )
     artifacts = BuilderArtifacts(S=S, Q=Q, R=R, F=F, colors=colors, matchings_log=log)
-    hist: dict[int, int] = defaultdict(int)
-    for size in log.values():
-        hist[size] += 1
-    q_total = sum(len(s) for s in Q.values())
     report = BuildReport(
         n=g.n,
         m=g.m,
@@ -571,15 +544,15 @@ def build_for_graph(
         seed=cfg.seed,
         reduced=reduced_info,
         s_size=len(S),
-        q_total=q_total,
-        q_random=q_total - len(index.forced),
+        q_total=len(Q),
+        q_random=len(Q) - len(index.forced),
         q_forced=len(index.forced),
-        r_total=sum(len(s) for s in R.values()),
-        f_total=sum(len(s) for s in F.values()),
+        r_total=len(R),
+        f_total=len(F),
         cover_resamples=cover_attempts,
         color_resamples=color_attempts,
         bucket_count=len(log),
-        matching_hist=dict(hist),
+        matching_hist=dict(Counter(log.values())),
         ledger=ledger,
         cover=cover,
         diameter=dm.diameter(),

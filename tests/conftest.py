@@ -19,8 +19,8 @@ from hublab.graph_core import (
     WeightedGraph,
     distances_from,
 )
-from hublab.hub_labeling import CoverReport, bit_estimate
-from hublab.upperbound_builder import BuilderConfig, PairIndex, build_for_graph
+from hublab.hub_labeling import CoverReport, HubLabeling, bit_estimate
+from hublab.upperbound_builder import BuilderConfig, build_for_graph
 
 settings.register_profile(
     "hublab",
@@ -227,11 +227,11 @@ def oracle_hits(dm, mask) -> np.ndarray:
     return hit & (mat >= 0)
 
 
-def oracle_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
+def oracle_pair_index(dm, D: int, *, zero_one: bool = False):
     """The pair index by the two branches the builder used before the ball
     rule: with zero_one, explicit counts for pairs at distance below D (valid
     for {0,1} weights only); otherwise exact counts over all n candidates for
-    every pair."""
+    every pair. Returns the dict form of index_as_dicts."""
     n = dm.n
     mat = dm.matrix()
     small: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -256,7 +256,7 @@ def oracle_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
                     small_dist[(u, v)] = int(ru[v])
                 if c >= D:
                     big[u, v] = True
-        return PairIndex(n, D, small, small_dist, (), big)
+        return small, small_dist, (), big
     inf = np.where(mat < 0, np.int64(1 << 40), mat)
     big = np.zeros((n, n), dtype=bool)
     ids = np.arange(n)
@@ -277,7 +277,31 @@ def oracle_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
             if len(H) < D and small_dist[(u, v)] > D
         )
     )
-    return PairIndex(n, D, small, small_dist, forced, big)
+    return small, small_dist, forced, big
+
+
+def index_as_dicts(index):
+    """(small, small_dist, forced, big) of a PairIndex: the candidate tuple and
+    the distance of every small pair keyed by (u, v), and the forced pairs as
+    a sorted tuple."""
+    pairs = list(map(tuple, index.small.tolist()))
+    ptr = index.cand_ptr.tolist()
+    cand = index.cand.tolist()
+    small = {p: tuple(cand[ptr[i] : ptr[i + 1]]) for i, p in enumerate(pairs)}
+    forced = tuple(map(tuple, index.forced.tolist()))
+    return small, dict(zip(pairs, index.small_dist.tolist())), forced, index.big
+
+
+def oracle_has_conflict(colors, H) -> bool:
+    """Whether two vertices of H share a color, by the per-pair rule the
+    coloring stage used before its conflicts were found by one sort."""
+    seen = set()
+    for h in H:
+        c = colors[h]
+        if c in seen:
+            return True
+        seen.add(c)
+    return False
 
 
 _INF32 = np.int32(1 << 29)
@@ -338,8 +362,17 @@ def dense_verify_cover(
     )
 
 
+def labeling(n: int, rows) -> HubLabeling:
+    """The labeling of n vertices from one iterable of (hub, distance) pairs
+    per vertex, flattened into the constructor's entry arrays."""
+    rows = [list(row) for row in rows]
+    owner = [v for v, row in enumerate(rows) for _ in row]
+    hub = [h for row in rows for h, _ in row]
+    return HubLabeling(n, owner, hub, [d for row in rows for _, d in row])
+
+
 def oracle_label_rows(n: int, hubs) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The rows HubLabeling(n, hubs) must hold, by the tuple normaliser the
+    """The rows labeling(n, hubs) must hold, by the tuple normaliser the
     labeling used before it stored arrays; raises the same ValueError."""
     norm = []
     for v, entries in enumerate(hubs):
@@ -354,8 +387,6 @@ def oracle_label_rows(n: int, hubs) -> tuple[tuple[tuple[int, int], ...], ...]:
                 raise ValueError(f"vertex {v}: conflicting distances for hub {h}")
             seen[h] = d
         norm.append(tuple(sorted(seen.items())))
-    if len(norm) != n:
-        raise ValueError("hub sets must cover every vertex id")
     return tuple(norm)
 
 

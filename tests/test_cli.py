@@ -97,6 +97,19 @@ def test_build_verify_round_trip(capsys, tmp_path):
     assert vrep["bit_estimate"] == rep["labeling"]["bit_estimate"]
 
 
+def test_build_empty_graph_writes_empty_labels(capsys, tmp_path):
+    gpath, lpath = tmp_path / "g.txt", tmp_path / "labels.txt"
+    gpath.write_text("0 0\n")
+    code, out = run_cli(capsys, "build", "--graph", str(gpath), "--out", str(lpath))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["labeling"]["valid"] is True and rep["labeling"]["total_size"] == 0
+    hl = read_labels(lpath)
+    assert hl.n == 0 and hl.total_size == 0
+    code, _ = run_cli(capsys, "verify", "--graph", str(gpath), "--labels", str(lpath))
+    assert code == 0
+
+
 def test_build_determinism_modulo_timing(capsys, tmp_path):
     inst = build_H(FamilyParams(1, 1))
     gpath = tmp_path / "g.txt"

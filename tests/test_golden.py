@@ -148,6 +148,34 @@ def test_golden_cases_cover_their_paths():
     assert CASES["grid6x6-D1"][1].D == 1
 
 
+# SHA-256 of the sorted-key JSON of every build's stage outputs: S, the
+# (owner, member) rows of Q, R and F in ascending order, the colors, and the
+# matchings log as ascending [a, b, h, size] rows. Recorded while the stages
+# still passed dicts of frozensets, so they guard the stage sets themselves,
+# not only their union in the labels.
+STAGES = {
+    "3reg": "e7bf093af345f045c596b5a859b4e23a85c984fafde88b03746cab8b22271cba",
+    "G11": "62122eaeaab4dfacbb8da4aaa5bbd839652e6dedaab1156b6b9e6d95a4c837c2",
+    "H21-forced": "4bc4c895c7f2b33189326637a7d9fad36121d2d74cd88081101d1b6926953f05",
+    "disconnected": "037f0afc9c6276ca99e8ba0c396e671221d654db9c71b2401577cec24f2cc90c",
+    "grid6x6-D1": "6eac672ce30b7492019da72cc4d672445558b518017892f47ac0815c06f115c9",
+    "sparse-reduced": "97a936bf53e91f0e3c284a6e09e4695cc27ef4a2c03243956d600f24d0d3c25e",
+}
+
+
+def stage_digest(name: str) -> str:
+    make, cfg = CASES[name]
+    a = build_for_graph(make(), cfg).artifacts
+    doc = {key: getattr(a, key).tolist() for key in ("S", "Q", "R", "F", "colors")}
+    doc["matchings_log"] = sorted([*key, size] for key, size in a.matchings_log.items())
+    return _digest(json.dumps(doc, sort_keys=True))
+
+
+@pytest.mark.parametrize("name", sorted(STAGES))
+def test_golden_stage_digests(name):
+    assert stage_digest(name) == STAGES[name]
+
+
 # SHA-256 of the label file text of monotone closures, recorded while the
 # closure still walked one tuple-based tree object per root.
 CLOSURES = {

@@ -1,8 +1,9 @@
 import pytest
+from conftest import labeling
 
 from hublab.family_gen import FamilyParams, build_H, delete_level_mid, expand_to_G
 from hublab.graph_core import all_pairs
-from hublab.hub_labeling import HubLabeling, baseline_full
+from hublab.hub_labeling import baseline_full
 from hublab.lowerbound_audit import (
     audit_counting,
     audit_lemma1,
@@ -81,6 +82,6 @@ def test_counting_pipeline_output_passes():
 
 def test_counting_rejects_invalid_labeling():
     inst = build_H(FamilyParams(1, 1))
-    bad = HubLabeling(inst.graph.n, [[(v, 0)] for v in range(inst.graph.n)])
+    bad = labeling(inst.graph.n, [[(v, 0)] for v in range(inst.graph.n)])
     with pytest.raises(ValueError):
         audit_counting(inst, bad)

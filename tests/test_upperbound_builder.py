@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from conftest import (
     hub_candidates,
+    index_as_dicts,
+    labeling,
+    oracle_has_conflict,
     oracle_pair_index,
     oracle_reduce_degree,
     seeded_sparse_graph,
@@ -23,6 +26,7 @@ from hublab.upperbound_builder import (
     InducedMatchingViolation,
     ResampleExhausted,
     _check_induced,
+    _conflicts,
     _resample,
     _rng,
     _sample_cover,
@@ -41,6 +45,18 @@ from hublab.upperbound_builder import (
 PATH5 = WeightedGraph(5, [(i, i + 1, 1) for i in range(4)])
 
 
+def _index(dm, cfg: BuilderConfig):
+    return build_pair_index(dm, resolve_threshold(dm.n, cfg.D))
+
+
+def _sets(rows) -> dict[int, frozenset[int]]:
+    """{owner: members} of ascending (owner, member) rows."""
+    out: dict[int, set[int]] = {}
+    for u, v in rows.tolist():
+        out.setdefault(u, set()).add(v)
+    return {u: frozenset(vs) for u, vs in out.items()}
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         BuilderConfig(D=0)
@@ -55,19 +71,20 @@ def test_pair_index_path_candidate_sizes():
     dm = all_pairs(PATH5)
     for v in range(1, 5):
         assert len(hub_candidates(dm, 0, v)) == v + 1
-    index = build_pair_index(dm, 3)
-    assert index.small[(0, 1)] == (0, 1)
-    assert index.small[(0, 2)] == (0, 1, 2)
-    assert (0, 3) not in index.small  # 4 candidates > D
-    assert not index.forced
+    small, _, forced, _ = index_as_dicts(build_pair_index(dm, 3))
+    assert small[(0, 1)] == (0, 1)
+    assert small[(0, 2)] == (0, 1, 2)
+    assert (0, 3) not in small  # 4 candidates > D
+    assert not forced
 
 
 def assert_same_index(got, want):
-    assert got.small == want.small
-    assert got.small_dist == want.small_dist
-    assert got.forced == want.forced
-    assert got.big.shape == want.big.shape
-    assert (got.big == want.big).all()
+    small, small_dist, forced, big = index_as_dicts(got)
+    assert small == want[0]
+    assert small_dist == want[1]
+    assert forced == want[2]
+    assert big.shape == want[3].shape
+    assert (big == want[3]).all()
 
 
 def test_pair_index_exact_matches_zero_one():
@@ -84,7 +101,7 @@ def test_pair_index_exact_matches_zero_one():
         dm = all_pairs(g)
         for D in (2, 3):
             index = build_pair_index(dm, D)
-            assert not index.forced
+            assert not len(index.forced)
             assert_same_index(index, oracle_pair_index(dm, D, zero_one=True))
             assert_same_index(index, oracle_pair_index(dm, D))
 
@@ -117,10 +134,23 @@ def test_pair_index_matches_oracle(g, D):
         assert_same_index(index, oracle_pair_index(dm, D, zero_one=True))
 
 
+@settings(max_examples=200)
+@given(
+    st.lists(st.lists(st.integers(0, 9), max_size=6), max_size=8),
+    st.lists(st.integers(0, 4), min_size=10, max_size=10),
+)
+def test_conflicts_match_per_pair_rule(sets, colors):
+    ptr = np.cumsum([0] + [len(H) for H in sets])
+    cand = np.array([h for H in sets for h in H], dtype=np.int64)
+    got = _conflicts(np.array(colors), ptr, cand)
+    assert got.tolist() == [oracle_has_conflict(colors, H) for H in sets]
+
+
 def test_cover_set_degenerate_threshold():
     dm = all_pairs(PATH5)
-    S, Q = sample_cover_set(dm, BuilderConfig(D=1, seed=0))
-    assert S == frozenset() and Q == {}
+    cfg = BuilderConfig(D=1, seed=0)
+    S, Q = sample_cover_set(dm, cfg, index=_index(dm, cfg))
+    assert S.tolist() == [] and Q.shape == (0, 2)
 
 
 def test_cover_set_path_end_pair_always_covered():
@@ -129,13 +159,13 @@ def test_cover_set_path_end_pair_always_covered():
     # land in Q depending on the draw
     dm = all_pairs(PATH5)
     for seed in range(5):
-        S, Q = sample_cover_set(dm, BuilderConfig(D=3, seed=seed))
+        cfg = BuilderConfig(D=3, seed=seed)
+        S, Q = sample_cover_set(dm, cfg, index=_index(dm, cfg))
         assert len(S) == 2
-        assert 4 not in Q.get(0, frozenset())
-        for u, vs in Q.items():
-            for v in vs:
-                assert len(hub_candidates(dm, u, v)) >= 3
-                assert not (S & hub_candidates(dm, u, v))
+        assert 4 not in _sets(Q).get(0, frozenset())
+        for u, v in Q.tolist():
+            assert len(hub_candidates(dm, u, v)) >= 3
+            assert not (set(S.tolist()) & hub_candidates(dm, u, v))
 
 
 def test_cover_and_coloring_bounds_three_regular():
@@ -144,9 +174,9 @@ def test_cover_and_coloring_bounds_three_regular():
     cfg = BuilderConfig(D=5, seed=7)
     index = build_pair_index(dm, 5)
     S, Q = sample_cover_set(dm, cfg, index=index)
-    assert sum(len(v) for v in Q.values()) * 5 <= 2 * 200 * 200
+    assert len(Q) * 5 <= 2 * 200 * 200
     colors, R = sample_coloring(dm, cfg, index=index)
-    assert sum(len(v) for v in R.values()) * 5 <= 2 * 200 * 200
+    assert len(R) * 5 <= 2 * 200 * 200
     assert len(colors) == 200 and all(1 <= c <= 125 for c in colors)
 
 
@@ -168,18 +198,20 @@ def test_resampling_counts_attempts_and_runs_out():
 def test_coloring_single_edge_conflict_rule():
     g = WeightedGraph(2, [(0, 1, 1)])
     dm = all_pairs(g)
-    colors, R = sample_coloring(dm, BuilderConfig(D=2, seed=1))
+    cfg = BuilderConfig(D=2, seed=1)
+    colors, R = sample_coloring(dm, cfg, index=_index(dm, cfg))
     conflict = colors[0] == colors[1]
-    assert (1 in R.get(0, frozenset())) == conflict
+    assert (1 in _sets(R).get(0, frozenset())) == conflict
 
 
 def test_coloring_injective_means_empty_r():
     g = path_graph(4)
     dm = all_pairs(g)
     for seed in range(20):
-        colors, R = sample_coloring(dm, BuilderConfig(D=4, seed=seed))
-        if len(set(colors)) == len(colors):
-            assert R == {}
+        cfg = BuilderConfig(D=4, seed=seed)
+        colors, R = sample_coloring(dm, cfg, index=_index(dm, cfg))
+        if len(set(colors.tolist())) == len(colors):
+            assert _sets(R) == {}
             break
     else:
         pytest.skip("no injective sample drawn")
@@ -189,8 +221,9 @@ def test_matchings_single_edge_trace():
     g = WeightedGraph(2, [(0, 1, 1)])
     dm = all_pairs(g)
     cfg = BuilderConfig(D=2, seed=3)
-    colors, _ = sample_coloring(dm, cfg)
-    F, log = build_matchings(dm, colors, cfg)
+    colors, _ = sample_coloring(dm, cfg, index=_index(dm, cfg))
+    F, log = build_matchings(dm, colors, cfg, index=_index(dm, cfg))
+    F = _sets(F)
     if colors[0] != colors[1]:
         assert F[0] == frozenset({0, 1}) and F[1] == frozenset({0, 1})
         assert log == {(0, 1, 0): 1, (1, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}
@@ -204,8 +237,9 @@ def test_matchings_no_close_pairs_leaves_self_sets():
     inst = build_H(FamilyParams(1, 1))
     dm = all_pairs(inst.graph)
     cfg = BuilderConfig(D=3, seed=0)
-    colors, _ = sample_coloring(dm, cfg)
-    F, log = build_matchings(dm, colors, cfg)
+    colors, _ = sample_coloring(dm, cfg, index=_index(dm, cfg))
+    F, log = build_matchings(dm, colors, cfg, index=_index(dm, cfg))
+    F = _sets(F)
     assert all(F[v] == frozenset({v}) for v in range(inst.graph.n))
     assert log == {}
 
@@ -216,9 +250,10 @@ def test_forced_pairs_on_weighted_level_graph():
     inst = build_H(FamilyParams(1, 1))
     dm = all_pairs(inst.graph)
     index = build_pair_index(dm, 3)
-    assert index.forced
+    assert len(index.forced)
     S, Q = sample_cover_set(dm, BuilderConfig(D=3, seed=1), index=index)
-    for (u, v) in index.forced:
+    Q = _sets(Q)
+    for (u, v) in index.forced.tolist():
         assert v in Q[u]
     res = build_for_graph(inst.graph, BuilderConfig(D=3, seed=1))
     assert res.report.cover.valid
@@ -228,7 +263,8 @@ def test_forced_pairs_on_weighted_level_graph():
 def test_assemble_single_vertex():
     g = WeightedGraph(1, [])
     dm = all_pairs(g)
-    hl = assemble(frozenset(), {}, {}, {0: frozenset({0})}, g, dm)
+    empty = np.zeros((0, 2), dtype=np.int64)
+    hl = assemble(np.zeros(0, dtype=np.int64), empty, empty, np.array([[0, 0]]), g, dm)
     assert hl.entries(0) == ((0, 0),)
 
 
@@ -346,6 +382,13 @@ def test_grid_and_degenerate_threshold_builds():
     assert res.report.cover.valid
 
 
+def test_empty_graph_builds_empty_labeling():
+    res = build_for_graph(WeightedGraph(0, []), BuilderConfig())
+    assert res.labeling.n == 0 and res.labeling.total_size == 0
+    assert res.report.cover.valid and res.report.ledger.bound_ok
+    assert format_labels(res.labeling) == "\n"
+
+
 def test_disconnected_graph():
     from hublab.graph_core import UNREACHABLE
 
@@ -365,7 +408,7 @@ SPARSE = (erdos_renyi_m(80, 160, seed=2), BuilderConfig(seed=3))
 def _only_self_hub(hl: HubLabeling, x: int) -> HubLabeling:
     hubs = [list(entries) for entries in hl.hubs]
     hubs[x] = [(x, 0)]
-    return HubLabeling(hl.n, hubs)
+    return labeling(hl.n, hubs)
 
 
 def _vertex_outside_cover_set(g, cfg) -> int:
@@ -373,7 +416,7 @@ def _vertex_outside_cover_set(g, cfg) -> int:
     few other labels hold it."""
     res = build_for_graph(g, cfg)
     origin = reduce_degree(g)[2] if res.report.reduced else np.arange(g.n)
-    return min(set(range(g.n)) - {origin[s] for s in res.artifacts.S})
+    return min(set(range(g.n)) - {origin[s] for s in res.artifacts.S.tolist()})
 
 
 def _counted_verify(monkeypatch) -> list[int]:
@@ -475,7 +518,7 @@ def _min_plus_cover(dm, cfg, index):
                 q[u] = set(idx[~hits].tolist())
         if sum(len(vs) for vs in q.values()) * D <= 2 * n * n:
             break
-    for u, v in index.forced:
+    for u, v in index.forced.tolist():
         q.setdefault(u, set()).add(v)
     return frozenset(s_arr.tolist()), {u: frozenset(vs) for u, vs in q.items()}, attempt + 1
 
@@ -491,6 +534,9 @@ def test_cover_stage_matches_min_plus_reference():
         for D in (2, 3, 5):
             index = build_pair_index(dm, D)
             cfg = BuilderConfig(D=D, seed=D)
-            got = _sample_cover(dm, cfg, index)
+            S, Q, attempts = _sample_cover(dm, cfg, index)
+            assert S.tolist() == sorted(S.tolist())
+            assert Q.tolist() == sorted(Q.tolist())
+            got = (frozenset(S.tolist()), _sets(Q), attempts)
             assert got == _min_plus_cover(dm, cfg, index)
-            assert got[1], "every case leaves some big pair to Q"
+            assert len(Q), "every case leaves some big pair to Q"
