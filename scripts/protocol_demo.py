@@ -50,11 +50,11 @@ def main() -> int:
             done += 1
     print(f"decoding sweep: {done} runs, {bad} mismatches")
 
+    inst = SumIndexInstance(params, "1" * m)
+    mx, avg = measure_message_size(inst, mode="oracle", base=base)
+    print(f"oracle message bits: max={mx} avg={avg:.0f}")
     if base.graph.n <= 5000:
-        inst = SumIndexInstance(params, "1" * m)
-        mx, avg = measure_message_size(inst, mode="oracle")
-        print(f"oracle message bits: max={mx} avg={avg:.0f}")
-        mx, avg = measure_message_size(inst, mode="hub")
+        mx, avg = measure_message_size(inst, mode="hub", base=base)
         print(f"hub-label message bits: max={mx} avg={avg:.0f}")
     else:
         print("skipping hub-label accounting (instance too large for the pipeline)")

@@ -4,20 +4,24 @@
 Usage:
     python scripts/size_vs_threshold.py [--seed N] [--d-values 2,3,4,8]
 
-Prints one CSV row per (graph, D) with the stage breakdown, so the tradeoff
-between the random cover stage (dominates at small D) and the bucket stage
-(grows with D) is visible directly.
+Runs `hublab bench --format csv` on each corpus graph and prints its rows
+under one header, with the graph's name in front, so the tradeoff between the
+random cover stage (dominates at small D) and the bucket stage (grows with D)
+is visible directly. Exits with the worst exit code of the runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
+import io
 import sys
-import time
+import tempfile
+from pathlib import Path
 
+from hublab import cli
 from hublab.corpus import erdos_renyi_m, grid_graph, path_graph, random_regular_graph
-from hublab.upperbound_builder import BuilderConfig, build_for_graph
+from hublab.graph_core import write_graph
 
 
 def corpus(seed: int):
@@ -34,24 +38,27 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--d-values", default="2,3,4,6,8")
     args = ap.parse_args()
-    d_values = [int(x) for x in args.d_values.split(",")]
 
-    writer = csv.writer(sys.stdout)
-    writer.writerow(
-        ["graph", "n", "D", "valid", "avg_hub_size", "S_size", "Q_total", "R_total",
-         "F_total", "buckets", "wall_s"]
-    )
-    for name, g in corpus(args.seed):
-        for d in d_values:
-            t0 = time.perf_counter()
-            res = build_for_graph(g, BuilderConfig(D=d, seed=args.seed))
-            rep = res.report
-            writer.writerow(
-                [name, g.n, d, rep.cover.valid, f"{float(rep.cover.avg_hub_size):.2f}",
-                 rep.s_size, rep.q_total, rep.r_total, rep.f_total, rep.bucket_count,
-                 f"{time.perf_counter() - t0:.2f}"]
-            )
-    return 0
+    worst = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (name, g) in enumerate(corpus(args.seed)):
+            path = Path(tmp) / f"{name}.txt"
+            write_graph(g, path)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(
+                    ["bench", "--graph", str(path), "--D-range", args.d_values,
+                     "--seed", str(args.seed), "--format", "csv"]
+                )
+            if code == cli.EXIT_USAGE:
+                return code
+            worst = max(worst, code)
+            header, *rows = out.getvalue().splitlines()
+            if i == 0:
+                print(f"graph,{header}")
+            for row in rows:
+                print(f"{name},{row}", flush=True)
+    return worst
 
 
 if __name__ == "__main__":

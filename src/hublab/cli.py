@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import family_gen, graph_core, hub_labeling, lowerbound_audit, sumindex_protocol
-from .family_gen import FamilyParams, LevelCoord
+from .family_gen import FamilyParams, coord_key
 from .graph_core import all_pairs, read_graph, write_graph
 from .hub_labeling import read_labels, verify_cover, write_labels
 from .sumindex_protocol import SumIndexInstance, build_base_graph
@@ -263,8 +263,8 @@ def _cmd_sumindex(args) -> int:
         {
             "a": t.a,
             "b": t.b,
-            "alice_vertex": _coord_str(t.alice_vertex),
-            "bob_vertex": _coord_str(t.bob_vertex),
+            "alice_vertex": coord_key(t.alice_vertex),
+            "bob_vertex": coord_key(t.bob_vertex),
             "alice_label_bits": t.alice_label_bits,
             "bob_label_bits": t.bob_label_bits,
             "measured_dist": -1 if t.measured_dist is graph_core.UNREACHABLE else t.measured_dist,
@@ -303,13 +303,11 @@ def _cmd_sumindex(args) -> int:
     return EXIT_OK if mismatches == 0 else EXIT_FAILED_CHECK
 
 
-def _coord_str(coord: LevelCoord) -> str:
-    return f"{coord.level}:{','.join(str(c) for c in coord.coords)}"
-
-
 def _cmd_bench(args) -> int:
     g = read_graph(args.graph)
     d_values = [int(x) for x in args.D_range.split(",") if x]
+    if not d_values:
+        raise ValueError(f"--D-range {args.D_range!r} names no threshold")
     rows = []
     all_valid = True
     for d in d_values:

@@ -76,22 +76,36 @@ class FamilyInstance:
         return self.coord_to_id[LevelCoord(level, tuple(coords))]
 
 
-def coords_of_index(idx: int, params: FamilyParams) -> tuple[int, ...]:
-    """Mixed-radix decode: coordinate 1 is the least significant digit."""
-    s = params.s
+def digits(value: int, base: int, count: int) -> tuple[int, ...]:
+    """The count lowest base-`base` digits of value, least significant first."""
     out = []
-    for _ in range(params.ell):
-        out.append(idx % s)
-        idx //= s
+    for _ in range(count):
+        value, digit = divmod(value, base)
+        out.append(digit)
     return tuple(out)
 
 
-def index_of_coords(coords, params: FamilyParams) -> int:
-    s = params.s
-    idx = 0
-    for k in range(params.ell - 1, -1, -1):
-        idx = idx * s + coords[k]
-    return idx
+def digits_value(vec, base: int) -> int:
+    """The number whose base-`base` digits, least significant first, are vec;
+    digits at or above the base carry."""
+    total = 0
+    for digit in reversed(vec):
+        total = total * base + digit
+    return total
+
+
+def coords_of_index(idx: int, params: FamilyParams) -> tuple[int, ...]:
+    """Coordinates of level index idx: coordinate 1 is the least significant
+    base-s digit."""
+    return digits(idx, params.s, params.ell)
+
+
+def unique_path_length(params: FamilyParams, x, z) -> int:
+    """Length of the point-symmetric midpoint path between v_{0,x} and
+    v_{2*ell,z}, for x and z that differ by even amounts: 2*ell*A plus twice
+    the squared half-differences."""
+    half = [(zk - xk) // 2 for xk, zk in zip(x, z)]
+    return 2 * params.ell * params.base_weight + 2 * sum(d * d for d in half)
 
 
 def _gap_coordinate(i: int, ell: int) -> int:
@@ -264,7 +278,7 @@ def delete_level_mid(inst: FamilyInstance, keep: Callable[[LevelCoord], bool]) -
         emask = keep_mask[eu] & keep_mask[ev]
         new_edges = np.stack([new_ids[eu[emask]], new_ids[ev[emask]], ew[emask]], axis=1)
         n_new = int(keep_mask.sum())
-        graph = WeightedGraph(n_new, new_edges, validate=False)
+        graph = WeightedGraph(n_new, new_edges)
     coord_to_id = {
         coord: int(new_ids[old])
         for coord, old in inst.coord_to_id.items()
@@ -285,7 +299,7 @@ def delete_level_mid(inst: FamilyInstance, keep: Callable[[LevelCoord], bool]) -
 # and a run-length encoding of vertex roles.
 
 
-def _coord_key(coord: LevelCoord) -> str:
+def coord_key(coord: LevelCoord) -> str:
     return f"{coord.level}:{','.join(str(c) for c in coord.coords)}"
 
 
@@ -314,8 +328,8 @@ def write_metadata(inst: FamilyInstance, path) -> None:
         "base_weight": inst.params.base_weight,
         "n": inst.graph.n,
         "m": inst.graph.m,
-        "coord_to_id": {_coord_key(c): i for c, i in sorted(inst.coord_to_id.items())},
-        "removed": sorted(_coord_key(c) for c in inst.removed),
+        "coord_to_id": {coord_key(c): i for c, i in sorted(inst.coord_to_id.items())},
+        "removed": sorted(coord_key(c) for c in inst.removed),
         "roles_rle": _roles_rle(inst.id_roles),
     }
     with open(path, "w", encoding="utf-8") as fh:

@@ -55,7 +55,7 @@ class WeightedGraph:
 
     __slots__ = ("n", "_eu", "_ev", "_ew", "_degrees", "_kind", "_edges", "_in", "_csr")
 
-    def __init__(self, n: int, edges, *, validate: bool = True):
+    def __init__(self, n: int, edges):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = int(n)
@@ -75,7 +75,7 @@ class WeightedGraph:
             u, v, w = u[order], v[order], w[order]
         else:
             u = v = w = np.zeros(0, dtype=np.int64)
-        if validate and arr.shape[0]:
+        if arr.shape[0]:
             if u.min() < 0 or v.max() >= self.n:
                 raise ValueError("edge endpoint out of range")
             if (u == v).any():

@@ -10,7 +10,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .family_gen import KIND_G, KIND_H, FamilyInstance
+from .family_gen import KIND_G, KIND_H, FamilyInstance, unique_path_length
 from .graph_core import (
     WeightedGraph,
     all_pairs,
@@ -42,13 +42,6 @@ def parity_pairs(params) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
             yield x, z
 
 
-def expected_unique_length(params, x, z) -> int:
-    """Length of the point-symmetric midpoint path between v_{0,x} and
-    v_{2*ell,z}: 2*ell*A plus twice the squared half-differences."""
-    half = [(zk - xk) // 2 for xk, zk in zip(x, z)]
-    return 2 * params.ell * params.base_weight + 2 * sum(d * d for d in half)
-
-
 def _audit_one_pair(g: WeightedGraph, inst: FamilyInstance, x, z, dists_from):
     params = inst.params
     u = inst.id_of(0, x)
@@ -59,7 +52,7 @@ def _audit_one_pair(g: WeightedGraph, inst: FamilyInstance, x, z, dists_from):
     dv = dists_from(v)
     problems = []
     duv = int(du[v])
-    if duv != expected_unique_length(params, x, z):
+    if duv != unique_path_length(params, x, z):
         problems.append("length")
     count = count_shortest_paths(g, u, v, dists_u=du, dists_v=dv)
     unique = count == 1
@@ -78,9 +71,11 @@ def audit_lemma1(
     seed: int = 0,
 ) -> TripletReport:
     """Check uniqueness and midpoint membership for parity-matching endpoint
-    pairs, exhaustively or on a seeded sample of the pairs."""
+    pairs, exhaustively or on a seeded sample of at least one pair."""
     if inst.kind not in (KIND_H, KIND_G):
         raise ValueError("audit applies to H or G instances, not deleted variants")
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be at least 1, got {sample}")
     pairs = list(parity_pairs(inst.params))
     if sample is not None and sample < len(pairs):
         rng = np.random.default_rng(np.random.SeedSequence([seed & (2**64 - 1), 7]))

@@ -19,9 +19,12 @@ from .family_gen import (
     LevelCoord,
     build_H,
     delete_level_mid,
+    digits,
+    digits_value,
     expand_to_G,
+    unique_path_length,
 )
-from .graph_core import distance_between, distances_from
+from .graph_core import distance_between
 from .hub_labeling import ceil_log2, entry_bits, query as hub_query
 from .upperbound_builder import BuilderConfig, BuildResult, build_for_graph
 
@@ -65,11 +68,7 @@ def repr_value(vec, params: FamilyParams) -> int:
     """Mixed-radix value of a coordinate vector, digits base s/2, coordinate 1
     least significant, reduced mod m."""
     base = params.s // 2
-    m = base**params.ell
-    total = 0
-    for k in range(params.ell - 1, -1, -1):
-        total = total * base + vec[k]
-    return total % m
+    return digits_value(vec, base) % base**params.ell
 
 
 def repr_decode(a: int, params: FamilyParams) -> tuple[int, ...]:
@@ -78,11 +77,7 @@ def repr_decode(a: int, params: FamilyParams) -> tuple[int, ...]:
     m = base**params.ell
     if not 0 <= a < m:
         raise ValueError(f"index {a} out of range [0, {m})")
-    out = []
-    for _ in range(params.ell):
-        out.append(a % base)
-        a //= base
-    return tuple(out)
+    return digits(a, base, params.ell)
 
 
 def build_base_graph(params: FamilyParams, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> FamilyInstance:
@@ -107,20 +102,21 @@ def build_instance_graph(
     return delete_level_mid(base, keep)
 
 
-def ideal_distance(params: FamilyParams, xs, zs) -> int:
-    """Unique-path length between v_{0,2x} and v_{2*ell,2z} when the midpoint
-    survives: 2*ell*A + 2*sum (z_i - x_i)^2."""
-    return 2 * params.ell * params.base_weight + 2 * sum(
-        (z - x) * (z - x) for x, z in zip(xs, zs)
-    )
-
-
-def _oracle_label_bits(params: FamilyParams, n: int) -> int:
-    # Accounting convention for the no-labeling baseline: a full distance row,
-    # each entry wide enough for the largest finite distance plus a
-    # reachability flag.
-    upper = (2 * params.ell + 1) * (params.base_weight + (params.s - 1) ** 2)
-    return n * (ceil_log2(upper + 1) + 1)
+def _message_bits(
+    inst: SumIndexInstance, gprime: FamilyInstance, hub_build: BuildResult | None, v: int
+) -> int:
+    """Bits of a player's message about vertex v of gprime: its label plus the
+    index. Hub mode prices the stored entries at entry_bits each. Oracle
+    mode, the no-labeling baseline, prices a full distance row, each entry
+    wide enough for the largest finite distance plus a reachability flag."""
+    if hub_build is None:
+        p = inst.params
+        upper = (2 * p.ell + 1) * (p.base_weight + (p.s - 1) ** 2)
+        label = gprime.graph.n * (ceil_log2(upper + 1) + 1)
+    else:
+        hl = hub_build.labeling
+        label = hl.size(v) * entry_bits(hl.n, hub_build.report.diameter)
+    return label + inst.index_bits
 
 
 def run_protocol(
@@ -154,14 +150,9 @@ def run_protocol(
     v = gprime.coord_to_id[bob]
     if hub_build is None:
         measured = distance_between(gprime.graph, u, v)
-        alice_bits = bob_bits = _oracle_label_bits(params, gprime.graph.n) + inst.index_bits
     else:
-        hl = hub_build.labeling
-        measured = hub_query(hl, u, v)
-        per_entry = entry_bits(hl.n, hub_build.report.diameter)
-        alice_bits = hl.size(u) * per_entry + inst.index_bits
-        bob_bits = hl.size(v) * per_entry + inst.index_bits
-    ideal = ideal_distance(params, xs, zs)
+        measured = hub_query(hub_build.labeling, u, v)
+    ideal = unique_path_length(params, alice.coords, bob.coords)
     decoded = 1 if measured == ideal else 0
     expected = int(inst.bits[(a + b) % m])
     return SumIndexTranscript(
@@ -169,8 +160,8 @@ def run_protocol(
         b=b,
         alice_vertex=alice,
         bob_vertex=bob,
-        alice_label_bits=alice_bits,
-        bob_label_bits=bob_bits,
+        alice_label_bits=_message_bits(inst, gprime, hub_build, u),
+        bob_label_bits=_message_bits(inst, gprime, hub_build, v),
         measured_dist=measured,
         ideal_dist=ideal,
         decoded=decoded,
@@ -214,22 +205,12 @@ def measure_message_size(
     builder: BuilderConfig | None = None,
 ) -> tuple[int, float]:
     """(max, average) message size in bits over the endpoint vertices of the
-    deleted graph, including the transmitted index."""
-    params = inst.params
+    deleted graph, priced as run_protocol prices them."""
     gprime = build_instance_graph(inst, base=base)
     hub_build = _hub_build(gprime, mode, builder)
-    endpoints = [
-        vid
+    sizes = [
+        _message_bits(inst, gprime, hub_build, vid)
         for coord, vid in gprime.coord_to_id.items()
-        if coord.level in (0, 2 * params.ell)
+        if coord.level in (0, 2 * inst.params.ell)
     ]
-    sizes = []
-    if hub_build is None:
-        for vid in endpoints:
-            ecc = int(distances_from(gprime.graph, vid).max())
-            sizes.append(gprime.graph.n * (ceil_log2(max(ecc, 0) + 1) + 1) + inst.index_bits)
-    else:
-        per_entry = entry_bits(hub_build.labeling.n, hub_build.report.diameter)
-        for vid in endpoints:
-            sizes.append(hub_build.labeling.size(vid) * per_entry + inst.index_bits)
     return max(sizes), sum(sizes) / len(sizes)

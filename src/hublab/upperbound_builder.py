@@ -26,10 +26,12 @@ from .hub_labeling import CoverReport, HubLabeling, verify_cover
 
 #: Rows per block of the membership masks in assemble.
 _ASSEMBLE_ROWS = 256
+#: Draws each sampling stage may take to meet its size budget.
+_MAX_RESAMPLES = 32
 
 
 class ResampleExhausted(RuntimeError):
-    """No sample met its size budget within max_resamples attempts."""
+    """No sample met its size budget within _MAX_RESAMPLES attempts."""
 
 
 class CoverVerificationError(RuntimeError):
@@ -54,18 +56,14 @@ class InducedMatchingViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class BuilderConfig:
-    """Threshold D (None selects max(2, ceil(sqrt(ln n)))), RNG seed, and the
-    resampling budget."""
+    """Threshold D (None selects max(2, ceil(sqrt(ln n)))) and RNG seed."""
 
     D: int | None = None
     seed: int = 0
-    max_resamples: int = 32
 
     def __post_init__(self):
         if self.D is not None and self.D < 1:
             raise ValueError("D must be >= 1")
-        if self.max_resamples < 1:
-            raise ValueError("max_resamples must be >= 1")
 
 
 @dataclass
@@ -97,12 +95,12 @@ def _resample(cfg: BuilderConfig, stage: int, name: str, n: int, D: int, draw):
     """Call draw(rng) on the stage's per-attempt streams until the sample size
     it returns with its result meets the 2 n^2 / D budget; returns
     (result, attempts)."""
-    for attempt in range(cfg.max_resamples):
+    for attempt in range(_MAX_RESAMPLES):
         result, sample_size = draw(_rng(cfg.seed, stage, attempt))
         if sample_size * D <= 2 * n * n:
             return result, attempt + 1
     raise ResampleExhausted(
-        f"{name} stage missed the {2 * n * n}/{D} budget {cfg.max_resamples} times"
+        f"{name} stage missed the {2 * n * n}/{D} budget {_MAX_RESAMPLES} times"
     )
 
 

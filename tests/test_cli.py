@@ -193,6 +193,39 @@ def test_sumindex_cli_single_and_sweep(capsys):
     assert all(r["decoded"] == r["expected"] for r in rows)
 
 
+@pytest.mark.parametrize("mode, bits", [("hub", 445), ("oracle", 631)])
+def test_sumindex_cli_message_bits(capsys, mode, bits):
+    code, out = run_cli(
+        capsys, "sumindex", "--b", "1", "--ell", "1", "--bits", "1", "--sweep", "--mode", mode,
+    )
+    assert code == 0
+    assert json.loads(out)["max_message_bits"] == bits
+
+
+def assert_usage_error(capsys, *argv):
+    """argv exits 2 with one error line and no report."""
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("hublab: error: ")
+
+
+@pytest.mark.parametrize("sample", ["0", "-3"])
+def test_audit_lemma1_empty_sample_is_usage_error(capsys, tmp_path, sample):
+    code, _ = run_cli(capsys, "gen", "--kind", "G", "--b", "1", "--ell", "1", "--out", str(tmp_path / "g.txt"))
+    assert code == 0
+    assert_usage_error(
+        capsys, "audit", "lemma1", "--graph", str(tmp_path / "g.txt"),
+        "--meta", str(tmp_path / "g.txt.meta.json"), "--sample", sample,
+    )
+
+
+def test_bench_empty_threshold_range_is_usage_error(capsys, tmp_path):
+    gpath = tmp_path / "g.txt"
+    write_graph(build_H(FamilyParams(1, 1)).graph, gpath)
+    assert_usage_error(capsys, "bench", "--graph", str(gpath), "--D-range", ",")
+
+
 def test_sumindex_cli_usage_error(capsys):
     code, _ = run_cli(capsys, "sumindex", "--b", "1", "--ell", "1", "--bits", "1")
     assert code == 2

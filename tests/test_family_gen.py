@@ -1,20 +1,17 @@
-import itertools
-
 import pytest
 
 from hublab.family_gen import (
     monotone_coordinate_window,
     KIND_G,
     KIND_G_PRIME,
-    KIND_H,
     ROLE_LEVEL,
     FamilyParams,
     LevelCoord,
     build_H,
     coords_of_index,
     delete_level_mid,
+    digits_value,
     expand_to_G,
-    index_of_coords,
     instance_from_files,
     read_metadata,
     write_metadata,
@@ -41,7 +38,7 @@ def test_params_validation():
 def test_coord_index_round_trip():
     p = FamilyParams(2, 3)
     for idx in range(p.level_size):
-        assert index_of_coords(coords_of_index(idx, p), p) == idx
+        assert digits_value(coords_of_index(idx, p), p.s) == idx
 
 
 def test_build_H_smallest():

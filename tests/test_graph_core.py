@@ -19,7 +19,6 @@ from hublab.family_gen import FamilyParams, build_H
 from hublab.graph_core import (
     UNREACHABLE,
     WEIGHT_LIMIT,
-    DenseDistanceMatrix,
     GraphFormatError,
     ResourceLimitError,
     UnreachablePairError,

@@ -1,14 +1,19 @@
 import pytest
 from conftest import labeling
 
-from hublab.family_gen import FamilyParams, build_H, delete_level_mid, expand_to_G
+from hublab.family_gen import (
+    FamilyParams,
+    build_H,
+    delete_level_mid,
+    expand_to_G,
+    unique_path_length,
+)
 from hublab.graph_core import all_pairs
 from hublab.hub_labeling import baseline_full
 from hublab.lowerbound_audit import (
     audit_counting,
     audit_lemma1,
     counting_rhs,
-    expected_unique_length,
     parity_pairs,
 )
 from hublab.upperbound_builder import BuilderConfig, build_for_graph
@@ -23,14 +28,20 @@ def test_parity_pair_counts():
 
 def test_expected_length_symmetric_case():
     p = FamilyParams(2, 2)
-    assert expected_unique_length(p, (1, 3), (1, 3)) == 2 * 2 * 96
-    assert expected_unique_length(p, (1, 0), (3, 2)) == 4 * 96 + 4
+    assert unique_path_length(p, (1, 3), (1, 3)) == 2 * 2 * 96
+    assert unique_path_length(p, (1, 0), (3, 2)) == 4 * 96 + 4
 
 
 def test_audit_smallest_exhaustive():
     rep = audit_lemma1(build_H(FamilyParams(1, 1)))
     assert rep.checked == 2
     assert rep.passed and not rep.failures
+
+
+@pytest.mark.parametrize("sample", [0, -3])
+def test_audit_rejects_empty_sample(sample):
+    with pytest.raises(ValueError, match="sample must be at least 1"):
+        audit_lemma1(build_H(FamilyParams(1, 1)), sample=sample)
 
 
 def test_audit_figure_instance():

@@ -10,6 +10,8 @@ import hublab
 SRC = Path(hublab.__file__).resolve().parent
 # __init__ imports names only to re-export them.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+TESTS_AND_SCRIPTS = sorted(p for d in ("tests", "scripts") for p in ROOT.joinpath(d).glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,6 +36,11 @@ def test_unused_import_check_catches_one():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", TESTS_AND_SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports_in_tests_and_scripts(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 

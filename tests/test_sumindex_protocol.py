@@ -2,13 +2,13 @@ import itertools
 
 import pytest
 
-from hublab.family_gen import FamilyParams, LevelCoord
+from hublab import graph_core
+from hublab.family_gen import FamilyParams, unique_path_length
 from hublab.graph_core import UNREACHABLE, distance_between
 from hublab.sumindex_protocol import (
     SumIndexInstance,
     build_base_graph,
     build_instance_graph,
-    ideal_distance,
     measure_message_size,
     repr_decode,
     repr_value,
@@ -111,8 +111,12 @@ def test_protocol_index_range_errors():
 
 
 def test_protocol_matches_lemma_length_formula():
-    assert ideal_distance(P22, (0, 1), (1, 1)) == 4 * 96 + 2 * 1
-    assert ideal_distance(FamilyParams(1, 1), (0,), (1,)) == 2 * 12 + 2
+    # v_{0,2x} to v_{2*ell,2z}: 2*ell*A + 2 * sum (z_i - x_i)^2
+    assert unique_path_length(P22, (0, 2), (2, 2)) == 4 * 96 + 2 * 1
+    assert unique_path_length(FamilyParams(1, 1), (0,), (2,)) == 2 * 12 + 2
+    inst = SumIndexInstance(P22, "1111")
+    t = run_protocol(inst, 2, 3, gprime=build_instance_graph(inst))  # x = (0, 1), z = (1, 1)
+    assert t.ideal_dist == t.measured_dist == 4 * 96 + 2 * 1
 
 
 def test_hub_mode_small_instance():
@@ -134,6 +138,20 @@ def test_message_size_measurement():
     mx_hub, avg_hub = measure_message_size(inst, mode="hub", builder=BuilderConfig(seed=2))
     assert mx_hub >= avg_hub > 0
     assert mx_hub < mx  # hub labels beat shipping a distance table here
+    # Oracle messages cost what every protocol round charges.
+    for case in (inst, SumIndexInstance(FamilyParams(2, 1), "10")):
+        transcripts = sweep(case)
+        p = transcripts[0].alice_label_bits
+        assert all(t.alice_label_bits == p for t in transcripts)
+        assert measure_message_size(case, mode="oracle") == (p, p)
+
+
+def test_oracle_message_size_runs_no_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle pricing ran a search")
+
+    monkeypatch.setattr(graph_core, "_distances", refuse)
+    assert measure_message_size(SumIndexInstance(FamilyParams(1, 1), "1")) == (631, 631)
 
 
 def test_sweep_small_exhaustive():

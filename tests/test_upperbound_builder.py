@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hublab.corpus import erdos_renyi_m, grid_graph, path_graph, random_regular_graph, star_graph
-from hublab.family_gen import FamilyParams, build_H, expand_to_G
+from hublab.family_gen import FamilyParams, build_H
 from hublab.graph_core import WeightedGraph, all_pairs
 from hublab import upperbound_builder
 from hublab.hub_labeling import HubLabeling, baseline_full, format_labels, query, verify_cover
@@ -60,8 +60,6 @@ def _sets(rows) -> dict[int, frozenset[int]]:
 def test_config_validation():
     with pytest.raises(ValueError):
         BuilderConfig(D=0)
-    with pytest.raises(ValueError):
-        BuilderConfig(max_resamples=0)
     assert resolve_threshold(2000, None) == 3
     assert resolve_threshold(10, 7) == 7
 
@@ -180,8 +178,9 @@ def test_cover_and_coloring_bounds_three_regular():
     assert len(colors) == 200 and all(1 <= c <= 125 for c in colors)
 
 
-def test_resampling_counts_attempts_and_runs_out():
-    cfg = BuilderConfig(seed=0, max_resamples=3)
+def test_resampling_counts_attempts_and_runs_out(monkeypatch):
+    monkeypatch.setattr(upperbound_builder, "_MAX_RESAMPLES", 3)
+    cfg = BuilderConfig(seed=0)
     sizes = iter([26, 25])  # budget for n = 5, D = 2: at most 25 pairs
     assert _resample(cfg, 1, "cover-set", 5, 2, lambda rng: ("ok", next(sizes))) == ("ok", 2)
     draws = []
@@ -508,7 +507,7 @@ def _min_plus_cover(dm, cfg, index):
     mat = dm.matrix()
     inf = np.where(mat < 0, 1 << 40, mat)
     s_size = math.ceil((n / D) * math.log(D))
-    for attempt in range(cfg.max_resamples):
+    for attempt in range(upperbound_builder._MAX_RESAMPLES):
         s_arr = np.sort(_rng(cfg.seed, 1, attempt).choice(n, size=s_size, replace=False))
         q = {}
         for u in range(n):
