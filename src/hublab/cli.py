@@ -67,19 +67,37 @@ def _csv_text(rows: list[dict]) -> str:
 # -- subcommands --------------------------------------------------------------
 
 
+def _read_removals(path, params: FamilyParams) -> set[tuple[int, ...]]:
+    """The coordinate vectors a remove file names, one per line; '#' starts a
+    comment. A line that names no mid-level vertex raises ValueError."""
+    removed = set()
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                coords = tuple(int(c) for c in line.split(","))
+            except ValueError:
+                coords = ()
+            if len(coords) != params.ell or not all(0 <= c < params.s for c in coords):
+                raise ValueError(
+                    f"{path} line {lineno}: {line!r} names no mid-level vertex "
+                    f"({params.ell} comma-separated coordinates in [0, {params.s}))"
+                )
+            removed.add(coords)
+    return removed
+
+
 def _cmd_gen(args) -> int:
     params = FamilyParams(b=args.b, ell=args.ell)
+    if args.remove_file and args.kind != "Gprime":
+        raise ValueError("--remove-file applies only to --kind Gprime")
+    removed = _read_removals(args.remove_file, params) if args.remove_file else set()
     inst = family_gen.build_H(params, vertex_cap=args.vertex_cap)
     if args.kind in ("G", "Gprime"):
         inst = family_gen.expand_to_G(inst, vertex_cap=args.vertex_cap)
     if args.kind == "Gprime":
-        removed = set()
-        if args.remove_file:
-            with open(args.remove_file, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.split("#", 1)[0].strip()
-                    if line:
-                        removed.add(tuple(int(c) for c in line.split(",")))
         inst = family_gen.delete_level_mid(
             inst, lambda coord: coord.coords not in removed
         )
@@ -245,17 +263,15 @@ def _cmd_audit_counting(args) -> int:
 
 
 def _cmd_sumindex(args) -> int:
+    if args.sweep and (args.a is not None or args.b_index is not None):
+        raise ValueError("--sweep runs every (a, b) pair; drop --a and --b-index")
+    if not args.sweep and (args.a is None or args.b_index is None):
+        raise ValueError("sumindex needs --a and --b-index, or --sweep")
     params = FamilyParams(b=args.b, ell=args.ell)
     inst = SumIndexInstance(params, args.bits)
     base = build_base_graph(params, vertex_cap=args.vertex_cap)
     builder = BuilderConfig(seed=args.seed)
-    if args.sweep:
-        pairs = [(a, b) for a in range(inst.m) for b in range(inst.m)]
-    else:
-        if args.a is None or args.b_index is None:
-            print("sumindex: provide --a and --b-index, or --sweep", file=sys.stderr)
-            return EXIT_USAGE
-        pairs = [(args.a, args.b_index)]
+    pairs = None if args.sweep else [(args.a, args.b_index)]
     transcripts = sumindex_protocol.sweep(
         inst, mode=args.mode, base=base, pairs=pairs, builder=builder
     )

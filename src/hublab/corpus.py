@@ -7,6 +7,9 @@ import numpy as np
 
 from .graph_core import WeightedGraph
 
+#: Pairings random_regular_graph draws before it gives up.
+_MAX_TRIES = 2000
+
 
 def path_graph(n: int) -> WeightedGraph:
     return WeightedGraph(n, [(i, i + 1, 1) for i in range(n - 1)])
@@ -30,13 +33,13 @@ def star_graph(leaves: int) -> WeightedGraph:
     return WeightedGraph(leaves + 1, [(0, i + 1, 1) for i in range(leaves)])
 
 
-def random_regular_graph(n: int, degree: int, seed: int, *, max_tries: int = 2000) -> WeightedGraph:
+def random_regular_graph(n: int, degree: int, seed: int) -> WeightedGraph:
     """Uniform-ish d-regular graph via the pairing model with rejection."""
     if n * degree % 2:
         raise ValueError("n * degree must be even")
     rng = np.random.default_rng(np.random.SeedSequence([seed & (2**64 - 1), 11]))
     stubs = np.repeat(np.arange(n), degree)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         perm = rng.permutation(stubs)
         u = np.minimum(perm[0::2], perm[1::2])
         v = np.maximum(perm[0::2], perm[1::2])

@@ -108,9 +108,11 @@ def unique_path_length(params: FamilyParams, x, z) -> int:
     return 2 * params.ell * params.base_weight + 2 * sum(d * d for d in half)
 
 
-def _gap_coordinate(i: int, ell: int) -> int:
-    """1-indexed coordinate that may change between level i and i+1."""
-    return i + 1 if i < ell else 2 * ell - i
+def _gap_coordinate(i, ell: int):
+    """1-indexed coordinate that may change between level i and i+1, for an
+    int or an int array i: min(i + 1, 2*ell - i), written with abs so that
+    ints stay ints."""
+    return (2 * ell + 1 - abs(2 * i + 1 - 2 * ell)) // 2
 
 
 def monotone_coordinate_window(i: int, j: int, ell: int) -> set[int]:
@@ -213,7 +215,7 @@ def expand_to_G(inst: FamilyInstance, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -
     # through n_aux >= 1 auxiliary vertices with consecutive ids in edge
     # order, to the leaf of v's in-tree at u's gap coordinate.
     i = eu // per_level
-    stride = s ** (np.where(i < ell, i + 1, 2 * ell - i) - 1)
+    stride = s ** (_gap_coordinate(i, ell) - 1)
     start = out_block[eu] + s - 1 + (ev % per_level) // stride % s
     end = in_block[ev] + s - 1 + (eu % per_level) // stride % s
     n_aux = ew - path_edge_deficit - 1

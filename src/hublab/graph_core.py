@@ -8,7 +8,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
 
 #: Largest number of distance entries a dense all-pairs matrix may hold.
-DEFAULT_PAIR_CAP = 250_000_000
+PAIR_CAP = 250_000_000
 
 
 class _Unreachable:
@@ -467,31 +467,24 @@ class DenseDistanceMatrix:
         self.n = mat.shape[0]
         self.graph = graph
 
-    def d(self, u: int, v: int):
-        val = int(self._mat[u, v])
-        return UNREACHABLE if val < 0 else val
-
-    def row(self, u: int) -> np.ndarray:
-        return self._mat[u]
-
     def matrix(self) -> np.ndarray:
         return self._mat
 
     def diameter(self) -> int:
-        finite = self._mat[self._mat >= 0]
-        return int(finite.max()) if finite.size else 0
+        """Largest finite distance; unreachable pairs hold -1."""
+        return int(self._mat.max(initial=0))
 
 
-def all_pairs(g: WeightedGraph, *, pair_cap: int = DEFAULT_PAIR_CAP) -> DenseDistanceMatrix:
+def all_pairs(g: WeightedGraph) -> DenseDistanceMatrix:
     """All-pairs shortest-path distances as a dense matrix.
 
     Equals n invocations of distances_from; raises ResourceLimitError
-    when n^2 entries would exceed pair_cap, and ValueError when the total edge
+    when n^2 entries would exceed PAIR_CAP, and ValueError when the total edge
     weight reaches WEIGHT_LIMIT.
     """
-    if g.n * g.n > pair_cap:
+    if g.n * g.n > PAIR_CAP:
         raise ResourceLimitError(
-            f"all-pairs matrix needs {g.n * g.n} entries, cap is {pair_cap}"
+            f"all-pairs matrix needs {g.n * g.n} entries, cap is {PAIR_CAP}"
         )
     return DenseDistanceMatrix(_distances(g), g)
 
@@ -707,14 +700,14 @@ def count_shortest_paths(
 
 def is_unique_shortest_path(dm, g: WeightedGraph, u: int, v: int):
     """(True, path) when exactly one shortest u-v path exists, else (False, None)."""
-    du = dm.row(u) if dm is not None else distances_from(g, u)
+    du = dm.matrix()[u] if dm is not None else distances_from(g, u)
     if du[v] < 0:
         raise UnreachablePairError(f"{u} and {v} are not mutually reachable")
     if u == v:
         return True, [u]
     if g.has_zero_weights:
         raise ZeroWeightError("path counting requires positive edge weights")
-    dv = dm.row(v) if dm is not None else distances_from(g, v)
+    dv = dm.matrix()[v] if dm is not None else distances_from(g, v)
     cnt, nodes = _dag_counts(g, u, v, du, dv)
     # A single u-v path makes every vertex on the DAG a vertex of that path.
     if cnt[v] != 1:

@@ -11,7 +11,6 @@ from fractions import Fraction
 import numpy as np
 
 from .graph_core import (
-    DEFAULT_PAIR_CAP,
     UNREACHABLE,
     GraphFormatError,
     ResourceLimitError,
@@ -27,6 +26,8 @@ _NO_SUM = np.uint64(np.iinfo(np.uint64).max)
 _ROWS = 256
 #: Label entries, or joined entry pairs, per chunk of the verifier.
 _CHUNK = 1 << 15
+#: Uncovered pairs a CoverReport lists; uncovered_total counts them all.
+_LISTED = 1000
 
 
 class HubLabeling:
@@ -182,17 +183,11 @@ def bit_estimate(hl: HubLabeling, diameter: int) -> int:
     return hl.total_size * entry_bits(hl.n, diameter)
 
 
-def verify_cover(
-    hl: HubLabeling,
-    dm,
-    *,
-    truncate: int = 1000,
-    pair_cap: int = DEFAULT_PAIR_CAP,
-) -> CoverReport:
+def verify_cover(hl: HubLabeling, dm) -> CoverReport:
     """Check query(u,v) == d(u,v) for every mutually reachable pair.
 
     Pairs are enumerated in canonical (u, v) order with u < v; the uncovered
-    list is truncated but the total count is exact.
+    list holds the first _LISTED of them but the total count is exact.
 
     An entry is exact when its hub is reachable and its stored distance is
     the true one. The core is the set of hubs that every vertex of the hub's
@@ -206,10 +201,8 @@ def verify_cover(
     n = hl.n
     if n != dm.n:
         raise ValueError("labeling and distance matrix disagree on n")
-    if n * n > pair_cap:
-        raise ResourceLimitError(f"verification needs {n * n} comparisons, cap is {pair_cap}")
     mat = dm.matrix()
-    diam = int(mat.max(initial=0))
+    diam = dm.diameter()
     if diam >= int(_INF32) // 4:
         raise ResourceLimitError("distances too large for vectorized verification")
     core, owner, hub, stored = _split_entries(hl, mat)
@@ -228,8 +221,8 @@ def verify_cover(
         a, b = np.searchsorted(keys, [lo * n, (lo + bad.shape[0]) * n])
         bad.reshape(-1)[keys[a:b] - lo * n] = joined[a:b]
         total_bad += int(np.count_nonzero(bad))
-        if len(uncovered) < truncate:
-            for i in np.flatnonzero(bad)[: truncate - len(uncovered)].tolist():
+        if len(uncovered) < _LISTED:
+            for i in np.flatnonzero(bad)[: _LISTED - len(uncovered)].tolist():
                 uncovered.append((lo + i // n, i % n))
     total = hl.total_size
     return CoverReport(

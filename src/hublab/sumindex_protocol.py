@@ -102,6 +102,14 @@ def build_instance_graph(
     return delete_level_mid(base, keep)
 
 
+def _endpoints(params: FamilyParams, a: int, b: int) -> tuple[LevelCoord, LevelCoord]:
+    """The vertices Alice and Bob send labels of for indices a and b:
+    v_{0,2x} with repr(x) = a, and v_{2*ell,2z} with repr(z) = b."""
+    alice = LevelCoord(0, tuple(2 * x for x in repr_decode(a, params)))
+    bob = LevelCoord(2 * params.ell, tuple(2 * z for z in repr_decode(b, params)))
+    return alice, bob
+
+
 def _message_bits(
     inst: SumIndexInstance, gprime: FamilyInstance, hub_build: BuildResult | None, v: int
 ) -> int:
@@ -142,10 +150,7 @@ def run_protocol(
         raise ValueError(f"indices must lie in [0, {m})")
     if gprime.kind != KIND_G_PRIME:
         raise ValueError("protocol runs on the deleted instance")
-    xs = repr_decode(a, params)
-    zs = repr_decode(b, params)
-    alice = LevelCoord(0, tuple(2 * x for x in xs))
-    bob = LevelCoord(2 * params.ell, tuple(2 * z for z in zs))
+    alice, bob = _endpoints(params, a, b)
     u = gprime.coord_to_id[alice]
     v = gprime.coord_to_id[bob]
     if hub_build is None:
@@ -198,19 +203,16 @@ def sweep(
 
 
 def measure_message_size(
-    inst: SumIndexInstance,
-    *,
-    mode: str = "oracle",
-    base: FamilyInstance | None = None,
-    builder: BuilderConfig | None = None,
+    inst: SumIndexInstance, *, mode: str = "oracle", base: FamilyInstance | None = None
 ) -> tuple[int, float]:
-    """(max, average) message size in bits over the endpoint vertices of the
-    deleted graph, priced as run_protocol prices them."""
+    """(max, average) message size in bits over the 2m vertices whose labels
+    a round sends, priced as run_protocol prices them; hub mode answers from
+    the default build."""
     gprime = build_instance_graph(inst, base=base)
-    hub_build = _hub_build(gprime, mode, builder)
+    hub_build = _hub_build(gprime, mode, None)
     sizes = [
-        _message_bits(inst, gprime, hub_build, vid)
-        for coord, vid in gprime.coord_to_id.items()
-        if coord.level in (0, 2 * inst.params.ell)
+        _message_bits(inst, gprime, hub_build, gprime.coord_to_id[coord])
+        for a in range(inst.m)
+        for coord in _endpoints(inst.params, a, a)
     ]
     return max(sizes), sum(sizes) / len(sizes)

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import (
-    DEFAULT_PAIR_CAP,
-    WeightedGraph,
-    all_pairs,
-    shortest_path_hits,
-)
+from .graph_core import WeightedGraph, all_pairs, shortest_path_hits
 from .hub_labeling import CoverReport, HubLabeling, verify_cover
 
 #: Rows per block of the membership masks in assemble.
@@ -365,6 +360,12 @@ def assemble(S, Q, R, F, g: WeightedGraph, dm) -> HubLabeling:
 # -- degree reduction -------------------------------------------------------------
 
 
+def _split_width(g: WeightedGraph) -> int:
+    """t = ceil(m/n), at least 1: the neighbours each clone of a split vertex
+    takes, and the degree excess over 2 that needs no split."""
+    return max(-(-g.m // max(g.n, 1)), 1)
+
+
 def reduce_degree(g: WeightedGraph):
     """Split high-degree vertices of a unit-weight graph into zero-weight
     chains of clones, each taking t = ceil(m/n) of the neighbours in id order,
@@ -377,7 +378,7 @@ def reduce_degree(g: WeightedGraph):
     if g.weight_kind != "unit":
         raise ValueError("degree reduction expects a unit-weight graph")
     n, m, deg = g.n, g.m, g.degrees
-    t = max(-(-m // n) if n else 0, 1)
+    t = _split_width(g)
     counts = np.where(deg <= 2 + t, 1, -(-deg // t))
     starts = np.cumsum(counts) - counts
     origin = np.repeat(np.arange(n), counts)
@@ -477,7 +478,6 @@ class BuildReport:
 
 @dataclass
 class BuildResult:
-    graph: WeightedGraph
     labeling: HubLabeling
     artifacts: BuilderArtifacts
     report: BuildReport
@@ -487,15 +487,10 @@ class BuildResult:
 def needs_reduction(g: WeightedGraph) -> bool:
     if g.weight_kind != "unit" or g.m == 0:
         return False
-    return g.max_degree > 2 + (-(-g.m // g.n))
+    return g.max_degree > 2 + _split_width(g)
 
 
-def build_for_graph(
-    g: WeightedGraph,
-    cfg: BuilderConfig | None = None,
-    *,
-    pair_cap: int = DEFAULT_PAIR_CAP,
-) -> BuildResult:
+def build_for_graph(g: WeightedGraph, cfg: BuilderConfig | None = None) -> BuildResult:
     """Run the full pipeline, inserting the degree reduction when the graph's
     maximum degree exceeds 2 + ceil(m/n), and certify the result: the size
     ledger bound, then the cover of the returned labeling (the projected one
@@ -503,12 +498,12 @@ def build_for_graph(
     side broke). A failed check raises CoverVerificationError."""
     cfg = cfg or BuilderConfig()
     # The verifier's own search, so certification never trusts reduce_degree's distances.
-    dm = all_pairs(g, pair_cap=pair_cap)
+    dm = all_pairs(g)
     stage_graph, stage_dm, reduced_info = g, dm, None
     if needs_reduction(g):
         stage_graph, representative, origin = reduce_degree(g)
-        stage_dm = all_pairs(stage_graph, pair_cap=pair_cap)
-        reduced_info = {"n": stage_graph.n, "m": stage_graph.m, "t": -(-g.m // g.n)}
+        stage_dm = all_pairs(stage_graph)
+        reduced_info = {"n": stage_graph.n, "m": stage_graph.m, "t": _split_width(g)}
     D = resolve_threshold(stage_graph.n, cfg.D)
     index = build_pair_index(stage_dm, D)
     S, Q, cover_attempts = _sample_cover(stage_dm, cfg, index)
@@ -555,4 +550,4 @@ def build_for_graph(
         cover=cover,
         diameter=dm.diameter(),
     )
-    return BuildResult(graph=g, labeling=hl, artifacts=artifacts, report=report, dm=dm)
+    return BuildResult(labeling=hl, artifacts=artifacts, report=report, dm=dm)

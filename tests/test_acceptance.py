@@ -122,7 +122,7 @@ def test_criterion_3_expansion_fidelity(h22, g22):
                 dg = distances_from(g.graph, u)
                 for v in sorted(h.coord_to_id.values()):
                     if inv[u].level < inv[v].level:
-                        assert int(dg[v]) == dmh.d(u, v)
+                        assert int(dg[v]) == int(dmh.matrix()[u, v])
         # b = ell = 2: every subdivided edge plus 500+ cross-level pairs in
         # the monotone window
         dmh = all_pairs(h22.graph)
@@ -142,7 +142,7 @@ def test_criterion_3_expansion_fidelity(h22, g22):
                     continue
                 diff = {k + 1 for k in range(ell) if cu.coords[k] != cv.coords[k]}
                 if diff <= monotone_coordinate_window(cu.level, cv.level, ell):
-                    assert int(rows[u][v]) == dmh.d(u, v)
+                    assert int(rows[u][v]) == int(dmh.matrix()[u, v])
                     checked += 1
         assert checked >= 500
 

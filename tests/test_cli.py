@@ -203,11 +203,12 @@ def test_sumindex_cli_message_bits(capsys, mode, bits):
 
 
 def assert_usage_error(capsys, *argv):
-    """argv exits 2 with one error line and no report."""
+    """argv exits 2 with one error line and no report; returns that line."""
     assert main(list(argv)) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("hublab: error: ")
+    return err
 
 
 @pytest.mark.parametrize("sample", ["0", "-3"])
@@ -227,8 +228,43 @@ def test_bench_empty_threshold_range_is_usage_error(capsys, tmp_path):
 
 
 def test_sumindex_cli_usage_error(capsys):
-    code, _ = run_cli(capsys, "sumindex", "--b", "1", "--ell", "1", "--bits", "1")
-    assert code == 2
+    assert_usage_error(capsys, "sumindex", "--b", "1", "--ell", "1", "--bits", "1")
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--a", "0"], ["--b-index", "0"], ["--sweep", "--a", "0"], ["--sweep", "--b-index", "0"]],
+    ids=" ".join,
+)
+def test_sumindex_cli_index_flags_are_usage_errors(capsys, extra):
+    # One index alone names no round, and --sweep runs every round.
+    assert_usage_error(capsys, "sumindex", "--b", "1", "--ell", "1", "--bits", "1", *extra)
+
+
+@pytest.mark.parametrize("bad", ["5", "0,0", "-1", "x", "1,"])
+def test_gen_remove_file_line_naming_no_mid_vertex_is_usage_error(capsys, tmp_path, bad):
+    # G(1,1) has s = 2 and one coordinate: only "0" and "1" name a mid-level vertex.
+    remove = tmp_path / "remove.txt"
+    remove.write_text(f"0\n# comment\n{bad}\n")
+    out_path = tmp_path / "gp.txt"
+    err = assert_usage_error(
+        capsys, "gen", "--kind", "Gprime", "--b", "1", "--ell", "1",
+        "--remove-file", str(remove), "--out", str(out_path),
+    )
+    assert f"remove.txt line 3: '{bad}'" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("kind", ["H", "G"])
+def test_gen_remove_file_needs_deleted_kind(capsys, tmp_path, kind):
+    remove = tmp_path / "remove.txt"
+    remove.write_text("0\n")
+    out_path = tmp_path / "g.txt"
+    assert_usage_error(
+        capsys, "gen", "--kind", kind, "--b", "1", "--ell", "1",
+        "--remove-file", str(remove), "--out", str(out_path),
+    )
+    assert not out_path.exists()
 
 
 def test_bench_single_threshold(capsys, tmp_path):

@@ -93,7 +93,7 @@ def test_level_zero_to_top_paths_stay_below_extra_level_cost():
             for z in range(p.level_size):
                 u = inst.id_of(0, coords_of_index(x, p))
                 v = inst.id_of(2 * ell, coords_of_index(z, p))
-                assert dm.d(u, v) < bound
+                assert int(dm.matrix()[u, v]) < bound
 
 
 def test_expand_has_max_degree_three():
@@ -140,7 +140,7 @@ def test_expansion_preserves_monotone_reachable_distances(b, ell):
                 continue
             diff = {k + 1 for k in range(ell) if cu.coords[k] != cv.coords[k]}
             if diff <= monotone_coordinate_window(cu.level, cv.level, ell):
-                assert int(dg[v]) == dmh.d(u, v)
+                assert int(dg[v]) == int(dmh.matrix()[u, v])
                 checked += 1
     assert checked > 0
 
@@ -153,7 +153,7 @@ def test_turning_point_pairs_shortcut_through_trees():
     h = build_H(p)
     g = expand_to_G(h)
     u, v = h.id_of(0, (0, 0)), h.id_of(1, (0, 1))
-    dh = all_pairs(h.graph).d(u, v)
+    dh = int(all_pairs(h.graph).matrix()[u, v])
     dgv = distance_between(g.graph, u, v)
     assert dh == 3 * p.base_weight + 1
     assert dgv == dh - 2

@@ -87,7 +87,7 @@ def test_path_tree():
     dm = all_pairs(PATH3)
     parents = canonical_trees(dm)
     assert parents.tolist() == [[0, 0, 1], [1, 1, 1], [1, 2, 2]]
-    assert dm.d(0, 2) == 2
+    assert int(dm.matrix()[0, 2]) == 2
     assert path_from_root(parents[0], 0, 2) == [0, 1, 2]
 
 
@@ -98,7 +98,7 @@ def test_parent_lowest_id_tie_break():
         10, [(0, 1, 1), (0, 2, 1), (1, 8, 1), (2, 3, 1), (8, 9, 1), (3, 9, 1)]
     )
     dm = all_pairs(g)
-    assert dm.d(0, 9) == 3
+    assert int(dm.matrix()[0, 9]) == 3
     assert canonical_trees(dm)[0, 9] == 3
 
 
@@ -119,15 +119,15 @@ def test_figure_path_distance_on_level_graph():
 
 def test_all_pairs_empty_and_triangle():
     dm = all_pairs(WeightedGraph(3, []))
-    assert dm.d(0, 1) is UNREACHABLE and dm.d(0, 0) == 0
+    assert dm.matrix()[0, 1] == -1 and int(dm.matrix()[0, 0]) == 0
     dm = all_pairs(WeightedGraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]))
-    assert all(dm.d(u, v) == 1 for u in range(3) for v in range(3) if u != v)
+    assert all(int(dm.matrix()[u, v]) == 1 for u in range(3) for v in range(3) if u != v)
 
 
 def test_all_pairs_level_graph_value():
     inst = build_H(FamilyParams(2, 2))
     dm = all_pairs(inst.graph)
-    assert dm.d(inst.id_of(0, (1, 0)), inst.id_of(2, (2, 1))) == 194  # 2A + 2
+    assert dm.matrix()[inst.id_of(0, (1, 0)), inst.id_of(2, (2, 1))] == 194  # 2A + 2
 
 
 def test_all_pairs_matches_single_source():
@@ -141,12 +141,13 @@ def test_all_pairs_matches_single_source():
     for g in graphs:
         dm = all_pairs(g)
         for src in range(g.n):
-            assert dm.row(src).tolist() == distances_from(g, src).tolist()
+            assert dm.matrix()[src].tolist() == distances_from(g, src).tolist()
 
 
-def test_all_pairs_pair_cap():
+def test_all_pairs_pair_cap(monkeypatch):
+    monkeypatch.setattr("hublab.graph_core.PAIR_CAP", 99)
     with pytest.raises(ResourceLimitError):
-        all_pairs(WeightedGraph(100, []), pair_cap=99)
+        all_pairs(WeightedGraph(100, []))
 
 
 def test_metric_invariants_on_generated_instances():
@@ -182,7 +183,7 @@ def test_tree_parent_edges_are_tight(g):
     weight = {(u, v): w for u, v, w in g.edges}
     weight.update({(v, u): w for (u, v), w in weight.items()})
     for root in range(g.n):
-        dist = dm.row(root)
+        dist = dm.matrix()[root]
         assert parents[root, root] == root
         for v in range(g.n):
             if v == root:
@@ -268,7 +269,7 @@ def test_path_count_matches_enumeration(g):
     dm = all_pairs(g)
     for u in range(g.n):
         for v in range(g.n):
-            if dm.d(u, v) is UNREACHABLE:
+            if dm.matrix()[u, v] == -1:
                 continue
             expected = oracle_count_shortest(g, u, v) if u != v else 1
             assert count_shortest_paths(g, u, v) == expected
@@ -276,7 +277,7 @@ def test_path_count_matches_enumeration(g):
             assert unique == (expected == 1)
             if unique and u != v:
                 assert path[0] == u and path[-1] == v
-                assert path_weight(g, path) == dm.d(u, v)
+                assert path_weight(g, path) == int(dm.matrix()[u, v])
 
 
 def test_path_count_rejects_zero_weights():
@@ -290,7 +291,8 @@ def test_distance_between_matches_full_search():
         dm = all_pairs(g)
         for u in range(g.n):
             for v in range(g.n):
-                assert distance_between(g, u, v) == dm.d(u, v)
+                d = int(dm.matrix()[u, v])
+                assert distance_between(g, u, v) == (UNREACHABLE if d < 0 else d)
 
 
 def test_distance_between_rejects_endpoints_out_of_range():
@@ -329,9 +331,9 @@ def test_zero_weight_contraction_all_pairs():
     # chain 0 -0- 1 -1- 2 -0- 3, plus (0,4) weight 2
     g = WeightedGraph(5, [(0, 1, 0), (1, 2, 1), (2, 3, 0), (0, 4, 2)])
     dm = all_pairs(g)
-    assert dm.d(0, 3) == 1
-    assert dm.d(3, 4) == 3
-    assert dm.d(0, 1) == 0
+    assert int(dm.matrix()[0, 3]) == 1
+    assert int(dm.matrix()[3, 4]) == 3
+    assert int(dm.matrix()[0, 1]) == 0
 
 
 # -- differential tests against networkx ------------------------------------------
@@ -367,7 +369,7 @@ def test_distances_match_networkx():
         dm = all_pairs(g)
         for src in range(g.n):
             assert distances_from(g, src).tolist() == expected[src]
-            assert dm.row(src).tolist() == expected[src]
+            assert dm.matrix()[src].tolist() == expected[src]
             for t in range(g.n):
                 want = expected[src][t]
                 assert distance_between(g, src, t) == (UNREACHABLE if want < 0 else want)
@@ -430,13 +432,13 @@ def test_unique_shortest_path_rejects_zero_weights():
 def test_zero_weight_all_pairs_match_networkx(g):
     _, expected = _nx_distances(g)
     dm = all_pairs(g)
-    assert [dm.row(src).tolist() for src in range(g.n)] == expected
+    assert [dm.matrix()[src].tolist() for src in range(g.n)] == expected
 
 
 def test_search_rejects_total_weight_at_limit():
     half = WEIGHT_LIMIT // 2
     below = WeightedGraph(3, [(0, 1, half), (1, 2, half - 1)])
-    assert all_pairs(below).d(0, 2) == WEIGHT_LIMIT - 1
+    assert all_pairs(below).matrix()[0, 2] == WEIGHT_LIMIT - 1
     at = WeightedGraph(3, [(0, 1, half), (1, 2, half)])
     with pytest.raises(ValueError, match=r"2\*\*52"):
         all_pairs(at)
@@ -532,7 +534,7 @@ def test_word_boundary_all_pairs_match_networkx(monkeypatch):
         _, expected = _nx_distances(g)
         dm = all_pairs(g)
         assert dm.matrix().shape == (g.n, g.n)
-        assert [dm.row(src).tolist() for src in range(g.n)] == expected, g
+        assert [dm.matrix()[src].tolist() for src in range(g.n)] == expected, g
 
 
 def test_word_boundary_hits_match_oracle(monkeypatch):
@@ -564,7 +566,7 @@ def test_short_unit_quotients_never_run_dijkstra(monkeypatch):
         dm = all_pairs(g)
         shortest_path_hits(dm, np.ones(g.n, dtype=bool))
     assert zero_one.weight_kind == "01" and inside.weight_kind == "general"
-    assert all_pairs(inside).d(0, 2) == 0
+    assert all_pairs(inside).matrix()[0, 2] == 0
     general = WeightedGraph(3, [(0, 1, 2), (1, 2, 1)])
     with pytest.raises(AssertionError, match="dijkstra called"):
         all_pairs(general)

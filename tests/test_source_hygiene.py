@@ -8,10 +8,14 @@ import pytest
 import hublab
 
 SRC = Path(hublab.__file__).resolve().parent
-# __init__ imports names only to re-export them.
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
 TESTS_AND_SCRIPTS = sorted(p for d in ("tests", "scripts") for p in ROOT.joinpath(d).glob("*.py"))
+# The files whose calls count as callers of the package: the package itself,
+# the scripts and the benchmark, not the tests.
+CALLERS = MODULES + sorted(
+    p for d in ("scripts", "perfbench") for p in ROOT.joinpath(d).glob("*.py")
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -62,3 +66,39 @@ def test_hubs_read_check_catches_one():
 def test_labels_read_through_arrays(path):
     # One label representation: consumers read the arrays or entries(v).
     assert hubs_reads(path.read_text(encoding="utf-8")) == []
+
+
+def unset_options(defs: dict[str, str], callers: list[str]) -> list[str]:
+    """Keyword-only parameters with a default, defined in the sources defs
+    (label -> text), that no call in the caller sources passes by keyword,
+    as "label: function(parameter)". A call counts for every function of
+    the called name."""
+    passed = set()
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                passed.update((name, k.arg) for k in node.keywords)
+    unset = []
+    for label, source in defs.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                    if default is not None and (node.name, arg.arg) not in passed:
+                        unset.append(f"{label}: {node.name}({arg.arg})")
+    return sorted(unset)
+
+
+def test_unset_option_check_catches_one():
+    defs = {"m.py": "def f(x, *, a=1, b=2, c):\n    pass\n"}
+    callers = ["f(0, a=3, c=4)\n", "obj.g(b=1)\n", "obj.f(1, c=2)\n"]
+    assert unset_options(defs, callers) == ["m.py: f(b)"]
+
+
+def test_every_option_has_a_caller():
+    # An option that only tests set doubles the configurations to cover for
+    # nothing; such a value belongs in a module constant that tests patch.
+    defs = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    callers = [p.read_text(encoding="utf-8") for p in CALLERS]
+    assert unset_options(defs, callers) == []

@@ -135,7 +135,7 @@ def test_message_size_measurement():
     inst = SumIndexInstance(p, "1")
     mx, avg = measure_message_size(inst, mode="oracle")
     assert mx >= avg > 0
-    mx_hub, avg_hub = measure_message_size(inst, mode="hub", builder=BuilderConfig(seed=2))
+    mx_hub, avg_hub = measure_message_size(inst, mode="hub")
     assert mx_hub >= avg_hub > 0
     assert mx_hub < mx  # hub labels beat shipping a distance table here
     # Oracle messages cost what every protocol round charges.
@@ -144,6 +144,16 @@ def test_message_size_measurement():
         p = transcripts[0].alice_label_bits
         assert all(t.alice_label_bits == p for t in transcripts)
         assert measure_message_size(case, mode="oracle") == (p, p)
+
+
+@pytest.mark.parametrize("b, ell, want", [(1, 1, 445), (2, 1, 10_099), (1, 2, 4_676)])
+def test_hub_message_size_prices_only_sent_labels(b, ell, want):
+    # A round sends the labels of v_{0,2x} and v_{2ell,2z} only; the other
+    # end-level vertices may hold larger labels.
+    p = FamilyParams(b, ell)
+    inst = SumIndexInstance(p, "1" * (p.s // 2) ** ell)
+    sent = max(max(t.alice_label_bits, t.bob_label_bits) for t in sweep(inst, mode="hub"))
+    assert measure_message_size(inst, mode="hub")[0] == sent == want
 
 
 def test_oracle_message_size_runs_no_search(monkeypatch):

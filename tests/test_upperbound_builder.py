@@ -311,7 +311,7 @@ def test_reduce_degree_star():
     dm, dm2 = all_pairs(g), all_pairs(g2)
     for u in range(g.n):
         for v in range(g.n):
-            assert dm2.d(rep[u], rep[v]) == dm.d(u, v)
+            assert int(dm2.matrix()[rep[u], rep[v]]) == int(dm.matrix()[u, v])
     assert g2.n <= 2 * (g.n + g.m)
 
 
@@ -357,7 +357,7 @@ def test_zero_distance_pairs_covered_directly():
     assert res.report.cover.valid
     dm = res.dm
     zero_pairs = [
-        (u, v) for u in range(g2.n) for v in range(u + 1, g2.n) if dm.d(u, v) == 0
+        (u, v) for u in range(g2.n) for v in range(u + 1, g2.n) if int(dm.matrix()[u, v]) == 0
     ]
     assert zero_pairs
     for u, v in zero_pairs:
