@@ -9,9 +9,9 @@ build; build_for_graph checks the size ledger and the cover once.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter, defaultdict
+import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +21,11 @@ from .hub_labeling import CoverReport, HubLabeling, verify_cover
 
 #: Rows per block of the membership masks in assemble.
 _ASSEMBLE_ROWS = 256
+#: Distance entries build_pair_index scans per block of rows (at least one
+#: row), and ball triples (u, v, x) it expands per block of vertices (at
+#: least one vertex).
+_SCAN = 1 << 20
+_TRIPLES = 1 << 16
 #: Draws each sampling stage may take to meet its size budget.
 _MAX_RESAMPLES = 32
 
@@ -135,27 +140,54 @@ def build_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
     # zero_one selects nothing; perfbench's composed build still passes it.
     n = dm.n
     mat = dm.matrix()
+    flat = mat.reshape(-1)
     w = dm.graph.edge_arrays()[2]
     r = (D - 1) * (int(w.max()) if w.size else 1)
-    big = np.triu(mat > r, 1)
-    us, vs, sizes, cands = ([np.zeros(0, dtype=np.int64)] for _ in range(4))
-    for u in range(n):
-        ru = mat[u]
-        ball = np.flatnonzero((ru >= 0) & (ru <= r))
-        close = ball[ball > u]
-        if close.size == 0:
-            continue
-        # every candidate of a pair within r lies in u's ball
-        mask = mat[ball[:, None], close] + ru[ball, None] == ru[close]
-        counts = mask.sum(axis=0)
-        big[u, close[counts >= D]] = True
-        keep = counts <= D
-        vs.append(close[keep])
-        us.append(np.full(vs[-1].size, u))
-        sizes.append(counts[keep])
-        cands.append(ball[np.nonzero(mask.T[keep])[1]])
+    big = np.empty((n, n), dtype=bool)
+    us, vs, dists, sizes, cands = ([np.zeros(0, dtype=np.int64)] for _ in range(5))
+    rows = max(1, _SCAN // max(n, 1))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        # big: the pairs u < v beyond r, of the rows lo..hi-1
+        blk = big[lo:hi]
+        np.greater(mat[lo:hi], r, out=blk)
+        blk[:, :lo] = False
+        blk[:, lo:hi] = np.triu(blk[:, lo:hi], 1)
+        # the ball entries (u, x), 0 <= d(u, x) <= r, in ascending order; -1 wraps above r
+        bu, bx = np.divmod(np.flatnonzero(mat[lo:hi].view(np.uint64) <= r), n)
+        bu += lo
+        bd = flat[bu * n + bx]
+        ptr = np.searchsorted(bu, np.arange(lo, hi + 1))
+        close = np.flatnonzero(bx > bu)
+        cptr = np.searchsorted(bu[close], np.arange(lo, hi + 1))
+        # every candidate of a close pair (u, v) lies in u's ball: one triple
+        # (u, v, x) per ball entry (u, x), expanded at most _TRIPLES at a time
+        triples = np.diff(ptr) * np.diff(cptr)
+        ends = np.cumsum(triples)
+        a = 0
+        while a < hi - lo:
+            b = int(np.searchsorted(ends, ends[a] - triples[a] + _TRIPLES, side="right"))
+            b = max(a + 1, b)
+            pair = close[cptr[a] : cptr[b]]
+            u, v, d = bu[pair], bx[pair], bd[pair]
+            start = ptr[u - lo]
+            ball = ptr[u - lo + 1] - start
+            at = np.arange(int(ball.sum())) + np.repeat(start - (np.cumsum(ball) - ball), ball)
+            # d(u, x) + d(x, v) == d(u, v), reading d(v, x) along row v
+            gap = flat[np.repeat(v * n, ball) + bx[at]] + bd[at] - np.repeat(d, ball)
+            hit = gap == 0
+            of = np.repeat(np.arange(pair.size), ball)
+            counts = np.bincount(of[hit], minlength=pair.size)
+            big[u[counts >= D], v[counts >= D]] = True
+            keep = counts <= D
+            us.append(u[keep])
+            vs.append(v[keep])
+            dists.append(d[keep])
+            sizes.append(counts[keep])
+            cands.append(bx[at[hit & np.repeat(keep, ball)]])
+            a = b
     small = np.stack([np.concatenate(us), np.concatenate(vs)], axis=1)
-    small_dist = mat[small[:, 0], small[:, 1]]
+    small_dist = np.concatenate(dists)
     cand_ptr = np.concatenate([[0], np.cumsum(np.concatenate(sizes))])
     forced = small[(np.diff(cand_ptr) < D) & (small_dist > D)]
     return PairIndex(n, D, small, small_dist, cand_ptr, np.concatenate(cands), forced, big)
@@ -233,26 +265,87 @@ def sample_coloring(dm, cfg: BuilderConfig, *, index: PairIndex):
 # -- stage 3: bucket matchings --------------------------------------------------
 
 
-def _check_induced(groups):
-    for (a, b, _color), items in groups.items():
-        union: dict[tuple[int, int], int] = {}
-        for h, mm in items:
-            for e in mm:
-                union.setdefault(e, h)
-        for h, mm in items:
-            mmset = set(mm)
-            left = {x for x, _ in mm}
-            right = {y for _, y in mm}
-            for (x, y), origin in union.items():
-                if x in left and y in right and (x, y) not in mmset:
-                    raise InducedMatchingViolation(a, b, h, origin, x, y)
+def _run_heads(keys: np.ndarray) -> np.ndarray:
+    """Whether each entry of keys differs from the one before it."""
+    head = np.ones(keys.size, dtype=bool)
+    head[1:] = keys[1:] != keys[:-1]
+    return head
+
+
+def _greedy_matchings(bucket: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Whether each row (bucket, x, y) is in its bucket's greedy matching, for
+    rows sorted by (bucket, x, y): the matching that takes each row, in order,
+    whose x and y no row it took before holds. A row is taken iff every
+    earlier row of its bucket that shares its x or its y is not, so each round
+    takes the undecided rows that come first among the undecided rows of
+    their (bucket, x) run and of their (bucket, y) run, then drops the
+    undecided rows that share an x or a y with a row it took."""
+    width = int(max(x.max(initial=0), y.max(initial=0))) + 1
+    kx, ky = bucket * width + x, bucket * width + y
+    taken = np.zeros(bucket.size, dtype=bool)
+    alive = np.ones(bucket.size, dtype=bool)
+    first_y = np.zeros(bucket.size, dtype=bool)
+    by_x = np.arange(bucket.size)  # the undecided rows in row order
+    by_y = np.argsort(ky, kind="stable")  # the undecided rows in (bucket, y) order
+    while by_x.size:
+        head_x = _run_heads(kx[by_x])
+        head_y = _run_heads(ky[by_y])
+        first_y[by_y[head_y]] = True
+        take = head_x & first_y[by_x]
+        first_y[by_y[head_y]] = False
+        taken[by_x[take]] = True
+        # a taken row heads its run in both orders: drop its runs
+        alive[by_x[take[head_x][np.cumsum(head_x) - 1]]] = False
+        alive[by_y[taken[by_y[head_y]][np.cumsum(head_y) - 1]]] = False
+        by_x, by_y = by_x[alive[by_x]], by_y[alive[by_y]]
+    return taken
+
+
+def _check_induced(group, a, b, h, x, y):
+    """Raise InducedMatchingViolation unless every matching of a group is
+    induced in the union of the group's matched pairs: no pair (x, y) of the
+    union that the matching h did not match has x on h's left side and y on
+    its right.
+
+    The rows are the matched pairs (x, y) of the matchings h of the groups
+    (a, b, color), each matching's rows together; groups are numbered in
+    order of first appearance. The violation raised is the first in group
+    order, then in row order of h, then by the first appearance of the union
+    pair, whose first matching is named as its origin.
+    """
+    if not group.size:
+        return
+    order = np.argsort(group, kind="stable")
+    group, a, b, h, x, y = (c[order] for c in (group, a, b, h, x, y))
+    width = int(max(x.max(), y.max())) + 1
+    matching = np.cumsum(_run_heads(group) | _run_heads(h)) - 1
+    # the union pairs of each group, by (group, x, y), at their first row
+    gx = group * width + x
+    by_x = np.lexsort((y, gx))
+    union = by_x[_run_heads(gx[by_x]) | _run_heads(y[by_x])]
+    # join each union pair to the rows of its group that hold its x on the left
+    lo = np.searchsorted(gx[by_x], gx[union])
+    cnt = np.searchsorted(gx[by_x], gx[union], side="right") - lo
+    i = np.repeat(union, cnt)
+    j = by_x[np.arange(int(cnt.sum())) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)]
+    # a violation: j's matching holds y(i) on its right side but not (x(i), y(i))
+    right = np.sort(matching * width + y)
+    want = matching[j] * width + y[i]
+    holds = right[np.minimum(np.searchsorted(right, want), right.size - 1)] == want
+    bad = np.flatnonzero(holds & (y[j] != y[i]))
+    if bad.size:
+        k = bad[np.lexsort((i[bad], matching[j[bad]]))[0]]
+        at, row = j[k], i[k]
+        raise InducedMatchingViolation(
+            *(int(c) for c in (a[at], b[at], h[at], h[row], x[row], y[row]))
+        )
 
 
 def build_matchings(dm, colors, cfg: BuilderConfig, *, index: PairIndex):
     """(F, matchings_log): greedy maximal matchings per (a, b, h) bucket over
     conflict-free small pairs; F holds (v, h) for every endpoint v matched in
     a bucket of h, and (v, v) for every v. Runtime-checks the
-    induced-matching invariant."""
+    induced-matching invariant within every (a, b, color) group."""
     n = dm.n
     colors = np.asarray(colors)
     mat = dm.matrix()
@@ -263,29 +356,26 @@ def build_matchings(dm, colors, cfg: BuilderConfig, *, index: PairIndex):
     u, v = np.repeat(index.small[live], sizes[live], axis=0).T
     a, b = mat[u, h], mat[h, v]
     # every pair enters the buckets (a, b, h) as (u, v) and (b, a, h) as (v, u)
-    entries = [np.concatenate(c) for c in ((a, b), (b, a), (h, h), (u, v), (v, u))]
-    order = np.lexsort(entries[::-1])
-    rows = zip(*(c[order].tolist() for c in entries))
-    col = colors.tolist()
-    log: dict[tuple[int, int, int], int] = {}
-    groups: dict[tuple[int, int, int], list] = defaultdict(list)
-    owner, hub = list(range(n)), list(range(n))
-    for key, items in itertools.groupby(rows, key=lambda e: e[:3]):
-        left_used: set[int] = set()
-        right_used: set[int] = set()
-        mm = []
-        for *_, x, y in items:
-            if x not in left_used and y not in right_used:
-                mm.append((x, y))
-                left_used.add(x)
-                right_used.add(y)
-        log[key] = len(mm)
-        ends = left_used | right_used
-        owner += ends
-        hub += [key[2]] * len(ends)
-        groups[(key[0], key[1], col[key[2]])].append((key[2], mm))
-    _check_induced(groups)
-    keys = np.unique(np.array(owner, dtype=np.int64) * n + np.array(hub, dtype=np.int64))
+    rows = [np.concatenate(c) for c in ((a, b), (b, a), (h, h), (u, v), (v, u))]
+    order = np.lexsort(rows[::-1])
+    a, b, h, x, y = (c[order] for c in rows)
+    heads = _run_heads(a) | _run_heads(b) | _run_heads(h)
+    bucket = np.cumsum(heads) - 1
+    taken = _greedy_matchings(bucket, x, y)
+    first = np.flatnonzero(heads)
+    names = zip(a[first].tolist(), b[first].tolist(), h[first].tolist())
+    log = dict(zip(names, np.bincount(bucket[taken], minlength=first.size).tolist()))
+    # groups (a, b, color of h), numbered by first appearance in bucket order
+    pair_run = np.cumsum(_run_heads(a[first]) | _run_heads(b[first])) - 1
+    width = int(colors.max(initial=0)) + 1
+    key = pair_run * width + colors[h[first]]
+    _, at, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rank = np.empty(at.size, dtype=np.int64)
+    rank[np.argsort(at)] = np.arange(at.size)
+    group = rank[inverse][bucket]
+    _check_induced(*(c[taken] for c in (group, a, b, h, x, y)))
+    ends = np.concatenate([x[taken], y[taken]])
+    keys = np.unique(np.concatenate([np.arange(n) * (n + 1), ends * n + np.tile(h[taken], 2)]))
     return _rows(keys, n), log
 
 
@@ -476,12 +566,29 @@ class BuildReport:
         }
 
 
+#: The stages build_for_graph times, in the order they run. In reduced builds
+#: all_pairs holds both searches; otherwise reduce and project read 0.
+_STAGES = (
+    "all_pairs",
+    "reduce",
+    "pair_index",
+    "cover",
+    "coloring",
+    "matchings",
+    "assemble",
+    "ledger",
+    "project",
+    "verify",
+)
+
+
 @dataclass
 class BuildResult:
     labeling: HubLabeling
     artifacts: BuilderArtifacts
     report: BuildReport
     dm: object
+    timing: dict[str, float]  # seconds per stage of _STAGES
 
 
 def needs_reduction(g: WeightedGraph) -> bool:
@@ -497,26 +604,46 @@ def build_for_graph(g: WeightedGraph, cfg: BuilderConfig | None = None) -> Build
     in reduced builds, whose stage labeling is verified only to tell which
     side broke). A failed check raises CoverVerificationError."""
     cfg = cfg or BuilderConfig()
+    timing = dict.fromkeys(_STAGES, 0.0)
+    clock = time.perf_counter()
+
+    def lap(stage: str) -> None:
+        nonlocal clock
+        now = time.perf_counter()
+        timing[stage] += now - clock
+        clock = now
+
     # The verifier's own search, so certification never trusts reduce_degree's distances.
     dm = all_pairs(g)
+    lap("all_pairs")
     stage_graph, stage_dm, reduced_info = g, dm, None
     if needs_reduction(g):
         stage_graph, representative, origin = reduce_degree(g)
+        lap("reduce")
         stage_dm = all_pairs(stage_graph)
+        lap("all_pairs")
         reduced_info = {"n": stage_graph.n, "m": stage_graph.m, "t": _split_width(g)}
     D = resolve_threshold(stage_graph.n, cfg.D)
     index = build_pair_index(stage_dm, D)
+    lap("pair_index")
     S, Q, cover_attempts = _sample_cover(stage_dm, cfg, index)
+    lap("cover")
     colors, R, color_attempts = _sample_colors(stage_dm, cfg, index)
+    lap("coloring")
     F, log = build_matchings(stage_dm, colors, cfg, index=index)
+    lap("matchings")
     stage_hl = assemble(S, Q, R, F, stage_graph, stage_dm)
+    lap("assemble")
     ledger = size_ledger(S, Q, R, F, stage_graph, stage_hl)
+    lap("ledger")
     if not ledger.bound_ok:
         raise CoverVerificationError(f"size ledger bound violated: {ledger}")
     hl = stage_hl
     if reduced_info is not None:
         hl = project_back(stage_hl, representative, origin, dm)
+        lap("project")
     cover = verify_cover(hl, dm)
+    lap("verify")
     if not cover.valid:
         # say which side broke: the stage labeling, or only its projection
         stage_cover = cover if reduced_info is None else verify_cover(stage_hl, stage_dm)
@@ -550,4 +677,4 @@ def build_for_graph(g: WeightedGraph, cfg: BuilderConfig | None = None) -> Build
         cover=cover,
         diameter=dm.diameter(),
     )
-    return BuildResult(labeling=hl, artifacts=artifacts, report=report, dm=dm)
+    return BuildResult(labeling=hl, artifacts=artifacts, report=report, dm=dm, timing=timing)

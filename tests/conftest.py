@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +21,12 @@ from hublab.graph_core import (
     distances_from,
 )
 from hublab.hub_labeling import CoverReport, HubLabeling, bit_estimate
-from hublab.upperbound_builder import BuilderConfig, build_for_graph
+from hublab.upperbound_builder import (
+    BuilderConfig,
+    InducedMatchingViolation,
+    _conflicts,
+    build_for_graph,
+)
 
 settings.register_profile(
     "hublab",
@@ -301,6 +308,82 @@ def oracle_has_conflict(colors, H) -> bool:
             return True
         seen.add(c)
     return False
+
+
+def oracle_greedy_matching(rows) -> list[tuple[int, int]]:
+    """The (x, y) rows of one bucket that the sequential greedy takes: each
+    row, in order, whose x no taken row holds on the left and whose y none
+    holds on the right."""
+    left_used: set[int] = set()
+    right_used: set[int] = set()
+    mm = []
+    for x, y in rows:
+        if x not in left_used and y not in right_used:
+            mm.append((x, y))
+            left_used.add(x)
+            right_used.add(y)
+    return mm
+
+
+def oracle_check_induced(groups):
+    """The induced-matching check by the per-group loop the matching stage ran
+    before its array join: groups maps (a, b, color) to its (h, matching)
+    items; raises InducedMatchingViolation at the first violation."""
+    for (a, b, _color), items in groups.items():
+        union: dict[tuple[int, int], int] = {}
+        for h, mm in items:
+            for e in mm:
+                union.setdefault(e, h)
+        for h, mm in items:
+            mmset = set(mm)
+            left = {x for x, _ in mm}
+            right = {y for _, y in mm}
+            for (x, y), origin in union.items():
+                if x in left and y in right and (x, y) not in mmset:
+                    raise InducedMatchingViolation(a, b, h, origin, x, y)
+
+
+def induced_rows(groups):
+    """The row arrays (group, a, b, h, x, y) of _check_induced for the dict
+    form of oracle_check_induced, groups numbered in dict order."""
+    rows = [
+        (g, a, b, h, x, y)
+        for g, ((a, b, _color), items) in enumerate(groups.items())
+        for h, mm in items
+        for x, y in mm
+    ]
+    return tuple(np.array(rows, dtype=np.int64).reshape(-1, 6).T)
+
+
+def oracle_matchings(dm, colors, index):
+    """(F, matchings_log) by the per-bucket loops the matching stage ran
+    before its rounds: the sequential greedy per bucket and the per-group
+    induced check."""
+    n = dm.n
+    colors = np.asarray(colors)
+    mat = dm.matrix()
+    sizes = np.diff(index.cand_ptr)
+    live = (index.small_dist <= index.D) & ~_conflicts(colors, index.cand_ptr, index.cand)
+    h = index.cand[np.repeat(live, sizes)]
+    u, v = np.repeat(index.small[live], sizes[live], axis=0).T
+    a, b = mat[u, h], mat[h, v]
+    entries = [np.concatenate(c) for c in ((a, b), (b, a), (h, h), (u, v), (v, u))]
+    order = np.lexsort(entries[::-1])
+    rows = zip(*(c[order].tolist() for c in entries))
+    col = colors.tolist()
+    log: dict[tuple[int, int, int], int] = {}
+    groups: dict[tuple[int, int, int], list] = defaultdict(list)
+    owner, hub = list(range(n)), list(range(n))
+    for key, items in itertools.groupby(rows, key=lambda e: e[:3]):
+        mm = oracle_greedy_matching((x, y) for *_, x, y in items)
+        log[key] = len(mm)
+        ends = {x for x, _ in mm} | {y for _, y in mm}
+        owner += ends
+        hub += [key[2]] * len(ends)
+        groups[(key[0], key[1], col[key[2]])].append((key[2], mm))
+    oracle_check_induced(groups)
+    keys = np.unique(np.array(owner, dtype=np.int64) * n + np.array(hub, dtype=np.int64))
+    return np.stack(np.divmod(keys, max(n, 1)), axis=1), log
 
 
 _INF32 = np.int32(1 << 29)

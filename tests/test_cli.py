@@ -110,6 +110,23 @@ def test_build_empty_graph_writes_empty_labels(capsys, tmp_path):
     assert code == 0
 
 
+def test_build_report_times_every_stage(capsys, tmp_path):
+    gpath, lpath = tmp_path / "g.txt", tmp_path / "labels.txt"
+    # a graph that needs degree reduction, so that every stage runs
+    write_graph(WeightedGraph(8, [(0, v, 1) for v in range(1, 8)] + [(1, 2, 1)]), gpath)
+    code, out = run_cli(capsys, "build", "--graph", str(gpath), "--out", str(lpath))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["reduced"] is not None
+    stages = rep["timing"]["stages_s"]
+    assert set(stages) == {
+        "all_pairs", "reduce", "pair_index", "cover", "coloring", "matchings",
+        "assemble", "ledger", "project", "verify", "write_labels",
+    }
+    assert all(isinstance(s, float) and s >= 0 for s in stages.values())
+    assert sum(stages.values()) - stages["write_labels"] <= rep["timing"]["wall_time_s"] + 0.01
+
+
 def test_build_determinism_modulo_timing(capsys, tmp_path):
     inst = build_H(FamilyParams(1, 1))
     gpath = tmp_path / "g.txt"

@@ -5,8 +5,12 @@ import pytest
 from conftest import (
     hub_candidates,
     index_as_dicts,
+    induced_rows,
     labeling,
+    oracle_check_induced,
+    oracle_greedy_matching,
     oracle_has_conflict,
+    oracle_matchings,
     oracle_pair_index,
     oracle_reduce_degree,
     seeded_sparse_graph,
@@ -16,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hublab.corpus import erdos_renyi_m, grid_graph, path_graph, random_regular_graph, star_graph
-from hublab.family_gen import FamilyParams, build_H
+from hublab.family_gen import FamilyParams, build_H, expand_to_G
 from hublab.graph_core import WeightedGraph, all_pairs
 from hublab import upperbound_builder
 from hublab.hub_labeling import HubLabeling, baseline_full, format_labels, query, verify_cover
@@ -27,6 +31,7 @@ from hublab.upperbound_builder import (
     ResampleExhausted,
     _check_induced,
     _conflicts,
+    _greedy_matchings,
     _resample,
     _rng,
     _sample_cover,
@@ -117,6 +122,35 @@ PAIR_INDEX_EDGE_CASES = [
 def test_pair_index_edge_cases_match_oracle(g, D):
     dm = all_pairs(g)
     assert_same_index(build_pair_index(dm, D), oracle_pair_index(dm, D))
+
+
+ONE_VERTEX_BLOCK_CASES = {
+    "n0": (WeightedGraph(0, []), 2),
+    "n1": (WeightedGraph(1, []), 2),
+    "edgeless": (WeightedGraph(5, []), 2),
+    "two-components": (WeightedGraph(7, [(0, 1, 1), (1, 2, 1), (3, 4, 1), (4, 5, 1), (5, 3, 1)]), 2),
+    "zero-weight-chains": (reduce_degree(star_graph(9))[0], 3),
+    "D1": (random_regular_graph(30, 3, seed=2), 1),
+    "D-above-n": (path_graph(6), 8),
+    "H11": (build_H(FamilyParams(1, 1)).graph, 3),
+}
+
+
+@pytest.mark.parametrize("g, D", ONE_VERTEX_BLOCK_CASES.values(), ids=ONE_VERTEX_BLOCK_CASES)
+def test_pair_index_one_vertex_blocks(monkeypatch, g, D):
+    dm = all_pairs(g)
+    default = build_pair_index(dm, D)
+    # every block is one row of the scan and one vertex of the expansion
+    monkeypatch.setattr(upperbound_builder, "_SCAN", 1)
+    monkeypatch.setattr(upperbound_builder, "_TRIPLES", 1)
+    blocks = build_pair_index(dm, D)
+    for field in ("small", "small_dist", "cand_ptr", "cand", "forced", "big"):
+        got, want = getattr(blocks, field), getattr(default, field)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert (got == want).all()
+    assert_same_index(blocks, oracle_pair_index(dm, D))
+    if g is ONE_VERTEX_BLOCK_CASES["H11"][0]:
+        assert len(blocks.forced)
 
 
 @settings(max_examples=200)
@@ -281,10 +315,113 @@ def test_check_induced_accepts_and_rejects():
     # two matchings of the same color in one bucket; the cross pair (1, 12)
     # joins h=5's left side to its right side without being matched there
     ok_groups = {(1, 1, 2): [(5, [(1, 10), (2, 11)]), (6, [(3, 12)])]}
-    _check_induced(ok_groups)
+    _check_induced(*induced_rows(ok_groups))
     bad_groups = {(1, 1, 2): [(5, [(1, 10), (2, 11)]), (6, [(1, 12), (7, 10)])]}
     with pytest.raises(InducedMatchingViolation):
-        _check_induced({(1, 1, 2): bad_groups[(1, 1, 2)] + [(8, [(2, 12)])]})
+        _check_induced(*induced_rows({(1, 1, 2): bad_groups[(1, 1, 2)] + [(8, [(2, 12)])]}))
+
+
+def _staircase(steps: int) -> list[tuple[int, int]]:
+    """Rows x_i-y_i, x_i-y_(i+1): each row's turn waits on the row before it."""
+    return [(i, i + d) for i in range(steps) for d in (0, 1)]
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=12), max_size=6),
+    st.integers(0, 40),
+)
+def test_greedy_rounds_match_sequential_greedy(buckets, steps):
+    buckets = [sorted(rows) for rows in buckets] + ([_staircase(steps)] if steps else [])
+    rows = [(k, x, y) for k, bucket in enumerate(buckets) for x, y in bucket]
+    taken = _greedy_matchings(*np.array(rows, dtype=np.int64).reshape(-1, 3).T).tolist()
+    got = [[] for _ in buckets]
+    for (k, x, y), t in zip(rows, taken):
+        if t:
+            got[k].append((x, y))
+    assert got == [oracle_greedy_matching(rows) for rows in buckets]
+
+
+def test_greedy_rounds_staircase_takes_every_step():
+    steps = 300
+    bucket = np.zeros(2 * steps, dtype=np.int64)
+    x, y = np.array(_staircase(steps), dtype=np.int64).T
+    assert _greedy_matchings(bucket, x, y).tolist() == [True, False] * steps
+
+
+_matching = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    min_size=1,
+    max_size=4,
+    unique_by=(lambda e: e[0], lambda e: e[1]),
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(1, 3)),
+        st.dictionaries(st.integers(0, 9), _matching, min_size=1, max_size=4),
+        max_size=4,
+    )
+)
+def test_check_induced_matches_group_loop(groups):
+    groups = {key: sorted(items.items()) for key, items in groups.items()}
+    try:
+        oracle_check_induced(groups)
+    except InducedMatchingViolation as exc:
+        want = exc
+    else:
+        want = None
+    if want is None:
+        _check_induced(*induced_rows(groups))
+        return
+    with pytest.raises(InducedMatchingViolation) as got:
+        _check_induced(*induced_rows(groups))
+    assert type(got.value) is type(want)
+    assert (got.value.bucket, got.value.other, got.value.pair) == (want.bucket, want.other, want.pair)
+    assert str(got.value) == str(want)
+
+
+def test_check_induced_names_first_violation():
+    # h=5 is induced. h=6 holds 1 and 7 on the left and 10 and 12 on the
+    # right, so the union pairs (1, 10) from h=5 and (7, 12) from h=8 both
+    # break it; the loop meets (1, 10) first
+    groups = {
+        (0, 0, 1): [(3, [(4, 4)])],
+        (1, 1, 2): [(5, [(1, 10), (2, 11)]), (6, [(1, 12), (7, 10)]), (8, [(7, 12)])],
+    }
+    with pytest.raises(InducedMatchingViolation) as want:
+        oracle_check_induced(groups)
+    with pytest.raises(InducedMatchingViolation) as exc:
+        _check_induced(*induced_rows(groups))
+    assert (exc.value.bucket, exc.value.other, exc.value.pair) == ((1, 1, 6), 5, (1, 10))
+    assert str(exc.value) == str(want.value) == (
+        "matching of bucket (a=1, b=1, h=6) is not induced: pair (1,10) from h'=5 joins its endpoint sides"
+    )
+
+
+@pytest.mark.parametrize(
+    "g, D",
+    [
+        (random_regular_graph(200, 3, seed=42), 3),
+        (reduce_degree(erdos_renyi_m(120, 240, seed=2))[0], 2),
+        (reduce_degree(erdos_renyi_m(120, 240, seed=2))[0], 3),
+        (grid_graph(8, 8), 4),
+        (path_graph(30), 1),
+        (expand_to_G(build_H(FamilyParams(1, 1))).graph, 3),
+    ],
+    ids=["3reg-200", "er-120-reduced-D2", "er-120-reduced-D3", "grid-8x8", "path-30-D1", "G11"],
+)
+def test_matchings_match_bucket_loop(g, D):
+    dm = all_pairs(g)
+    cfg = BuilderConfig(D=D, seed=5)
+    index = build_pair_index(dm, D)
+    colors, _ = sample_coloring(dm, cfg, index=index)
+    F, log = build_matchings(dm, colors, cfg, index=index)
+    want_F, want_log = oracle_matchings(dm, colors, index)
+    assert F.tolist() == want_F.tolist()
+    assert list(log.items()) == list(want_log.items())
 
 
 def test_reduce_degree_requires_unit_weights():
