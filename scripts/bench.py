@@ -10,8 +10,11 @@ Usage:
 
 Graphs: H:<b>:<ell> (the graph `hublab gen --kind H` writes),
 er:<n>:<m>:<seed> (corpus.erdos_renyi_m), reg:<n>:<degree>:<seed>
-(corpus.random_regular_graph), path:<n> (corpus.path_graph), or the path of
-a graph file.
+(corpus.random_regular_graph), path:<n> (corpus.path_graph),
+wstar:<leaves> (corpus.star_graph with a weight-2 edge from its last leaf to
+a new vertex: its weights are general, so the build keeps the hub's degree
+and most leaf pairs share one bucket at the hub), or the path of a graph
+file.
 
 The script imports hublab from the `src` of the checkout that holds it and
 updates BENCH_<label>.json in the current directory. To compare two commits,
@@ -89,6 +92,11 @@ def make_graph(spec: str):
         n, degree, seed = args
         g = corpus.random_regular_graph(n, degree, seed=seed)
         return g, {"generator": "corpus.random_regular_graph", "n": n, "degree": degree, "seed": seed}
+    if kind == "wstar" and len(args) == 1:
+        star = corpus.star_graph(args[0])
+        edges = [*zip(*(a.tolist() for a in star.edge_arrays())), (star.n - 1, star.n, 2)]
+        g = graph_core.WeightedGraph(star.n + 1, edges)
+        return g, {"generator": "corpus.star_graph plus a weight-2 pendant edge", "leaves": args[0]}
     if kind == "path" and len(args) == 1:
         return corpus.path_graph(args[0]), {"generator": "corpus.path_graph", "n": args[0]}
     if os.path.isfile(spec):

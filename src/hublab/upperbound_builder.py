@@ -26,6 +26,9 @@ _ASSEMBLE_ROWS = 256
 #: least one vertex).
 _SCAN = 1 << 20
 _TRIPLES = 1 << 16
+#: A round of _greedy_matchings that decides less than 1/_ROUND_SHARE of the
+#: undecided rows hands them to the sequential greedy.
+_ROUND_SHARE = 8
 #: Draws each sampling stage may take to meet its size budget.
 _MAX_RESAMPLES = 32
 
@@ -279,7 +282,13 @@ def _greedy_matchings(bucket: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.nd
     earlier row of its bucket that shares its x or its y is not, so each round
     takes the undecided rows that come first among the undecided rows of
     their (bucket, x) run and of their (bucket, y) run, then drops the
-    undecided rows that share an x or a y with a row it took."""
+    undecided rows that share an x or a y with a row it took.
+
+    A bucket needs as many rounds as its longest chain of rows that wait on
+    each other, and each round rescans the undecided rows, so once a round
+    decides less than 1/_ROUND_SHARE of them the rest go through the
+    sequential greedy: no undecided row shares an x or a y with a taken row,
+    so the rest decide among themselves."""
     width = int(max(x.max(initial=0), y.max(initial=0))) + 1
     kx, ky = bucket * width + x, bucket * width + y
     taken = np.zeros(bucket.size, dtype=bool)
@@ -297,8 +306,26 @@ def _greedy_matchings(bucket: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.nd
         # a taken row heads its run in both orders: drop its runs
         alive[by_x[take[head_x][np.cumsum(head_x) - 1]]] = False
         alive[by_y[taken[by_y[head_y]][np.cumsum(head_y) - 1]]] = False
+        undecided = by_x.size
         by_x, by_y = by_x[alive[by_x]], by_y[alive[by_y]]
+        if (undecided - by_x.size) * _ROUND_SHARE < undecided:
+            taken[_sequential_greedy(by_x, kx[by_x], ky[by_x])] = True
+            break
     return taken
+
+
+def _sequential_greedy(rows: np.ndarray, kx: np.ndarray, ky: np.ndarray) -> list[int]:
+    """The rows the greedy takes, in order, whose (bucket, x) key kx and
+    (bucket, y) key ky no row it took before holds."""
+    used_x: set[int] = set()
+    used_y: set[int] = set()
+    out = []
+    for row, i, j in zip(rows.tolist(), kx.tolist(), ky.tolist()):
+        if i not in used_x and j not in used_y:
+            used_x.add(i)
+            used_y.add(j)
+            out.append(row)
+    return out
 
 
 def _check_induced(group, a, b, h, x, y):
@@ -566,29 +593,13 @@ class BuildReport:
         }
 
 
-#: The stages build_for_graph times, in the order they run. In reduced builds
-#: all_pairs holds both searches; otherwise reduce and project read 0.
-_STAGES = (
-    "all_pairs",
-    "reduce",
-    "pair_index",
-    "cover",
-    "coloring",
-    "matchings",
-    "assemble",
-    "ledger",
-    "project",
-    "verify",
-)
-
-
 @dataclass
 class BuildResult:
     labeling: HubLabeling
     artifacts: BuilderArtifacts
     report: BuildReport
     dm: object
-    timing: dict[str, float]  # seconds per stage of _STAGES
+    timing: dict[str, float]  # seconds per stage that ran, in order
 
 
 def needs_reduction(g: WeightedGraph) -> bool:
@@ -604,13 +615,14 @@ def build_for_graph(g: WeightedGraph, cfg: BuilderConfig | None = None) -> Build
     in reduced builds, whose stage labeling is verified only to tell which
     side broke). A failed check raises CoverVerificationError."""
     cfg = cfg or BuilderConfig()
-    timing = dict.fromkeys(_STAGES, 0.0)
+    timing: dict[str, float] = {}
     clock = time.perf_counter()
 
     def lap(stage: str) -> None:
+        # reduced builds lap all_pairs twice: it holds both searches
         nonlocal clock
         now = time.perf_counter()
-        timing[stage] += now - clock
+        timing[stage] = timing.get(stage, 0.0) + now - clock
         clock = now
 
     # The verifier's own search, so certification never trusts reduce_degree's distances.

@@ -127,6 +127,19 @@ def test_build_report_times_every_stage(capsys, tmp_path):
     assert sum(stages.values()) - stages["write_labels"] <= rep["timing"]["wall_time_s"] + 0.01
 
 
+def test_build_report_omits_stages_that_did_not_run(capsys, tmp_path):
+    gpath, lpath = tmp_path / "g.txt", tmp_path / "labels.txt"
+    write_graph(WeightedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]), gpath)
+    code, out = run_cli(capsys, "build", "--graph", str(gpath), "--out", str(lpath))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["reduced"] is None
+    assert set(rep["timing"]["stages_s"]) == {
+        "all_pairs", "pair_index", "cover", "coloring", "matchings",
+        "assemble", "ledger", "verify", "write_labels",
+    }
+
+
 def test_build_determinism_modulo_timing(capsys, tmp_path):
     inst = build_H(FamilyParams(1, 1))
     gpath = tmp_path / "g.txt"

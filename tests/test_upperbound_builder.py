@@ -326,6 +326,21 @@ def _staircase(steps: int) -> list[tuple[int, int]]:
     return [(i, i + d) for i in range(steps) for d in (0, 1)]
 
 
+#: _ROUND_SHARE values that hand the rest to the sequential greedy after the
+#: first round, at the default share, and never.
+_SHARES = (0, upperbound_builder._ROUND_SHARE, 1 << 40)
+
+
+def _greedy_at_shares(bucket, x, y) -> list[list[bool]]:
+    """_greedy_matchings of the rows at each share of _SHARES."""
+    out = []
+    for share in _SHARES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(upperbound_builder, "_ROUND_SHARE", share)
+            out.append(_greedy_matchings(bucket, x, y).tolist())
+    return out
+
+
 @settings(max_examples=200)
 @given(
     st.lists(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=12), max_size=6),
@@ -334,19 +349,37 @@ def _staircase(steps: int) -> list[tuple[int, int]]:
 def test_greedy_rounds_match_sequential_greedy(buckets, steps):
     buckets = [sorted(rows) for rows in buckets] + ([_staircase(steps)] if steps else [])
     rows = [(k, x, y) for k, bucket in enumerate(buckets) for x, y in bucket]
-    taken = _greedy_matchings(*np.array(rows, dtype=np.int64).reshape(-1, 3).T).tolist()
-    got = [[] for _ in buckets]
-    for (k, x, y), t in zip(rows, taken):
-        if t:
-            got[k].append((x, y))
-    assert got == [oracle_greedy_matching(rows) for rows in buckets]
+    want = [oracle_greedy_matching(rows) for rows in buckets]
+    for taken in _greedy_at_shares(*np.array(rows, dtype=np.int64).reshape(-1, 3).T):
+        got = [[] for _ in buckets]
+        for (k, x, y), t in zip(rows, taken):
+            if t:
+                got[k].append((x, y))
+        assert got == want
 
 
 def test_greedy_rounds_staircase_takes_every_step():
     steps = 300
     bucket = np.zeros(2 * steps, dtype=np.int64)
     x, y = np.array(_staircase(steps), dtype=np.int64).T
-    assert _greedy_matchings(bucket, x, y).tolist() == [True, False] * steps
+    for taken in _greedy_at_shares(bucket, x, y):
+        assert taken == [True, False] * steps
+
+
+def test_greedy_rounds_hand_long_chains_to_sequential(monkeypatch):
+    # a complete bipartite bucket on p vertices takes two rows per round
+    p = 60
+    rows = [(x, y) for x in range(p) for y in range(p) if x != y]
+    x, y = np.array(rows, dtype=np.int64).T
+    bucket = np.zeros(x.size, dtype=np.int64)
+    calls = []
+    sequential = upperbound_builder._sequential_greedy
+    monkeypatch.setattr(
+        upperbound_builder, "_sequential_greedy", lambda *a: calls.append(a[0].size) or sequential(*a)
+    )
+    taken = _greedy_matchings(bucket, x, y)
+    assert calls == [(p - 2) * (p - 3)]
+    assert [r for r, t in zip(rows, taken) if t] == oracle_greedy_matching(rows)
 
 
 _matching = st.lists(
