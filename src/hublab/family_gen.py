@@ -115,18 +115,6 @@ def _gap_coordinate(i, ell: int):
     return (2 * ell + 1 - abs(2 * i + 1 - 2 * ell)) // 2
 
 
-def monotone_coordinate_window(i: int, j: int, ell: int) -> set[int]:
-    """Coordinates (1-indexed) changeable on a level-monotone walk i -> j.
-
-    Cross-level distances survive the degree-3 expansion exactly for pairs
-    whose differing coordinates lie in this window; other pairs force a
-    turning point that the expansion's trees shortcut.
-    """
-    if not 0 <= i < j <= 2 * ell:
-        raise ValueError("need 0 <= i < j <= 2*ell")
-    return {_gap_coordinate(g, ell) for g in range(i, j)}
-
-
 def build_H(params: FamilyParams, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> FamilyInstance:
     """The weighted level graph on (2*ell+1) * s^ell vertices.
 

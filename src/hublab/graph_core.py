@@ -62,39 +62,27 @@ class WeightedGraph:
         if isinstance(edges, np.ndarray):
             arr = edges.reshape(-1, 3).astype(np.int64, copy=True)
         else:
-            seq = list(edges)
-            if seq:
-                arr = np.array(seq, dtype=np.int64).reshape(-1, 3)
-            else:
-                arr = np.zeros((0, 3), dtype=np.int64)
-        if arr.shape[0]:
-            u = np.minimum(arr[:, 0], arr[:, 1])
-            v = np.maximum(arr[:, 0], arr[:, 1])
-            w = arr[:, 2]
-            order = np.lexsort((w, v, u))
-            u, v, w = u[order], v[order], w[order]
-        else:
-            u = v = w = np.zeros(0, dtype=np.int64)
-        if arr.shape[0]:
-            if u.min() < 0 or v.max() >= self.n:
-                raise ValueError("edge endpoint out of range")
-            if (u == v).any():
-                raise ValueError("self loops are not allowed")
-            if (w < 0).any():
-                raise ValueError("edge weights must be nonnegative")
-            keys = u * self.n + v  # sorted by the lexsort above
-            if (keys[1:] == keys[:-1]).any():
-                raise ValueError("duplicate edge for an unordered pair")
-        for a in (u, v, w):
+            arr = np.array(list(edges), dtype=np.int64).reshape(-1, 3)
+        u = np.minimum(arr[:, 0], arr[:, 1])
+        v = np.maximum(arr[:, 0], arr[:, 1])
+        w = arr[:, 2]
+        order = np.lexsort((w, v, u))
+        u, v, w = u[order], v[order], w[order]
+        if (u < 0).any() or (v >= self.n).any():
+            raise ValueError("edge endpoint out of range")
+        if (u == v).any():
+            raise ValueError("self loops are not allowed")
+        if (w < 0).any():
+            raise ValueError("edge weights must be nonnegative")
+        keys = u * self.n + v  # sorted by the lexsort above
+        if (keys[1:] == keys[:-1]).any():
+            raise ValueError("duplicate edge for an unordered pair")
+        deg = np.bincount(u, minlength=self.n) + np.bincount(v, minlength=self.n)
+        for a in (u, v, w, deg):
             a.flags.writeable = False
         self._eu, self._ev, self._ew = u, v, w
-        deg = np.zeros(self.n, dtype=np.int64)
-        if u.shape[0]:
-            np.add.at(deg, u, 1)
-            np.add.at(deg, v, 1)
-        deg.flags.writeable = False
         self._degrees = deg
-        if w.shape[0] == 0 or (w == 1).all():
+        if (w == 1).all():
             self._kind = "unit"
         elif ((w == 0) | (w == 1)).all():
             self._kind = "01"
@@ -458,7 +446,7 @@ class DenseDistanceMatrix:
     """All-pairs distances of `graph` in a dense int64 matrix, -1 for
     unreachable."""
 
-    __slots__ = ("n", "graph", "_mat")
+    __slots__ = ("n", "graph", "_mat", "_diameter")
 
     def __init__(self, mat: np.ndarray, graph: WeightedGraph):
         mat = mat.astype(np.int64, copy=False)
@@ -466,13 +454,17 @@ class DenseDistanceMatrix:
         self._mat = mat
         self.n = mat.shape[0]
         self.graph = graph
+        self._diameter = None
 
     def matrix(self) -> np.ndarray:
         return self._mat
 
     def diameter(self) -> int:
-        """Largest finite distance; unreachable pairs hold -1."""
-        return int(self._mat.max(initial=0))
+        """Largest finite distance; unreachable pairs hold -1. The matrix is
+        read-only, so it is scanned once."""
+        if self._diameter is None:
+            self._diameter = int(self._mat.max(initial=0))
+        return self._diameter
 
 
 def all_pairs(g: WeightedGraph) -> DenseDistanceMatrix:
@@ -654,12 +646,12 @@ def _fixpoint_parents(ip: list, nb: list, wt: list, dists: list, root: int) -> l
     return parents
 
 
-# -- path uniqueness ---------------------------------------------------------
+# -- path counting -----------------------------------------------------------
 
 
 def _dag_counts(g: WeightedGraph, u: int, v: int, du: np.ndarray, dv: np.ndarray):
-    """Shortest-path counts from u to each vertex on a shortest u-v path, and
-    those vertices in order of distance from u. Positive weights only.
+    """Shortest-path counts from u to each vertex on a shortest u-v path.
+    Positive weights only.
 
     Brandes-style accumulation (Brandes 2001) over the tight edges of the u-v
     shortest-path DAG: every edge into a vertex leaves a strictly closer one,
@@ -676,7 +668,7 @@ def _dag_counts(g: WeightedGraph, u: int, v: int, du: np.ndarray, dv: np.ndarray
         ys = indices[lo:hi]
         for y in ys[on[ys] & (du[ys] == du[x] + data[lo:hi])].tolist():
             cnt[y] += cnt[x]
-    return cnt, nodes
+    return cnt
 
 
 def count_shortest_paths(
@@ -695,33 +687,4 @@ def count_shortest_paths(
     if u == v:
         return 1
     dv = distances_from(g, v) if dists_v is None else np.asarray(dists_v)
-    return _dag_counts(g, u, v, du, dv)[0][v]
-
-
-def is_unique_shortest_path(dm, g: WeightedGraph, u: int, v: int):
-    """(True, path) when exactly one shortest u-v path exists, else (False, None)."""
-    du = dm.matrix()[u] if dm is not None else distances_from(g, u)
-    if du[v] < 0:
-        raise UnreachablePairError(f"{u} and {v} are not mutually reachable")
-    if u == v:
-        return True, [u]
-    if g.has_zero_weights:
-        raise ZeroWeightError("path counting requires positive edge weights")
-    dv = dm.matrix()[v] if dm is not None else distances_from(g, v)
-    cnt, nodes = _dag_counts(g, u, v, du, dv)
-    # A single u-v path makes every vertex on the DAG a vertex of that path.
-    if cnt[v] != 1:
-        return False, None
-    return True, nodes
-
-
-def path_weight(g: WeightedGraph, path: list[int]) -> int:
-    """Total weight of an explicit vertex path; rejects non-edges."""
-    indptr, nbr, w = g.in_edges()
-    total = 0
-    for a, b in zip(path, path[1:]):
-        i = indptr[a] + np.searchsorted(nbr[indptr[a] : indptr[a + 1]], b)
-        if i == indptr[a + 1] or nbr[i] != b:
-            raise ValueError(f"no edge between {a} and {b}")
-        total += int(w[i])
-    return total
+    return _dag_counts(g, u, v, du, dv)[v]

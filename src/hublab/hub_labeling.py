@@ -13,13 +13,11 @@ import numpy as np
 from .graph_core import (
     UNREACHABLE,
     GraphFormatError,
-    ResourceLimitError,
     UnreachablePairError,
     canonical_trees,
     shortest_path_hits,
 )
 
-_INF32 = np.int32(1 << 29)
 _I64_MAX = int(np.iinfo(np.int64).max)
 _NO_SUM = np.uint64(np.iinfo(np.uint64).max)
 #: Rows per block of the verifier's n x n passes.
@@ -196,17 +194,17 @@ def verify_cover(hl: HubLabeling, dm) -> CoverReport:
     decides. Every other entry goes into a sparse join per hub that gives
     m(u,v), the least stored sum over the remaining common hubs (infinite when
     there is none). A pair is then uncovered iff m < d where the core hits it
-    and m != d where it does not.
+    and m != d where it does not. A stored distance above the diameter can
+    neither equal nor undercut any d(u,v), so the join reads those at
+    diameter + 1, and its sums stay far inside int64.
     """
     n = hl.n
     if n != dm.n:
         raise ValueError("labeling and distance matrix disagree on n")
     mat = dm.matrix()
     diam = dm.diameter()
-    if diam >= int(_INF32) // 4:
-        raise ResourceLimitError("distances too large for vectorized verification")
     core, owner, hub, stored = _split_entries(hl, mat)
-    keys, m = _min_stored_sums(n, owner, hub, stored)
+    keys, m = _min_stored_sums(n, owner, hub, np.minimum(stored, diam + 1))
     hit = shortest_path_hits(dm, core)
     d = mat.reshape(-1)[keys]
     joined = (d >= 0) & np.where(hit.reshape(-1)[keys], m < d, m != d)
@@ -236,31 +234,26 @@ def verify_cover(hl: HubLabeling, dm) -> CoverReport:
 
 
 def _split_entries(hl: HubLabeling, mat: np.ndarray):
-    """(core, owner, hub, stored): the core hubs as a bool mask and int32
-    arrays of the entries that are not exact entries of a core hub.
+    """(core, owner, hub, stored): the core hubs as a bool mask and the
+    entries that are not exact entries of a core hub.
 
-    The entries are read in chunks of _CHUNK, so no temporary but the int32
-    copies grows with the label size.
+    The entries are compared with the matrix in chunks of _CHUNK, so no
+    temporary but the owners and two masks grows with the label size.
     """
     n = hl.n
-    if hl.dist.size and int(hl.dist.max()) >= int(_INF32) // 4:
-        raise ResourceLimitError("stored distances too large for vectorized verification")
-    hub, stored = hl.hub, hl.dist.astype(np.int32)
-    owner = hl.owners().astype(np.int32)
+    hub, stored, owner = hl.hub, hl.dist, hl.owners()
     reach = np.zeros(n, dtype=np.int64)
     for lo in range(0, n, _ROWS):
         reach[lo : lo + _ROWS] = np.count_nonzero(mat[lo : lo + _ROWS] >= 0, axis=1)
     exact = np.zeros(hub.size, dtype=bool)
     held = np.zeros(n, dtype=np.int64)
-    chunks = [slice(a, a + _CHUNK) for a in range(0, hub.size, _CHUNK)]
-    for c in chunks:
+    for a in range(0, hub.size, _CHUNK):
+        c = slice(a, a + _CHUNK)
         true = mat[owner[c], hub[c]]
         exact[c] = (true >= 0) & (true == stored[c])
         held += np.bincount(hub[c][exact[c]], minlength=n)
     core = held == reach
-    for c in chunks:
-        exact[c] &= core[hub[c]]
-    rest = ~exact
+    rest = ~(exact & core[hub])
     return core, owner[rest], hub[rest], stored[rest]
 
 
@@ -279,7 +272,7 @@ def _min_stored_sums(n: int, owner: np.ndarray, hub: np.ndarray, stored: np.ndar
     pos[by_hub] = np.arange(by_hub.size)
     later = np.searchsorted(hub[by_hub], hub, side="right") - pos - 1
     ends = np.cumsum(later)
-    keys, mins = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int32)]
+    keys, mins = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     a = 0
     while a < owner.size:
         b = max(a + 1, int(np.searchsorted(ends, ends[a] - later[a] + _CHUNK, side="right")))
@@ -288,7 +281,7 @@ def _min_stored_sums(n: int, owner: np.ndarray, hub: np.ndarray, stored: np.ndar
         left = np.repeat(np.arange(a, b), cnt)
         step = np.arange(left.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
         right = by_hub[pos[left] + 1 + step]
-        key = owner[left].astype(np.int64) * n + owner[right]
+        key = owner[left] * n + owner[right]
         m = stored[left] + stored[right]
         order = np.lexsort((m, key))
         key, m = key[order], m[order]
@@ -298,13 +291,6 @@ def _min_stored_sums(n: int, owner: np.ndarray, hub: np.ndarray, stored: np.ndar
         mins.append(m[first])
         a = b
     return np.concatenate(keys), np.concatenate(mins)
-
-
-def baseline_full(dm) -> HubLabeling:
-    """Trivial upper baseline: every vertex stores all reachable vertices."""
-    mat = dm.matrix()
-    owner, hub = np.nonzero(mat >= 0)
-    return HubLabeling(dm.n, owner, hub, mat[owner, hub])
 
 
 def monotone_closure(hl: HubLabeling, dm) -> HubLabeling:

@@ -15,9 +15,10 @@ from hublab.corpus import erdos_renyi_m, grid_graph, path_graph, random_regular_
 from hublab.family_gen import FamilyParams, build_H, expand_to_G
 from hublab.graph_core import (
     UNREACHABLE,
-    ResourceLimitError,
     UnreachablePairError,
     WeightedGraph,
+    ZeroWeightError,
+    count_shortest_paths,
     distances_from,
 )
 from hublab.hub_labeling import CoverReport, HubLabeling, bit_estimate
@@ -386,29 +387,26 @@ def oracle_matchings(dm, colors, index):
     return np.stack(np.divmod(keys, max(n, 1)), axis=1), log
 
 
-_INF32 = np.int32(1 << 29)
+_I64_MAX = int(np.iinfo(np.int64).max)
 
 
 def dense_verify_cover(hl, dm, *, truncate: int = 1000) -> CoverReport:
     """Reference cover check: evaluates query(u, v) for every pair from a
-    dense n x n matrix of stored hub distances and compares it with d(u, v).
-    Same report, guards and messages as hub_labeling.verify_cover."""
+    dense n x n int64 matrix of stored hub distances and compares it with
+    d(u, v). A missing hub reads as the int64 maximum and sums saturate
+    there, which no distance reaches. Same report and messages as
+    hub_labeling.verify_cover."""
     n = hl.n
     if n != dm.n:
         raise ValueError("labeling and distance matrix disagree on n")
     mat = dm.matrix()
     diam = int(mat.max(initial=0))
-    if diam >= int(_INF32) // 4:
-        raise ResourceLimitError("distances too large for vectorized verification")
-    hub_mat = np.full((n, n), _INF32, dtype=np.int32)
+    hub_mat = np.full((n, n), _I64_MAX, dtype=np.int64)
     for v in range(n):
         ent = hl.hubs[v]
         if ent:
             ids = np.fromiter((h for h, _ in ent), dtype=np.int64, count=len(ent))
-            ds = np.fromiter((d for _, d in ent), dtype=np.int32, count=len(ent))
-            if ds.size and int(ds.max()) >= int(_INF32) // 4:
-                raise ResourceLimitError("stored distances too large for vectorized verification")
-            hub_mat[v, ids] = ds
+            hub_mat[v, ids] = np.fromiter((d for _, d in ent), dtype=np.int64, count=len(ent))
     uncovered = []
     total_bad = 0
     for u in range(n):
@@ -416,12 +414,13 @@ def dense_verify_cover(hl, dm, *, truncate: int = 1000) -> CoverReport:
         row_true = mat[u]
         if ent:
             ids = np.fromiter((h for h, _ in ent), dtype=np.int64, count=len(ent))
-            ds = np.fromiter((d for _, d in ent), dtype=np.int32, count=len(ent))
-            q = (hub_mat[:, ids] + ds[None, :]).min(axis=1)
+            ds = np.fromiter((d for _, d in ent), dtype=np.int64, count=len(ent))
+            other = hub_mat[:, ids]
+            q = (other + np.minimum(ds[None, :], _I64_MAX - other)).min(axis=1)
         else:
-            q = np.full(n, 2 * _INF32, dtype=np.int32)
+            q = np.full(n, _I64_MAX, dtype=np.int64)
         reachable = row_true >= 0
-        bad = reachable & (q.astype(np.int64) != row_true)
+        bad = reachable & (q != row_true)
         bad[: u + 1] = False
         total_bad += int(bad.sum())
         if len(uncovered) < truncate:
@@ -447,6 +446,56 @@ def labeling(n: int, rows) -> HubLabeling:
     owner = [v for v, row in enumerate(rows) for _ in row]
     hub = [h for row in rows for h, _ in row]
     return HubLabeling(n, owner, hub, [d for row in rows for _, d in row])
+
+
+def baseline_full(dm) -> HubLabeling:
+    """Trivial upper baseline: every vertex stores all reachable vertices."""
+    mat = dm.matrix()
+    owner, hub = np.nonzero(mat >= 0)
+    return HubLabeling(dm.n, owner, hub, mat[owner, hub])
+
+
+def path_weight(g: WeightedGraph, path: list[int]) -> int:
+    """Total weight of an explicit vertex path; rejects non-edges."""
+    indptr, nbr, w = g.in_edges()
+    total = 0
+    for a, b in zip(path, path[1:]):
+        i = indptr[a] + np.searchsorted(nbr[indptr[a] : indptr[a + 1]], b)
+        if i == indptr[a + 1] or nbr[i] != b:
+            raise ValueError(f"no edge between {a} and {b}")
+        total += int(w[i])
+    return total
+
+
+def is_unique_shortest_path(dm, g: WeightedGraph, u: int, v: int):
+    """(True, path) when exactly one shortest u-v path exists, else (False,
+    None). dm may be None, and then both rows are searched."""
+    du = dm.matrix()[u] if dm is not None else distances_from(g, u)
+    if du[v] < 0:
+        raise UnreachablePairError(f"{u} and {v} are not mutually reachable")
+    if u == v:
+        return True, [u]
+    if g.has_zero_weights:
+        raise ZeroWeightError("path counting requires positive edge weights")
+    dv = dm.matrix()[v] if dm is not None else distances_from(g, v)
+    if count_shortest_paths(g, u, v, dists_u=du, dists_v=dv) != 1:
+        return False, None
+    # A single u-v path makes every vertex on a shortest u-v path a vertex of it.
+    on = np.flatnonzero((du >= 0) & (dv >= 0) & (du + dv == du[v]))
+    return True, on[np.argsort(du[on], kind="stable")].tolist()
+
+
+def monotone_coordinate_window(i: int, j: int, ell: int) -> set[int]:
+    """Coordinates (1-indexed) changeable on a level-monotone walk i -> j:
+    the gap coordinate min(g + 1, 2*ell - g) of every level g in [i, j).
+
+    Cross-level distances survive the degree-3 expansion exactly for pairs
+    whose differing coordinates lie in this window; other pairs force a
+    turning point that the expansion's trees shortcut.
+    """
+    if not 0 <= i < j <= 2 * ell:
+        raise ValueError("need 0 <= i < j <= 2*ell")
+    return {min(g + 1, 2 * ell - g) for g in range(i, j)}
 
 
 def oracle_label_rows(n: int, hubs) -> tuple[tuple[tuple[int, int], ...], ...]:

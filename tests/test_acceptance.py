@@ -11,25 +11,28 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from conftest import corpus_entries
+from conftest import (
+    baseline_full,
+    corpus_entries,
+    is_unique_shortest_path,
+    monotone_coordinate_window,
+    path_weight,
+)
 
 from hublab.corpus import erdos_renyi_m
 from hublab.family_gen import (
     FamilyParams,
     build_H,
     expand_to_G,
-    monotone_coordinate_window,
     write_metadata,
 )
 from hublab.graph_core import (
     all_pairs,
     distance_between,
     distances_from,
-    is_unique_shortest_path,
-    path_weight,
     write_graph,
 )
-from hublab.hub_labeling import baseline_full, format_labels, verify_cover
+from hublab.hub_labeling import format_labels, verify_cover
 from hublab.lowerbound_audit import audit_counting, audit_lemma1, counting_rhs
 from hublab.sumindex_protocol import (
     SumIndexInstance,

@@ -2,12 +2,15 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
+from conftest import baseline_full
 
 from hublab.cli import build_parser, main
+from hublab.corpus import random_regular_graph
 from hublab.family_gen import FamilyParams, build_H
 from hublab.graph_core import WeightedGraph, all_pairs, read_graph, write_graph
-from hublab.hub_labeling import baseline_full, read_labels, write_labels
+from hublab.hub_labeling import read_labels, write_labels
 from hublab.upperbound_builder import (
     CoverVerificationError,
     InducedMatchingViolation,
@@ -442,14 +445,34 @@ def test_internal_check_failures_exit_one(capsys, tmp_path, monkeypatch, exc):
     assert captured.out == ""
 
 
-def test_verify_oversized_stored_distance_exits_two(capsys, tmp_path):
+def test_verify_huge_stored_distance_reports_uncovered(capsys, tmp_path):
     gpath, lpath = tmp_path / "g.txt", tmp_path / "l.txt"
     gpath.write_text("3 2\n0 1 1\n1 2 1\n")
     lpath.write_text("0: (0,0) (1,4294967296)\n1:\n2:\n")
-    code = main(["verify", "--graph", str(gpath), "--labels", str(lpath)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err == "hublab: error: stored distances too large for vectorized verification\n"
+    code, out = run_cli(capsys, "verify", "--graph", str(gpath), "--labels", str(lpath))
+    rep = json.loads(out)
+    assert code == 1 and rep["valid"] is False
+    assert rep["uncovered_sample"] == [[0, 1], [0, 2], [1, 2]]
+
+
+def _heavy_regular_graph() -> WeightedGraph:
+    g = random_regular_graph(200, 3, seed=1)
+    u, v, w = g.edge_arrays()
+    return WeightedGraph(g.n, np.stack([u, v, np.full_like(w, 1 << 40)], axis=1))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [WeightedGraph(3, [(0, 1, 300_000_000), (1, 2, 1)]), _heavy_regular_graph()],
+    ids=["path", "regular"],
+)
+def test_build_and_verify_distances_beyond_int32(capsys, tmp_path, graph):
+    gpath, lpath = tmp_path / "g.txt", tmp_path / "l.txt"
+    write_graph(graph, gpath)
+    code, out = run_cli(capsys, "build", "--graph", str(gpath), "--out", str(lpath))
+    assert code == 0 and json.loads(out)["labeling"]["valid"] is True
+    code, out = run_cli(capsys, "verify", "--graph", str(gpath), "--labels", str(lpath))
+    assert code == 0 and json.loads(out)["valid"] is True
 
 
 def test_stats_rejects_number_beyond_int64(capsys, tmp_path):

@@ -1,7 +1,7 @@
 import pytest
+from conftest import monotone_coordinate_window
 
 from hublab.family_gen import (
-    monotone_coordinate_window,
     KIND_G,
     KIND_G_PRIME,
     ROLE_LEVEL,

@@ -11,11 +11,12 @@ import hashlib
 import json
 
 import pytest
+from conftest import baseline_full
 
 from hublab.corpus import erdos_renyi_m, grid_graph, random_regular_graph, star_graph
 from hublab.family_gen import FamilyParams, build_H, expand_to_G, write_metadata
 from hublab.graph_core import WeightedGraph, all_pairs, write_graph
-from hublab.hub_labeling import baseline_full, format_labels, monotone_closure
+from hublab.hub_labeling import format_labels, monotone_closure
 from hublab.sumindex_protocol import SumIndexInstance, build_instance_graph
 from hublab.upperbound_builder import BuilderConfig, build_for_graph, reduce_degree
 

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from conftest import (
     hub_candidates,
+    is_unique_shortest_path,
     oracle_adjacency,
     oracle_count_shortest,
     oracle_distances,
     oracle_hits,
     oracle_shortest_paths_from,
+    path_weight,
     seeded_sparse_graph,
     small_graphs,
     verify_metric,
@@ -29,8 +31,6 @@ from hublab.graph_core import (
     count_shortest_paths,
     distance_between,
     distances_from,
-    is_unique_shortest_path,
-    path_weight,
     read_graph,
     shortest_path_hits,
     write_graph,
@@ -50,6 +50,33 @@ def test_graph_validation():
         WeightedGraph(2, [(0, 1, -1)])
     with pytest.raises(ValueError):
         WeightedGraph(2, [(0, 3, 1)])
+
+
+def test_edge_lists_arrays_and_generators_build_one_graph():
+    edges = [(2, 1, 5), (1, 0, 2)]
+    for given in ([], edges):
+        graphs = [
+            WeightedGraph(5, given),
+            WeightedGraph(5, np.array(given, dtype=int).reshape(-1, 3)),
+            WeightedGraph(5, (e for e in given)),
+        ]
+        for g in graphs:
+            assert g.weight_kind == ("unit" if not given else "general")
+            assert g.degrees.tolist() == graphs[0].degrees.tolist()
+            assert not g.degrees.flags.writeable
+            for a, b in zip(g.edge_arrays(), graphs[0].edge_arrays()):
+                assert a.dtype == np.int64 and not a.flags.writeable
+                assert a.tolist() == b.tolist()
+    assert graphs[0].degrees.tolist() == [1, 2, 1, 0, 0]
+    for bad, message in [
+        ([(0, 5, 1)], "edge endpoint out of range"),
+        ([(-1, 0, 1)], "edge endpoint out of range"),
+        ([(1, 1, 1)], "self loops are not allowed"),
+        ([(0, 1, -1)], "edge weights must be nonnegative"),
+        ([(0, 1, 1), (1, 0, 1)], "duplicate edge for an unordered pair"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WeightedGraph(5, np.array(bad))
 
 
 def test_graph_canonical_edges():

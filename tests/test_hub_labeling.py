@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 from conftest import (
+    baseline_full,
     check_stored_distances,
     dense_verify_cover,
     labeling,
@@ -22,14 +23,12 @@ from hublab.family_gen import FamilyParams, build_H, expand_to_G
 from hublab.graph_core import (
     UNREACHABLE,
     GraphFormatError,
-    ResourceLimitError,
     UnreachablePairError,
     WeightedGraph,
     all_pairs,
 )
 from hublab.hub_labeling import (
     HubLabeling,
-    baseline_full,
     bit_estimate,
     format_labels,
     monotone_closure,
@@ -525,11 +524,39 @@ def test_verify_cover_matches_dense_oracle_without_core():
         _assert_same_report(labeling(g.n, [[] for _ in range(g.n)]), dm)
 
 
-def test_verify_cover_keeps_guards():
-    dm = all_pairs(PATH3)
-    huge = labeling(3, [[(0, 1 << 27)], [], []])
-    with pytest.raises(ResourceLimitError, match="stored distances too large"):
-        verify_cover(huge, dm)
-    far = all_pairs(WeightedGraph(2, [(0, 1, 1 << 27)]))
-    with pytest.raises(ResourceLimitError, match="^distances too large"):
-        verify_cover(labeling(2, [[], []]), far)
+@pytest.mark.parametrize("huge", [1 << 27, 1 << 32, 1 << 62, (1 << 63) - 1])
+def test_verify_cover_matches_dense_oracle_on_huge_stored_distances(huge):
+    # Stored distances far above the diameter, up to the int64 maximum. Every
+    # odd vertex also stores one shared hub at that distance, so the join sums
+    # two huge values wherever the core already covers the pair.
+    rng = np.random.default_rng(7)
+    for g in (PATH3, _two_component_graph(), seeded_sparse_graph(30, 50, seed=8, min_w=0, max_w=3)):
+        dm = all_pairs(g)
+        for hl in (baseline_full(dm), build_for_graph(g, BuilderConfig(seed=4)).labeling):
+            shared = int(rng.integers(g.n))
+            rows = [dict(e) for e in hl.hubs]
+            extra = [dict(row) for row in rows]
+            for v in range(1, g.n, 2):
+                extra[v].setdefault(shared, huge)
+            extra = labeling(g.n, [row.items() for row in extra])
+            _assert_same_report(extra, dm)
+            assert verify_cover(extra, dm).valid
+            raised = [
+                {h: huge if rng.random() < 1 / 3 else d for h, d in row.items()} for row in rows
+            ]
+            _assert_same_report(labeling(g.n, [row.items() for row in raised]), dm)
+            _assert_same_report(labeling(g.n, [{h: huge for h in row}.items() for row in rows]), dm)
+
+
+@pytest.mark.parametrize("weight", [1 << 27, 1 << 40])
+def test_verify_cover_on_distances_beyond_int32(weight):
+    g = seeded_sparse_graph(30, 50, seed=8, min_w=1, max_w=3)
+    u, v, w = g.edge_arrays()
+    heavy = WeightedGraph(g.n, np.stack([u, v, w * weight], axis=1))
+    dm = all_pairs(heavy)
+    assert dm.diameter() >= weight
+    for hl in (baseline_full(dm), build_for_graph(heavy, BuilderConfig(seed=4)).labeling):
+        _assert_same_report(hl, dm)
+        assert verify_cover(hl, dm).valid
+    far = all_pairs(WeightedGraph(2, [(0, 1, weight)]))
+    assert verify_cover(labeling(2, [[], []]), far).uncovered == ((0, 1),)

@@ -1,5 +1,5 @@
 import pytest
-from conftest import labeling
+from conftest import baseline_full, labeling
 
 from hublab.family_gen import (
     FamilyParams,
@@ -9,7 +9,6 @@ from hublab.family_gen import (
     unique_path_length,
 )
 from hublab.graph_core import all_pairs
-from hublab.hub_labeling import baseline_full
 from hublab.lowerbound_audit import (
     audit_counting,
     audit_lemma1,

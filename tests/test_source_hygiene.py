@@ -1,6 +1,7 @@
 """Static checks on the package sources."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -102,3 +103,42 @@ def test_every_option_has_a_caller():
     defs = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     callers = [p.read_text(encoding="utf-8") for p in CALLERS]
     assert unset_options(defs, callers) == []
+
+
+def mentions(tree: ast.AST) -> Counter:
+    """How often each name occurs in a tree as a name, an attribute or an
+    import."""
+    kinds = (ast.Name, ast.Attribute, ast.alias)
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+        for n in ast.walk(tree)
+        if isinstance(n, kinds)
+    )
+
+
+def uncalled_names(defs: dict[str, str], callers: list[str]) -> list[str]:
+    """Public top-level functions and classes defined in the sources defs
+    (label -> text) that no caller source mentions outside their own
+    definition, as "label: name"."""
+    named = sum((mentions(ast.parse(source)) for source in callers), Counter())
+    uncalled = []
+    for label, source in defs.items():
+        for node in ast.parse(source).body:
+            kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            if isinstance(node, kinds) and not node.name.startswith("_"):
+                if named[node.name] == mentions(node)[node.name]:
+                    uncalled.append(f"{label}: {node.name}")
+    return sorted(uncalled)
+
+
+def test_uncalled_name_check_catches_one():
+    source = "def f():\n    return f()\n\ndef g(): pass\n\nclass C: pass\n\ndef _h(): pass\n"
+    callers = [source, "from m import C\nx = m.g\n"]
+    assert uncalled_names({"m.py": source}, callers) == ["m.py: f"]
+
+
+def test_every_public_name_has_a_caller():
+    # A public function that only tests call belongs in tests/conftest.py.
+    defs = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    callers = [p.read_text(encoding="utf-8") for p in CALLERS]
+    assert uncalled_names(defs, callers) == []

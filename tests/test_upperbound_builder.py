@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import (
+    baseline_full,
     hub_candidates,
     index_as_dicts,
     induced_rows,
@@ -23,7 +24,7 @@ from hublab.corpus import erdos_renyi_m, grid_graph, path_graph, random_regular_
 from hublab.family_gen import FamilyParams, build_H, expand_to_G
 from hublab.graph_core import WeightedGraph, all_pairs
 from hublab import upperbound_builder
-from hublab.hub_labeling import HubLabeling, baseline_full, format_labels, query, verify_cover
+from hublab.hub_labeling import HubLabeling, format_labels, query, verify_cover
 from hublab.upperbound_builder import (
     BuilderConfig,
     CoverVerificationError,
