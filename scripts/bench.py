@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Time one `hublab build`, `hublab verify` or `hublab closure`, or the two
-all-pairs searches, on a named graph and record it in BENCH_<label>.json.
+"""Time one `hublab build`, `hublab verify`, `hublab closure`, `hublab
+sumindex` or `hublab audit lemma1`, or the two all-pairs searches, on a named
+graph and record it in BENCH_<label>.json.
 
 Usage:
     python scripts/bench.py --label pair_index --side after --graph er:2000:4000:1
     python scripts/bench.py --label closure --command closure --side after --graph reg:2000:3:1
     python scripts/bench.py --label unit_search --command verify --side after --graph reg:2000:3:1
     python scripts/bench.py --label unit_search --command searches --side after --graph path:2000
+    python scripts/bench.py --label family_searches --command sumindex --side after --graph H:2:3
+    python scripts/bench.py --label family_searches --command lemma1 --side after --graph H:2:2
 
 Graphs: H:<b>:<ell> (the graph `hublab gen --kind H` writes),
 er:<n>:<m>:<seed> (corpus.erdos_renyi_m), reg:<n>:<degree>:<seed>
@@ -38,6 +41,15 @@ With --command searches, graph_core.all_pairs and then
 graph_core.shortest_path_hits, with every 20th vertex masked, run in this
 process; the record holds the time of each, the peak RSS and a SHA-256 of
 each result.
+
+With --command sumindex or --command lemma1, the graph spec must be
+H:<b>:<ell>, and it names the family parameters. sumindex times `hublab
+sumindex --sweep` in oracle mode with the bits 1010... (the command generates
+its own G(b, ell)); lemma1 writes G(b, ell) and its metadata first, outside
+the timed span, and times the exhaustive `hublab audit lemma1` on them. The
+record holds the wall time, the peak RSS and a SHA-256 of the report without
+its timestamp and timing, so that two sides can be checked for identical
+reports.
 """
 
 from __future__ import annotations
@@ -190,6 +202,42 @@ def run_searches(spec: str) -> dict:
     }
 
 
+def run_family(spec: str, command: str) -> dict:
+    """Time `hublab sumindex --sweep` or `hublab audit lemma1` on the family
+    parameters of an H:<b>:<ell> spec in this process."""
+    from hublab import family_gen, graph_core
+
+    kind, _, rest = spec.partition(":")
+    args = rest.split(":")
+    if kind != "H" or len(args) != 2:
+        raise SystemExit(f"bench.py: --command {command} needs H:<b>:<ell>, not {spec!r}")
+    b, ell = (int(x) for x in args)
+    params = family_gen.FamilyParams(b=b, ell=ell)
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "sumindex":
+            m = (params.s // 2) ** ell
+            argv = ["sumindex", "--b", str(b), "--ell", str(ell), "--bits", ("10" * m)[:m], "--sweep"]
+        else:
+            graph_path = os.path.join(tmp, "g.txt")
+            inst = family_gen.expand_to_G(family_gen.build_H(params))
+            graph_core.write_graph(inst.graph, graph_path)
+            family_gen.write_metadata(inst, graph_path + ".meta.json")
+            argv = ["audit", "lemma1", "--graph", graph_path, "--meta", graph_path + ".meta.json"]
+        code, wall, out = _timed_cli(argv)
+    report = json.loads(out)
+    report.pop("timestamp")
+    report.pop("timing", None)
+    canonical = json.dumps(report, sort_keys=True).replace(tmp, "<tmp>")
+    return {
+        "graph": {"generator": "hublab gen --kind G", "b": b, "ell": ell},
+        "hublab_command": "hublab " + " ".join(argv).replace(tmp, "<tmp>"),
+        "exit_code": code,
+        "wall_s": round(wall, 3),
+        "peak_rss_mb": _peak_rss_mb(),
+        "report_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+    }
+
+
 def run(spec: str) -> dict:
     from hublab import graph_core
 
@@ -224,7 +272,10 @@ def main() -> int:
     ap.add_argument("--graph", required=True, help="graph spec, see above")
     ap.add_argument("--name", help="key of the graph in the file (default: the spec)")
     ap.add_argument(
-        "--command", choices=("build", "verify", "closure", "searches"), default="build", help="what to time"
+        "--command",
+        choices=("build", "verify", "closure", "searches", "sumindex", "lemma1"),
+        default="build",
+        help="what to time",
     )
     args = ap.parse_args()
 
@@ -233,6 +284,8 @@ def main() -> int:
         record = run(args.graph)
     elif args.command == "searches":
         record = run_searches(args.graph)
+    elif args.command in ("sumindex", "lemma1"):
+        record = run_family(args.graph, args.command)
     else:
         record = run_on_labels(args.graph, args.command)
     record.update(

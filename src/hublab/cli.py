@@ -211,7 +211,9 @@ def _load_instance(args) -> family_gen.FamilyInstance:
 
 def _cmd_audit_lemma1(args) -> int:
     inst = _load_instance(args)
+    t0 = time.perf_counter()
     rep = lowerbound_audit.audit_lemma1(inst, sample=args.sample, seed=args.seed)
+    wall = time.perf_counter() - t0
     config = {
         "graph": args.graph,
         "meta": args.meta,
@@ -231,6 +233,7 @@ def _cmd_audit_lemma1(args) -> int:
                     for x, z, p in rep.failures
                 ],
                 "passed": rep.passed,
+                "timing": {"wall_time_s": round(wall, 3)},
             },
         ),
         args,
@@ -277,9 +280,11 @@ def _cmd_sumindex(args) -> int:
     base = build_base_graph(params, vertex_cap=args.vertex_cap)
     builder = BuilderConfig(seed=args.seed)
     pairs = None if args.sweep else [(args.a, args.b_index)]
+    t0 = time.perf_counter()
     transcripts = sumindex_protocol.sweep(
         inst, mode=args.mode, base=base, pairs=pairs, builder=builder
     )
+    wall = time.perf_counter() - t0
     rows = [
         {
             "a": t.a,
@@ -319,6 +324,7 @@ def _cmd_sumindex(args) -> int:
             "mismatches": mismatches,
             "max_message_bits": max_bits,
             "transcripts": rows,
+            "timing": {"wall_time_s": round(wall, 3)},
         }
         _emit(_report("sumindex", config, summary), args)
     return EXIT_OK if mismatches == 0 else EXIT_FAILED_CHECK

@@ -191,15 +191,15 @@ def read_graph(path) -> WeightedGraph:
 # (csgraph reads a stored zero as a missing edge and csr_matrix sums
 # duplicate entries). A zero-weight component is a single quotient vertex at
 # distance 0 from each of its members, so every result is gathered back
-# through the component labels. Single-source searches, and all-pairs
-# searches on quotients with a weight other than 1, run scipy's csgraph
-# Dijkstra, whose float64 distances are exact only below 2**53. All-pairs
-# searches on quotients whose weights are all 1, the quotient of every
-# "unit" and "01" graph, run one bit-parallel BFS from every source at once
-# (_bfs_fronts), unless the quotient's diameter, estimated by a double sweep,
-# makes that BFS dearer than Dijkstra (_bfs_pays). shortest_path_hits takes
-# the same two paths: hit bits carried along that BFS, or propagated in
-# distance bands over the distances of all_pairs.
+# through the component labels. distances_from, and the other searches on
+# quotients with a weight other than 1, run scipy's csgraph Dijkstra, whose
+# float64 distances are exact only below 2**53. On quotients whose weights
+# are all 1, the quotient of every "unit" and "01" graph, distance_between
+# runs one csgraph BFS and all-pairs searches one bit-parallel BFS from every
+# source at once (_bfs_fronts), unless the quotient's diameter, estimated by a
+# double sweep, makes that BFS dearer than Dijkstra (_bfs_pays).
+# shortest_path_hits takes the same two paths: hit bits carried along that
+# BFS, or propagated in distance bands over the distances of all_pairs.
 
 #: Total edge weight from which searches refuse to run, because a path length
 #: might no longer be exact in float64.
@@ -430,13 +430,24 @@ def distances_from(g: WeightedGraph, src: int) -> np.ndarray:
 
 
 def distance_between(g: WeightedGraph, s: int, t: int):
-    """Distance between two vertices, UNREACHABLE when no path exists."""
+    """Distance between two vertices, UNREACHABLE when no path exists. On
+    unit quotient weights: the steps from t back to s in one BFS tree."""
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError(f"endpoints ({s}, {t}) out of range for n = {g.n}")
     if s == t:
         return 0
-    d = int(_distances(g, s)[t])
-    return UNREACHABLE if d < 0 else d
+    labels, mat = _search_matrix(g)
+    if not (mat.data == 1).all():
+        d = int(_distances(g, s)[t])
+        return UNREACHABLE if d < 0 else d
+    if labels is not None:
+        s, t = int(labels[s]), int(labels[t])
+    # A memoryview reads Python ints, several times faster than numpy scalars.
+    pred = memoryview(breadth_first_order(mat, s, return_predecessors=True)[1])
+    d = 0
+    while t != s and t >= 0:  # csgraph marks "no predecessor" negative
+        t, d = pred[t], d + 1
+    return d if t >= 0 else UNREACHABLE
 
 
 # -- distance matrices -----------------------------------------------------
@@ -659,15 +670,19 @@ def _dag_counts(g: WeightedGraph, u: int, v: int, du: np.ndarray, dv: np.ndarray
     """
     on = (du >= 0) & (dv >= 0) & (du + dv == du[v])
     nodes = np.flatnonzero(on)
-    nodes = nodes[np.argsort(du[nodes], kind="stable")].tolist()
+    nodes = nodes[np.argsort(du[nodes], kind="stable")]
     indptr, indices, data = g.in_edges()
-    cnt = dict.fromkeys(nodes, 0)
+    # Every edge x-y out of the DAG's nodes, in node order; keep the tight ones.
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    x = np.repeat(nodes, counts)
+    e = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(x.size)
+    y = indices[e]
+    tight = on[y] & (du[y] == du[x] + data[e])
+    cnt = dict.fromkeys(nodes.tolist(), 0)
     cnt[u] = 1
-    for x in nodes:
-        lo, hi = indptr[x], indptr[x + 1]
-        ys = indices[lo:hi]
-        for y in ys[on[ys] & (du[ys] == du[x] + data[lo:hi])].tolist():
-            cnt[y] += cnt[x]
+    for a, b in zip(x[tight].tolist(), y[tight].tolist()):
+        cnt[b] += cnt[a]
     return cnt
 
 

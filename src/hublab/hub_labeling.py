@@ -237,11 +237,11 @@ def _split_entries(hl: HubLabeling, mat: np.ndarray):
     """(core, owner, hub, stored): the core hubs as a bool mask and the
     entries that are not exact entries of a core hub.
 
-    The entries are compared with the matrix in chunks of _CHUNK, so no
-    temporary but the owners and two masks grows with the label size.
+    The entries, with owners read off the offsets, are compared with the
+    matrix in chunks of _CHUNK, so no temporary but two masks grows with n.
     """
     n = hl.n
-    hub, stored, owner = hl.hub, hl.dist, hl.owners()
+    hub, stored = hl.hub, hl.dist
     reach = np.zeros(n, dtype=np.int64)
     for lo in range(0, n, _ROWS):
         reach[lo : lo + _ROWS] = np.count_nonzero(mat[lo : lo + _ROWS] >= 0, axis=1)
@@ -249,12 +249,16 @@ def _split_entries(hl: HubLabeling, mat: np.ndarray):
     held = np.zeros(n, dtype=np.int64)
     for a in range(0, hub.size, _CHUNK):
         c = slice(a, a + _CHUNK)
-        true = mat[owner[c], hub[c]]
+        b = min(a + _CHUNK, hub.size)
+        # the rows lo - 1 .. hi - 1 hold the entries a .. b - 1
+        lo, hi = np.searchsorted(hl.offsets, [a, b - 1], side="right")
+        owner = np.repeat(np.arange(lo - 1, hi), np.diff(np.clip(hl.offsets[lo - 1 : hi + 1], a, b)))
+        true = mat[owner, hub[c]]
         exact[c] = (true >= 0) & (true == stored[c])
         held += np.bincount(hub[c][exact[c]], minlength=n)
     core = held == reach
-    rest = ~(exact & core[hub])
-    return core, owner[rest], hub[rest], stored[rest]
+    rest = np.flatnonzero(~(exact & core[hub]))
+    return core, np.searchsorted(hl.offsets, rest, side="right") - 1, hub[rest], stored[rest]
 
 
 def _min_stored_sums(n: int, owner: np.ndarray, hub: np.ndarray, stored: np.ndarray):

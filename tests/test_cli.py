@@ -226,6 +226,23 @@ def test_sumindex_cli_single_and_sweep(capsys):
     assert all(r["decoded"] == r["expected"] for r in rows)
 
 
+def test_sumindex_and_lemma1_reports_time_their_run(capsys, tmp_path):
+    code, _ = run_cli(capsys, "gen", "--kind", "G", "--b", "1", "--ell", "1", "--out", str(tmp_path / "g.txt"))
+    assert code == 0
+    for argv in (
+        ["sumindex", "--b", "1", "--ell", "1", "--bits", "1", "--sweep"],
+        ["audit", "lemma1", "--graph", str(tmp_path / "g.txt"), "--meta", str(tmp_path / "g.txt.meta.json")],
+    ):
+        reps = []
+        for _ in range(2):
+            code, out = run_cli(capsys, *argv)
+            assert code == 0
+            reps.append(json.loads(out))
+        assert set(reps[0]["timing"]) == {"wall_time_s"}
+        assert reps[0]["timing"]["wall_time_s"] >= 0
+        assert strip_volatile(reps[0]) == strip_volatile(reps[1])
+
+
 @pytest.mark.parametrize("mode, bits", [("hub", 445), ("oracle", 631)])
 def test_sumindex_cli_message_bits(capsys, mode, bits):
     code, out = run_cli(

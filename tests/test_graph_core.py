@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import (
@@ -16,7 +18,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hublab.corpus import erdos_renyi_m, random_regular_graph, star_graph
+from hublab.corpus import erdos_renyi_m, grid_graph, random_regular_graph, star_graph
 from hublab.family_gen import FamilyParams, build_H
 from hublab.graph_core import (
     UNREACHABLE,
@@ -307,6 +309,11 @@ def test_path_count_matches_enumeration(g):
                 assert path_weight(g, path) == int(dm.matrix()[u, v])
 
 
+def test_path_count_exact_beyond_64_bits():
+    # a 40 x 40 grid has comb(78, 39) > 2**64 shortest corner-to-corner paths
+    assert count_shortest_paths(grid_graph(40, 40), 0, 1599) == math.comb(78, 39)
+
+
 def test_path_count_rejects_zero_weights():
     g = WeightedGraph(3, [(0, 1, 0), (1, 2, 1)])
     with pytest.raises(ZeroWeightError):
@@ -589,14 +596,22 @@ def test_short_unit_quotients_never_run_dijkstra(monkeypatch):
     # general weights, all inside one zero-weight component: the quotient
     # has no edge at all
     inside = WeightedGraph(3, [(0, 1, 0), (1, 2, 0), (0, 2, 5)])
-    for g in (unit, zero_one, inside):
+    # two components each, so that some pairs are unreachable
+    split = WeightedGraph(4, [(0, 1, 1), (2, 3, 1)])
+    split_zero_one = WeightedGraph(5, [(0, 1, 0), (1, 2, 1), (3, 4, 0)])
+    for g in (unit, zero_one, inside, split, split_zero_one):
         dm = all_pairs(g)
         shortest_path_hits(dm, np.ones(g.n, dtype=bool))
+        for s in (0, g.n - 1):
+            row = [distance_between(g, s, t) for t in range(g.n)]
+            assert row == [UNREACHABLE if d < 0 else d for d in dm.matrix()[s].tolist()], g
     assert zero_one.weight_kind == "01" and inside.weight_kind == "general"
     assert all_pairs(inside).matrix()[0, 2] == 0
     general = WeightedGraph(3, [(0, 1, 2), (1, 2, 1)])
     with pytest.raises(AssertionError, match="dijkstra called"):
         all_pairs(general)
+    with pytest.raises(AssertionError, match="dijkstra called"):
+        distance_between(general, 0, 2)
     with pytest.raises(AssertionError, match="dijkstra called"):
         distances_from(unit, 0)
 
@@ -604,7 +619,8 @@ def test_short_unit_quotients_never_run_dijkstra(monkeypatch):
 def test_long_unit_quotients_run_dijkstra_and_band_hits(monkeypatch):
     """On a path, whose diameter is its size, the bit-parallel BFS would
     cost D k^2 / 64 word operations; all_pairs runs Dijkstra and
-    shortest_path_hits the band kernel instead, for unit and {0,1} weights."""
+    shortest_path_hits the band kernel instead, for unit and {0,1} weights.
+    distance_between runs neither: it walks one single-source BFS."""
     import hublab.graph_core as graph_core
 
     calls = []
@@ -618,8 +634,9 @@ def test_long_unit_quotients_run_dijkstra_and_band_hits(monkeypatch):
     for ws in (np.ones(n - 1, dtype=np.int64), (np.arange(n - 1) % 3 != 2).astype(np.int64)):
         g = WeightedGraph(n, [(i, i + 1, int(w)) for i, w in enumerate(ws)])
         calls.clear()
-        dm = all_pairs(g)
         pos = np.concatenate([[0], np.cumsum(ws)])
+        assert distance_between(g, 0, n - 1) == pos[-1]
+        dm = all_pairs(g)
         assert (dm.matrix() == np.abs(pos[:, None] - pos[None, :])).all()
         mask = np.zeros(n, dtype=bool)
         mask[[0, 63, 64, 700]] = True
