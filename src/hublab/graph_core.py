@@ -43,6 +43,11 @@ class ZeroWeightError(ValueError):
     """Operation requires strictly positive edge weights."""
 
 
+def segment_positions(starts, counts: np.ndarray) -> np.ndarray:
+    """The positions starts[i] .. starts[i] + counts[i] - 1, for every i in order."""
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(int(counts.sum()))
+
+
 class WeightedGraph:
     """Immutable undirected graph with nonnegative integer edge weights.
 
@@ -146,7 +151,8 @@ class WeightedGraph:
 
 
 # -- graph file format -----------------------------------------------------
-# Header line "n m", then m lines "u v w". '#' starts a comment.
+# Header line "n m", then m lines "u v w". '#' starts a comment. A field is
+# an optional "-" and ASCII digits, as write_graph emits it.
 
 
 def write_graph(g: WeightedGraph, path) -> None:
@@ -165,10 +171,9 @@ def read_graph(path) -> WeightedGraph:
             if not line:
                 continue
             parts = line.split()
-            try:
-                nums = [int(p) for p in parts]
-            except ValueError as exc:
-                raise GraphFormatError(f"line {lineno}: non-integer field") from exc
+            if not all(p.isascii() and p.removeprefix("-").isdigit() for p in parts):
+                raise GraphFormatError(f"line {lineno}: non-integer field")
+            nums = [int(p) for p in parts]
             if header is None:
                 if len(nums) != 2:
                     raise GraphFormatError(f"line {lineno}: header must be 'n m'")
@@ -361,7 +366,7 @@ class _NeighbourOr:
         self.big = np.flatnonzero(deg > _SLOTS)
         counts = deg[self.big] - _SLOTS
         self.starts = np.cumsum(counts) - counts
-        self.rest = nbr[np.repeat(ip[self.big] + _SLOTS - self.starts, counts) + np.arange(counts.sum())]
+        self.rest = nbr[segment_positions(ip[self.big] + _SLOTS, counts)]
 
     def __call__(self, rows: np.ndarray) -> np.ndarray:
         if not self.slots:
@@ -580,10 +585,9 @@ def _band_hits(mat, dist: np.ndarray, mask) -> np.ndarray:
         dv = df[pend]
         pv = pend % k
         # Every in-edge of every pending pair, in pair order; keep the tight ones.
-        starts = indptr[pv]
-        counts = indptr[pv + 1] - starts
+        counts = indptr[pv + 1] - indptr[pv]
         pair = np.repeat(np.arange(pend.size), counts)
-        e = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(pair.size)
+        e = segment_positions(indptr[pv], counts)
         src = (pend - pv)[pair] + e_src[e]
         tight = df[src] + e_w[e] == dv[pair]
         src, pair = src[tight], pair[tight]
@@ -673,10 +677,9 @@ def _dag_counts(g: WeightedGraph, u: int, v: int, du: np.ndarray, dv: np.ndarray
     nodes = nodes[np.argsort(du[nodes], kind="stable")]
     indptr, indices, data = g.in_edges()
     # Every edge x-y out of the DAG's nodes, in node order; keep the tight ones.
-    starts = indptr[nodes]
-    counts = indptr[nodes + 1] - starts
+    counts = indptr[nodes + 1] - indptr[nodes]
     x = np.repeat(nodes, counts)
-    e = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(x.size)
+    e = segment_positions(indptr[nodes], counts)
     y = indices[e]
     tight = on[y] & (du[y] == du[x] + data[e])
     cnt = dict.fromkeys(nodes.tolist(), 0)

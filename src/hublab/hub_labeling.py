@@ -15,6 +15,7 @@ from .graph_core import (
     GraphFormatError,
     UnreachablePairError,
     canonical_trees,
+    segment_positions,
     shortest_path_hits,
 )
 
@@ -22,7 +23,8 @@ _I64_MAX = int(np.iinfo(np.int64).max)
 _NO_SUM = np.uint64(np.iinfo(np.uint64).max)
 #: Rows per block of the verifier's n x n passes.
 _ROWS = 256
-#: Label entries, or joined entry pairs, per chunk of the verifier.
+#: Label entries per chunk of the verifier's entry pass, and joined entry
+#: pairs per step of its join (one entry's pairs may exceed it).
 _CHUNK = 1 << 15
 #: Uncovered pairs a CoverReport lists; uncovered_total counts them all.
 _LISTED = 1000
@@ -191,12 +193,15 @@ def verify_cover(hl: HubLabeling, dm) -> CoverReport:
     the true one. The core is the set of hubs that every vertex of the hub's
     component stores exactly; through the core, a pair's query reaches d(u,v)
     iff a core hub lies on a shortest u-v path, which shortest_path_hits
-    decides. Every other entry goes into a sparse join per hub that gives
-    m(u,v), the least stored sum over the remaining common hubs (infinite when
-    there is none). A pair is then uncovered iff m < d where the core hits it
-    and m != d where it does not. A stored distance above the diameter can
-    neither equal nor undercut any d(u,v), so the join reads those at
-    diameter + 1, and its sums stay far inside int64.
+    decides. Each block of _ROWS owners joins its other entries with the later
+    entries of their hubs and folds the stored sums into a dense minimum
+    m(u,v) over the remaining common hubs, _I64_MAX where there is none. That
+    is O(sum of c_w**2) pairs for c_w such entries of hub w, none of them
+    sorted, and a step expands at most max(_CHUNK, one entry's pairs). A pair
+    is uncovered iff m < d where the core hits it and m != d where it does
+    not. A stored distance above the diameter can neither equal nor undercut
+    any d(u,v), so the join reads those at diameter + 1, and its sums stay far
+    inside int64.
     """
     n = hl.n
     if n != dm.n:
@@ -204,24 +209,33 @@ def verify_cover(hl: HubLabeling, dm) -> CoverReport:
     mat = dm.matrix()
     diam = dm.diameter()
     core, owner, hub, stored = _split_entries(hl, mat)
-    keys, m = _min_stored_sums(n, owner, hub, np.minimum(stored, diam + 1))
+    stored = np.minimum(stored, diam + 1)
     hit = shortest_path_hits(dm, core)
-    d = mat.reshape(-1)[keys]
-    joined = (d >= 0) & np.where(hit.reshape(-1)[keys], m < d, m != d)
+    # entry i pairs with the later[i] entries after it in its hub's run of by_hub
+    by_hub = np.argsort(hub, kind="stable")
+    pos = np.empty_like(by_hub)
+    pos[by_hub] = np.arange(by_hub.size)
+    later = np.searchsorted(hub[by_hub], hub, side="right") - pos - 1
+    ends = np.cumsum(later)
     uncovered = []
     total_bad = 0
-    cols = np.arange(n)
     for lo in range(0, n, _ROWS):
-        bad = hit[lo : lo + _ROWS]
-        np.logical_not(bad, out=bad)
-        bad &= mat[lo : lo + _ROWS] >= 0
-        bad &= cols[None, :] > np.arange(lo, lo + bad.shape[0])[:, None]
-        a, b = np.searchsorted(keys, [lo * n, (lo + bad.shape[0]) * n])
-        bad.reshape(-1)[keys[a:b] - lo * n] = joined[a:b]
+        d = mat[lo : lo + _ROWS]
+        m = np.full(d.shape, _I64_MAX, dtype=np.int64)
+        a, last = np.searchsorted(owner, [lo, lo + _ROWS])
+        while a < last:
+            b = np.searchsorted(ends, ends[a] - later[a] + _CHUNK, side="right")
+            b = min(max(a + 1, b), last)
+            left = np.repeat(np.arange(a, b), later[a:b])
+            right = by_hub[segment_positions(pos[a:b] + 1, later[a:b])]
+            sums = stored[left] + stored[right]
+            np.minimum.at(m.reshape(-1), (owner[left] - lo) * n + owner[right], sums)
+            a = b
+        # v > u: the columns past the diagonal of row u = lo + i
+        bad = np.triu(np.where(hit[lo : lo + _ROWS], m < d, m != d) & (d >= 0), lo + 1)
         total_bad += int(np.count_nonzero(bad))
-        if len(uncovered) < _LISTED:
-            for i in np.flatnonzero(bad)[: _LISTED - len(uncovered)].tolist():
-                uncovered.append((lo + i // n, i % n))
+        u, v = np.divmod(np.flatnonzero(bad)[: _LISTED - len(uncovered)], n)
+        uncovered += zip((u + lo).tolist(), v.tolist())
     total = hl.total_size
     return CoverReport(
         valid=(total_bad == 0),
@@ -259,42 +273,6 @@ def _split_entries(hl: HubLabeling, mat: np.ndarray):
     core = held == reach
     rest = np.flatnonzero(~(exact & core[hub]))
     return core, np.searchsorted(hl.offsets, rest, side="right") - 1, hub[rest], stored[rest]
-
-
-def _min_stored_sums(n: int, owner: np.ndarray, hub: np.ndarray, stored: np.ndarray):
-    """(keys, m): for every pair u < v of owners that share a hub, the key
-    u * n + v in ascending order and the least stored sum over their common
-    hubs.
-
-    The entries come in owner order. Entry i pairs with the entries after it
-    in its hub's run of the hub-major order. The pairs are expanded for whole
-    owners at a time, about _CHUNK pairs per step, so every step's
-    minima are final.
-    """
-    by_hub = np.lexsort((owner, hub))
-    pos = np.empty_like(by_hub)
-    pos[by_hub] = np.arange(by_hub.size)
-    later = np.searchsorted(hub[by_hub], hub, side="right") - pos - 1
-    ends = np.cumsum(later)
-    keys, mins = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    a = 0
-    while a < owner.size:
-        b = max(a + 1, int(np.searchsorted(ends, ends[a] - later[a] + _CHUNK, side="right")))
-        b = int(np.searchsorted(owner, owner[b - 1], side="right"))
-        cnt = later[a:b]
-        left = np.repeat(np.arange(a, b), cnt)
-        step = np.arange(left.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        right = by_hub[pos[left] + 1 + step]
-        key = owner[left] * n + owner[right]
-        m = stored[left] + stored[right]
-        order = np.lexsort((m, key))
-        key, m = key[order], m[order]
-        first = np.ones(key.size, dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        keys.append(key[first])
-        mins.append(m[first])
-        a = b
-    return np.concatenate(keys), np.concatenate(mins)
 
 
 def monotone_closure(hl: HubLabeling, dm) -> HubLabeling:

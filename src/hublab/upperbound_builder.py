@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import WeightedGraph, all_pairs, shortest_path_hits
+from .graph_core import WeightedGraph, all_pairs, segment_positions, shortest_path_hits
 from .hub_labeling import CoverReport, HubLabeling, verify_cover
 
 #: Rows per block of the membership masks in assemble.
@@ -173,9 +173,8 @@ def build_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
             b = max(a + 1, b)
             pair = close[cptr[a] : cptr[b]]
             u, v, d = bu[pair], bx[pair], bd[pair]
-            start = ptr[u - lo]
-            ball = ptr[u - lo + 1] - start
-            at = np.arange(int(ball.sum())) + np.repeat(start - (np.cumsum(ball) - ball), ball)
+            ball = ptr[u - lo + 1] - ptr[u - lo]
+            at = segment_positions(ptr[u - lo], ball)
             # d(u, x) + d(x, v) == d(u, v), reading d(v, x) along row v
             gap = flat[np.repeat(v * n, ball) + bx[at]] + bd[at] - np.repeat(d, ball)
             hit = gap == 0
@@ -354,7 +353,7 @@ def _check_induced(group, a, b, h, x, y):
     lo = np.searchsorted(gx[by_x], gx[union])
     cnt = np.searchsorted(gx[by_x], gx[union], side="right") - lo
     i = np.repeat(union, cnt)
-    j = by_x[np.arange(int(cnt.sum())) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)]
+    j = by_x[segment_positions(lo, cnt)]
     # a violation: j's matching holds y(i) on its right side but not (x(i), y(i))
     right = np.sort(matching * width + y)
     want = matching[j] * width + y[i]
@@ -416,7 +415,7 @@ def _closed_neighborhoods(F, g: WeightedGraph) -> np.ndarray:
     indptr, nbr, _ = g.in_edges()
     owner, x = F.T
     deg = indptr[x + 1] - indptr[x]
-    at = np.arange(int(deg.sum())) + np.repeat(indptr[x] - (np.cumsum(deg) - deg), deg)
+    at = segment_positions(indptr[x], deg)
     key = np.concatenate([owner * n + x, np.repeat(owner, deg) * n + nbr[at]])
     return _rows(np.unique(key), n)
 
@@ -517,10 +516,9 @@ def project_back(hl_reduced: HubLabeling, representative, origin, dm) -> HubLabe
     n = dm.n
     mat = dm.matrix()
     rep, orig = np.asarray(representative), np.asarray(origin)
-    start = hl_reduced.offsets[rep]
-    size = hl_reduced.offsets[rep + 1] - start
+    size = np.diff(hl_reduced.offsets)[rep]
     # positions of the representatives' entries, row after row
-    at = np.arange(int(size.sum())) + np.repeat(start - (np.cumsum(size) - size), size)
+    at = segment_positions(hl_reduced.offsets[rep], size)
     key = np.sort(np.repeat(np.arange(n), size) * n + orig[hl_reduced.hub[at]])
     key = key[np.diff(key, prepend=-1) != 0]  # keys are >= 0
     owner, hub = np.divmod(key, max(n, 1))

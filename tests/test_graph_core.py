@@ -354,6 +354,19 @@ def test_graph_file_comments_and_errors(tmp_path):
     path.write_text("3\n")
     with pytest.raises(GraphFormatError):
         read_graph(path)
+    # a field is an optional "-" and ASCII digits, as write_graph emits it
+    for edge in ("0 1 1_0", "0 1 \uff12", "0 1 +2", "0 1 2.0", "0 1 -", "0 1 --2", "0 1 \u00b2"):
+        path.write_text(f"3 1\n{edge}\n", encoding="utf-8")
+        with pytest.raises(GraphFormatError, match="^line 2: non-integer field$"):
+            read_graph(path)
+    path.write_text("3 1\n0 1 -2\n")
+    with pytest.raises(ValueError, match="^edge weights must be nonnegative$"):
+        read_graph(path)
+    path.write_text("-3 0\n")
+    with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+        read_graph(path)
+    path.write_text("3 1\n0 1 007\n")
+    assert read_graph(path).edges == ((0, 1, 7),)
 
 
 def test_path_weight_rejects_non_edges():

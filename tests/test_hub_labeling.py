@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hublab import graph_core, hub_labeling
+from hublab.corpus import random_regular_graph
 from hublab.family_gen import FamilyParams, build_H, expand_to_G
 from hublab.graph_core import (
     UNREACHABLE,
@@ -493,6 +494,16 @@ def test_verify_cover_matches_dense_oracle_under_mutation(kind):
                 bad = _mutated(hl, dm, kind, rng)
                 if bad is not None:
                     _assert_same_report(bad, dm)
+    if kind == "drop":
+        # At the default block sizes: the S hub w of a 3-regular build on 300
+        # vertices loses its own entry, so it leaves the core and its joins
+        # cross the 256-row block and several _CHUNK steps.
+        built = build_for_graph(random_regular_graph(300, 3, seed=1), BuilderConfig(seed=1))
+        hl, w = built.labeling, int(built.artifacts.S[1])
+        bad = labeling(hl.n, [[e for e in hl.hubs[v] if (v, e[0]) != (w, w)] for v in range(hl.n)])
+        assert bad.total_size == hl.total_size - 1
+        _assert_same_report(bad, built.dm)
+        assert not verify_cover(bad, built.dm).valid
 
 
 def test_verify_cover_matches_dense_oracle_across_chunk_boundaries(monkeypatch):
