@@ -25,17 +25,19 @@ run a copy of the script from a checkout of each, in the same directory. The
 graph is written to a temporary file and built through the CLI entry point in
 this process, one build per process, so the peak RSS (resource.getrusage)
 belongs to that build. A record holds the command line, the commit, the
-graph, the wall time of the build command, the builder's own wall time from
-its report, the peak RSS and a SHA-256 of the label file, so that two sides
-can be checked for identical labels. It replaces any earlier record for the
-same graph and side.
+graph, the wall time of the build command, the builder's own wall time and
+the seconds of each stage (`timing.stages_s`, writing the labels included)
+from its report, the peak RSS and a SHA-256 of the label file, so that two
+sides can be checked for identical labels. It replaces any earlier record for
+the same graph and side.
 
 With --command verify or --command closure, the labels are built first by
 `hublab build` in a child process, outside the timed span; only the command
-on them runs in this process and is timed. Its record holds the wall time and
-peak RSS of that command and the input's entry count and digest; a verify
-record adds the verdict, a closure record the closure's entry count and
-SHA-256.
+on them runs in this process and is timed. Its record holds the wall time
+and peak RSS of that command, the seconds of each of its stages from its
+report (reading the labels is one; null where the report has no timing), and
+the input's entry count and digest; a verify record adds the verdict, a
+closure record the closure's entry count and SHA-256.
 
 With --command searches, graph_core.all_pairs and then
 graph_core.shortest_path_hits, with every 20th vertex masked, run in this
@@ -62,6 +64,7 @@ import json
 import os
 import platform
 import resource
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -165,6 +168,7 @@ def run_on_labels(spec: str, command: str) -> dict:
             "hublab_command": "hublab " + " ".join(argv).replace(tmp, "<tmp>"),
             "exit_code": code,
             "wall_s": round(wall, 3),
+            "stages_s": report.get("timing", {}).get("stages_s"),
             "peak_rss_mb": _peak_rss_mb(),
             "labels_sha256": _digest(labels_path),
         }
@@ -259,6 +263,7 @@ def run(spec: str) -> dict:
         "exit_code": code,
         "wall_s": round(wall, 3),
         "build_wall_time_s": report["timing"]["wall_time_s"],
+        "stages_s": report["timing"]["stages_s"],
         "peak_rss_mb": _peak_rss_mb(),
         "label_entries": report["ledger"]["total_size"],
         "labels_sha256": digest,
@@ -289,7 +294,7 @@ def main() -> int:
     else:
         record = run_on_labels(args.graph, args.command)
     record.update(
-        command=" ".join(["python", "scripts/bench.py", *sys.argv[1:]]),
+        command=shlex.join(["python", "scripts/bench.py", *sys.argv[1:]]),
         commit=commit_of(ROOT),
         host={
             "cpus": os.cpu_count(),

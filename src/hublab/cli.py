@@ -119,30 +119,43 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _stage(stages: dict, name: str, fn, *args):
+    """fn(*args), with its seconds recorded as stages[name]."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    stages[name] = time.perf_counter() - t0
+    return out
+
+
+def _timing(wall: float, stages: dict) -> dict:
+    return {
+        "wall_time_s": round(wall, 3),
+        "stages_s": {stage: round(s, 4) for stage, s in stages.items()},
+    }
+
+
 def _cmd_build(args) -> int:
     g = read_graph(args.graph)
     cfg = BuilderConfig(D=args.D, seed=args.seed)
     t0 = time.perf_counter()
     result = build_for_graph(g, cfg)
-    t1 = time.perf_counter()
-    wall = t1 - t0
-    write_labels(result.labeling, args.out)
-    stages = {**result.timing, "write_labels": time.perf_counter() - t1}
+    wall = time.perf_counter() - t0
+    stages = dict(result.timing)
+    _stage(stages, "write_labels", write_labels, result.labeling, args.out)
     config = {"graph": args.graph, "D": args.D, "seed": args.seed, "out": args.out}
     payload = result.report.to_dict()
-    payload["timing"] = {
-        "wall_time_s": round(wall, 3),
-        "stages_s": {stage: round(s, 4) for stage, s in stages.items()},
-    }
+    payload["timing"] = _timing(wall, stages)
     _emit(_report("build", config, payload), args)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    g = read_graph(args.graph)
-    hl = read_labels(args.labels)
-    dm = all_pairs(g)
-    rep = verify_cover(hl, dm)
+    t0 = time.perf_counter()
+    stages = {}
+    g = _stage(stages, "read_graph", read_graph, args.graph)
+    hl = _stage(stages, "read_labels", read_labels, args.labels)
+    dm = _stage(stages, "all_pairs", all_pairs, g)
+    rep = _stage(stages, "verify", verify_cover, hl, dm)
     config = {"graph": args.graph, "labels": args.labels}
     _emit(
         _report(
@@ -156,6 +169,7 @@ def _cmd_verify(args) -> int:
                 "avg_hub_size": str(rep.avg_hub_size),
                 "avg_hub_size_float": float(rep.avg_hub_size),
                 "bit_estimate": rep.bit_estimate,
+                "timing": _timing(time.perf_counter() - t0, stages),
             },
         ),
         args,
@@ -164,16 +178,23 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    g = read_graph(args.graph)
-    hl = read_labels(args.labels)
-    closed = hub_labeling.monotone_closure(hl, all_pairs(g))
-    write_labels(closed, args.out)
+    t0 = time.perf_counter()
+    stages = {}
+    g = _stage(stages, "read_graph", read_graph, args.graph)
+    hl = _stage(stages, "read_labels", read_labels, args.labels)
+    dm = _stage(stages, "all_pairs", all_pairs, g)
+    closed = _stage(stages, "closure", hub_labeling.monotone_closure, hl, dm)
+    _stage(stages, "write_labels", write_labels, closed, args.out)
     config = {"graph": args.graph, "labels": args.labels, "out": args.out}
     _emit(
         _report(
             "closure",
             config,
-            {"input_total": hl.total_size, "closure_total": closed.total_size},
+            {
+                "input_total": hl.total_size,
+                "closure_total": closed.total_size,
+                "timing": _timing(time.perf_counter() - t0, stages),
+            },
         ),
         args,
     )

@@ -46,16 +46,16 @@ class HubLabeling:
         dist[i]) per i, in any order. Entries of one hub stored twice with
         equal distances are merged; an owner or hub out of range, a negative
         distance or two distances for one hub raise ValueError, which
-        reports the first faulty entry in the given order."""
+        reports the first faulty entry in the given order. Entries given
+        sorted keep an int64 dist array that owns its memory as it is, and
+        make it read-only."""
         n = int(n)
         owner, hub, dist = (np.asarray(a, dtype=np.int64) for a in (owner, hub, dist))
         fault = (hub < 0) | (hub >= n) | (dist < 0)
         key = owner * n + hub
-        if not fault.any() and bool((key[1:] > key[:-1]).all()) and (
+        if fault.any() or not bool((key[1:] > key[:-1]).all()) or not (
             owner.size == 0 or 0 <= owner[0] <= owner[-1] < n
         ):
-            first = np.ones(hub.size, dtype=bool)  # already sorted, no duplicates
-        else:
             fault |= (owner < 0) | (owner >= n)
             order = np.lexsort((hub, owner))
             owner, hub, dist, fault = owner[order], hub[order], dist[order], fault[order]
@@ -73,10 +73,13 @@ class HubLabeling:
                 if dist[j] < 0:
                     raise ValueError(f"vertex {v}: negative stored distance")
                 raise ValueError(f"vertex {v}: conflicting distances for hub {h}")
+            owner, hub, dist = owner[first], hub[first], dist[first]
+        elif dist.base is not None:
+            dist = dist.copy()  # a view of the caller's memory
         offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owner[first], minlength=n), out=offsets[1:])
+        np.cumsum(np.bincount(owner, minlength=n), out=offsets[1:])
         self.n = n
-        self.offsets, self.hub, self.dist = offsets, hub[first].astype(np.int32), dist[first]
+        self.offsets, self.hub, self.dist = offsets, hub.astype(np.int32), dist
         for a in (self.offsets, self.hub, self.dist):
             a.flags.writeable = False
 
@@ -321,27 +324,160 @@ _BODY_RE = re.compile(r"\s*+(?:\((?:0|[1-9][0-9]*+),(?:0|[1-9][0-9]*+)\)\s*+)*+"
 # A well-formed body holds only ASCII digits, "(),", and whitespace; every
 # character but the digits becomes a space before the numbers are parsed.
 _NON_DIGIT = str.maketrans({c: " " for c in map(chr, range(128)) if not c.isdigit()})
+_NON_DIGIT_BYTES = bytes(c if ord("0") <= c <= ord("9") else ord(" ") for c in range(256))
 _NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 _LONG_NUMBER_RE = re.compile(r"[0-9]{19,}")
+#: Label entries per block of the writer (a block holds at least one row).
+_BLOCK_ENTRIES = 1 << 16
+#: Bytes per block of the canonical reader, which ends at the next newline.
+_READ_BYTES = 1 << 22
+#: Distances below this index a token table by value (see _label_blocks).
+_VALUE_TABLE = 1 << 20
 
 
 def write_labels(hl: HubLabeling, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_labels(hl))
+    """Write the canonical text of hl, block by block."""
+    with open(path, "wb") as fh:
+        for block in _label_blocks(hl):
+            fh.write(block)
 
 
 def format_labels(hl: HubLabeling) -> str:
-    sizes = np.diff(hl.offsets).tolist()
-    lines = (f"{v}: {('(%d,%d) ' * k)[:-1]}" if k else f"{v}:" for v, k in enumerate(sizes))
-    template = "\n".join(lines) + "\n"
-    pairs = np.empty((hl.total_size, 2), dtype=np.int64)
-    pairs[:, 0], pairs[:, 1] = hl.hub, hl.dist
-    return template % tuple(pairs.ravel().tolist())
+    """The canonical text of hl, as write_labels writes it."""
+    return b"".join(_label_blocks(hl)).decode("ascii")
+
+
+def _label_blocks(hl: HubLabeling):
+    """The canonical text of hl as ASCII bytes, in blocks of rows.
+
+    The tokens are " (h," per hub and "d)" per distance, from tables indexed
+    by hub id and by distance value, and "v:" and "\n" per row. Each is
+    zero-padded to the width of the widest of its kind; an entry's two
+    tokens make one slot, and "v:" and "\n" one slot each. A block of rows
+    gathers its slots in file order and drops the zero bytes. When a distance
+    reaches _VALUE_TABLE, distance tokens are rendered per entry instead.
+    """
+    n = hl.n
+    if n == 0:
+        yield b"\n"
+        return
+    top = int(hl.dist.max(initial=0))
+    hub_table = _tokens(np.arange(n), b" (", b",", 3 + len(str(n - 1)))
+    dist_width = 1 + len(str(top))
+    by_value = top < _VALUE_TABLE
+    if by_value:
+        dist_table = _tokens(np.arange(top + 1), b"", b")", dist_width)
+    pair = np.dtype([("hub", hub_table.dtype), ("dist", (np.void, dist_width))])
+    slot = np.dtype((np.void, pair.itemsize))
+    newline = np.frombuffer(b"\n".ljust(slot.itemsize, b"\0"), dtype=slot)
+    offsets = hl.offsets
+    lo = 0
+    while lo < n:
+        # rows lo .. hi - 1: at least one, and no more than _BLOCK_ENTRIES
+        # entries unless the first row alone has more
+        hi = int(np.searchsorted(offsets, offsets[lo] + _BLOCK_ENTRIES, side="right")) - 1
+        hi = min(max(hi, lo + 1), n)
+        a, b = int(offsets[lo]), int(offsets[hi])
+        pairs = np.empty(b - a, dtype=pair)
+        pairs["hub"] = hub_table.take(hl.hub[a:b])
+        if by_value:
+            pairs["dist"] = dist_table.take(hl.dist[a:b])
+        else:
+            pairs["dist"] = _tokens(hl.dist[a:b], b"", b")", dist_width)
+        # row lo + i fills the slots heads[i] .. lines[i]
+        lines = 2 * np.arange(hi - lo) + (offsets[lo + 1 : hi + 1] - a) + 1
+        heads = lines - np.diff(offsets[lo : hi + 1]) - 1
+        out = np.empty(2 * (hi - lo) + b - a, dtype=slot)
+        entry = np.ones(out.size, dtype=bool)
+        entry[heads] = entry[lines] = False
+        out[entry] = pairs.view(slot)
+        out[heads] = _tokens(np.arange(lo, hi), b"", b":", slot.itemsize)
+        out[lines] = newline
+        yield out.tobytes().translate(None, b"\0")
+        lo = hi
+
+
+#: 10**k for k = 1 .. 19: a value below 2**64 has one digit more than the
+#: powers it reaches.
+_POWERS = 10 ** np.arange(1, 20, dtype=np.uint64)
+
+
+def _tokens(values, prefix: bytes, suffix: bytes, width: int) -> np.ndarray:
+    """prefix + decimal value + suffix for each non-negative value, as ASCII
+    zero-padded to width bytes, one item of a void array per value."""
+    v = np.asarray(values, dtype=np.uint64)
+    size = 1 + np.searchsorted(_POWERS, v, side="right")
+    buf = np.zeros((v.size, width), dtype=np.uint8)
+    buf[:, : len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+    end = len(prefix) + size  # one past the last digit
+    rows = np.arange(v.size)
+    for k in range(1, int(size.max(initial=1)) + 1):
+        live = size >= k
+        buf[rows[live], end[live] - k] = ord("0") + v[live] % np.uint64(10)
+        v = v // np.uint64(10)
+    for i, c in enumerate(suffix):
+        buf[rows, end + i] = c
+    return buf.view(np.dtype((np.void, width))).reshape(-1)
 
 
 def read_labels(path) -> HubLabeling:
-    """Parse a label file. Every line's syntax is checked first, then that
-    every number fits in int64, then the labeling itself."""
+    """Parse a label file. Canonical text, byte for byte what write_labels
+    writes, is taken by a fast path; any other text goes to the line parser,
+    which alone decides what else is well formed and how a fault is
+    reported."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    hl = _read_canonical(data)
+    return _read_lines(path) if hl is None else hl
+
+
+def _read_canonical(data: bytes) -> HubLabeling | None:
+    """The labeling whose canonical text is data, or None if data is not
+    canonical text.
+
+    In blocks of whole lines of about _READ_BYTES, the numbers are parsed as
+    the line parser parses them, a row ends at each newline and holds one
+    entry per "(", and its first number is its vertex id. The labeling is
+    accepted only if it renders back to data."""
+    total = data.count(b"(")
+    hub = np.empty(total, dtype=np.int64)
+    dist = np.empty(total, dtype=np.int64)
+    sizes = [np.zeros(0, dtype=np.int64)]
+    a = lo = 0
+    while lo < len(data):
+        hi = data.find(b"\n", lo + _READ_BYTES) + 1 or len(data)
+        block = data[lo:hi]
+        raw = np.frombuffer(block, dtype=np.uint8)
+        ends = np.flatnonzero(raw == ord("\n"))
+        size = np.diff(np.searchsorted(np.flatnonzero(raw == ord("(")), ends), prepend=0)
+        firsts = np.cumsum(size) - size  # entries before each row
+        nums = np.fromstring(block.translate(_NON_DIGIT_BYTES), dtype=np.int64, sep=" ")
+        b = a + int(size.sum())
+        if nums.size != ends.size + 2 * (b - a):
+            return None
+        entry = np.ones(nums.size, dtype=bool)
+        entry[np.arange(ends.size) + 2 * firsts] = False  # the vertex ids
+        hub[a:b], dist[a:b] = nums[entry].reshape(-1, 2).T
+        sizes.append(size)
+        a, lo = b, hi
+    if a != total:
+        return None
+    size = np.concatenate(sizes)
+    try:
+        hl = HubLabeling(size.size, np.repeat(np.arange(size.size), size), hub, dist)
+    except ValueError:
+        return None
+    at = 0
+    for block in _label_blocks(hl):
+        if not data.startswith(block, at):
+            return None
+        at += len(block)
+    return hl if at == len(data) else None
+
+
+def _read_lines(path) -> HubLabeling:
+    """Parse a label file line by line. Every line's syntax is checked first,
+    then that every number fits in int64, then the labeling itself."""
     lines, bodies, error = [], [], None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):

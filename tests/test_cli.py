@@ -95,6 +95,8 @@ def test_build_verify_round_trip(capsys, tmp_path):
     assert code == 0
     # re-running the verifier reproduces the recorded statistics exactly
     vrep = json.loads(out)
+    assert set(vrep["timing"]["stages_s"]) == {"read_graph", "read_labels", "all_pairs", "verify"}
+    assert all(isinstance(s, float) and s >= 0 for s in vrep["timing"]["stages_s"].values())
     assert vrep["total_size"] == rep["labeling"]["total_size"]
     assert vrep["avg_hub_size"] == rep["labeling"]["avg_hub_size"]
     assert vrep["bit_estimate"] == rep["labeling"]["bit_estimate"]
@@ -169,6 +171,9 @@ def test_closure_and_stats(capsys, tmp_path):
     lpath.write_text("0: (5,25)\n1:\n2:\n3:\n4:\n5:\n")
     code, out = run_cli(capsys, "closure", "--graph", str(gpath), "--labels", str(lpath), "--out", str(cpath))
     assert code == 0
+    assert set(json.loads(out)["timing"]["stages_s"]) == {
+        "read_graph", "read_labels", "all_pairs", "closure", "write_labels",
+    }
     closed = read_labels(cpath)
     assert closed.size(0) == 3  # path of two edges up to level 2
     code, out = run_cli(capsys, "stats", "--labels", str(cpath))

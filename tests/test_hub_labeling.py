@@ -1,5 +1,6 @@
 from dataclasses import astuple
 from fractions import Fraction
+import math
 import re
 
 import numpy as np
@@ -15,7 +16,7 @@ from conftest import (
     seeded_sparse_graph,
     small_graphs,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hublab import graph_core, hub_labeling
@@ -125,7 +126,28 @@ def _old_format(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Named(list):
+    """Rows that hypothesis reports by a short name instead of in full."""
+
+    def __init__(self, name: str, rows):
+        super().__init__(rows)
+        self.name = name
+
+    def __repr__(self) -> str:
+        return self.name
+
+
+# Every other hub of _WIDE vertices in each row: more entries than one
+# writer block holds, so rows lie on both sides of a block boundary.
+_WIDE = math.isqrt(2 * hub_labeling._BLOCK_ENTRIES) + 2
+
+
 @given(valid_rows())
+@example((100_001, _Named("hub 100000", [[(100_000, 3)]] + [[]] * 99_999 + [[(0, 3), (100_000, 0)]])))
+@example((2, [[(0, 0), (1, 10**7)], [(0, 2**63 - 1), (1, 0)]]))
+@example((3, [[], [(0, 1)], []]))
+@example((0, []))
+@example((_WIDE, _Named("block boundary", [[(h, (v + h) % 9) for h in range(0, _WIDE, 2)] for v in range(_WIDE)])))
 def test_label_file_round_trip_matches_old_text(tmp_path_factory, case):
     hl = labeling(*case)
     path = tmp_path_factory.mktemp("labels") / "labels.txt"
@@ -322,6 +344,54 @@ def test_label_file_round_trip(tmp_path):
     # canonical text, byte for byte
     write_labels(hl, tmp_path / "again.txt")
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+
+def test_canonical_file_skips_the_line_parser(tmp_path, monkeypatch):
+    hl = baseline_full(all_pairs(seeded_sparse_graph(8, 12, seed=3)))
+    path = tmp_path / "labels.txt"
+    write_labels(hl, path)
+    text = path.read_bytes()
+    calls = []
+    line_parser = hub_labeling._read_lines
+
+    def counted(path):
+        calls.append(path)
+        return line_parser(path)
+
+    monkeypatch.setattr(hub_labeling, "_read_lines", counted)
+    assert read_labels(path) == hl and calls == []
+    # a byte more or less at either end is well formed, but not canonical
+    variants = (text + b" ", text + b"\n", b" " + text, b"\n" + text, text[:-1])
+    for variant in variants:
+        path.write_bytes(variant)
+        assert read_labels(path) == hl
+    assert len(calls) == len(variants)
+
+
+_EDIT_CHARS = " (),:\n0123456789\tx\u00a0"
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_rows(max_n=4), st.data())
+def test_edited_file_reads_as_the_line_parser_does(tmp_path_factory, case, data):
+    text = format_labels(labeling(*case))
+    at = data.draw(st.integers(0, len(text)))
+    kind = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+    char = data.draw(st.sampled_from(_EDIT_CHARS))
+    if kind == "insert":
+        text = text[:at] + char + text[at:]
+    else:
+        text = text[:at] + (char if kind == "replace" else "") + text[at + 1 :]
+    path = tmp_path_factory.mktemp("labels") / "labels.txt"
+    path.write_text(text, encoding="utf-8")
+    try:
+        want = hub_labeling._read_lines(path)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            read_labels(path)
+        assert str(got.value) == str(exc)
+        return
+    assert read_labels(path) == want
 
 
 def test_label_file_errors(tmp_path):
