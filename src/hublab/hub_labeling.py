@@ -46,9 +46,9 @@ class HubLabeling:
         dist[i]) per i, in any order. Entries of one hub stored twice with
         equal distances are merged; an owner or hub out of range, a negative
         distance or two distances for one hub raise ValueError, which
-        reports the first faulty entry in the given order. Entries given
-        sorted keep an int64 dist array that owns its memory as it is, and
-        make it read-only."""
+        reports the first faulty entry in the given order. When the entries
+        come sorted, an int64 dist array that owns its memory is kept
+        without a copy and made read-only."""
         n = int(n)
         owner, hub, dist = (np.asarray(a, dtype=np.int64) for a in (owner, hub, dist))
         fault = (hub < 0) | (hub >= n) | (dist < 0)

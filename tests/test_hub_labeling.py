@@ -382,7 +382,7 @@ def test_edited_file_reads_as_the_line_parser_does(tmp_path_factory, case, data)
         text = text[:at] + char + text[at:]
     else:
         text = text[:at] + (char if kind == "replace" else "") + text[at + 1 :]
-    path = tmp_path_factory.mktemp("labels") / "labels.txt"
+    path = tmp_path_factory.getbasetemp() / "edited-labels.txt"
     path.write_text(text, encoding="utf-8")
     try:
         want = hub_labeling._read_lines(path)
