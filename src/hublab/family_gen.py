@@ -4,7 +4,6 @@ vertices."""
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -19,6 +18,8 @@ ROLE_LEVEL = "level"
 ROLE_TREE_INTERNAL = "tree-internal"
 ROLE_TREE_LEAF = "tree-leaf"
 ROLE_AUX = "path-auxiliary"
+#: The role names, indexed by the codes of FamilyInstance.roles.
+ROLES = (ROLE_LEVEL, ROLE_TREE_INTERNAL, ROLE_TREE_LEAF, ROLE_AUX)
 
 KIND_H = "H"
 KIND_G = "G"
@@ -62,15 +63,22 @@ class LevelCoord(NamedTuple):
 
 @dataclass
 class FamilyInstance:
+    """A family graph with its parameters, kind and level-vertex ids. roles is
+    a read-only uint8 array, the role of vertex v being ROLES[roles[v]];
+    removed holds the mid-level vertices a G' deleted."""
+
     graph: WeightedGraph
     params: FamilyParams
     kind: str
     coord_to_id: dict[LevelCoord, int]
-    id_roles: list[str]
+    roles: np.ndarray = field(repr=False, compare=False)
     removed: frozenset[LevelCoord] = frozenset()
     # Set by expand_to_G: for every vertex, the level vertex whose removal
     # drops it (see delete_level_mid).
     anchor: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.roles.flags.writeable = False
 
     def id_of(self, level: int, coords) -> int:
         return self.coord_to_id[LevelCoord(level, tuple(coords))]
@@ -155,7 +163,7 @@ def build_H(params: FamilyParams, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Fa
         params=params,
         kind=KIND_H,
         coord_to_id=coord_to_id,
-        id_roles=[ROLE_LEVEL] * n,
+        roles=np.zeros(n, dtype=np.uint8),
     )
 
 
@@ -217,10 +225,9 @@ def expand_to_G(inst: FamilyInstance, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -
     path_edges = [np.c_[start, first_aux], np.c_[chain, chain + 1], np.c_[last_aux, end]]
     edges = np.concatenate(tree_edges + path_edges)
     edges = np.c_[edges, np.ones(len(edges), dtype=np.int64)]
-    roles = (
-        [ROLE_LEVEL] * n_level
-        + ([ROLE_TREE_INTERNAL] * (s - 1) + [ROLE_TREE_LEAF] * s) * n_trees
-        + [ROLE_AUX] * (next_id - aux_base)
+    roles = np.repeat(
+        np.r_[0, np.tile([1, 2], n_trees), 3].astype(np.uint8),
+        np.r_[n_level, np.tile([s - 1, s], n_trees), next_id - aux_base],
     )
     # A path dies with its mid-level endpoint; u is never removed when
     # neither endpoint sits on level ell.
@@ -235,7 +242,7 @@ def expand_to_G(inst: FamilyInstance, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -
         params=params,
         kind=KIND_G,
         coord_to_id=dict(inst.coord_to_id),
-        id_roles=roles,
+        roles=roles,
         anchor=anchor,
     )
 
@@ -267,8 +274,7 @@ def delete_level_mid(inst: FamilyInstance, keep: Callable[[LevelCoord], bool]) -
         eu, ev, ew = graph.edge_arrays()
         emask = keep_mask[eu] & keep_mask[ev]
         new_edges = np.stack([new_ids[eu[emask]], new_ids[ev[emask]], ew[emask]], axis=1)
-        n_new = int(keep_mask.sum())
-        graph = WeightedGraph(n_new, new_edges)
+        graph = WeightedGraph(int(keep_mask.sum()), new_edges)
     coord_to_id = {
         coord: int(new_ids[old])
         for coord, old in inst.coord_to_id.items()
@@ -279,7 +285,7 @@ def delete_level_mid(inst: FamilyInstance, keep: Callable[[LevelCoord], bool]) -
         params=params,
         kind=KIND_G_PRIME,
         coord_to_id=coord_to_id,
-        id_roles=list(itertools.compress(inst.id_roles, keep_mask.tolist())),
+        roles=inst.roles[keep_mask],
         removed=removed,
     )
 
@@ -298,14 +304,10 @@ def _parse_coord_key(key: str) -> LevelCoord:
     return LevelCoord(int(level), tuple(int(c) for c in rest.split(",")))
 
 
-def _roles_rle(roles: list[str]) -> list[list]:
-    runs = []
-    start = 0
-    for i in range(1, len(roles) + 1):
-        if i == len(roles) or roles[i] != roles[start]:
-            runs.append([start, i, roles[start]])
-            start = i
-    return runs
+def _roles_rle(roles: np.ndarray) -> list[list]:
+    starts = np.flatnonzero(np.diff(roles.astype(np.int16), prepend=-1))
+    ends = np.r_[starts[1:], roles.size].tolist()
+    return [[a, b, ROLES[c]] for a, b, c in zip(starts.tolist(), ends, roles[starts].tolist())]
 
 
 def write_metadata(inst: FamilyInstance, path) -> None:
@@ -320,7 +322,7 @@ def write_metadata(inst: FamilyInstance, path) -> None:
         "m": inst.graph.m,
         "coord_to_id": {coord_key(c): i for c, i in sorted(inst.coord_to_id.items())},
         "removed": sorted(coord_key(c) for c in inst.removed),
-        "roles_rle": _roles_rle(inst.id_roles),
+        "roles_rle": _roles_rle(inst.roles),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
@@ -336,15 +338,18 @@ def instance_from_files(graph: WeightedGraph, meta: dict) -> FamilyInstance:
     params = FamilyParams(b=meta["b"], ell=meta["ell"])
     if graph.n != meta["n"] or graph.m != meta["m"]:
         raise ValueError("graph file does not match metadata")
-    roles = [None] * graph.n
-    for start, end, role in meta["roles_rle"]:
-        for i in range(start, end):
-            roles[i] = role
+    try:
+        runs = [(a, b, ROLES.index(r)) for a, b, r in meta["roles_rle"]]
+        starts, ends, codes = np.array(runs, dtype=np.int64).reshape(-1, 3).T
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("roles_rle: every run must be [start, end, known role]") from None
+    if (ends <= starts).any() or not np.array_equal(np.r_[0, ends], np.r_[starts, graph.n]):
+        raise ValueError(f"roles_rle must cover vertices 0..{graph.n - 1} in order")
     return FamilyInstance(
         graph=graph,
         params=params,
         kind=meta["kind"],
         coord_to_id={_parse_coord_key(k): v for k, v in meta["coord_to_id"].items()},
-        id_roles=roles,
+        roles=np.repeat(codes.astype(np.uint8), ends - starts),
         removed=frozenset(_parse_coord_key(k) for k in meta["removed"]),
     )

@@ -3,6 +3,8 @@ matrices, shortest-path trees and counts used by every other module."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
@@ -64,22 +66,22 @@ class WeightedGraph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = int(n)
-        if isinstance(edges, np.ndarray):
-            arr = edges.reshape(-1, 3).astype(np.int64, copy=True)
-        else:
-            arr = np.array(list(edges), dtype=np.int64).reshape(-1, 3)
+        arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        arr = arr.reshape(-1, 3)
         u = np.minimum(arr[:, 0], arr[:, 1])
         v = np.maximum(arr[:, 0], arr[:, 1])
-        w = arr[:, 2]
-        order = np.lexsort((w, v, u))
-        u, v, w = u[order], v[order], w[order]
+        w = arr[:, 2].copy()  # contiguous, and not the caller's memory
+        keys = u * self.n + v
+        # Strictly increasing keys mean sorted input without duplicates.
+        if not (keys[1:] > keys[:-1]).all():
+            order = np.lexsort((w, v, u))
+            u, v, w, keys = u[order], v[order], w[order], keys[order]
         if (u < 0).any() or (v >= self.n).any():
             raise ValueError("edge endpoint out of range")
         if (u == v).any():
             raise ValueError("self loops are not allowed")
         if (w < 0).any():
             raise ValueError("edge weights must be nonnegative")
-        keys = u * self.n + v  # sorted by the lexsort above
         if (keys[1:] == keys[:-1]).any():
             raise ValueError("duplicate edge for an unordered pair")
         deg = np.bincount(u, minlength=self.n) + np.bincount(v, minlength=self.n)
@@ -87,12 +89,7 @@ class WeightedGraph:
             a.flags.writeable = False
         self._eu, self._ev, self._ew = u, v, w
         self._degrees = deg
-        if (w == 1).all():
-            self._kind = "unit"
-        elif ((w == 0) | (w == 1)).all():
-            self._kind = "01"
-        else:
-            self._kind = "general"
+        self._kind = "unit" if (w == 1).all() else "01" if (w <= 1).all() else "general"
         self._edges = None
         self._in = None
         self._csr = None
@@ -130,7 +127,7 @@ class WeightedGraph:
 
     @property
     def has_zero_weights(self) -> bool:
-        return bool(self.m) and bool((self._ew == 0).any())
+        return self._kind == "01" or (self._kind == "general" and bool((self._ew == 0).any()))
 
     def in_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only (indptr, nbr, w), built once: the neighbours of v are
@@ -196,13 +193,13 @@ def read_graph(path) -> WeightedGraph:
 # (csgraph reads a stored zero as a missing edge and csr_matrix sums
 # duplicate entries). A zero-weight component is a single quotient vertex at
 # distance 0 from each of its members, so every result is gathered back
-# through the component labels. distances_from, and the other searches on
-# quotients with a weight other than 1, run scipy's csgraph Dijkstra, whose
-# float64 distances are exact only below 2**53. On quotients whose weights
-# are all 1, the quotient of every "unit" and "01" graph, distance_between
-# runs one csgraph BFS and all-pairs searches one bit-parallel BFS from every
-# source at once (_bfs_fronts), unless the quotient's diameter, estimated by a
-# double sweep, makes that BFS dearer than Dijkstra (_bfs_pays).
+# through the component labels. Searches on quotients with a weight other
+# than 1 run scipy's csgraph Dijkstra, whose float64 distances are exact only
+# below 2**53. On quotients whose weights are all 1, the quotient of every
+# "unit" and "01" graph, distances_from and distance_between run one csgraph
+# BFS, and all-pairs searches one bit-parallel BFS from every source at once
+# (_bfs_fronts), unless the quotient's diameter, estimated by a double sweep,
+# makes that BFS dearer than Dijkstra (_bfs_pays).
 # shortest_path_hits takes the same two paths: hit bits carried along that
 # BFS, or propagated in distance bands over the distances of all_pairs.
 
@@ -213,13 +210,9 @@ WEIGHT_LIMIT = 1 << 52
 
 def _zero_contracted_components(g: WeightedGraph) -> np.ndarray:
     u, v, w = g.edge_arrays()
-    zero = w == 0
-    data = np.ones(int(zero.sum()) * 2, dtype=np.int8)
-    rows = np.concatenate([u[zero], v[zero]])
-    cols = np.concatenate([v[zero], u[zero]])
-    mat = csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
-    _, labels = connected_components(mat, directed=False)
-    return labels
+    zero = w == 0  # one direction each: directed=False reads both
+    mat = csr_matrix((np.ones(zero.sum(), np.int8), (u[zero], v[zero])), shape=(g.n, g.n))
+    return connected_components(mat, directed=False)[1]
 
 
 def _search_matrix(g: WeightedGraph):
@@ -231,8 +224,9 @@ def _search_matrix(g: WeightedGraph):
     """
     if g._csr is None:
         u, v, w = g.edge_arrays()
-        # Split sum: exact for any int64 weights, where a plain int64 sum may wrap.
-        total = (int((w >> 32).sum()) << 32) + int((w & 0xFFFFFFFF).sum())
+        total = g.m  # at least the sum of weights of at most 1
+        if g.weight_kind == "general":  # split sum: exact where an int64 sum may wrap
+            total = (int((w >> 32).sum()) << 32) + int((w & 0xFFFFFFFF).sum())
         if total >= WEIGHT_LIMIT:
             raise ValueError(
                 f"total edge weight {total} reaches the limit 2**52 = {WEIGHT_LIMIT}; "
@@ -244,16 +238,17 @@ def _search_matrix(g: WeightedGraph):
             k = int(labels.max()) + 1
             cu, cv = labels[u], labels[v]
             keep = cu != cv
-            lo = np.minimum(cu[keep], cv[keep])
-            hi = np.maximum(cu[keep], cv[keep])
-            w = w[keep]
+            lo, hi, w = np.minimum(cu, cv)[keep], np.maximum(cu, cv)[keep], w[keep]
             order = np.lexsort((w, hi, lo))
-            lo, hi, w = lo[order], hi[order], w[order]
-            first = np.ones(lo.size, dtype=bool)
-            first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+            key = (lo * k + hi)[order]
+            first = order[np.diff(key, prepend=-1) != 0]  # least weight of each pair
             u, v, w = lo[first], hi[first], w[first]
-        data = np.concatenate([w, w]).astype(np.float64)
-        mat = csr_matrix((data, (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(k, k))
+        # (u, v) sorted, u < v: rows v then u list each row's lower neighbours,
+        # then its upper ones, ascending, so scipy finds the CSR canonical.
+        ix = np.int32 if k <= np.iinfo(np.int32).max else np.int64  # scipy's index dtype
+        data = np.concatenate([w, w], dtype=np.float64)
+        rows, cols = np.concatenate([v, u], dtype=ix), np.concatenate([u, v], dtype=ix)
+        mat = csr_matrix((data, (rows, cols)), shape=(k, k))
         g._csr = (labels, mat)
     return g._csr
 
@@ -264,16 +259,33 @@ def _distances(g: WeightedGraph, src: int | None = None) -> np.ndarray:
     if src is not None and not 0 <= src < g.n:
         raise ValueError(f"source {src} out of range")
     labels, mat = _search_matrix(g)
+    qsrc = src if labels is None or src is None else labels[src]
     if src is None and _bfs_pays(mat, _DIJKSTRA_OPS):
         dist = _bfs_distances(mat)
+    elif src is not None and (mat.data == 1).all():
+        dist = _bfs_depths(mat, qsrc)
     else:
-        qsrc = src if labels is None or src is None else labels[src]
         dist = dijkstra(mat, directed=True, indices=qsrc)
         dist[np.isinf(dist)] = -1
         dist = dist.astype(np.int64)
     if labels is None:
         return dist
     return dist[labels] if src is not None else dist[np.ix_(labels, labels)]
+
+
+def _bfs_depths(mat, src: int) -> np.ndarray:
+    """int64 hop distances from src in the CSR mat, -1 for unreachable. Levels
+    are contiguous in csgraph's BFS order and parents' positions never fall, so
+    a level ends one past the last vertex whose parent is in the level before."""
+    order, pred = breadth_first_order(mat, src, return_predecessors=True)
+    pos = np.empty(mat.shape[0], dtype=np.int64)
+    pos[order] = np.arange(order.size)
+    parents, ends = pos[pred[order[1:]]].tolist(), [1]
+    while ends[-1] < order.size:
+        ends.append(1 + bisect_left(parents, ends[-1]))
+    dist = np.full(mat.shape[0], -1, dtype=np.int64)
+    dist[order] = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+    return dist
 
 
 #: Word operations per source and per vertex or stored entry of the quotient

@@ -94,6 +94,8 @@ def build_instance_graph(
     params = inst.params
     if base is None:
         base = build_base_graph(params)
+    if base.params != params:
+        raise ValueError(f"base is built for {base.params}, the instance has {params}")
     bits = inst.bits
 
     def keep(coord: LevelCoord) -> bool:
@@ -148,8 +150,8 @@ def run_protocol(
     m = inst.m
     if not 0 <= a < m or not 0 <= b < m:
         raise ValueError(f"indices must lie in [0, {m})")
-    if gprime.kind != KIND_G_PRIME:
-        raise ValueError("protocol runs on the deleted instance")
+    if gprime.kind != KIND_G_PRIME or gprime.params != params:
+        raise ValueError(f"protocol runs on G_prime of {params}, not {gprime.kind} {gprime.params}")
     alice, bob = _endpoints(params, a, b)
     u = gprime.coord_to_id[alice]
     v = gprime.coord_to_id[bob]

@@ -276,6 +276,28 @@ def test_audit_lemma1_empty_sample_is_usage_error(capsys, tmp_path, sample):
     )
 
 
+@pytest.mark.parametrize(
+    "runs",
+    [
+        [[0, 3, "level"]],  # leaves vertices 3.. without a role
+        [[0, 3, "level"], [3, 99, "tree-leaf"]],  # runs past n
+        [[0, 3, "level"], [3, 99, "no-such-role"]],
+    ],
+    ids=["gap", "past-n", "unknown-role"],
+)
+def test_audit_lemma1_bad_roles_is_usage_error(capsys, tmp_path, runs):
+    code, _ = run_cli(capsys, "gen", "--kind", "G", "--b", "1", "--ell", "1", "--out", str(tmp_path / "g.txt"))
+    assert code == 0
+    meta_path = tmp_path / "g.txt.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["roles_rle"] = runs
+    meta_path.write_text(json.dumps(meta))
+    err = assert_usage_error(
+        capsys, "audit", "lemma1", "--graph", str(tmp_path / "g.txt"), "--meta", str(meta_path),
+    )
+    assert "roles_rle" in err
+
+
 def test_bench_empty_threshold_range_is_usage_error(capsys, tmp_path):
     gpath = tmp_path / "g.txt"
     write_graph(build_H(FamilyParams(1, 1)).graph, gpath)

@@ -1,10 +1,18 @@
+import itertools
+import json
+
+import numpy as np
 import pytest
 from conftest import monotone_coordinate_window
 
 from hublab.family_gen import (
     KIND_G,
     KIND_G_PRIME,
+    ROLE_AUX,
     ROLE_LEVEL,
+    ROLE_TREE_INTERNAL,
+    ROLE_TREE_LEAF,
+    ROLES,
     FamilyParams,
     LevelCoord,
     build_H,
@@ -46,7 +54,7 @@ def test_build_H_smallest():
     assert inst.graph.n == 6 and inst.graph.m == 8
     weights = sorted(w for _, _, w in inst.graph.edges)
     assert weights == [12, 12, 12, 12, 13, 13, 13, 13]
-    assert all(r == ROLE_LEVEL for r in inst.id_roles)
+    assert inst.roles.tolist() == [ROLES.index(ROLE_LEVEL)] * 6
 
 
 def test_build_H_figure_instance():
@@ -114,7 +122,7 @@ def test_expand_tree_depths():
         leaves = [
             x
             for x in range(g.n)
-            if inst.id_roles[x] == "tree-leaf" and dists[x] == p.b + 1
+            if ROLES[inst.roles[x]] == "tree-leaf" and dists[x] == p.b + 1
         ]
         expected = p.s * (2 if 0 < coord.level < 2 * p.ell else 1)
         assert len(leaves) == expected
@@ -242,8 +250,72 @@ def test_metadata_round_trip(tmp_path):
     assert loaded.kind == KIND_G_PRIME
     assert loaded.coord_to_id == gp.coord_to_id
     assert loaded.removed == gp.removed
-    assert loaded.id_roles == gp.id_roles
+    assert loaded.roles.dtype == np.uint8 and not loaded.roles.flags.writeable
+    assert loaded.roles.tolist() == gp.roles.tolist()
     assert loaded.params == gp.params
+
+
+def _role_names(inst) -> list[str]:
+    return [ROLES[c] for c in inst.roles.tolist()]
+
+
+@pytest.mark.parametrize("b,ell", [(1, 1), (2, 1), (1, 2)])
+def test_roles_follow_the_expansion_layout(b, ell):
+    """Level vertices, then tree after tree (s - 1 internal nodes, then s
+    leaves), then the auxiliary path vertices; a deletion keeps the roles of
+    the vertices it keeps, in order."""
+    p = FamilyParams(b, ell)
+    g = expand_to_G(build_H(p))
+    n_level = p.num_levels * p.level_size
+    n_trees = 2 * n_level - 2 * p.level_size
+    tree = [ROLE_TREE_INTERNAL] * (p.s - 1) + [ROLE_TREE_LEAF] * p.s
+    n_aux = g.graph.n - n_level - n_trees * len(tree)
+    assert _role_names(g) == [ROLE_LEVEL] * n_level + tree * n_trees + [ROLE_AUX] * n_aux
+    assert g.roles.dtype == np.uint8 and not g.roles.flags.writeable
+    gp = delete_level_mid(g, lambda c: sum(c.coords) % 2 == 0)
+    assert gp.removed and not gp.roles.flags.writeable
+    # Each vertex survives iff its anchor, the level vertex that owns it, does.
+    gone = np.zeros(g.graph.n, dtype=bool)
+    gone[[g.coord_to_id[c] for c in gp.removed]] = True
+    kept = list(itertools.compress(_role_names(g), (~gone[g.anchor]).tolist()))
+    assert _role_names(gp) == kept and len(kept) == gp.graph.n
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [
+        "drop-last",
+        "past-n",
+        "gap",
+        "overlap",
+        "empty-run",
+        "late-start",
+        "unknown-role",
+        "short-run",
+        "not-a-list",
+    ],
+)
+def test_metadata_roles_must_cover_every_vertex_once(tmp_path, runs):
+    g = expand_to_G(build_H(FamilyParams(1, 1)))
+    write_metadata(g, tmp_path / "g.meta.json")
+    meta = read_metadata(tmp_path / "g.meta.json")
+    good = meta["roles_rle"]
+    n = g.graph.n
+    assert good[0][0] == 0 and good[-1][1] == n and len(good) >= 3
+    bad = {
+        "drop-last": good[:-1],
+        "past-n": good[:-1] + [[good[-1][0], n + 1, good[-1][2]]],
+        "gap": [good[0]] + good[2:],
+        "overlap": [good[0], [good[1][0] - 1, *good[1][1:]]] + good[2:],
+        "empty-run": [good[0], [good[1][0], good[1][0], ROLE_AUX]] + good[1:],
+        "late-start": [[1, *good[0][1:]]] + good[1:],
+        "unknown-role": [good[0], [*good[1][:2], "hub"]] + good[2:],
+        "short-run": [good[0], good[1][:2]] + good[2:],
+        "not-a-list": [good[0], 7] + good[2:],
+    }[runs]
+    meta["roles_rle"] = json.loads(json.dumps(bad))
+    with pytest.raises(ValueError, match="roles_rle"):
+        instance_from_files(g.graph, meta)
 
 
 def test_delete_rejects_instance_read_from_files(tmp_path):

@@ -81,6 +81,73 @@ def test_edge_lists_arrays_and_generators_build_one_graph():
             WeightedGraph(5, np.array(bad))
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(max_n=10, min_weight=0, max_weight=3), st.randoms(use_true_random=False))
+def test_sorted_shuffled_and_reversed_edges_build_one_graph(g, rnd):
+    """Sorted input skips the sort; every other order of the same edge set
+    must still give the same graph, and the same canonical search CSR."""
+    from scipy.sparse import csr_matrix
+
+    from hublab.graph_core import _search_matrix
+
+    sorted_edges = list(zip(*(a.tolist() for a in g.edge_arrays())))
+    shuffled = rnd.sample(sorted_edges, len(sorted_edges))
+    copies = [
+        sorted_edges,
+        shuffled,
+        [(v, u, w) for u, v, w in sorted_edges],
+        [(v, u, w) if rnd.random() < 0.5 else (u, v, w) for u, v, w in shuffled],
+    ]
+    graphs = [WeightedGraph(g.n, c) for c in copies]
+    graphs += [WeightedGraph(g.n, np.array(c, dtype=np.int64).reshape(-1, 3)) for c in copies]
+    ref_labels, ref = _search_matrix(g)
+    assert ref.has_canonical_format
+    # The quotient edges with their least weight, in both directions, summed
+    # and sorted by scipy: what the search CSR must equal entry for entry.
+    lab = np.arange(g.n) if ref_labels is None else ref_labels
+    least = {}
+    for a, b, x in g.edges:
+        if lab[a] != lab[b]:
+            key = (int(lab[a]), int(lab[b]))
+            least[key] = min(x, least.get(key, x), least.get(key[::-1], x))
+            least[key[::-1]] = least[key]
+    keys = sorted(least)
+    old = csr_matrix(
+        ([float(least[e]) for e in keys], ([a for a, _ in keys], [b for _, b in keys])),
+        shape=ref.shape,
+    )
+    old.sum_duplicates()
+    for a, b in ((ref.indptr, old.indptr), (ref.indices, old.indices), (ref.data, old.data)):
+        assert a.tolist() == b.tolist()
+    for h in graphs:
+        for a, b in zip(h.edge_arrays(), g.edge_arrays()):
+            assert a.dtype == np.int64 and a.flags.c_contiguous and a.tolist() == b.tolist()
+        assert h.degrees.tolist() == g.degrees.tolist() and h.weight_kind == g.weight_kind
+        for a, b in zip(h.in_edges(), g.in_edges()):
+            assert a.tolist() == b.tolist()
+        labels, mat = _search_matrix(h)
+        assert mat.has_canonical_format
+        assert (labels is None) == (ref_labels is None)
+        if labels is not None:
+            assert labels.tolist() == ref_labels.tolist()
+        for a, b in ((mat.indptr, ref.indptr), (mat.indices, ref.indices), (mat.data, ref.data)):
+            assert a.tolist() == b.tolist()
+
+
+def test_sorted_input_is_still_checked():
+    """Edges in increasing key order skip the sort but not the checks."""
+    for bad, message in [
+        ([(0, 1, 1), (0, 1, 2)], "duplicate edge for an unordered pair"),
+        ([(0, 1, 1), (1, 5, 1)], "edge endpoint out of range"),
+        ([(-1, 0, 1), (0, 1, 1)], "edge endpoint out of range"),
+        ([(0, 1, 1), (2, 2, 1)], "self loops are not allowed"),
+        ([(0, 1, 1), (1, 2, -1)], "edge weights must be nonnegative"),
+    ]:
+        for edges in (bad, np.array(bad)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                WeightedGraph(5, edges)
+
+
 def test_graph_canonical_edges():
     g1 = WeightedGraph(3, [(2, 1, 5), (1, 0, 2)])
     g2 = WeightedGraph(3, [(0, 1, 2), (1, 2, 5)])
@@ -398,13 +465,15 @@ def _differential_graphs():
     return graphs
 
 
-def _nx_distances(g):
+def _nx_distances(g, sources=None):
+    """The networkx graph of g and its distance rows from sources (default:
+    every vertex), -1 for unreachable."""
     nx = pytest.importorskip("networkx")
     G = nx.Graph()
     G.add_nodes_from(range(g.n))
     G.add_weighted_edges_from(g.edges)
     rows = []
-    for src in range(g.n):
+    for src in range(g.n) if sources is None else sources:
         found = nx.single_source_dijkstra_path_length(G, src)
         rows.append([found.get(v, -1) for v in range(g.n)])
     return G, rows
@@ -626,7 +695,50 @@ def test_short_unit_quotients_never_run_dijkstra(monkeypatch):
     with pytest.raises(AssertionError, match="dijkstra called"):
         distance_between(general, 0, 2)
     with pytest.raises(AssertionError, match="dijkstra called"):
-        distances_from(unit, 0)
+        distances_from(general, 0)
+    for g in (unit, zero_one, inside, split, split_zero_one):
+        assert distances_from(g, g.n - 1).tolist() == all_pairs(g).matrix()[g.n - 1].tolist(), g
+
+
+def test_unit_distances_from_runs_one_bfs(monkeypatch):
+    """distances_from on unit quotients reads depths off one BFS order: on
+    two components, on a 1200-vertex path (depth 1199) and on G(2,2)."""
+    import hublab.graph_core as graph_core
+    from hublab.corpus import path_graph
+    from hublab.family_gen import expand_to_G
+
+    monkeypatch.setattr(graph_core, "dijkstra", _refuse)
+    reg = random_regular_graph(40, 3, seed=5)
+    u, v, w = reg.edge_arrays()
+    tail = [(40 + i, 41 + i, 1) for i in range(29)]
+    two = WeightedGraph(70, [*zip(u.tolist(), v.tolist(), w.tolist()), *tail])
+    ws = (np.arange(1199) % 3 != 2).astype(int).tolist()
+    graphs = [
+        two,
+        WeightedGraph(70, [(a, b, int(c != 1)) for a, b, c in two.edges]),  # {0,1}
+        seeded_sparse_graph(60, 70, seed=6, max_w=1),
+        path_graph(1200),
+        WeightedGraph(1200, [(i, i + 1, x) for i, x in enumerate(ws)]),
+    ]
+    assert two.weight_kind == "unit" and graphs[1].weight_kind == "01"
+    for g in graphs:
+        sources = sorted({0, 1, g.n // 2, g.n - 1})
+        for s, want in zip(sources, _nx_distances(g, sources)[1]):
+            got = distances_from(g, s)
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert got.tolist() == want, (g, s)
+    assert distances_from(graphs[3], 0).max() == 1199
+    # G(2,2) has 24,400 vertices, past the all-pairs cap: check rows against
+    # networkx there, and every row of G(2,1) against all_pairs.
+    g22 = expand_to_G(build_H(FamilyParams(2, 2))).graph
+    sources = [0, 15, 79, 80, g22.n - 1]
+    for s, want in zip(sources, _nx_distances(g22, sources)[1]):
+        assert distances_from(g22, s).tolist() == want
+    g21 = expand_to_G(build_H(FamilyParams(2, 1))).graph
+    monkeypatch.undo()
+    dm = all_pairs(g21).matrix()
+    for s in range(g21.n):
+        assert distances_from(g21, s).tolist() == dm[s].tolist()
 
 
 def test_long_unit_quotients_run_dijkstra_and_band_hits(monkeypatch):

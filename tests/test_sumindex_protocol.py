@@ -28,6 +28,19 @@ def test_instance_validation():
     assert SumIndexInstance(P22, "1010").m == 4
 
 
+def test_instances_for_other_parameters_are_refused():
+    inst = SumIndexInstance(FamilyParams(2, 3), "10" * 4)
+    base22 = build_base_graph(P22)
+    gprime22 = build_instance_graph(SumIndexInstance(P22, "1010"), base=base22)
+    for call in (
+        lambda: build_instance_graph(inst, base=base22),
+        lambda: run_protocol(inst, 0, 1, gprime=gprime22),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert "b=2, ell=2)" in str(err.value) and "b=2, ell=3)" in str(err.value)
+
+
 def test_repr_decode_values():
     assert repr_decode(0, P22) == (0, 0)
     assert repr_decode(3, P22) == (1, 1)  # 1 * 2^0 + 1 * 2^1
