@@ -253,6 +253,38 @@ def _search_matrix(g: WeightedGraph):
     return g._csr
 
 
+class Quotient:
+    """The vertices of a graph as the searches see them: one per zero-weight
+    component. labels[v] is the component of vertex v, rep[c] the lowest
+    vertex of component c and size[c] its vertex count. Without zero weights
+    each vertex is its own component, labels and rep are None, and rows and
+    expand return their argument."""
+
+    __slots__ = ("labels", "rep", "size")
+
+    def __init__(self, g: WeightedGraph):
+        self.labels = _search_matrix(g)[0]
+        self.rep = None
+        self.size = np.ones(g.n, dtype=np.int64)
+        if self.labels is not None:
+            self.rep = np.unique(self.labels, return_index=True)[1]
+            self.size = np.bincount(self.labels)
+
+    def rows(self, a: np.ndarray) -> np.ndarray:
+        """The k x k matrix of the n x n a at the representatives: every
+        member of a component has the same distance row, so this is the
+        quotient's distance matrix when a is the graph's."""
+        return a if self.rep is None else a[np.ix_(self.rep, self.rep)]
+
+    def expand(self, a: np.ndarray) -> np.ndarray:
+        """a, indexed by component on every axis, gathered back to vertices.
+        Two takes, each a contiguous copy, outrun one np.ix_ gather."""
+        if self.labels is None:
+            return a
+        a = a.take(self.labels, 0)
+        return a if a.ndim == 1 else a.take(self.labels, 1)
+
+
 def _distances(g: WeightedGraph, src: int | None = None) -> np.ndarray:
     """int64 distances from src, or all pairs when src is None; -1 marks
     unreachable."""
@@ -268,9 +300,7 @@ def _distances(g: WeightedGraph, src: int | None = None) -> np.ndarray:
         dist = dijkstra(mat, directed=True, indices=qsrc)
         dist[np.isinf(dist)] = -1
         dist = dist.astype(np.int64)
-    if labels is None:
-        return dist
-    return dist[labels] if src is not None else dist[np.ix_(labels, labels)]
+    return Quotient(g).expand(dist)
 
 
 def _bfs_depths(mat, src: int) -> np.ndarray:
@@ -280,7 +310,8 @@ def _bfs_depths(mat, src: int) -> np.ndarray:
     order, pred = breadth_first_order(mat, src, return_predecessors=True)
     pos = np.empty(mat.shape[0], dtype=np.int64)
     pos[order] = np.arange(order.size)
-    parents, ends = pos[pred[order[1:]]].tolist(), [1]
+    # A memoryview reads Python ints for bisect, with no list of them built.
+    parents, ends = memoryview(pos[pred[order[1:]]]), [1]
     while ends[-1] < order.size:
         ends.append(1 + bisect_left(parents, ends[-1]))
     dist = np.full(mat.shape[0], -1, dtype=np.int64)
@@ -538,14 +569,12 @@ def shortest_path_hits(dm: DenseDistanceMatrix, mask) -> np.ndarray:
         mask = np.bincount(labels[mask], minlength=mat.shape[0]) > 0
     if not mask.any():
         return np.zeros((n, n), dtype=bool)
+    q = Quotient(g)
     if _bfs_pays(mat, _BAND_OPS):
         hit = _bfs_hits(mat, mask)
-    elif labels is None:
-        hit = _band_hits(mat, dm.matrix(), mask)
     else:
-        rep = np.unique(labels, return_index=True)[1]
-        hit = _band_hits(mat, dm.matrix()[np.ix_(rep, rep)], mask)
-    return hit if labels is None else hit[np.ix_(labels, labels)]
+        hit = _band_hits(mat, q.rows(dm.matrix()), mask)
+    return q.expand(hit)
 
 
 def _bfs_hits(mat, mask) -> np.ndarray:

@@ -24,7 +24,7 @@ from .family_gen import (
     expand_to_G,
     unique_path_length,
 )
-from .graph_core import distance_between
+from .graph_core import UNREACHABLE, distance_between, distances_from
 from .hub_labeling import ceil_log2, entry_bits, query as hub_query
 from .upperbound_builder import BuilderConfig, BuildResult, build_for_graph
 
@@ -146,6 +146,20 @@ def run_protocol(
     from that hub labeling and prices messages by its bit convention (hub
     mode).
     """
+    return _play(inst, a, b, gprime, hub_build, None)
+
+
+def _play(
+    inst: SumIndexInstance,
+    a: int,
+    b: int,
+    gprime: FamilyInstance,
+    hub_build: BuildResult | None,
+    rows: dict | None,
+) -> SumIndexTranscript:
+    """run_protocol. In oracle mode with a dict rows, the round measures from
+    rows[u], the distance row of Alice's vertex u, kept there until Alice's
+    vertex changes: a sweep in (a, b) order searches once per Alice vertex."""
     params = inst.params
     m = inst.m
     if not 0 <= a < m or not 0 <= b < m:
@@ -155,10 +169,16 @@ def run_protocol(
     alice, bob = _endpoints(params, a, b)
     u = gprime.coord_to_id[alice]
     v = gprime.coord_to_id[bob]
-    if hub_build is None:
+    if hub_build is not None:
+        measured = hub_query(hub_build.labeling, u, v)
+    elif rows is None:
         measured = distance_between(gprime.graph, u, v)
     else:
-        measured = hub_query(hub_build.labeling, u, v)
+        if u not in rows:
+            rows.clear()
+            rows[u] = distances_from(gprime.graph, u)
+        measured = int(rows[u][v])
+        measured = UNREACHABLE if measured < 0 else measured
     ideal = unique_path_length(params, alice.coords, bob.coords)
     decoded = 1 if measured == ideal else 0
     expected = int(inst.bits[(a + b) % m])
@@ -196,12 +216,17 @@ def sweep(
     builder: BuilderConfig | None = None,
 ) -> list[SumIndexTranscript]:
     """Run the protocol on every (a, b) pair, or on the given pairs, against a
-    single deleted graph. Hub mode builds that graph's labeling once."""
+    single deleted graph. Hub mode builds that graph's labeling once; oracle
+    mode searches once per run of pairs with one a, so once per Alice vertex
+    over all pairs."""
     gprime = build_instance_graph(inst, base=base)
     hub_build = _hub_build(gprime, mode, builder)
     if pairs is None:
         pairs = itertools.product(range(inst.m), repeat=2)
-    return [run_protocol(inst, a, b, gprime=gprime, hub_build=hub_build) for a, b in pairs]
+    if hub_build is not None:
+        return [run_protocol(inst, a, b, gprime=gprime, hub_build=hub_build) for a, b in pairs]
+    rows: dict = {}
+    return [_play(inst, a, b, gprime, None, rows) for a, b in pairs]
 
 
 def measure_message_size(

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import WeightedGraph, all_pairs, segment_positions, shortest_path_hits
+from .graph_core import (
+    Quotient,
+    WeightedGraph,
+    all_pairs,
+    segment_positions,
+    shortest_path_hits,
+)
 from .hub_labeling import CoverReport, HubLabeling, verify_cover
 
 #: Rows per block of the membership masks in assemble.
@@ -126,7 +132,9 @@ class PairIndex:
     of length d has at least ceil(d / wmax) edges, so |H_uv| > D whenever
     d(u,v) > r = (D - 1) * wmax, and only the pairs within r need explicit
     counts. The forced rows (|H_uv| < D at distance > D, possible only with
-    weights above 1) are left to the cover stage.
+    weights above 1) are left to the cover stage. Two vertices of one
+    zero-weight component are at distance 0, and that component is their
+    candidate set.
     """
 
     n: int
@@ -140,28 +148,37 @@ class PairIndex:
 
 
 def build_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
+    """The PairIndex of dm's graph, classified on its zero-weight quotient.
+
+    Members of one zero-weight component have identical distance rows, so the
+    candidates of (u, v) are the members of the quotient candidates of their
+    components, and |H_uv| is the sum of those components' sizes. Two members
+    of one component (d = 0) have exactly that component as candidates: a
+    component of two or more vertices is its own close pair. Without zero
+    weights the quotient is the graph, and nothing is expanded."""
     # zero_one selects nothing; perfbench's composed build still passes it.
     n = dm.n
-    mat = dm.matrix()
+    q = Quotient(dm.graph)
+    mat = q.rows(dm.matrix())
+    k = mat.shape[0]
     flat = mat.reshape(-1)
+    multi = q.size > 1
     w = dm.graph.edge_arrays()[2]
     r = (D - 1) * (int(w.max()) if w.size else 1)
-    big = np.empty((n, n), dtype=bool)
-    us, vs, dists, sizes, cands = ([np.zeros(0, dtype=np.int64)] for _ in range(5))
-    rows = max(1, _SCAN // max(n, 1))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
+    big = np.empty((k, k), dtype=bool)
+    us, vs, dists, sizes, hits, cands = ([np.zeros(0, dtype=np.int64)] for _ in range(6))
+    rows = max(1, _SCAN // max(k, 1))
+    for lo in range(0, k, rows):
+        hi = min(lo + rows, k)
         # big: the pairs u < v beyond r, of the rows lo..hi-1
-        blk = big[lo:hi]
-        np.greater(mat[lo:hi], r, out=blk)
-        blk[:, :lo] = False
-        blk[:, lo:hi] = np.triu(blk[:, lo:hi], 1)
+        np.greater(mat[lo:hi], r, out=big[lo:hi])
+        _upper(big[lo:hi], lo)
         # the ball entries (u, x), 0 <= d(u, x) <= r, in ascending order; -1 wraps above r
-        bu, bx = np.divmod(np.flatnonzero(mat[lo:hi].view(np.uint64) <= r), n)
+        bu, bx = np.divmod(np.flatnonzero(mat[lo:hi].view(np.uint64) <= r), k)
         bu += lo
-        bd = flat[bu * n + bx]
+        bd = flat[bu * k + bx]
         ptr = np.searchsorted(bu, np.arange(lo, hi + 1))
-        close = np.flatnonzero(bx > bu)
+        close = np.flatnonzero(bx + multi[bu] > bu)  # u < v, or u = v of two or more vertices
         cptr = np.searchsorted(bu[close], np.arange(lo, hi + 1))
         # every candidate of a close pair (u, v) lies in u's ball: one triple
         # (u, v, x) per ball entry (u, x), expanded at most _TRIPLES at a time
@@ -176,23 +193,79 @@ def build_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
             ball = ptr[u - lo + 1] - ptr[u - lo]
             at = segment_positions(ptr[u - lo], ball)
             # d(u, x) + d(x, v) == d(u, v), reading d(v, x) along row v
-            gap = flat[np.repeat(v * n, ball) + bx[at]] + bd[at] - np.repeat(d, ball)
-            hit = gap == 0
-            of = np.repeat(np.arange(pair.size), ball)
-            counts = np.bincount(of[hit], minlength=pair.size)
+            gap = flat[np.repeat(v * k, ball) + bx[at]] + bd[at] - np.repeat(d, ball)
+            hit = np.flatnonzero(gap == 0)
+            of = np.repeat(np.arange(pair.size), ball).take(hit)
+            x = bx.take(at.take(hit))
+            counts = np.bincount(of, weights=q.size[x], minlength=pair.size).astype(np.int64)
             big[u[counts >= D], v[counts >= D]] = True
             keep = counts <= D
             us.append(u[keep])
             vs.append(v[keep])
             dists.append(d[keep])
             sizes.append(counts[keep])
-            cands.append(bx[at[hit & np.repeat(keep, ball)]])
+            hits.append(np.bincount(of, minlength=pair.size)[keep])
+            cands.append(x[keep[of]])
             a = b
     small = np.stack([np.concatenate(us), np.concatenate(vs)], axis=1)
     small_dist = np.concatenate(dists)
-    cand_ptr = np.concatenate([[0], np.cumsum(np.concatenate(sizes))])
+    sizes, cand = np.concatenate(sizes), np.concatenate(cands)
+    if q.labels is not None:
+        small, small_dist, sizes, cand = _expand_small(q, small, small_dist, sizes, hits, cand)
+        big = _expand_big(q, big)
+    cand_ptr = np.concatenate([[0], np.cumsum(sizes)])
     forced = small[(np.diff(cand_ptr) < D) & (small_dist > D)]
-    return PairIndex(n, D, small, small_dist, cand_ptr, np.concatenate(cands), forced, big)
+    return PairIndex(n, D, small, small_dist, cand_ptr, cand, forced, big)
+
+
+def _upper(blk: np.ndarray, lo: int) -> None:
+    """Clear the entries (u, v), v <= u, of blk, the rows lo.. of a square
+    matrix."""
+    hi = lo + blk.shape[0]
+    blk[:, :lo] = False
+    blk[:, lo:hi] = np.triu(blk[:, lo:hi], 1)
+
+
+def _expand_big(q: Quotient, big: np.ndarray) -> np.ndarray:
+    """big of build_pair_index, the upper triangle of the quotient's, on the
+    vertices: in blocks of rows, with no n x n temporary."""
+    sym = big | big.T
+    n = q.labels.size
+    out = np.empty((n, n), dtype=bool)
+    rows = max(1, _SCAN // n)
+    for lo in range(0, n, rows):
+        np.take(sym.take(q.labels[lo : lo + rows], 0), q.labels, 1, out=out[lo : lo + rows])
+        _upper(out[lo : lo + rows], lo)
+    return out
+
+
+def _expand_small(q: Quotient, small, small_dist, sizes, hits, cand):
+    """The small rows of build_pair_index's quotient rows, on the vertices:
+    (small, small_dist, sizes, cand) in ascending (u, v) order, each row's
+    candidates the ascending members of its candidate components. hits lists
+    the quotient candidates of each row, in pieces."""
+    n = q.labels.size
+    members = np.argsort(q.labels, kind="stable")  # ascending within each component
+    first = np.cumsum(q.size) - q.size
+    # the members of every candidate component, ascending within each row
+    row = np.repeat(np.repeat(np.arange(sizes.size), np.concatenate(hits)), q.size[cand])
+    vert = members[segment_positions(first[cand], q.size[cand])]
+    vert = np.sort(row * n + vert) - row * n  # rows ascend, so the sort keeps them in place
+    # every pair of members of a row's two components, u < v
+    cu, cv = small.T
+    span = q.size[cu] * q.size[cv]
+    row = np.repeat(np.arange(span.size), span)
+    i = segment_positions(0, span)  # the rank of each pair in its row
+    a = members[first[cu[row]] + i // q.size[cv[row]]]
+    b = members[first[cv[row]] + i % q.size[cv[row]]]
+    pair = (cu[row] != cv[row]) | (a < b)  # one component lists each pair both ways
+    a, b, row = a[pair], b[pair], row[pair]
+    key = np.minimum(a, b) * n + np.maximum(a, b)
+    order = np.argsort(key)
+    row = row[order]
+    small = np.stack(np.divmod(key[order], n), axis=1)
+    at = segment_positions((np.cumsum(sizes) - sizes)[row], sizes[row])
+    return small, small_dist[row], sizes[row], vert[at]
 
 
 # -- stage 1: random cover set ------------------------------------------------

@@ -24,6 +24,7 @@ from hublab.graph_core import (
     UNREACHABLE,
     WEIGHT_LIMIT,
     GraphFormatError,
+    Quotient,
     ResourceLimitError,
     UnreachablePairError,
     WeightedGraph,
@@ -801,3 +802,24 @@ def test_diameter_estimate_exact_on_forests():
             ]
             _, mat = _search_matrix(WeightedGraph(n + 1, edges))
             assert _diameter_estimate(mat) == _hop_diameter(mat)
+
+
+@settings(max_examples=100)
+@given(small_graphs(max_n=10, min_weight=0, max_weight=2))
+def test_quotient_rows_and_expand_round_trip(g):
+    mat = all_pairs(g).matrix()
+    q = Quotient(g)
+    assert q.size.dtype == np.int64 and q.size.sum() == g.n
+    if not g.has_zero_weights:
+        assert q.labels is None and q.rows(mat) is mat and q.expand(mat) is mat
+        assert (q.size == 1).all()
+        return
+    # the representatives are the lowest members, one per component
+    assert q.rep.tolist() == [q.labels.tolist().index(c) for c in range(q.size.size)]
+    assert q.size.tolist() == np.bincount(q.labels).tolist()
+    quotient = q.rows(mat)
+    assert quotient.shape == (q.size.size,) * 2
+    for a in (mat, mat >= 0):
+        back = q.expand(q.rows(a))
+        assert back.dtype == a.dtype and back.flags.c_contiguous and (back == a).all()
+    assert (q.expand(quotient[0]) == mat[q.rep[0]]).all()

@@ -189,3 +189,28 @@ def test_sweep_small_exhaustive():
 def test_unknown_mode_rejected(run):
     with pytest.raises(ValueError, match="unknown labeling mode"):
         run(SumIndexInstance(FamilyParams(1, 1), "1"), mode="exact")
+
+
+@pytest.mark.parametrize("bits", ["1001", "0000"])  # "0000" disconnects every pair
+def test_oracle_sweep_searches_once_per_alice_vertex(monkeypatch, bits):
+    from hublab import sumindex_protocol
+
+    inst = SumIndexInstance(P22, bits)
+    base = build_base_graph(P22)
+    gp = build_instance_graph(inst, base=base)
+    want = [run_protocol(inst, a, b, gprime=gp) for a, b in itertools.product(range(4), repeat=2)]
+    sources = []
+    real = sumindex_protocol.distances_from
+
+    def counted(g, src):
+        sources.append(src)
+        return real(g, src)
+
+    monkeypatch.setattr(sumindex_protocol, "distances_from", counted)
+    assert sweep(inst, base=base) == want
+    assert sorted(sources) == sorted({gp.coord_to_id[t.alice_vertex] for t in want})
+    # Pairs out of (a, b) order search again when Alice's vertex changes.
+    sources.clear()
+    pairs = [(0, 1), (1, 1), (0, 2)]
+    got = sweep(inst, base=base, pairs=pairs)
+    assert got == [want[4 * a + b] for a, b in pairs] and len(sources) == 3

@@ -82,7 +82,23 @@ def test_pair_index_path_candidate_sizes():
     assert not forced
 
 
+def assert_index_arrays(index):
+    """The dtypes and shapes every PairIndex has, whatever its graph."""
+    rows, n = len(index.small), index.n
+    for name, shape in [
+        ("small", (rows, 2)),
+        ("small_dist", (rows,)),
+        ("cand_ptr", (rows + 1,)),
+        ("cand", (int(index.cand_ptr[-1]),)),
+        ("forced", (len(index.forced), 2)),
+    ]:
+        got = getattr(index, name)
+        assert got.dtype == np.int64 and got.shape == shape, name
+    assert index.big.dtype == bool and index.big.shape == (n, n)
+
+
 def assert_same_index(got, want):
+    assert_index_arrays(got)
     small, small_dist, forced, big = index_as_dicts(got)
     assert small == want[0]
     assert small_dist == want[1]
@@ -110,11 +126,30 @@ def test_pair_index_exact_matches_zero_one():
             assert_same_index(index, oracle_pair_index(dm, D))
 
 
+# Zero-weight components {0, 5}, {1, 3, 7} and {2, 4, 6, 8}: sizes D - 1, D
+# and D + 1 at D = 3, with interleaved ids, joined in a chain by unit edges.
+ZERO_SIZES = WeightedGraph(
+    9,
+    [(0, 5, 0), (1, 3, 0), (3, 7, 0), (2, 4, 0), (4, 6, 0), (6, 8, 0), (5, 1, 1), (7, 2, 1)],
+)
+# Zero-weight components {0, 1} and {3, 4} around vertex 2, joined by weights
+# 7 and 9: at D = 5 the pairs across one join have 3 candidates at distance
+# above 5, which makes them forced.
+ZERO_FORCED = WeightedGraph(6, [(0, 1, 0), (1, 2, 7), (2, 3, 9), (3, 4, 0), (4, 5, 1000)])
+# A star with six leaves beside a path, reduced: clone chains in one
+# component, none in the other.
+ZERO_DISCONNECTED = reduce_degree(
+    WeightedGraph(10, [(0, i, 1) for i in range(1, 7)] + [(7, 8, 1), (8, 9, 1)])
+)[0]
+
 PAIR_INDEX_EDGE_CASES = [
     WeightedGraph(0, []),
     WeightedGraph(1, []),
     WeightedGraph(5, [(0, 1, 0), (1, 2, 0), (3, 4, 7)]),
     WeightedGraph(6, [(0, 1, 1000), (1, 2, 1), (0, 2, 1000), (3, 4, 0), (4, 5, 2)]),
+    ZERO_SIZES,
+    ZERO_FORCED,
+    ZERO_DISCONNECTED,
 ]
 
 
@@ -123,6 +158,25 @@ PAIR_INDEX_EDGE_CASES = [
 def test_pair_index_edge_cases_match_oracle(g, D):
     dm = all_pairs(g)
     assert_same_index(build_pair_index(dm, D), oracle_pair_index(dm, D))
+
+
+def test_pair_index_zero_weight_components_by_size():
+    # Pairs inside a component of s vertices have that component as their s
+    # candidates: small up to D, big from D on. Pairs across components count
+    # every member of each component on their shortest paths.
+    index = build_pair_index(all_pairs(ZERO_SIZES), 3)
+    small, small_dist, forced, big = index_as_dicts(index)
+    assert small[(0, 5)] == (0, 5)
+    assert small[(1, 3)] == small[(3, 7)] == (1, 3, 7)
+    assert big[1, 3] and big[3, 7] and not big[0, 5]
+    assert not any(p in small for p in [(2, 4), (2, 8), (6, 8)])
+    assert big[2, 4] and big[2, 8] and big[6, 8]
+    # {0, 5} and {1, 3, 7}: five candidates at distance 1
+    assert (0, 1) not in small and big[0, 1] and small_dist.get((0, 1)) is None
+    assert not forced
+    # at D = 5 that pair is small, its candidates the members of both, in order
+    small = index_as_dicts(build_pair_index(all_pairs(ZERO_SIZES), 5))[0]
+    assert small[(0, 1)] == small[(1, 5)] == (0, 1, 3, 5, 7)
 
 
 ONE_VERTEX_BLOCK_CASES = {
@@ -134,6 +188,9 @@ ONE_VERTEX_BLOCK_CASES = {
     "D1": (random_regular_graph(30, 3, seed=2), 1),
     "D-above-n": (path_graph(6), 8),
     "H11": (build_H(FamilyParams(1, 1)).graph, 3),
+    "zero-sizes": (ZERO_SIZES, 3),
+    "zero-forced": (ZERO_FORCED, 5),
+    "zero-disconnected": (ZERO_DISCONNECTED, 3),
 }
 
 
@@ -150,7 +207,7 @@ def test_pair_index_one_vertex_blocks(monkeypatch, g, D):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert (got == want).all()
     assert_same_index(blocks, oracle_pair_index(dm, D))
-    if g is ONE_VERTEX_BLOCK_CASES["H11"][0]:
+    if g is ONE_VERTEX_BLOCK_CASES["H11"][0] or g is ZERO_FORCED:
         assert len(blocks.forced)
 
 
