@@ -273,7 +273,9 @@ class Quotient:
     def rows(self, a: np.ndarray) -> np.ndarray:
         """The k x k matrix of the n x n a at the representatives: every
         member of a component has the same distance row, so this is the
-        quotient's distance matrix when a is the graph's."""
+        quotient's distance matrix when a is the graph's. One np.ix_ gather
+        reads only those entries, where a take of rows would copy k full
+        rows first."""
         return a if self.rep is None else a[np.ix_(self.rep, self.rep)]
 
     def expand(self, a: np.ndarray) -> np.ndarray:
