@@ -265,7 +265,7 @@ class Quotient:
     def __init__(self, g: WeightedGraph):
         self.labels = _search_matrix(g)[0]
         self.rep = None
-        self.size = np.ones(g.n, dtype=np.int64)
+        self.size = np.broadcast_to(np.int64(1), g.n)  # read-only, allocates nothing
         if self.labels is not None:
             self.rep = np.unique(self.labels, return_index=True)[1]
             self.size = np.bincount(self.labels)

@@ -217,8 +217,8 @@ def sweep(
 ) -> list[SumIndexTranscript]:
     """Run the protocol on every (a, b) pair, or on the given pairs, against a
     single deleted graph. Hub mode builds that graph's labeling once; oracle
-    mode searches once per run of pairs with one a, so once per Alice vertex
-    over all pairs."""
+    mode searches once per run of consecutive pairs with one a, which is
+    once per Alice vertex when pairs is None."""
     gprime = build_instance_graph(inst, base=base)
     hub_build = _hub_build(gprime, mode, builder)
     if pairs is None:
