@@ -132,10 +132,10 @@ ZERO_SIZES = WeightedGraph(
     9,
     [(0, 5, 0), (1, 3, 0), (3, 7, 0), (2, 4, 0), (4, 6, 0), (6, 8, 0), (5, 1, 1), (7, 2, 1)],
 )
-# Zero-weight components {0, 1} and {3, 4} around vertex 2, joined by weights
-# 7 and 9: at D = 5 the pairs across one join have 3 candidates at distance
-# above 5, which makes them forced.
-ZERO_FORCED = WeightedGraph(6, [(0, 1, 0), (1, 2, 7), (2, 3, 9), (3, 4, 0), (4, 5, 1000)])
+# Zero-weight components {0, 1} and {3, 4} around vertex 2 and beside vertex
+# 5, joined by weights 7, 9 and 1000: at D = 5 each pair across one join has
+# 3 candidates at distance above 5, which makes it forced. Vertex 6 is alone.
+ZERO_FORCED = WeightedGraph(7, [(0, 1, 0), (1, 2, 7), (2, 3, 9), (3, 4, 0), (4, 5, 1000)])
 # A star with six leaves beside a path, reduced: clone chains in one
 # component, none in the other.
 ZERO_DISCONNECTED = reduce_degree(
@@ -165,14 +165,14 @@ def test_pair_index_zero_weight_components_by_size():
     # candidates: small up to D, big from D on. Pairs across components count
     # every member of each component on their shortest paths.
     index = build_pair_index(all_pairs(ZERO_SIZES), 3)
-    small, small_dist, forced, big = index_as_dicts(index)
+    small, _, forced, big = index_as_dicts(index)
     assert small[(0, 5)] == (0, 5)
     assert small[(1, 3)] == small[(3, 7)] == (1, 3, 7)
     assert big[1, 3] and big[3, 7] and not big[0, 5]
     assert not any(p in small for p in [(2, 4), (2, 8), (6, 8)])
     assert big[2, 4] and big[2, 8] and big[6, 8]
     # {0, 5} and {1, 3, 7}: five candidates at distance 1
-    assert (0, 1) not in small and big[0, 1] and small_dist.get((0, 1)) is None
+    assert (0, 1) not in small and big[0, 1]
     assert not forced
     # at D = 5 that pair is small, its candidates the members of both, in order
     small = index_as_dicts(build_pair_index(all_pairs(ZERO_SIZES), 5))[0]
