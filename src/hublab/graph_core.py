@@ -192,14 +192,16 @@ def read_graph(path) -> WeightedGraph:
 # zero-weight components, whose parallel edges keep their minimum weight
 # (csgraph reads a stored zero as a missing edge and csr_matrix sums
 # duplicate entries). A zero-weight component is a single quotient vertex at
-# distance 0 from each of its members, so every result is gathered back
-# through the component labels. Searches on quotients with a weight other
-# than 1 run scipy's csgraph Dijkstra, whose float64 distances are exact only
-# below 2**53. On quotients whose weights are all 1, the quotient of every
-# "unit" and "01" graph, distances_from and distance_between run one csgraph
-# BFS, and all-pairs searches one bit-parallel BFS from every source at once
-# (_bfs_fronts), unless the quotient's diameter, estimated by a double sweep,
-# makes that BFS dearer than Dijkstra (_bfs_pays).
+# distance 0 from each of its members, so a search from one vertex is
+# gathered back through the component labels, and an all-pairs search stays
+# the quotient's matrix, which DenseDistanceMatrix reads through them.
+# Searches on quotients with a weight other than 1 run scipy's csgraph
+# Dijkstra, whose float64 distances are exact only below 2**53. On quotients
+# whose weights are all 1, the quotient of every "unit" and "01" graph,
+# distances_from and distance_between run one csgraph BFS, and all-pairs
+# searches one bit-parallel BFS from every source at once (_bfs_fronts),
+# unless the quotient's diameter, estimated by a double sweep, makes that BFS
+# dearer than Dijkstra (_bfs_pays).
 # shortest_path_hits takes the same two paths: hit bits carried along that
 # BFS, or propagated in distance bands over the distances of all_pairs.
 
@@ -253,43 +255,9 @@ def _search_matrix(g: WeightedGraph):
     return g._csr
 
 
-class Quotient:
-    """The vertices of a graph as the searches see them: one per zero-weight
-    component. labels[v] is the component of vertex v, rep[c] the lowest
-    vertex of component c and size[c] its vertex count. Without zero weights
-    each vertex is its own component, labels and rep are None, and rows and
-    expand return their argument."""
-
-    __slots__ = ("labels", "rep", "size")
-
-    def __init__(self, g: WeightedGraph):
-        self.labels = _search_matrix(g)[0]
-        self.rep = None
-        self.size = np.broadcast_to(np.int64(1), g.n)  # read-only, allocates nothing
-        if self.labels is not None:
-            self.rep = np.unique(self.labels, return_index=True)[1]
-            self.size = np.bincount(self.labels)
-
-    def rows(self, a: np.ndarray) -> np.ndarray:
-        """The k x k matrix of the n x n a at the representatives: every
-        member of a component has the same distance row, so this is the
-        quotient's distance matrix when a is the graph's. One np.ix_ gather
-        reads only those entries, where a take of rows would copy k full
-        rows first."""
-        return a if self.rep is None else a[np.ix_(self.rep, self.rep)]
-
-    def expand(self, a: np.ndarray) -> np.ndarray:
-        """a, indexed by component on every axis, gathered back to vertices.
-        Two takes, each a contiguous copy, outrun one np.ix_ gather."""
-        if self.labels is None:
-            return a
-        a = a.take(self.labels, 0)
-        return a if a.ndim == 1 else a.take(self.labels, 1)
-
-
 def _distances(g: WeightedGraph, src: int | None = None) -> np.ndarray:
-    """int64 distances from src, or all pairs when src is None; -1 marks
-    unreachable."""
+    """int64 distances from src, or all pairs of the zero-weight quotient
+    when src is None; -1 marks unreachable."""
     if src is not None and not 0 <= src < g.n:
         raise ValueError(f"source {src} out of range")
     labels, mat = _search_matrix(g)
@@ -302,7 +270,7 @@ def _distances(g: WeightedGraph, src: int | None = None) -> np.ndarray:
         dist = dijkstra(mat, directed=True, indices=qsrc)
         dist[np.isinf(dist)] = -1
         dist = dist.astype(np.int64)
-    return Quotient(g).expand(dist)
+    return dist if labels is None or src is None else dist[labels]
 
 
 def _bfs_depths(mat, src: int) -> np.ndarray:
@@ -503,28 +471,68 @@ def distance_between(g: WeightedGraph, s: int, t: int):
 # -- distance matrices -----------------------------------------------------
 
 
+def _check_pair_cap(n: int) -> None:
+    if n * n > PAIR_CAP:
+        raise ResourceLimitError(f"all-pairs matrix needs {n * n} entries, cap is {PAIR_CAP}")
+
+
 class DenseDistanceMatrix:
-    """All-pairs distances of `graph` in a dense int64 matrix, -1 for
-    unreachable."""
+    """All-pairs distances of `graph`, -1 for unreachable, held on its
+    zero-weight quotient: q is the k x k int64 matrix of the components,
+    labels[v] the component of vertex v and size[c] the vertex count of
+    component c. Members of one component share their distance row, so rows,
+    at and expand read the vertex matrix through labels, and no n x n copy of
+    it is held. Without zero weights q is the vertex matrix, labels is None
+    and every size is 1."""
 
-    __slots__ = ("n", "graph", "_mat", "_diameter")
+    __slots__ = ("n", "graph", "q", "labels", "size", "_diameter")
 
-    def __init__(self, mat: np.ndarray, graph: WeightedGraph):
-        mat = mat.astype(np.int64, copy=False)
-        mat.flags.writeable = False
-        self._mat = mat
-        self.n = mat.shape[0]
+    def __init__(self, q: np.ndarray, graph: WeightedGraph):
+        _check_pair_cap(graph.n)  # consumers allocate n-wide rows
+        self.labels = _search_matrix(graph)[0]
+        self.size = np.broadcast_to(np.int64(1), graph.n)  # read-only, allocates nothing
+        if self.labels is not None:
+            self.size = np.bincount(self.labels)
+        if q.shape != (self.size.size,) * 2:
+            raise ValueError(f"{q.shape} matrix for a quotient of {self.size.size} vertices")
+        q = q.astype(np.int64, copy=False)
+        q.flags.writeable = False
+        self.q = q
+        self.n = graph.n
         self.graph = graph
         self._diameter = None
 
+    def rows(self, idx) -> np.ndarray:
+        """The distance rows of the vertices idx: an index, a slice or an
+        array. Without zero weights a slice is a view."""
+        if self.labels is None:
+            return self.q[idx]
+        return self.q[self.labels[idx]].take(self.labels, -1)
+
+    def at(self, u, v):
+        """d(u, v), elementwise over vertex indices or arrays u and v."""
+        if self.labels is None:
+            return self.q[u, v]
+        return self.q[self.labels[u], self.labels[v]]
+
+    def expand(self, a: np.ndarray) -> np.ndarray:
+        """a, indexed by component on every axis, gathered back to vertices.
+        Two takes, each a contiguous copy, outrun one np.ix_ gather."""
+        if self.labels is None:
+            return a
+        a = a.take(self.labels, 0)
+        return a if a.ndim == 1 else a.take(self.labels, 1)
+
     def matrix(self) -> np.ndarray:
-        return self._mat
+        """The whole n x n vertex matrix; a new one on every call where the
+        graph has zero weights."""
+        return self.expand(self.q)
 
     def diameter(self) -> int:
         """Largest finite distance; unreachable pairs hold -1. The matrix is
         read-only, so it is scanned once."""
         if self._diameter is None:
-            self._diameter = int(self._mat.max(initial=0))
+            self._diameter = int(self.q.max(initial=0))
         return self._diameter
 
 
@@ -532,13 +540,10 @@ def all_pairs(g: WeightedGraph) -> DenseDistanceMatrix:
     """All-pairs shortest-path distances as a dense matrix.
 
     Equals n invocations of distances_from; raises ResourceLimitError
-    when n^2 entries would exceed PAIR_CAP, and ValueError when the total edge
-    weight reaches WEIGHT_LIMIT.
+    when n^2 entries would exceed PAIR_CAP, before it searches, and
+    ValueError when the total edge weight reaches WEIGHT_LIMIT.
     """
-    if g.n * g.n > PAIR_CAP:
-        raise ResourceLimitError(
-            f"all-pairs matrix needs {g.n * g.n} entries, cap is {PAIR_CAP}"
-        )
+    _check_pair_cap(g.n)
     return DenseDistanceMatrix(_distances(g), g)
 
 
@@ -555,8 +560,8 @@ def shortest_path_hits(dm: DenseDistanceMatrix, mask) -> np.ndarray:
     Runs on the quotient of the search section: a masked vertex lies on a
     shortest u-v walk iff its zero-weight component lies on a shortest path
     between the components of u and v, so a component counts as masked when
-    it holds a masked vertex, and the quotient's matrix is gathered back
-    through the component labels. On that quotient, Brandes-style propagation
+    it holds a masked vertex, and the quotient's hits are gathered back
+    through dm's component labels. On that quotient, Brandes-style propagation
     (Brandes 2001) decides every pair: hit[u, v] holds iff u or v is masked
     or hit[u, x] holds for a tight in-edge x->v, one with
     d(u,x) + w = d(u,v). With unit quotient weights, unless the quotient's
@@ -564,19 +569,17 @@ def shortest_path_hits(dm: DenseDistanceMatrix, mask) -> np.ndarray:
     of all_pairs level by level (_bfs_hits); otherwise it reads the
     distances of dm in distance bands (_band_hits).
     """
-    g, n = dm.graph, dm.n
-    labels, mat = _search_matrix(g)
+    mat = _search_matrix(dm.graph)[1]
     mask = np.asarray(mask, dtype=bool)
-    if labels is not None:
-        mask = np.bincount(labels[mask], minlength=mat.shape[0]) > 0
+    if dm.labels is not None:
+        mask = np.bincount(dm.labels[mask], minlength=mat.shape[0]) > 0
     if not mask.any():
-        return np.zeros((n, n), dtype=bool)
-    q = Quotient(g)
+        return np.zeros((dm.n, dm.n), dtype=bool)
     if _bfs_pays(mat, _BAND_OPS):
         hit = _bfs_hits(mat, mask)
     else:
-        hit = _band_hits(mat, q.rows(dm.matrix()), mask)
-    return q.expand(hit)
+        hit = _band_hits(mat, dm.q, mask)
+    return dm.expand(hit)
 
 
 def _bfs_hits(mat, mask) -> np.ndarray:
@@ -660,11 +663,11 @@ def canonical_trees(dm: DenseDistanceMatrix) -> np.ndarray:
     close parent cycles under that rule, so each root runs a fixpoint
     attaching only to rooted vertices.
     """
-    g, n, mat = dm.graph, dm.n, dm.matrix()
+    g, n = dm.graph, dm.n
     indptr, nbr, w = g.in_edges()
     if g.has_zero_weights:
         csr = [a.tolist() for a in (indptr, nbr, w)]
-        rows = [_fixpoint_parents(*csr, mat[r].tolist(), r) for r in range(n)]
+        rows = [_fixpoint_parents(*csr, dm.rows(r).tolist(), r) for r in range(n)]
         return np.array(rows, dtype=np.int32).reshape(n, n)
     deg = np.diff(indptr)
     parents = np.empty((n, n), dtype=np.int32)
@@ -676,7 +679,7 @@ def canonical_trees(dm: DenseDistanceMatrix) -> np.ndarray:
         for j in range(int(deg[vs].max(initial=0)) - 1, -1, -1):
             i = np.flatnonzero(deg[vs] > j)  # vertices with a j-th neighbour
             e = indptr[lo + i] + j
-            tight = mat[nbr[e]] + w[e, None] == mat[lo + i]
+            tight = dm.rows(nbr[e]) + w[e, None] == dm.rows(lo + i)
             best[i] = np.where(tight, nbr[e, None], best[i])
         parents[:, lo : lo + step] = best.T
     return parents

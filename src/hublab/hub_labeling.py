@@ -209,9 +209,8 @@ def verify_cover(hl: HubLabeling, dm) -> CoverReport:
     n = hl.n
     if n != dm.n:
         raise ValueError("labeling and distance matrix disagree on n")
-    mat = dm.matrix()
     diam = dm.diameter()
-    core, owner, hub, stored = _split_entries(hl, mat)
+    core, owner, hub, stored = _split_entries(hl, dm)
     stored = np.minimum(stored, diam + 1)
     hit = shortest_path_hits(dm, core)
     # entry i pairs with the later[i] entries after it in its hub's run of by_hub
@@ -223,7 +222,7 @@ def verify_cover(hl: HubLabeling, dm) -> CoverReport:
     uncovered = []
     total_bad = 0
     for lo in range(0, n, _ROWS):
-        d = mat[lo : lo + _ROWS]
+        d = dm.rows(slice(lo, lo + _ROWS))
         m = np.full(d.shape, _I64_MAX, dtype=np.int64)
         a, last = np.searchsorted(owner, [lo, lo + _ROWS])
         while a < last:
@@ -250,18 +249,18 @@ def verify_cover(hl: HubLabeling, dm) -> CoverReport:
     )
 
 
-def _split_entries(hl: HubLabeling, mat: np.ndarray):
+def _split_entries(hl: HubLabeling, dm):
     """(core, owner, hub, stored): the core hubs as a bool mask and the
     entries that are not exact entries of a core hub.
 
-    The entries, with owners read off the offsets, are compared with the
-    matrix in chunks of _CHUNK, so no temporary but two masks grows with n.
+    The entries, with owners read off the offsets, are compared with dm in
+    chunks of _CHUNK, so no temporary but two masks grows with n.
     """
     n = hl.n
     hub, stored = hl.hub, hl.dist
     reach = np.zeros(n, dtype=np.int64)
     for lo in range(0, n, _ROWS):
-        reach[lo : lo + _ROWS] = np.count_nonzero(mat[lo : lo + _ROWS] >= 0, axis=1)
+        reach[lo : lo + _ROWS] = np.count_nonzero(dm.rows(slice(lo, lo + _ROWS)) >= 0, axis=1)
     exact = np.zeros(hub.size, dtype=bool)
     held = np.zeros(n, dtype=np.int64)
     for a in range(0, hub.size, _CHUNK):
@@ -270,7 +269,7 @@ def _split_entries(hl: HubLabeling, mat: np.ndarray):
         # the rows lo - 1 .. hi - 1 hold the entries a .. b - 1
         lo, hi = np.searchsorted(hl.offsets, [a, b - 1], side="right")
         owner = np.repeat(np.arange(lo - 1, hi), np.diff(np.clip(hl.offsets[lo - 1 : hi + 1], a, b)))
-        true = mat[owner, hub[c]]
+        true = dm.at(owner, hub[c])
         exact[c] = (true >= 0) & (true == stored[c])
         held += np.bincount(hub[c][exact[c]], minlength=n)
     core = held == reach
@@ -286,9 +285,8 @@ def monotone_closure(hl: HubLabeling, dm) -> HubLabeling:
     n = hl.n
     if n != dm.n:
         raise ValueError("labeling and distance matrix disagree on n")
-    mat = dm.matrix()
     owner, hub = hl.owners(), hl.hub.astype(np.int64)
-    far = np.flatnonzero(mat[owner, hub] < 0)
+    far = np.flatnonzero(dm.at(owner, hub) < 0)
     if far.size:
         raise UnreachablePairError(f"hub {hub[far[0]]} unreachable in the tree of {owner[far[0]]}")
     parents = canonical_trees(dm)
@@ -312,7 +310,7 @@ def monotone_closure(hl: HubLabeling, dm) -> HubLabeling:
         flat.append(np.flatnonzero(mark >= 0) + lo * n)
     flat = np.concatenate(flat)
     owner, hub = np.divmod(flat, max(n, 1))
-    return HubLabeling(n, owner, hub, mat.reshape(-1)[flat])
+    return HubLabeling(n, owner, hub, dm.at(owner, hub))
 
 
 # -- label file format -------------------------------------------------------

@@ -23,8 +23,8 @@ from hublab.family_gen import FamilyParams, build_H
 from hublab.graph_core import (
     UNREACHABLE,
     WEIGHT_LIMIT,
+    DenseDistanceMatrix,
     GraphFormatError,
-    Quotient,
     ResourceLimitError,
     UnreachablePairError,
     WeightedGraph,
@@ -242,8 +242,26 @@ def test_all_pairs_matches_single_source():
 
 
 def test_all_pairs_pair_cap(monkeypatch):
-    monkeypatch.setattr("hublab.graph_core.PAIR_CAP", 99)
-    with pytest.raises(ResourceLimitError):
+    import hublab.graph_core as graph_core
+    from hublab import upperbound_builder
+
+    monkeypatch.setattr(graph_core, "PAIR_CAP", 99)
+    with pytest.raises(ResourceLimitError, match="needs 10000 entries, cap is 99"):
+        all_pairs(WeightedGraph(100, []))
+    # A reduced build never searches its stage graph, but still refuses one
+    # whose n x n rows pass the cap, before any stage reads them.
+    g = star_graph(9)
+    g2 = reduce_degree(g)[0]
+    monkeypatch.setattr(graph_core, "PAIR_CAP", g.n * g.n)
+    with pytest.raises(ResourceLimitError) as want:
+        all_pairs(g2)
+    monkeypatch.setattr(upperbound_builder, "build_pair_index", _refuse)
+    with pytest.raises(ResourceLimitError) as got:
+        upperbound_builder.build_for_graph(g)
+    assert g.n * g.n < g2.n * g2.n and str(got.value) == str(want.value)
+    # all_pairs refuses before it searches
+    monkeypatch.setattr(graph_core, "_distances", _refuse)
+    with pytest.raises(ResourceLimitError, match="needs 10000 entries"):
         all_pairs(WeightedGraph(100, []))
 
 
@@ -807,19 +825,32 @@ def test_diameter_estimate_exact_on_forests():
 @settings(max_examples=100)
 @given(small_graphs(max_n=10, min_weight=0, max_weight=2))
 def test_quotient_rows_and_expand_round_trip(g):
-    mat = all_pairs(g).matrix()
-    q = Quotient(g)
-    assert q.size.dtype == np.int64 and q.size.sum() == g.n
+    dm = all_pairs(g)
+    want = np.array([distances_from(g, s) for s in range(g.n)]).reshape(g.n, g.n)
+    k = dm.q.shape[0]
+    assert dm.q.shape == (k, k) and not dm.q.flags.writeable
+    assert dm.size.dtype == np.int64 and dm.size.shape == (k,) and dm.size.sum() == g.n
+    mat = dm.matrix()
+    assert mat.dtype == np.int64 and mat.flags.c_contiguous and (mat == want).all()
+    for s in range(g.n):
+        assert dm.rows(s).shape == (g.n,) and (dm.rows(s) == want[s]).all()
+    picks = np.arange(g.n)[::-1].repeat(2)
+    assert (dm.rows(picks) == want[picks]).all()
+    assert (dm.rows(slice(1, None)) == want[1:]).all()
+    u, v = np.divmod(np.arange(g.n * g.n), g.n)
+    assert (dm.at(u, v) == want[u, v]).all() and dm.at(0, g.n - 1) == want[0, -1]
+    with pytest.raises(ValueError):
+        DenseDistanceMatrix(np.zeros((k + 1, k + 1)), g)
     if not g.has_zero_weights:
-        assert q.labels is None and q.rows(mat) is mat and q.expand(mat) is mat
-        assert (q.size == 1).all()
+        assert dm.labels is None and (dm.size == 1).all()
+        assert mat is dm.q and dm.expand(want) is want
+        assert dm.rows(slice(1, None)).base is dm.q  # a view
         return
-    # the representatives are the lowest members, one per component
-    assert q.rep.tolist() == [q.labels.tolist().index(c) for c in range(q.size.size)]
-    assert q.size.tolist() == np.bincount(q.labels).tolist()
-    quotient = q.rows(mat)
-    assert quotient.shape == (q.size.size,) * 2
-    for a in (mat, mat >= 0):
-        back = q.expand(q.rows(a))
-        assert back.dtype == a.dtype and back.flags.c_contiguous and (back == a).all()
-    assert (q.expand(quotient[0]) == mat[q.rep[0]]).all()
+    assert dm.size.tolist() == np.bincount(dm.labels).tolist()
+    # the quotient is the matrix at the lowest member of each component
+    rep = np.unique(dm.labels, return_index=True)[1]
+    assert (want[np.ix_(rep, rep)] == dm.q).all()
+    for a, whole in ((dm.q, want), (dm.q >= 0, want >= 0)):
+        back = dm.expand(a)
+        assert back.dtype == a.dtype and back.flags.c_contiguous and (back == whole).all()
+    assert (dm.expand(dm.q[0]) == want[rep[0]]).all()

@@ -69,6 +69,27 @@ def test_labels_read_through_arrays(path):
     assert hubs_reads(path.read_text(encoding="utf-8")) == []
 
 
+def matrix_calls(source: str) -> list[int]:
+    """Lines that call a method named `matrix`, the whole vertex matrix of a
+    DenseDistanceMatrix."""
+    tree = ast.parse(source)
+    calls = (n.func for n in ast.walk(tree) if isinstance(n, ast.Call))
+    return sorted(f.lineno for f in calls if isinstance(f, ast.Attribute) and f.attr == "matrix")
+
+
+def test_matrix_call_check_catches_one():
+    assert matrix_calls("d = dm.matrix()[0]\nq = dm.q\nf = dm.matrix\nmatrix()\n") == [1]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "graph_core.py"], ids=lambda p: p.name
+)
+def test_distances_read_through_rows(path):
+    # One distance representation: consumers read rows and at, which gather
+    # only what they need through the zero-weight quotient's labels.
+    assert matrix_calls(path.read_text(encoding="utf-8")) == []
+
+
 def unset_options(defs: dict[str, str], callers: list[str]) -> list[str]:
     """Keyword-only parameters with a default, defined in the sources defs
     (label -> text), that no call in the caller sources passes by keyword,

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from hublab.corpus import erdos_renyi_m, grid_graph, path_graph, random_regular_graph, star_graph
 from hublab.family_gen import FamilyParams, build_H, expand_to_G
 from hublab.graph_core import WeightedGraph, all_pairs
-from hublab import upperbound_builder
+from hublab import graph_core, upperbound_builder
 from hublab.hub_labeling import HubLabeling, format_labels, query, verify_cover
 from hublab.upperbound_builder import (
     BuilderConfig,
@@ -667,6 +667,34 @@ def test_build_verifies_each_labeling_once(monkeypatch):
     build_for_graph(*SPARSE)
     # only the projected labeling; the stage labeling is checked on failure
     assert calls == [80]
+
+
+def test_build_searches_all_pairs_once(monkeypatch):
+    # A reduced build classifies on the input graph's matrix: the stage
+    # graph's zero-weight quotient is the input graph, component by vertex.
+    searches, stages = [], []
+    search, index = graph_core._distances, upperbound_builder.build_pair_index
+
+    def counted(g, src=None):
+        if src is None:
+            searches.append(g.n)
+        return search(g, src)
+
+    monkeypatch.setattr(graph_core, "_distances", counted)
+    monkeypatch.setattr(
+        upperbound_builder, "build_pair_index", lambda dm, D: index(stages.append(dm) or dm, D)
+    )
+    assert needs_reduction(SPARSE[0]) and not needs_reduction(REG[0])
+    for g, cfg in (REG, SPARSE):
+        searches.clear()
+        stages.clear()
+        res = build_for_graph(g, cfg)
+        assert searches == [g.n]
+        (stage,) = stages
+        assert np.shares_memory(stage.q, res.dm.q)
+        if res.report.reduced is not None:
+            assert stage.n == res.report.reduced["n"] > g.n
+            assert stage.labels.tolist() == reduce_degree(g)[2].tolist()
 
 
 def test_build_rejects_corrupted_assembly(monkeypatch):
