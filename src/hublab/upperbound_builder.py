@@ -287,7 +287,7 @@ def _sample_cover(dm, cfg: BuilderConfig, index: PairIndex):
         return (s_arr, miss), int(miss.sum())
 
     (s_arr, miss), attempts = _resample(cfg, 1, "cover-set", n, D, draw)
-    keys = np.union1d(np.flatnonzero(miss), index.forced[:, 0] * n + index.forced[:, 1])
+    keys = _distinct(np.r_[np.flatnonzero(miss), index.forced[:, 0] * n + index.forced[:, 1]])
     return s_arr, _rows(keys, n), attempts
 
 
@@ -343,6 +343,12 @@ def _run_heads(keys: np.ndarray) -> np.ndarray:
     head = np.ones(keys.size, dtype=bool)
     head[1:] = keys[1:] != keys[:-1]
     return head
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Ascending distinct keys; np.unique hashes wide-ranging keys many times slower."""
+    keys = np.sort(keys)
+    return keys[_run_heads(keys)]
 
 
 def _greedy_matchings(bucket: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -471,7 +477,7 @@ def build_matchings(dm, colors, cfg: BuilderConfig, *, index: PairIndex):
     group = rank[inverse][bucket]
     _check_induced(*(c[taken] for c in (group, a, b, h, x, y)))
     ends = np.concatenate([x[taken], y[taken]])
-    keys = np.unique(np.concatenate([np.arange(n) * (n + 1), ends * n + np.tile(h[taken], 2)]))
+    keys = _distinct(np.concatenate([np.arange(n) * (n + 1), ends * n + np.tile(h[taken], 2)]))
     return _rows(keys, n), log
 
 
@@ -487,7 +493,7 @@ def _closed_neighborhoods(F, g: WeightedGraph) -> np.ndarray:
     deg = indptr[x + 1] - indptr[x]
     at = segment_positions(indptr[x], deg)
     key = np.concatenate([owner * n + x, np.repeat(owner, deg) * n + nbr[at]])
-    return _rows(np.unique(key), n)
+    return _rows(_distinct(key), n)
 
 
 @dataclass
@@ -508,25 +514,22 @@ class SizeLedger:
         return ok
 
 
-def size_ledger(S, Q, R, F, g: WeightedGraph, hl: HubLabeling) -> SizeLedger:
-    return SizeLedger(
-        total_size=hl.total_size,
-        n_times_s=g.n * len(S),
-        sum_q=len(Q),
-        sum_r=len(R),
-        sum_nf=len(_closed_neighborhoods(F, g)),
-        sum_f=len(F),
-        degree_bound=None if g.has_zero_weights else (g.max_degree + 1) * len(F),
-    )
+def size_ledger(S, Q, R, F, g: WeightedGraph, sum_nf: int, total_size: int) -> SizeLedger:
+    degree_bound = None if g.has_zero_weights else (g.max_degree + 1) * len(F)
+    return SizeLedger(total_size, g.n * len(S), len(Q), len(R), sum_nf, len(F), degree_bound)
 
 
 def assemble(S, Q, R, F, g: WeightedGraph, dm) -> HubLabeling:
     """hubs(v) = S union Q_v union R_v union N(F_v), distances filled from the
     matrix. Builds only; build_for_graph checks the result."""
-    n = g.n
-    own_v, own_h = np.concatenate([Q, R, _closed_neighborhoods(F, g)]).T
-    order = np.argsort(own_v, kind="stable")
-    own_v, own_h = own_v[order], own_h[order]
+    return _assemble(S, np.concatenate([Q, R, _closed_neighborhoods(F, g)]), dm)
+
+
+def _assemble(S, extra, dm) -> HubLabeling:
+    """Row v of the labeling: the columns S and v's hubs in the (owner, hub)
+    rows extra, each kept where v reaches it in dm, with distances from dm."""
+    n = dm.n
+    own_v, own_h = extra[np.argsort(extra[:, 0], kind="stable")].T
     owners, hubs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for lo in range(0, n, _ASSEMBLE_ROWS):
         hi = min(lo + _ASSEMBLE_ROWS, n)
@@ -540,6 +543,15 @@ def assemble(S, Q, R, F, g: WeightedGraph, dm) -> HubLabeling:
         hubs.append(cols)
     owner, hub = np.concatenate(owners), np.concatenate(hubs)
     return HubLabeling(n, owner, hub, dm.at(owner, hub))
+
+
+def _stage_total(S, extra, stage_dm) -> int:
+    """total_size of _assemble(S, extra, stage_dm) for distinct rows extra, without
+    building it: the S vertices each row reaches, plus the reachable extras outside S."""
+    comp = (stage_dm.q >= 0).argmax(1)  # the lowest vertex of each row's connected component
+    outside = ~np.isin(extra[:, 1], S) & (stage_dm.at(*extra.T) >= 0)
+    in_reach = np.bincount(comp[stage_dm.labels[S]], minlength=comp.size)[comp]
+    return int(stage_dm.size @ in_reach + np.count_nonzero(outside))
 
 
 # -- degree reduction -------------------------------------------------------------
@@ -580,16 +592,13 @@ def reduce_degree(g: WeightedGraph):
 
 def project_back(hl_reduced: HubLabeling, representative, origin, dm) -> HubLabeling:
     """Pull a labeling of the reduced graph back to the original vertices,
-    recomputing distances from the original matrix. Builds only;
-    build_for_graph checks the result."""
+    recomputing distances from the original matrix. build_for_graph builds
+    the same rows without the stage labeling; this composes the stages."""
     n = dm.n
     rep, orig = np.asarray(representative), np.asarray(origin)
     size = np.diff(hl_reduced.offsets)[rep]
-    # positions of the representatives' entries, row after row
-    at = segment_positions(hl_reduced.offsets[rep], size)
-    key = np.sort(np.repeat(np.arange(n), size) * n + orig[hl_reduced.hub[at]])
-    key = key[np.diff(key, prepend=-1) != 0]  # keys are >= 0
-    owner, hub = np.divmod(key, max(n, 1))
+    at = segment_positions(hl_reduced.offsets[rep], size)  # the representatives' entries
+    owner, hub = _rows(_distinct(np.repeat(np.arange(n), size) * n + orig[hl_reduced.hub[at]]), n).T
     dist = dm.at(owner, hub)
     reach = dist >= 0
     return HubLabeling(n, owner[reach], hub[reach], dist[reach])
@@ -678,8 +687,8 @@ def build_for_graph(g: WeightedGraph, cfg: BuilderConfig | None = None) -> Build
     """Run the full pipeline, inserting the degree reduction when the graph's
     maximum degree exceeds 2 + ceil(m/n), and certify the result: the size
     ledger bound, then the cover of the returned labeling (the projected one
-    in reduced builds, whose stage labeling is verified only to tell which
-    side broke). A failed check raises CoverVerificationError."""
+    in reduced builds, whose stage labeling is built and verified only to
+    tell which side broke). A failed check raises CoverVerificationError."""
     cfg = cfg or BuilderConfig()
     timing: dict[str, float] = {}
     clock = time.perf_counter()
@@ -710,21 +719,27 @@ def build_for_graph(g: WeightedGraph, cfg: BuilderConfig | None = None) -> Build
     lap("coloring")
     F, log = build_matchings(stage_dm, colors, cfg, index=index)
     lap("matchings")
-    stage_hl = assemble(S, Q, R, F, stage_graph, stage_dm)
+    nf = _closed_neighborhoods(F, stage_graph)
+    extra = np.concatenate([Q, R, nf])
+    if reduced_info is None:
+        hl = _assemble(S, extra, dm)
+    else:
+        # row v is row representative[v] of the stage labeling, mapped through origin
+        extra = _rows(_distinct(extra[:, 0] * stage_graph.n + extra[:, 1]), stage_graph.n)
+        rep_rows = extra[representative[origin[extra[:, 0]]] == extra[:, 0]]
+        hl = _assemble(origin[S], origin[rep_rows], dm)
     lap("assemble")
-    ledger = size_ledger(S, Q, R, F, stage_graph, stage_hl)
+    total = hl.total_size if reduced_info is None else _stage_total(S, extra, stage_dm)
+    ledger = size_ledger(S, Q, R, F, stage_graph, len(nf), total)
     lap("ledger")
     if not ledger.bound_ok:
         raise CoverVerificationError(f"size ledger bound violated: {ledger}")
-    hl = stage_hl
-    if reduced_info is not None:
-        hl = project_back(stage_hl, representative, origin, dm)
-        lap("project")
     cover = verify_cover(hl, dm)
     lap("verify")
     if not cover.valid:
-        # say which side broke: the stage labeling, or only its projection
-        stage_cover = cover if reduced_info is None else verify_cover(stage_hl, stage_dm)
+        # say which side broke: the stage labeling, built only now, or only its projection
+        stage_hl = hl if reduced_info is None else assemble(S, Q, R, F, stage_graph, stage_dm)
+        stage_cover = cover if stage_hl is hl else verify_cover(stage_hl, stage_dm)
         if not stage_cover.valid:
             raise CoverVerificationError(
                 f"assembled labeling fails cover verification on "

@@ -27,6 +27,7 @@ from hublab.upperbound_builder import (
     InducedMatchingViolation,
     _conflicts,
     build_for_graph,
+    needs_reduction,
 )
 
 settings.register_profile(
@@ -184,6 +185,38 @@ def oracle_reduce_degree(g: WeightedGraph):
     for v in range(n):
         edges += [(starts[v] + i, starts[v] + i + 1, 0) for i in range(counts[v] - 1)]
     return WeightedGraph(len(origin), edges), starts, origin
+
+
+def oracle_build_labeling(g: WeightedGraph, artifacts, dm):
+    """(labeling, stage total) that build_for_graph must return for its
+    artifacts on g, from one Python set per stage row: S, Q_r, R_r, F_r and
+    the stage-graph neighbours of F_r, kept where r reaches them in the stage
+    graph. The stage labeling's size is the stage total. A reduced build
+    returns row representative[v] for each vertex v, mapped through origin,
+    with distances from dm.matrix()."""
+    n = g.n
+    stage, rep, origin = g, list(range(n)), list(range(n))
+    if needs_reduction(g):
+        stage, rep, origin = oracle_reduce_degree(g)
+    adj = oracle_adjacency(stage)
+    comp = [-1] * stage.n  # the connected component of every stage vertex
+    for root in range(stage.n):
+        todo = [root] if comp[root] < 0 else []
+        while todo:
+            x = todo.pop()
+            if comp[x] < 0:
+                comp[x] = root
+                todo += [y for y, _ in adj[x]]
+    rows = [set(artifacts.S.tolist()) for _ in range(stage.n)]
+    for owner, hub in artifacts.Q.tolist() + artifacts.R.tolist():
+        rows[owner].add(hub)
+    for owner, x in artifacts.F.tolist():
+        rows[owner] |= {x} | {y for y, _ in adj[x]}
+    rows = [{h for h in row if comp[h] == comp[r]} for r, row in enumerate(rows)]
+    mat = dm.matrix()
+    hubs = [sorted({origin[h] for h in rows[rep[v]]}) for v in range(n)]
+    out = labeling(n, [[(h, int(mat[v, h])) for h in hubs[v]] for v in range(n)])
+    return out, sum(map(len, rows))
 
 
 def verify_metric(dm) -> bool:

@@ -126,7 +126,7 @@ def test_build_report_times_every_stage(capsys, tmp_path):
     stages = rep["timing"]["stages_s"]
     assert set(stages) == {
         "all_pairs", "reduce", "pair_index", "cover", "coloring", "matchings",
-        "assemble", "ledger", "project", "verify", "write_labels",
+        "assemble", "ledger", "verify", "write_labels",
     }
     assert all(isinstance(s, float) and s >= 0 for s in stages.values())
     assert sum(stages.values()) - stages["write_labels"] <= rep["timing"]["wall_time_s"] + 0.01

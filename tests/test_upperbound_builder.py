@@ -8,6 +8,7 @@ from conftest import (
     index_as_dicts,
     induced_rows,
     labeling,
+    oracle_build_labeling,
     oracle_check_induced,
     oracle_greedy_matching,
     oracle_has_conflict,
@@ -699,9 +700,9 @@ def test_build_searches_all_pairs_once(monkeypatch):
 
 def test_build_rejects_corrupted_assembly(monkeypatch):
     x = _vertex_outside_cover_set(*REG)
-    real = upperbound_builder.assemble
+    real = upperbound_builder._assemble
     monkeypatch.setattr(
-        upperbound_builder, "assemble", lambda *args: _only_self_hub(real(*args), x)
+        upperbound_builder, "_assemble", lambda *args: _only_self_hub(real(*args), x)
     )
     with pytest.raises(CoverVerificationError, match="assembled labeling fails"):
         build_for_graph(*REG)
@@ -710,10 +711,14 @@ def test_build_rejects_corrupted_assembly(monkeypatch):
 def test_build_rejects_corrupted_projection(monkeypatch):
     x = _vertex_outside_cover_set(*SPARSE)
     stage_n = build_for_graph(*SPARSE).report.reduced["n"]
-    real = upperbound_builder.project_back
-    monkeypatch.setattr(
-        upperbound_builder, "project_back", lambda *args: _only_self_hub(real(*args), x)
-    )
+    real = upperbound_builder._assemble
+
+    def projection_only(S, extra, dm):
+        # the projected rows are assembled on the input graph's 80 vertices
+        hl = real(S, extra, dm)
+        return _only_self_hub(hl, x) if dm.n == 80 else hl
+
+    monkeypatch.setattr(upperbound_builder, "_assemble", projection_only)
     calls = _counted_verify(monkeypatch)
     with pytest.raises(CoverVerificationError, match="projected labeling fails"):
         build_for_graph(*SPARSE)
@@ -722,13 +727,24 @@ def test_build_rejects_corrupted_projection(monkeypatch):
 
 
 def test_reduced_build_rejects_corrupted_assembly(monkeypatch):
+    # x's Q, R and F rows dropped: the stage labeling and its projection both fail
     g, cfg = SPARSE
     x = reduce_degree(g)[1][_vertex_outside_cover_set(g, cfg)]
     stage_n = build_for_graph(g, cfg).report.reduced["n"]
-    real = upperbound_builder.assemble
-    monkeypatch.setattr(
-        upperbound_builder, "assemble", lambda *args: _only_self_hub(real(*args), x)
-    )
+
+    def without_x(name, at):
+        stage = getattr(upperbound_builder, name)
+
+        def run(*args, **kwargs):
+            out = list(stage(*args, **kwargs))
+            out[at] = out[at][out[at][:, 0] != x]
+            return tuple(out)
+
+        monkeypatch.setattr(upperbound_builder, name, run)
+
+    without_x("_sample_cover", 1)
+    without_x("_sample_colors", 1)
+    without_x("build_matchings", 0)
     calls = _counted_verify(monkeypatch)
     with pytest.raises(CoverVerificationError, match="assembled labeling fails"):
         build_for_graph(g, cfg)
@@ -737,7 +753,7 @@ def test_reduced_build_rejects_corrupted_assembly(monkeypatch):
 
 def test_build_rejects_ledger_overrun(monkeypatch):
     # every reachable vertex as a hub is a valid cover, but far above the ledger
-    monkeypatch.setattr(upperbound_builder, "assemble", lambda *args: baseline_full(args[-1]))
+    monkeypatch.setattr(upperbound_builder, "_assemble", lambda *args: baseline_full(args[-1]))
     with pytest.raises(CoverVerificationError, match="size ledger bound violated"):
         build_for_graph(*REG)
 
@@ -754,6 +770,77 @@ def test_stages_do_not_verify(monkeypatch):
     a = res.artifacts
     assert assemble(a.S, a.Q, a.R, a.F, g2, res.dm) == res.labeling
     project_back(res.labeling, rep, orig, dm)
+
+
+# -- reduced builds assemble only the returned rows ----------------------------
+
+
+def _check_against_oracle(g, cfg):
+    """The build's labeling equals the per-row set oracle's, and its ledger
+    counts the stage labeling that assemble builds on the stage graph."""
+    res = build_for_graph(g, cfg)
+    want, stage_total = oracle_build_labeling(g, res.artifacts, res.dm)
+    assert res.labeling == want
+    stage_graph = reduce_degree(g)[0] if res.report.reduced else g
+    a = res.artifacts
+    stage_hl = assemble(a.S, a.Q, a.R, a.F, stage_graph, all_pairs(stage_graph))
+    assert res.report.ledger.total_size == stage_hl.total_size == stage_total
+
+
+@st.composite
+def reducible_graphs(draw):
+    """Unit-weight graphs on 6 to 12 vertices that need degree reduction:
+    vertex 0 joins every other vertex, and at most n - 1 more edges keep
+    ceil(m / n) at 2, below the degree n - 1 >= 5 of vertex 0."""
+    n = draw(st.integers(min_value=6, max_value=12))
+    pairs = [(u, v) for u in range(1, n) for v in range(u + 1, n)]
+    more = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n - 1))
+    return WeightedGraph(n, [(0, v, 1) for v in range(1, n)] + [(u, v, 1) for u, v in more])
+
+
+@given(reducible_graphs(), st.sampled_from([None, 1, 2, 3]), st.integers(0, 3))
+def test_reduced_build_matches_set_oracle(g, D, seed):
+    assert needs_reduction(g)
+    _check_against_oracle(g, BuilderConfig(D=D, seed=seed))
+
+
+def _two_er_components_and_isolated_vertices() -> WeightedGraph:
+    a, b = erdos_renyi_m(12, 24, seed=1), erdos_renyi_m(10, 14, seed=11)
+    edges = [(u, v, 1) for u, v, _ in a.edges] + [(u + 12, v + 12, 1) for u, v, _ in b.edges]
+    return WeightedGraph(25, edges)
+
+
+def test_build_matches_set_oracle_on_fixed_graphs():
+    parts = _two_er_components_and_isolated_vertices()
+    assert (parts.degrees == 0).any() and (all_pairs(parts).matrix() < 0).any()
+    complete = WeightedGraph(8, [(u, v, 1) for u in range(8) for v in range(u + 1, 8)])
+    assert (np.bincount(reduce_degree(complete)[2]) > 1).all()  # every vertex splits
+    cases = [
+        (star_graph(9), None),
+        (parts, None),
+        (complete, None),
+        (SPARSE[0], 1),
+        (SPARSE[0], 2),
+        (REG[0], None),  # no reduction: the labeling is the stage labeling
+    ]
+    for g, D in cases:
+        _check_against_oracle(g, BuilderConfig(D=D, seed=3))
+
+
+def test_valid_reduced_build_constructs_no_stage_labeling(monkeypatch):
+    g, cfg = SPARSE
+    stage_n = reduce_degree(g)[0].n
+    sizes = []
+    init = HubLabeling.__init__
+
+    def counted(self, n, *args, **kwargs):
+        sizes.append(n)
+        init(self, n, *args, **kwargs)
+
+    monkeypatch.setattr(HubLabeling, "__init__", counted)
+    res = build_for_graph(g, cfg)
+    assert res.report.cover.valid and g.n in sizes
+    assert stage_n not in sizes
 
 
 def _min_plus_cover(dm, cfg, index):
