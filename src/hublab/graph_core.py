@@ -50,6 +50,13 @@ def segment_positions(starts, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(int(counts.sum()))
 
 
+def clear_lower(blk: np.ndarray, lo: int) -> None:
+    """Clear the entries (u, v), v <= u, of blk, the rows u = lo.. of a square matrix."""
+    hi = lo + blk.shape[0]
+    blk[:, :lo] = False
+    blk[:, lo:hi] = np.triu(blk[:, lo:hi], 1)
+
+
 class WeightedGraph:
     """Immutable undirected graph with nonnegative integer edge weights.
 
@@ -201,8 +208,8 @@ def read_graph(path) -> WeightedGraph:
 # distances_from and distance_between run one csgraph BFS, and all-pairs
 # searches one bit-parallel BFS from every source at once (_bfs_fronts),
 # unless the quotient's diameter, estimated by a double sweep, makes that BFS
-# dearer than Dijkstra (_bfs_pays).
-# shortest_path_hits takes the same two paths: hit bits carried along that
+# dearer than Dijkstra (_bfs_pays). shortest_path_hits takes the same two
+# paths, weighed with the diameter of all_pairs: hit bits carried along that
 # BFS, or propagated in distance bands over the distances of all_pairs.
 
 #: Total edge weight from which searches refuse to run, because a path length
@@ -255,22 +262,28 @@ def _search_matrix(g: WeightedGraph):
     return g._csr
 
 
-def _distances(g: WeightedGraph, src: int | None = None) -> np.ndarray:
-    """int64 distances from src, or all pairs of the zero-weight quotient
-    when src is None; -1 marks unreachable."""
+def _distances(g: WeightedGraph, src: int | None = None):
+    """int64 distances from src, -1 for unreachable; or, when src is None,
+    (q, diameter) of the zero-weight quotient, q as DenseDistanceMatrix.q."""
     if src is not None and not 0 <= src < g.n:
         raise ValueError(f"source {src} out of range")
     labels, mat = _search_matrix(g)
-    qsrc = src if labels is None or src is None else labels[src]
     if src is None and _bfs_pays(mat, _DIJKSTRA_OPS):
-        dist = _bfs_distances(mat)
-    elif src is not None and (mat.data == 1).all():
+        return _bfs_distances(mat)
+    qsrc = src if labels is None or src is None else labels[src]
+    if src is not None and (mat.data == 1).all():
         dist = _bfs_depths(mat, qsrc)
     else:
         dist = dijkstra(mat, directed=True, indices=qsrc)
-        dist[np.isinf(dist)] = -1
-        dist = dist.astype(np.int64)
-    return dist if labels is None or src is None else dist[labels]
+        far = np.isinf(dist)
+        dist[far] = 0
+        diameter = int(dist.max(initial=0))
+        q = dist.astype(np.min_scalar_type(diameter + 1))
+        q[far] = np.iinfo(q.dtype).max
+        if src is None:
+            return q, diameter
+        dist = _widen(q)
+    return dist if labels is None else dist[labels]
 
 
 def _bfs_depths(mat, src: int) -> np.ndarray:
@@ -300,7 +313,7 @@ _DIJKSTRA_OPS = 8
 _BAND_OPS = 16
 
 
-def _bfs_pays(mat, rival_ops: int) -> bool:
+def _bfs_pays(mat, rival_ops: int, levels: int | None = None) -> bool:
     """Whether the bit-parallel BFS should run on the CSR mat in place of a
     search that costs rival_ops word operations per source and per vertex or
     stored entry.
@@ -309,14 +322,15 @@ def _bfs_pays(mat, rival_ops: int) -> bool:
     largest diameter D; a level gathers each row of ceil(k / 64) words once
     per neighbour slot and a few more times besides, and once (at about four
     times the cost) per neighbour past the slots. On long paths that
-    D k^2 / 64 outgrows the rival's k (k + nnz)."""
+    D k^2 / 64 outgrows the rival's k (k + nnz). levels is D + 1 where the
+    caller knows D, and comes from _diameter_estimate otherwise."""
     if not (mat.data == 1).all():
         return False
     k = mat.shape[0]
     deg = np.diff(mat.indptr)
     slots = min(int(deg.max(initial=0)), _SLOTS)
     rows = (k + 1) * (slots + 3) + 4 * int(np.maximum(deg - _SLOTS, 0).sum())
-    levels = _diameter_estimate(mat) + 1
+    levels = levels or _diameter_estimate(mat) + 1
     return levels * ((k + 63) // 64) * rows <= rival_ops * k * (k + mat.nnz)
 
 
@@ -413,26 +427,29 @@ def _bfs_fronts(k: int, spread: _NeighbourOr):
         level += 1
 
 
-def _bfs_distances(mat) -> np.ndarray:
-    """All-pairs int64 distances of the unit-weight CSR mat, -1 for
-    unreachable. Each level ors its front into the bit planes of its number,
-    so only the planes are unpacked, once each. Off the diagonal, distance 0
-    can only mean unreachable, as every weight is 1."""
+def _bfs_distances(mat):
+    """(q, diameter) of the unit-weight CSR mat. Each level ors its front into
+    the bit planes of its number, so only the planes are unpacked, once
+    each, into q, which starts at its maximum where no front reached."""
     k = mat.shape[0]
     planes = []  # planes[p] holds bit p of every distance
-    for level, front in _bfs_fronts(k, _NeighbourOr(mat)):
-        if level >> len(planes):
+    reached = np.zeros((k + 1, (k + 63) // 64), dtype=_WORD)
+    diameter = 0
+    for diameter, front in _bfs_fronts(k, _NeighbourOr(mat)):
+        reached |= front
+        if diameter >> len(planes):
             planes.append(np.zeros_like(front))
         for p, plane in enumerate(planes):
-            if level >> p & 1:
+            if diameter >> p & 1:
                 plane |= front
-    acc = np.zeros((k, k), dtype=np.min_scalar_type((1 << len(planes)) - 1))
+    dtype = np.min_scalar_type(diameter + 1)
+    q = _unpack(~reached, k).view(np.uint8).astype(dtype, copy=False)
+    np.negative(q, out=q)  # 1 -> the maximum
     for p, plane in enumerate(planes):
-        acc |= _unpack(plane, k).astype(acc.dtype) << p
-    dist = acc.astype(np.int64)
-    dist[acc == 0] = -1
-    np.fill_diagonal(dist, 0)
-    return dist
+        bits = _unpack(plane, k).view(np.uint8).astype(dtype, copy=False)
+        bits <<= p
+        q |= bits
+    return q, diameter
 
 
 def _unpack(rows: np.ndarray, k: int) -> np.ndarray:
@@ -477,15 +494,17 @@ def _check_pair_cap(n: int) -> None:
 
 
 class DenseDistanceMatrix:
-    """All-pairs distances of `graph`, -1 for unreachable, held on its
-    zero-weight quotient: q is the k x k int64 matrix of the components,
-    labels[v] the component of vertex v and size[c] the vertex count of
-    component c. Members of one component share their distance row, so rows,
-    at and expand read the vertex matrix through labels, and no n x n copy of
-    it is held. Without zero weights q is the vertex matrix, labels is None
-    and every size is 1."""
+    """All-pairs distances of `graph`, held on its zero-weight quotient: q is
+    the k x k matrix of the components in the narrowest unsigned dtype whose
+    maximum, far, marks unreachable pairs and exceeds every distance;
+    labels[v] is the component of vertex v and size[c] the vertex count of
+    component c. Members of one component share their distance row, so
+    rows, at and expand read the vertex matrix through labels, and no n x n
+    copy of it is held; rows, at and matrix return int64, -1 for unreachable.
+    Without zero weights q is the vertex matrix, labels is None and every
+    size is 1."""
 
-    __slots__ = ("n", "graph", "q", "labels", "size", "_diameter")
+    __slots__ = ("n", "graph", "q", "far", "labels", "size", "_diameter")
 
     def __init__(self, q: np.ndarray, graph: WeightedGraph):
         _check_pair_cap(graph.n)  # consumers allocate n-wide rows
@@ -493,27 +512,24 @@ class DenseDistanceMatrix:
         self.size = np.broadcast_to(np.int64(1), graph.n)  # read-only, allocates nothing
         if self.labels is not None:
             self.size = np.bincount(self.labels)
-        if q.shape != (self.size.size,) * 2:
-            raise ValueError(f"{q.shape} matrix for a quotient of {self.size.size} vertices")
-        q = q.astype(np.int64, copy=False)
+        if q.shape != (self.size.size,) * 2 or q.dtype.kind != "u":
+            raise ValueError(f"{q.shape} {q.dtype} matrix; want {self.size.size}-square unsigned")
         q.flags.writeable = False
         self.q = q
-        self.n = graph.n
-        self.graph = graph
-        self._diameter = None
+        self.far = int(np.iinfo(q.dtype).max)
+        self.n, self.graph, self._diameter = graph.n, graph, None
 
     def rows(self, idx) -> np.ndarray:
-        """The distance rows of the vertices idx: an index, a slice or an
-        array. Without zero weights a slice is a view."""
+        """The distance rows of the vertices idx: an index, a slice or an array."""
         if self.labels is None:
-            return self.q[idx]
-        return self.q[self.labels[idx]].take(self.labels, -1)
+            return _widen(self.q[idx])
+        return _widen(self.q[self.labels[idx]].take(self.labels, -1))
 
     def at(self, u, v):
         """d(u, v), elementwise over vertex indices or arrays u and v."""
-        if self.labels is None:
-            return self.q[u, v]
-        return self.q[self.labels[u], self.labels[v]]
+        if self.labels is not None:
+            u, v = self.labels[u], self.labels[v]
+        return _widen(self.q.reshape(-1).take(np.asarray(u, dtype=np.int64) * len(self.q) + v))
 
     def expand(self, a: np.ndarray) -> np.ndarray:
         """a, indexed by component on every axis, gathered back to vertices.
@@ -524,16 +540,19 @@ class DenseDistanceMatrix:
         return a if a.ndim == 1 else a.take(self.labels, 1)
 
     def matrix(self) -> np.ndarray:
-        """The whole n x n vertex matrix; a new one on every call where the
-        graph has zero weights."""
-        return self.expand(self.q)
+        """The whole n x n vertex matrix, a new one on every call."""
+        return self.rows(slice(None))
 
     def diameter(self) -> int:
-        """Largest finite distance; unreachable pairs hold -1. The matrix is
-        read-only, so it is scanned once."""
+        """Largest finite distance: from the search in all_pairs, else one scan."""
         if self._diameter is None:
-            self._diameter = int(self.q.max(initial=0))
+            self._diameter = max(int(np.add(self.q, 1, dtype=self.q.dtype).max(initial=0)) - 1, 0)
         return self._diameter
+
+
+def _widen(a) -> np.ndarray:
+    """Values read from a q as int64, its maximum as -1: that + 1 wraps to 0."""
+    return np.subtract(np.add(a, 1, dtype=a.dtype), 1, dtype=np.int64)
 
 
 def all_pairs(g: WeightedGraph) -> DenseDistanceMatrix:
@@ -544,7 +563,10 @@ def all_pairs(g: WeightedGraph) -> DenseDistanceMatrix:
     ValueError when the total edge weight reaches WEIGHT_LIMIT.
     """
     _check_pair_cap(g.n)
-    return DenseDistanceMatrix(_distances(g), g)
+    q, diameter = _distances(g)
+    dm = DenseDistanceMatrix(q, g)
+    dm._diameter = diameter
+    return dm
 
 
 #: Sources per block of _band_hits; bounds its temporaries to a few arrays of
@@ -575,7 +597,7 @@ def shortest_path_hits(dm: DenseDistanceMatrix, mask) -> np.ndarray:
         mask = np.bincount(dm.labels[mask], minlength=mat.shape[0]) > 0
     if not mask.any():
         return np.zeros((dm.n, dm.n), dtype=bool)
-    if _bfs_pays(mat, _BAND_OPS):
+    if _bfs_pays(mat, _BAND_OPS, dm.diameter() + 1):
         hit = _bfs_hits(mat, mask)
     else:
         hit = _band_hits(mat, dm.q, mask)
@@ -606,17 +628,18 @@ def _bfs_hits(mat, mask) -> np.ndarray:
 
 def _band_hits(mat, dist: np.ndarray, mask) -> np.ndarray:
     """shortest_path_hits on the CSR mat, whose weights are positive, with
-    its all-pairs distances dist.
+    its all-pairs distances dist, coded as DenseDistanceMatrix.q.
 
-    Rows are independent and run in blocks of _HIT_BLOCK sources. Inside a
-    block the pending pairs are taken in bands of d(u,v) // wmin, wmin the
-    least weight, so every tight in-edge leaves an earlier band."""
+    Rows are independent and run in blocks of _HIT_BLOCK sources, widened to
+    int64 block by block. Inside a block the pending pairs are taken in bands
+    of d(u,v) // wmin, wmin the least weight, so every tight in-edge leaves
+    an earlier band, from a vertex the source reaches."""
     k = mat.shape[0]
     indptr, e_src, e_w = mat.indptr.astype(np.int64), mat.indices, mat.data.astype(np.int64)
     wmin = int(e_w.min()) if e_w.size else 1
     hit = np.zeros((k, k), dtype=bool)
     for lo in range(0, k, _HIT_BLOCK):
-        d = dist[lo : lo + _HIT_BLOCK]
+        d = _widen(dist[lo : lo + _HIT_BLOCK])
         reach = d >= 0
         h = hit[lo : lo + _HIT_BLOCK]
         # Seeds: v in the mask, and whole rows of sources in the mask (those

@@ -15,6 +15,7 @@ from .graph_core import (
     GraphFormatError,
     UnreachablePairError,
     canonical_trees,
+    clear_lower,
     segment_positions,
     shortest_path_hits,
 )
@@ -23,8 +24,8 @@ _I64_MAX = int(np.iinfo(np.int64).max)
 _NO_SUM = np.uint64(np.iinfo(np.uint64).max)
 #: Rows per block of the verifier's n x n passes.
 _ROWS = 256
-#: Label entries per chunk of the verifier's entry pass, and joined entry
-#: pairs per step of its join (one entry's pairs may exceed it).
+#: Joined entry pairs per step of the verifier's join (one entry's pairs may
+#: exceed it).
 _CHUNK = 1 << 15
 #: Uncovered pairs a CoverReport lists; uncovered_total counts them all.
 _LISTED = 1000
@@ -51,12 +52,11 @@ class HubLabeling:
         without a copy and made read-only."""
         n = int(n)
         owner, hub, dist = (np.asarray(a, dtype=np.int64) for a in (owner, hub, dist))
-        fault = (hub < 0) | (hub >= n) | (dist < 0)
-        key = owner * n + hub
-        if fault.any() or not bool((key[1:] > key[:-1]).all()) or not (
-            owner.size == 0 or 0 <= owner[0] <= owner[-1] < n
-        ):
-            fault |= (owner < 0) | (owner >= n)
+        ascending = owner.size == 0 or 0 <= owner[0] <= owner[-1] < n
+        ascending = ascending and bool((owner[1:] >= owner[:-1]).all())
+        sizes = np.bincount(owner, minlength=n) if ascending else None
+        if sizes is None or not _clean_rows(sizes, hub, dist):
+            fault = (owner < 0) | (owner >= n) | (hub < 0) | (hub >= n) | (dist < 0)
             order = np.lexsort((hub, owner))
             owner, hub, dist, fault = owner[order], hub[order], dist[order], fault[order]
             first = np.ones(order.size, dtype=bool)
@@ -74,14 +74,30 @@ class HubLabeling:
                     raise ValueError(f"vertex {v}: negative stored distance")
                 raise ValueError(f"vertex {v}: conflicting distances for hub {h}")
             owner, hub, dist = owner[first], hub[first], dist[first]
-        elif dist.base is not None:
-            dist = dist.copy()  # a view of the caller's memory
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owner, minlength=n), out=offsets[1:])
-        self.n = n
-        self.offsets, self.hub, self.dist = offsets, hub.astype(np.int32), dist
+            sizes = np.bincount(owner, minlength=n)
+        self._keep(sizes, hub, dist)
+
+    @classmethod
+    def from_rows(cls, sizes, hub, dist) -> "HubLabeling":
+        """HubLabeling(len(sizes), np.repeat(np.arange(len(sizes)), sizes), hub,
+        dist), messages included, with no owner array where every row's hubs
+        strictly increase; owned int32 hub and int64 dist arrays are kept."""
+        sizes = np.asarray(sizes, dtype=np.int64)
+        hub, dist = np.asarray(hub), np.asarray(dist, dtype=np.int64)
+        if (sizes < 0).any() or int(sizes.sum()) != hub.size or hub.size != dist.size:
+            raise ValueError(f"row sizes sum to {int(sizes.sum())} for {hub.size} entries")
+        if not _clean_rows(sizes, hub, dist):
+            return cls(sizes.size, np.repeat(np.arange(sizes.size), sizes), hub, dist)
+        return cls.__new__(cls)._keep(sizes, hub, dist)
+
+    def _keep(self, sizes: np.ndarray, hub: np.ndarray, dist: np.ndarray) -> "HubLabeling":
+        self.n = sizes.size
+        self.offsets = np.concatenate([[0], np.cumsum(sizes)])
+        hub = hub.astype(np.int32, copy=False)  # below, no view of the caller's memory is kept
+        self.hub, self.dist = (a if a.base is None else a.copy() for a in (hub, dist))
         for a in (self.offsets, self.hub, self.dist):
             a.flags.writeable = False
+        return self
 
     def _span(self, v: int) -> tuple[int, int]:
         v = range(self.n)[v]
@@ -119,6 +135,15 @@ class HubLabeling:
 
     def __repr__(self) -> str:
         return f"HubLabeling(n={self.n}, total={self.total_size})"
+
+
+def _clean_rows(sizes: np.ndarray, hub: np.ndarray, dist: np.ndarray) -> bool:
+    """Whether rows of the given sizes hold hubs in range, each row's
+    strictly increasing, and nonnegative distances."""
+    rise, starts = hub[1:] > hub[:-1], np.cumsum(sizes[:-1])
+    rise[starts[(starts > 0) & (starts < hub.size)] - 1] = True  # a row may start lower
+    return bool(rise.all() and 0 <= hub.min(initial=0) and hub.max(initial=-1) < sizes.size
+                and dist.min(initial=0) >= 0)
 
 
 class _Rows(Sequence):
@@ -201,10 +226,10 @@ def verify_cover(hl: HubLabeling, dm) -> CoverReport:
     m(u,v) over the remaining common hubs, _I64_MAX where there is none. That
     is O(sum of c_w**2) pairs for c_w such entries of hub w, none of them
     sorted, and a step expands at most max(_CHUNK, one entry's pairs). A pair
-    is uncovered iff m < d where the core hits it and m != d where it does
-    not. A stored distance above the diameter can neither equal nor undercut
-    any d(u,v), so the join reads those at diameter + 1, and its sums stay far
-    inside int64.
+    the core hits starts at m = d, which its query attains through the core;
+    so a reachable pair is uncovered iff m != d. A stored distance above the
+    diameter can neither equal nor undercut any d(u,v), so the join reads
+    those at diameter + 1, and its sums stay far inside int64.
     """
     n = hl.n
     if n != dm.n:
@@ -223,7 +248,7 @@ def verify_cover(hl: HubLabeling, dm) -> CoverReport:
     total_bad = 0
     for lo in range(0, n, _ROWS):
         d = dm.rows(slice(lo, lo + _ROWS))
-        m = np.full(d.shape, _I64_MAX, dtype=np.int64)
+        m = np.where(hit[lo : lo + _ROWS], d, _I64_MAX)
         a, last = np.searchsorted(owner, [lo, lo + _ROWS])
         while a < last:
             b = np.searchsorted(ends, ends[a] - later[a] + _CHUNK, side="right")
@@ -233,8 +258,8 @@ def verify_cover(hl: HubLabeling, dm) -> CoverReport:
             sums = stored[left] + stored[right]
             np.minimum.at(m.reshape(-1), (owner[left] - lo) * n + owner[right], sums)
             a = b
-        # v > u: the columns past the diagonal of row u = lo + i
-        bad = np.triu(np.where(hit[lo : lo + _ROWS], m < d, m != d) & (d >= 0), lo + 1)
+        bad = (m != d) & (d >= 0)
+        clear_lower(bad, lo)  # v > u
         total_bad += int(np.count_nonzero(bad))
         u, v = np.divmod(np.flatnonzero(bad)[: _LISTED - len(uncovered)], n)
         uncovered += zip((u + lo).tolist(), v.tolist())
@@ -253,28 +278,25 @@ def _split_entries(hl: HubLabeling, dm):
     """(core, owner, hub, stored): the core hubs as a bool mask and the
     entries that are not exact entries of a core hub.
 
-    The entries, with owners read off the offsets, are compared with dm in
-    chunks of _CHUNK, so no temporary but two masks grows with n.
+    Each block of _ROWS owners compares its entries with its own distance
+    rows, so no temporary but two masks outgrows a block.
     """
     n = hl.n
-    hub, stored = hl.hub, hl.dist
-    reach = np.zeros(n, dtype=np.int64)
-    for lo in range(0, n, _ROWS):
-        reach[lo : lo + _ROWS] = np.count_nonzero(dm.rows(slice(lo, lo + _ROWS)) >= 0, axis=1)
+    hub, stored, offsets = hl.hub, hl.dist, hl.offsets
+    reach, held = np.zeros((2, n), dtype=np.int64)
     exact = np.zeros(hub.size, dtype=bool)
-    held = np.zeros(n, dtype=np.int64)
-    for a in range(0, hub.size, _CHUNK):
-        c = slice(a, a + _CHUNK)
-        b = min(a + _CHUNK, hub.size)
-        # the rows lo - 1 .. hi - 1 hold the entries a .. b - 1
-        lo, hi = np.searchsorted(hl.offsets, [a, b - 1], side="right")
-        owner = np.repeat(np.arange(lo - 1, hi), np.diff(np.clip(hl.offsets[lo - 1 : hi + 1], a, b)))
-        true = dm.at(owner, hub[c])
-        exact[c] = (true >= 0) & (true == stored[c])
-        held += np.bincount(hub[c][exact[c]], minlength=n)
+    for lo in range(0, n, _ROWS):
+        hi = min(lo + _ROWS, n)
+        d = dm.rows(slice(lo, hi))
+        reach[lo:hi] = np.count_nonzero(d >= 0, axis=1)
+        a, b = offsets[lo], offsets[hi]
+        at = np.repeat(np.arange(hi - lo) * n, np.diff(offsets[lo : hi + 1])) + hub[a:b]
+        # stored distances are nonnegative, so a match is a reachable hub
+        exact[a:b] = d.reshape(-1).take(at) == stored[a:b]
+        held += np.bincount(hub[a:b][exact[a:b]], minlength=n)
     core = held == reach
     rest = np.flatnonzero(~(exact & core[hub]))
-    return core, np.searchsorted(hl.offsets, rest, side="right") - 1, hub[rest], stored[rest]
+    return core, np.searchsorted(offsets, rest, side="right") - 1, hub[rest], stored[rest]
 
 
 def monotone_closure(hl: HubLabeling, dm) -> HubLabeling:
@@ -435,10 +457,10 @@ def _read_canonical(data: bytes) -> HubLabeling | None:
 
     In blocks of whole lines of about _READ_BYTES, the numbers are parsed as
     the line parser parses them, a row ends at each newline and holds one
-    entry per "(", and its first number is its vertex id. The labeling is
-    accepted only if it renders back to data."""
+    entry per "(", and its first number is its vertex id. The labeling, with
+    int32 hubs, is accepted only if it renders back to data."""
     total = data.count(b"(")
-    hub = np.empty(total, dtype=np.int64)
+    hub = np.empty(total, dtype=np.int32)
     dist = np.empty(total, dtype=np.int64)
     sizes = [np.zeros(0, dtype=np.int64)]
     a = lo = 0
@@ -460,9 +482,8 @@ def _read_canonical(data: bytes) -> HubLabeling | None:
         a, lo = b, hi
     if a != total:
         return None
-    size = np.concatenate(sizes)
     try:
-        hl = HubLabeling(size.size, np.repeat(np.arange(size.size), size), hub, dist)
+        hl = HubLabeling.from_rows(np.concatenate(sizes), hub, dist)
     except ValueError:
         return None
     at = 0

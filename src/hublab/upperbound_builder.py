@@ -20,6 +20,7 @@ from .graph_core import (
     DenseDistanceMatrix,
     WeightedGraph,
     all_pairs,
+    clear_lower,
     segment_positions,
     shortest_path_hits,
 )
@@ -168,13 +169,13 @@ def build_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
     rows = max(1, _SCAN // max(k, 1))
     for lo in range(0, k, rows):
         hi = min(lo + rows, k)
-        # big: the pairs u < v beyond r, of the rows lo..hi-1
-        np.greater(mat[lo:hi], r, out=big[lo:hi])
-        _upper(big[lo:hi], lo)
-        # the ball entries (u, x), 0 <= d(u, x) <= r, in ascending order; -1 wraps above r
-        bu, bx = np.divmod(np.flatnonzero(mat[lo:hi].view(np.uint64) <= r), k)
+        # big: the reachable pairs u < v beyond r, of the rows lo..hi-1
+        np.logical_and(mat[lo:hi] > r, mat[lo:hi] != dm.far, out=big[lo:hi])
+        clear_lower(big[lo:hi], lo)
+        # the ball entries (u, x), 0 <= d(u, x) <= r, in ascending order; no distance reaches far
+        bu, bx = np.divmod(np.flatnonzero(mat[lo:hi] <= min(r, dm.far - 1)), k)
         bu += lo
-        bd = flat[bu * k + bx]
+        bd = flat[bu * k + bx].astype(np.int64)
         ptr = np.searchsorted(bu, np.arange(lo, hi + 1))
         close = np.flatnonzero(bx + multi[bu] > bu)  # u < v, or u = v of two or more vertices
         cptr = np.searchsorted(bu[close], np.arange(lo, hi + 1))
@@ -191,7 +192,8 @@ def build_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
             ball = ptr[u - lo + 1] - ptr[u - lo]
             at = segment_positions(ptr[u - lo], ball)
             # d(u, x) + d(x, v) == d(u, v), reading d(v, x) along row v
-            gap = flat[np.repeat(v * k, ball) + bx[at]] + bd[at] - np.repeat(d, ball)
+            dvx = flat[np.repeat(v * k, ball) + bx[at]].astype(np.int64)
+            gap = dvx + bd[at] - np.repeat(d, ball)
             hit = np.flatnonzero(gap == 0)
             of = np.repeat(np.arange(pair.size), ball).take(hit)
             x = bx.take(at.take(hit))
@@ -216,14 +218,6 @@ def build_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
     return PairIndex(n, D, small, small_dist, cand_ptr, cand, forced, big)
 
 
-def _upper(blk: np.ndarray, lo: int) -> None:
-    """Clear the entries (u, v), v <= u, of blk, the rows lo.. of a square
-    matrix."""
-    hi = lo + blk.shape[0]
-    blk[:, :lo] = False
-    blk[:, lo:hi] = np.triu(blk[:, lo:hi], 1)
-
-
 def _expand_big(dm, big: np.ndarray) -> np.ndarray:
     """big of build_pair_index, the upper triangle of the quotient's, on the
     vertices: in blocks of rows, with no n x n temporary."""
@@ -233,7 +227,7 @@ def _expand_big(dm, big: np.ndarray) -> np.ndarray:
     rows = max(1, _SCAN // n)
     for lo in range(0, n, rows):
         np.take(sym.take(labels[lo : lo + rows], 0), labels, 1, out=out[lo : lo + rows])
-        _upper(out[lo : lo + rows], lo)
+        clear_lower(out[lo : lo + rows], lo)
     return out
 
 
@@ -318,7 +312,7 @@ def _sample_colors(dm, cfg: BuilderConfig, index: PairIndex):
     if D == 1:
         # One color: every candidate set of two or more vertices conflicts, so
         # every reachable pair is stored outright.
-        return np.ones(n, dtype=np.int64), np.argwhere(np.triu(dm.rows(slice(None)) >= 0, 1)), 1
+        return np.ones(n, dtype=np.int64), np.argwhere(np.triu(dm.expand(dm.q != dm.far), 1)), 1
 
     def draw(rng):
         colors = rng.integers(1, D**3 + 1, size=n)
@@ -527,28 +521,30 @@ def assemble(S, Q, R, F, g: WeightedGraph, dm) -> HubLabeling:
 
 def _assemble(S, extra, dm) -> HubLabeling:
     """Row v of the labeling: the columns S and v's hubs in the (owner, hub)
-    rows extra, each kept where v reaches it in dm, with distances from dm."""
+    rows extra, each kept where v reaches it in dm, with distances from dm:
+    the member mask of a block of rows, read in order, is the next CSR rows."""
     n = dm.n
     own_v, own_h = extra[np.argsort(extra[:, 0], kind="stable")].T
-    owners, hubs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    sizes, hubs, dists = ([np.zeros(0, dtype=t)] for t in (np.int64, np.int32, np.int64))
     for lo in range(0, n, _ASSEMBLE_ROWS):
         hi = min(lo + _ASSEMBLE_ROWS, n)
+        d = dm.rows(slice(lo, hi))
         member = np.zeros((hi - lo, n), dtype=bool)
         member[:, S] = True
         a, b = np.searchsorted(own_v, [lo, hi])
         member[own_v[a:b] - lo, own_h[a:b]] = True
-        member &= dm.rows(slice(lo, hi)) >= 0
-        rows, cols = np.nonzero(member)
-        owners.append(rows + lo)
-        hubs.append(cols)
-    owner, hub = np.concatenate(owners), np.concatenate(hubs)
-    return HubLabeling(n, owner, hub, dm.at(owner, hub))
+        member &= d >= 0
+        sizes.append(np.count_nonzero(member, axis=1))
+        at = np.flatnonzero(member)
+        hubs.append((at % n).astype(np.int32))
+        dists.append(d.reshape(-1).take(at))
+    return HubLabeling.from_rows(*map(np.concatenate, (sizes, hubs, dists)))
 
 
 def _stage_total(S, extra, stage_dm) -> int:
     """total_size of _assemble(S, extra, stage_dm) for distinct rows extra, without
     building it: the S vertices each row reaches, plus the reachable extras outside S."""
-    comp = (stage_dm.q >= 0).argmax(1)  # the lowest vertex of each row's connected component
+    comp = (stage_dm.q != stage_dm.far).argmax(1)  # the lowest vertex of each row's component
     outside = ~np.isin(extra[:, 1], S) & (stage_dm.at(*extra.T) >= 0)
     in_reach = np.bincount(comp[stage_dm.labels[S]], minlength=comp.size)[comp]
     return int(stage_dm.size @ in_reach + np.count_nonzero(outside))

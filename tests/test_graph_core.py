@@ -18,7 +18,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hublab.corpus import erdos_renyi_m, grid_graph, random_regular_graph, star_graph
+from hublab.corpus import erdos_renyi_m, grid_graph, path_graph, random_regular_graph, star_graph
 from hublab.family_gen import FamilyParams, build_H
 from hublab.graph_core import (
     UNREACHABLE,
@@ -723,7 +723,6 @@ def test_unit_distances_from_runs_one_bfs(monkeypatch):
     """distances_from on unit quotients reads depths off one BFS order: on
     two components, on a 1200-vertex path (depth 1199) and on G(2,2)."""
     import hublab.graph_core as graph_core
-    from hublab.corpus import path_graph
     from hublab.family_gen import expand_to_G
 
     monkeypatch.setattr(graph_core, "dijkstra", _refuse)
@@ -841,16 +840,62 @@ def test_quotient_rows_and_expand_round_trip(g):
     assert (dm.at(u, v) == want[u, v]).all() and dm.at(0, g.n - 1) == want[0, -1]
     with pytest.raises(ValueError):
         DenseDistanceMatrix(np.zeros((k + 1, k + 1)), g)
+    with pytest.raises(ValueError, match="int64 matrix; want .*unsigned"):
+        DenseDistanceMatrix(np.zeros((k, k), dtype=np.int64), g)
+    coded = np.where(want < 0, dm.far, want)  # q's code of the vertex matrix
     if not g.has_zero_weights:
         assert dm.labels is None and (dm.size == 1).all()
-        assert mat is dm.q and dm.expand(want) is want
-        assert dm.rows(slice(1, None)).base is dm.q  # a view
+        assert (dm.q == coded).all() and dm.expand(want) is want
+        assert not np.shares_memory(mat, dm.q) and dm.rows(slice(1, None)).dtype == np.int64
         return
     assert dm.size.tolist() == np.bincount(dm.labels).tolist()
     # the quotient is the matrix at the lowest member of each component
     rep = np.unique(dm.labels, return_index=True)[1]
-    assert (want[np.ix_(rep, rep)] == dm.q).all()
-    for a, whole in ((dm.q, want), (dm.q >= 0, want >= 0)):
+    assert (coded[np.ix_(rep, rep)] == dm.q).all()
+    for a, whole in ((dm.q, coded), (dm.q != dm.far, want >= 0)):
         back = dm.expand(a)
         assert back.dtype == a.dtype and back.flags.c_contiguous and (back == whole).all()
-    assert (dm.expand(dm.q[0]) == want[rep[0]]).all()
+    assert (dm.expand(dm.q[0]) == coded[rep[0]]).all()
+
+
+def _with_isolated_vertex(g):
+    return WeightedGraph(g.n + 1, g.edges)
+
+
+@pytest.mark.parametrize(
+    "g, dtype",
+    [
+        (_with_isolated_vertex(path_graph(255)), np.uint8),  # diameter 254
+        (_with_isolated_vertex(path_graph(256)), np.uint16),  # diameter 255
+        (WeightedGraph(3, [(0, 1, 70_000)]), np.uint32),
+        (WeightedGraph(3, [(0, 1, WEIGHT_LIMIT - 1)]), np.uint64),
+        (WeightedGraph(4, [(0, 1, 0), (1, 2, 1)]), np.uint8),  # a zero weight
+    ],
+    ids=["uint8", "uint16", "uint32", "uint64", "uint8-zero-weight"],
+)
+def test_quotient_dtype_boundaries_and_unreachable_pairs(g, dtype):
+    dm = all_pairs(g)
+    want = np.array([distances_from(g, s) for s in range(g.n)])
+    far = g.n - 1  # the last vertex reaches no other
+    assert dm.q.dtype == dtype and dm.far == np.iinfo(dtype).max
+    assert dm.diameter() == want.max() and (dm.q[-1, :-1] == dm.far).all()
+    assert (dm.matrix() == want).all() and dm.matrix()[0, far] == -1
+    assert (dm.rows(far)[:far] == -1).all() and (dm.rows([0, far]) == want[[0, far]]).all()
+    u, v = np.divmod(np.arange(g.n * g.n), g.n)
+    assert (dm.at(u, v) == want[u, v]).all() and dm.at(far, 0) == -1 == dm.at(0, far)
+    assert dm.rows(far).dtype == dm.at(u, v).dtype == np.int64
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(max_n=9, min_weight=0, max_weight=300))
+def test_quotient_dtype_is_the_narrowest_that_fits(g):
+    dm = all_pairs(g)
+    mat = dm.matrix()
+    diameter = int(mat.max(initial=0))
+    assert dm.diameter() == diameter
+    # the diameter a matrix made from the same q scans for
+    assert DenseDistanceMatrix(dm.q, g).diameter() == diameter
+    codes = [np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)]
+    fits = [t for t in codes if np.iinfo(t).max > diameter]
+    assert dm.q.dtype == fits[0]
+    assert (dm.expand(dm.q == dm.far) == (mat < 0)).all()

@@ -103,6 +103,67 @@ def test_constructor_matches_tuple_normaliser(case):
     assert [hl.size(v) for v in range(n)] == [len(r) for r in want]
 
 
+def _row_arrays(n, rows):
+    """(sizes, hub, dist) of from_rows for one list of (hub, distance) pairs
+    per vertex."""
+    sizes = np.array([len(row) for row in rows], dtype=np.int64)
+    entries = np.array([e for row in rows for e in row], dtype=np.int64).reshape(-1, 2)
+    return sizes, entries[:, 0], entries[:, 1]
+
+
+# rows strictly increasing in hub: what from_rows keeps without the entry path
+SORTED_ROWS = valid_rows().map(lambda case: (case[0], oracle_label_rows(*case)))
+
+
+@settings(max_examples=300)
+@given(st.one_of(valid_rows(), SORTED_ROWS, faulty_rows()))
+def test_from_rows_matches_entry_constructor(case):
+    n, rows = case
+    sizes, hub, dist = _row_arrays(n, rows)
+    try:
+        want = HubLabeling(n, np.repeat(np.arange(n), sizes), hub, dist)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            HubLabeling.from_rows(sizes, hub, dist)
+        assert str(got.value) == str(exc)
+        return
+    got = HubLabeling.from_rows(sizes, hub, dist)
+    assert got == want and got.hub.dtype == np.int32 and got.dist.dtype == np.int64
+    assert not (got.offsets.flags.writeable or got.hub.flags.writeable or got.dist.flags.writeable)
+
+
+@pytest.mark.parametrize(
+    "sizes, hub, dist, message",
+    [
+        ([2, 1], [0, 2, 0], [0, 1, 0], "vertex 0: hub 2 out of range"),
+        ([1, 1], [0, -1], [0, 0], "vertex 1: hub -1 out of range"),
+        ([1, 1], [0, 1], [0, -3], "vertex 1: negative stored distance"),
+        ([2, 0], [1, 1], [4, 5], "vertex 0: conflicting distances for hub 1"),
+        # the first fault in the given order, not in row order after sorting
+        ([3, 1], [1, 0, 0, 9], [0, 2, 3, 0], "vertex 0: conflicting distances for hub 0"),
+        ([3, 1], [1, 9, 1, 0], [0, 2, 3, 0], "vertex 0: hub 9 out of range"),
+    ],
+)
+def test_from_rows_faults_give_the_entry_constructors_message(sizes, hub, dist, message):
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    for build in (lambda: HubLabeling.from_rows(sizes, hub, dist), lambda: HubLabeling(len(sizes), owner, hub, dist)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+
+def test_from_rows_keeps_owned_arrays_and_copies_views():
+    hub, dist = np.array([0, 1, 1], dtype=np.int32), np.array([0, 1, 0])
+    hl = HubLabeling.from_rows([2, 1], hub, dist)
+    assert hl.hub is hub and hl.dist is dist and not dist.flags.writeable
+    hubs, base = np.array([0, 1, 1, 5], dtype=np.int32), np.array([0, 1, 0, 7])
+    hl = HubLabeling.from_rows(np.array([2, 1]), hubs[:3], base[:3])
+    assert hl.hub.base is None and hl.dist.base is None and base.flags.writeable
+    assert hl.entries(0) == ((0, 0), (1, 1)) and hl.entries(1) == ((1, 0),)
+    with pytest.raises(ValueError, match="^row sizes sum to 2 for 3 entries$"):
+        HubLabeling.from_rows([1, 1], hub, dist)
+    assert HubLabeling.from_rows([], [], []) == HubLabeling(0, [], [], [])
+
+
 @given(valid_rows())
 def test_query_matches_merge_oracle(case):
     n, rows = case
@@ -412,6 +473,18 @@ def test_label_file_rejects_numbers_beyond_int64(tmp_path):
             read_labels(path)
     path.write_text(f"0: (0,0)\n1: (1,{2**63 - 1})\n")
     assert read_labels(path).entries(1) == ((1, 2**63 - 1),)
+
+
+def test_canonical_reader_refuses_hubs_that_wrap_in_int32(tmp_path, monkeypatch):
+    # 2**32 + 1 wraps to hub 1 in the reader's int32 array; the render check
+    # refuses that reading, and the line parser reports the hub itself.
+    path = tmp_path / "wrap.txt"
+    path.write_text(f"0: (0,0) ({2**32 + 1},1)\n1: (1,0)\n")
+    parsed, line_parser = [], hub_labeling._read_lines
+    monkeypatch.setattr(hub_labeling, "_read_lines", lambda p: parsed.append(p) or line_parser(p))
+    with pytest.raises(ValueError, match=f"^vertex 0: hub {2**32 + 1} out of range$"):
+        read_labels(path)
+    assert parsed == [path]
 
 
 # Bodies of one label line and the entries they parse to; None marks a body

@@ -831,13 +831,18 @@ def test_valid_reduced_build_constructs_no_stage_labeling(monkeypatch):
     g, cfg = SPARSE
     stage_n = reduce_degree(g)[0].n
     sizes = []
-    init = HubLabeling.__init__
+    init, from_rows = HubLabeling.__init__, HubLabeling.from_rows.__func__
 
     def counted(self, n, *args, **kwargs):
         sizes.append(n)
         init(self, n, *args, **kwargs)
 
+    def counted_rows(cls, row_sizes, *args):
+        sizes.append(len(row_sizes))
+        return from_rows(cls, row_sizes, *args)
+
     monkeypatch.setattr(HubLabeling, "__init__", counted)
+    monkeypatch.setattr(HubLabeling, "from_rows", classmethod(counted_rows))
     res = build_for_graph(g, cfg)
     assert res.report.cover.valid and g.n in sizes
     assert stage_n not in sizes
