@@ -521,9 +521,11 @@ class DenseDistanceMatrix:
 
     def rows(self, idx) -> np.ndarray:
         """The distance rows of the vertices idx: an index, a slice or an array."""
-        if self.labels is None:
-            return _widen(self.q[idx])
-        return _widen(self.q[self.labels[idx]].take(self.labels, -1))
+        return _widen(self.q_rows(idx))
+
+    def q_rows(self, idx) -> np.ndarray:
+        """rows(idx) as q codes them; without zero weights a slice is a view of q."""
+        return self.q[idx] if self.labels is None else self.q[self.labels[idx]].take(self.labels, -1)
 
     def at(self, u, v):
         """d(u, v), elementwise over vertex indices or arrays u and v."""

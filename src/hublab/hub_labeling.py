@@ -23,10 +23,10 @@ from .graph_core import (
 _I64_MAX = int(np.iinfo(np.int64).max)
 _NO_SUM = np.uint64(np.iinfo(np.uint64).max)
 #: Rows per block of the verifier's n x n passes.
-_ROWS = 256
+_ROWS = 64
 #: Joined entry pairs per step of the verifier's join (one entry's pairs may
 #: exceed it).
-_CHUNK = 1 << 15
+_CHUNK = 1 << 13
 #: Uncovered pairs a CoverReport lists; uncovered_total counts them all.
 _LISTED = 1000
 
@@ -247,8 +247,9 @@ def verify_cover(hl: HubLabeling, dm) -> CoverReport:
     uncovered = []
     total_bad = 0
     for lo in range(0, n, _ROWS):
-        d = dm.rows(slice(lo, lo + _ROWS))
-        m = np.where(hit[lo : lo + _ROWS], d, _I64_MAX)
+        d = dm.q_rows(slice(lo, lo + _ROWS))
+        m = np.full(d.shape, _I64_MAX, dtype=np.int64)
+        np.copyto(m, d, casting="unsafe", where=hit[lo : lo + _ROWS])  # hit pairs are reachable
         a, last = np.searchsorted(owner, [lo, lo + _ROWS])
         while a < last:
             b = np.searchsorted(ends, ends[a] - later[a] + _CHUNK, side="right")
@@ -258,7 +259,7 @@ def verify_cover(hl: HubLabeling, dm) -> CoverReport:
             sums = stored[left] + stored[right]
             np.minimum.at(m.reshape(-1), (owner[left] - lo) * n + owner[right], sums)
             a = b
-        bad = (m != d) & (d >= 0)
+        bad = (m != d) & (d != dm.far)
         clear_lower(bad, lo)  # v > u
         total_bad += int(np.count_nonzero(bad))
         u, v = np.divmod(np.flatnonzero(bad)[: _LISTED - len(uncovered)], n)
@@ -287,12 +288,12 @@ def _split_entries(hl: HubLabeling, dm):
     exact = np.zeros(hub.size, dtype=bool)
     for lo in range(0, n, _ROWS):
         hi = min(lo + _ROWS, n)
-        d = dm.rows(slice(lo, hi))
-        reach[lo:hi] = np.count_nonzero(d >= 0, axis=1)
+        d = dm.q_rows(slice(lo, hi))
+        reach[lo:hi] = np.count_nonzero(d != dm.far, axis=1)
         a, b = offsets[lo], offsets[hi]
         at = np.repeat(np.arange(hi - lo) * n, np.diff(offsets[lo : hi + 1])) + hub[a:b]
-        # stored distances are nonnegative, so a match is a reachable hub
-        exact[a:b] = d.reshape(-1).take(at) == stored[a:b]
+        true = d.reshape(-1).take(at)
+        exact[a:b] = (true == stored[a:b]) & (true != dm.far)
         held += np.bincount(hub[a:b][exact[a:b]], minlength=n)
     core = held == reach
     rest = np.flatnonzero(~(exact & core[hub]))
@@ -348,9 +349,9 @@ _NON_DIGIT_BYTES = bytes(c if ord("0") <= c <= ord("9") else ord(" ") for c in r
 _NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 _LONG_NUMBER_RE = re.compile(r"[0-9]{19,}")
 #: Label entries per block of the writer (a block holds at least one row).
-_BLOCK_ENTRIES = 1 << 16
+_BLOCK_ENTRIES = 1 << 15
 #: Bytes per block of the canonical reader, which ends at the next newline.
-_READ_BYTES = 1 << 22
+_READ_BYTES = 1 << 18
 #: Distances below this index a token table by value (see _label_blocks).
 _VALUE_TABLE = 1 << 20
 
@@ -446,27 +447,25 @@ def read_labels(path) -> HubLabeling:
     which alone decides what else is well formed and how a fault is
     reported."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    hl = _read_canonical(data)
+        hl = _read_canonical(fh)
     return _read_lines(path) if hl is None else hl
 
 
-def _read_canonical(data: bytes) -> HubLabeling | None:
-    """The labeling whose canonical text is data, or None if data is not
-    canonical text.
+def _read_canonical(fh) -> HubLabeling | None:
+    """The labeling whose canonical text is the binary file fh, or None.
 
-    In blocks of whole lines of about _READ_BYTES, the numbers are parsed as
-    the line parser parses them, a row ends at each newline and holds one
-    entry per "(", and its first number is its vertex id. The labeling, with
-    int32 hubs, is accepted only if it renders back to data."""
-    total = data.count(b"(")
+    The file is read in blocks, three times, and never held whole: to count
+    the entries, one per "("; to parse blocks of whole lines of about
+    _READ_BYTES, as the line parser parses the numbers, a row ending at each
+    newline with its vertex id first; and to compare it with the rendering
+    of the labeling, with int32 hubs, which is accepted only if they agree."""
+    total = sum(block.count(b"(") for block in iter(lambda: fh.read(_READ_BYTES), b""))
     hub = np.empty(total, dtype=np.int32)
     dist = np.empty(total, dtype=np.int64)
     sizes = [np.zeros(0, dtype=np.int64)]
-    a = lo = 0
-    while lo < len(data):
-        hi = data.find(b"\n", lo + _READ_BYTES) + 1 or len(data)
-        block = data[lo:hi]
+    a = 0
+    fh.seek(0)
+    while block := fh.read(_READ_BYTES) + fh.readline():
         raw = np.frombuffer(block, dtype=np.uint8)
         ends = np.flatnonzero(raw == ord("\n"))
         size = np.diff(np.searchsorted(np.flatnonzero(raw == ord("(")), ends), prepend=0)
@@ -479,19 +478,18 @@ def _read_canonical(data: bytes) -> HubLabeling | None:
         entry[np.arange(ends.size) + 2 * firsts] = False  # the vertex ids
         hub[a:b], dist[a:b] = nums[entry].reshape(-1, 2).T
         sizes.append(size)
-        a, lo = b, hi
+        a = b
     if a != total:
         return None
     try:
         hl = HubLabeling.from_rows(np.concatenate(sizes), hub, dist)
     except ValueError:
         return None
-    at = 0
+    fh.seek(0)
     for block in _label_blocks(hl):
-        if not data.startswith(block, at):
+        if fh.read(len(block)) != block:
             return None
-        at += len(block)
-    return hl if at == len(data) else None
+    return hl if not fh.read(1) else None
 
 
 def _read_lines(path) -> HubLabeling:

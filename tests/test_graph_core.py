@@ -858,6 +858,21 @@ def test_quotient_rows_and_expand_round_trip(g):
     assert (dm.expand(dm.q[0]) == coded[rep[0]]).all()
 
 
+
+@settings(max_examples=100)
+@given(small_graphs(max_n=10, min_weight=0, max_weight=2))
+def test_q_rows_code_the_rows_as_q_does(g):
+    dm = all_pairs(g)
+    want = np.array([distances_from(g, s) for s in range(g.n)]).reshape(g.n, g.n)
+    coded = np.where(want < 0, dm.far, want)
+    picks = np.arange(g.n)[::-1].repeat(2)
+    for idx in (0, g.n - 1, picks, slice(1, None)):
+        got = dm.q_rows(idx)
+        assert got.dtype == dm.q.dtype and (got == coded[idx]).all()
+        assert (dm.rows(idx) == want[idx]).all()
+    if not g.has_zero_weights:
+        assert np.shares_memory(dm.q_rows(slice(None)), dm.q)
+
 def _with_isolated_vertex(g):
     return WeightedGraph(g.n + 1, g.edges)
 

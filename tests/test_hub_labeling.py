@@ -475,6 +475,26 @@ def test_label_file_rejects_numbers_beyond_int64(tmp_path):
     assert read_labels(path).entries(1) == ((1, 2**63 - 1),)
 
 
+
+def test_canonical_reader_reads_in_blocks(tmp_path, monkeypatch):
+    # Read blocks of a few bytes end inside a line and run to its newline.
+    hl = baseline_full(all_pairs(seeded_sparse_graph(8, 12, seed=3)))
+    path = tmp_path / "labels.txt"
+    write_labels(hl, path)
+    text = path.read_bytes()
+    calls, line_parser = [], hub_labeling._read_lines
+    monkeypatch.setattr(hub_labeling, "_read_lines", lambda p: calls.append(p) or line_parser(p))
+    variants = (text + b" ", text[:-1], text + b"\n", text.replace(b") (", b")  (", 1))
+    for size in (1, 7, 64, len(text)):
+        monkeypatch.setattr(hub_labeling, "_READ_BYTES", size)
+        path.write_bytes(text)
+        assert read_labels(path) == hl and calls == []
+        for variant in variants:
+            path.write_bytes(variant)
+            assert read_labels(path) == hl
+        assert len(calls) == len(variants)
+        calls.clear()
+
 def test_canonical_reader_refuses_hubs_that_wrap_in_int32(tmp_path, monkeypatch):
     # 2**32 + 1 wraps to hub 1 in the reader's int32 array; the render check
     # refuses that reading, and the line parser reports the hub itself.
@@ -640,7 +660,7 @@ def test_verify_cover_matches_dense_oracle_under_mutation(kind):
     if kind == "drop":
         # At the default block sizes: the S hub w of a 3-regular build on 300
         # vertices loses its own entry, so it leaves the core and its joins
-        # cross the 256-row block and several _CHUNK steps.
+        # cross _ROWS-row blocks and several _CHUNK steps.
         built = build_for_graph(random_regular_graph(300, 3, seed=1), BuilderConfig(seed=1))
         hl, w = built.labeling, int(built.artifacts.S[1])
         bad = labeling(hl.n, [[e for e in hl.hubs[v] if (v, e[0]) != (w, w)] for v in range(hl.n)])
@@ -663,6 +683,31 @@ def test_verify_cover_matches_dense_oracle_across_chunk_boundaries(monkeypatch):
                 if bad is not None:
                     _assert_same_report(bad, dm)
 
+
+
+@pytest.mark.parametrize("w", [1, 300, 70_000, 1 << 49], ids=["uint8", "uint16", "uint32", "uint64"])
+def test_verify_cover_reads_every_dtype_of_q(w):
+    # 0-1-2=3 and 4-5 apart, 2=3 a zero weight; q's dtype follows the diameter 2w.
+    g = WeightedGraph(6, [(0, 1, w), (1, 2, w), (2, 3, 0), (4, 5, w)])
+    dm = all_pairs(g)
+    assert dm.q.dtype == np.min_scalar_type(2 * w + 1)
+    hl = baseline_full(dm)
+    _assert_same_report(hl, dm)
+    assert verify_cover(hl, dm).valid
+    rng = np.random.default_rng(w)
+    for kind in KINDS:
+        bad = _mutated(hl, dm, kind, rng)
+        if bad is not None:
+            _assert_same_report(bad, dm)
+    # 4 and 5 share no hub; an entry (4, far) of vertex 0, which 4 does not
+    # reach, must not count as exact and make 4 a core hub that covers them
+    # (a stored distance stays below 2**63, so uint64's far is out of reach).
+    rows = [list(hl.entries(v)) for v in range(6)]
+    rows[0].append((4, min(dm.far, 2**63 - 1)))
+    rows[4], rows[5] = [(4, 0)], [(5, 0)]
+    bad = labeling(6, rows)
+    _assert_same_report(bad, dm)
+    assert verify_cover(bad, dm).uncovered == ((4, 5),)
 
 def test_verify_cover_matches_dense_oracle_without_core():
     # Every stored distance is one too large, so no entry is exact and the
