@@ -167,6 +167,23 @@ def write_graph(g: WeightedGraph, path) -> None:
 
 
 def read_graph(path) -> WeightedGraph:
+    """Parse a graph file: text of digits, single spaces and newlines alone in
+    one step, any other by the line parser, which alone words the errors."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    raw = np.frombuffer(data, dtype=np.uint8)
+    if data.endswith(b"\n") and not data.translate(None, b"0123456789 \n"):
+        ends, gaps = np.flatnonzero(raw == ord("\n")), np.flatnonzero(raw == ord(" "))
+        fields = np.diff(np.searchsorted(gaps, ends), prepend=0) + 1
+        no_empty_field = (raw[gaps - 1] > ord(" ")).all() and (raw[gaps + 1] > ord(" ")).all()
+        if no_empty_field and fields[0] == 2 and (fields[1:] == 3).all():
+            nums = np.fromstring(data, dtype=np.int64, sep=" ")
+            if nums.max() < np.iinfo(np.int64).max and nums[1] == ends.size - 1:
+                return WeightedGraph(int(nums[0]), nums[2:].reshape(-1, 3))
+    return _read_graph_lines(path)
+
+
+def _read_graph_lines(path) -> WeightedGraph:
     header = None
     edges = []
     with open(path, "r", encoding="utf-8") as fh:

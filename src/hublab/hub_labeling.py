@@ -20,6 +20,7 @@ from .graph_core import (
     shortest_path_hits,
 )
 
+_I32_MAX = int(np.iinfo(np.int32).max)
 _I64_MAX = int(np.iinfo(np.int64).max)
 _NO_SUM = np.uint64(np.iinfo(np.uint64).max)
 #: Rows per block of the verifier's n x n passes.
@@ -187,11 +188,11 @@ def query(hl: HubLabeling, u: int, v: int):
     a, b = hl.hub[a0:a1], hl.hub[b0:b1]
     if not (a.size and b.size):
         return UNREACHABLE
-    at = np.searchsorted(b, a)
+    at = b.searchsorted(a)
     common = b.take(at, mode="clip") == a
     # Stored distances are below 2**63, so their sums fit below _NO_SUM.
-    sums = hl.dist[a0:a1][common].astype(np.uint64)
-    sums += hl.dist[b0:b1].take(at[common]).astype(np.uint64)
+    sums = hl.dist[a0:a1].view(np.uint64)[common]
+    sums += hl.dist[b0:b1].view(np.uint64).take(at[common])
     best = int(sums.min(initial=_NO_SUM))
     return UNREACHABLE if best == _NO_SUM else best
 
@@ -345,13 +346,12 @@ _BODY_RE = re.compile(r"\s*+(?:\((?:0|[1-9][0-9]*+),(?:0|[1-9][0-9]*+)\)\s*+)*+"
 # A well-formed body holds only ASCII digits, "(),", and whitespace; every
 # character but the digits becomes a space before the numbers are parsed.
 _NON_DIGIT = str.maketrans({c: " " for c in map(chr, range(128)) if not c.isdigit()})
-_NON_DIGIT_BYTES = bytes(c if ord("0") <= c <= ord("9") else ord(" ") for c in range(256))
 _NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 _LONG_NUMBER_RE = re.compile(r"[0-9]{19,}")
 #: Label entries per block of the writer (a block holds at least one row).
 _BLOCK_ENTRIES = 1 << 15
 #: Bytes per block of the canonical reader, which ends at the next newline.
-_READ_BYTES = 1 << 18
+_READ_BYTES = 1 << 17
 #: Distances below this index a token table by value (see _label_blocks).
 _VALUE_TABLE = 1 << 20
 
@@ -454,42 +454,70 @@ def read_labels(path) -> HubLabeling:
 def _read_canonical(fh) -> HubLabeling | None:
     """The labeling whose canonical text is the binary file fh, or None.
 
-    The file is read in blocks, three times, and never held whole: to count
-    the entries, one per "("; to parse blocks of whole lines of about
-    _READ_BYTES, as the line parser parses the numbers, a row ending at each
-    newline with its vertex id first; and to compare it with the rendering
-    of the labeling, with int32 hubs, which is accepted only if they agree."""
+    The file is read in blocks, twice, and never held whole: to count the
+    entries, one per "("; then in blocks of whole lines of about _READ_BYTES,
+    whose layout is proved from the positions of "(", "," and "\n": each ")"
+    or ":" sits two bytes before the next "(" of its row, a space between,
+    or just before the row's newline, and every other byte is a digit. The
+    digit runs must be canonical decimals, and each row's hubs must rise,
+    since from_rows would sort them."""
     total = sum(block.count(b"(") for block in iter(lambda: fh.read(_READ_BYTES), b""))
     hub = np.empty(total, dtype=np.int32)
     dist = np.empty(total, dtype=np.int64)
     sizes = [np.zeros(0, dtype=np.int64)]
-    a = 0
+    a = n = 0
     fh.seek(0)
     while block := fh.read(_READ_BYTES) + fh.readline():
         raw = np.frombuffer(block, dtype=np.uint8)
         ends = np.flatnonzero(raw == ord("\n"))
-        size = np.diff(np.searchsorted(np.flatnonzero(raw == ord("(")), ends), prepend=0)
-        firsts = np.cumsum(size) - size  # entries before each row
-        nums = np.fromstring(block.translate(_NON_DIGIT_BYTES), dtype=np.int64, sep=" ")
-        b = a + int(size.sum())
-        if nums.size != ends.size + 2 * (b - a):
+        opens = np.flatnonzero(raw == ord("("))
+        commas = np.flatnonzero(raw == ord(","))
+        digits = raw - np.uint8(ord("0"))
+        is_digit = digits < 10
+        rows, b = ends.size, a + opens.size
+        counted = np.count_nonzero(is_digit) + 2 * rows + 4 * opens.size == raw.size
+        if raw[-1] != ord("\n") or commas.size != opens.size or not counted:
             return None
-        entry = np.ones(nums.size, dtype=bool)
-        entry[np.arange(ends.size) + 2 * firsts] = False  # the vertex ids
-        hub[a:b], dist[a:b] = nums[entry].reshape(-1, 2).T
+        digits *= is_digit  # a digit's value, and 0 at every other byte
+        size = np.diff(np.searchsorted(opens, ends), prepend=0)
+        lasts, full = np.cumsum(size) - 1, size > 0  # each row's last entry
+        closes = np.roll(opens, -1) - 2
+        closes[lasts[full]] = ends[full] - 1
+        colons = ends - 1
+        colons[full] = opens[lasts[full] - size[full] + 1] - 2
+        spaced = (raw[opens - 1] == ord(" ")).all() and (raw[closes] == ord(")")).all()
+        if not (spaced and (raw[colons] == ord(":")).all()):
+            return None
+        # ")\n" or ":\n" comes before a vertex id (the block's end before its
+        # first), ") (" or ": (" before a hub and "," before a distance
+        ids = _numbers(digits, colons, colons - np.append(0, ends[:-1] + 1), _I32_MAX, 2)
+        hubs = _numbers(digits, commas, commas - opens - 1, _I32_MAX, 3)
+        dists = _numbers(digits, closes, closes - commas - 1, _I64_MAX, 1)
+        if ids is None or hubs is None or dists is None or (ids != np.arange(n, n + rows)).any():
+            return None
+        hub[a:b], dist[a:b] = hubs, dists
         sizes.append(size)
-        a = b
-    if a != total:
+        a, n = b, n + rows
+    sizes = np.concatenate(sizes)
+    if a != total or n == 0 or not _clean_rows(sizes, hub, dist):
         return None
-    try:
-        hl = HubLabeling.from_rows(np.concatenate(sizes), hub, dist)
-    except ValueError:
+    return HubLabeling.__new__(HubLabeling)._keep(sizes, hub, dist)
+
+
+def _numbers(digits: np.ndarray, ends: np.ndarray, width: np.ndarray, limit: int, pad: int):
+    """The numbers in digits[ends - width : ends], which holds digit values
+    with pad zeros before each number; None unless each is a canonical
+    decimal of at most limit (< 10**19). int32 up to 9 digits, else uint64."""
+    low, top = int(width.min(initial=1)), int(width.max(initial=1))
+    if low < 1 or top > len(str(limit)) or ((digits[ends - width] == 0) & (width > 1)).any():
         return None
-    fh.seek(0)
-    for block in _label_blocks(hl):
-        if fh.read(len(block)) != block:
-            return None
-    return hl if not fh.read(1) else None
+    value = np.zeros(ends.size, dtype=np.int32 if top < 10 else np.uint64)
+    for k in range(top):
+        d = digits[ends - (k + 1)]
+        if k >= low + pad:  # beyond the zeros before the shortest numbers
+            d *= width > k
+        value += d * value.dtype.type(10**k)
+    return value if value.max(initial=0) <= limit else None
 
 
 def _read_lines(path) -> HubLabeling:

@@ -18,6 +18,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hublab import graph_core
 from hublab.corpus import erdos_renyi_m, grid_graph, path_graph, random_regular_graph, star_graph
 from hublab.family_gen import FamilyParams, build_H
 from hublab.graph_core import (
@@ -453,6 +454,73 @@ def test_graph_file_comments_and_errors(tmp_path):
         read_graph(path)
     path.write_text("3 1\n0 1 007\n")
     assert read_graph(path).edges == ((0, 1, 7),)
+
+
+def _read_both_ways(path, monkeypatch):
+    """(what read_graph gives, what the line parser gives, the line parser's
+    calls from read_graph); a raised error is given as (type, message)."""
+
+    def outcome(read):
+        try:
+            g = read(path)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return g.n, g.edges, g.weight_kind
+
+    calls, line_parser = [], graph_core._read_graph_lines
+    want = outcome(line_parser)
+    monkeypatch.setattr(graph_core, "_read_graph_lines", lambda p: calls.append(p) or line_parser(p))
+    return outcome(read_graph), want, calls
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        seeded_sparse_graph(9, 12, seed=2),
+        path_graph(30),
+        WeightedGraph(4, [(0, 3, 2**62), (1, 2, 0)]),
+        WeightedGraph(3, []),
+        WeightedGraph(0, []),
+    ],
+    ids=["sparse", "path", "wide weights", "no edges", "no vertices"],
+)
+def test_written_graph_file_skips_the_line_parser(tmp_path, monkeypatch, g):
+    path = tmp_path / "g.txt"
+    write_graph(g, path)
+    got, want, calls = _read_both_ways(path, monkeypatch)
+    assert got == want == (g.n, g.edges, g.weight_kind) and calls == []
+
+
+def test_plain_graph_file_gives_the_constructors_errors(tmp_path, monkeypatch):
+    path = tmp_path / "g.txt"
+    path.write_text("3 1\n0 5 2\n")
+    got, want, calls = _read_both_ways(path, monkeypatch)
+    assert got == want == (ValueError, "edge endpoint out of range") and calls == []
+
+
+GRAPH_TEXTS = {
+    "comments": "# a comment\n3 1\n0 1 2 # trailing\n",
+    "tabs": "3 1\n0\t1\t2\n",
+    "minus sign": "3 1\n0 1 -2\n",
+    "CRLF": "3 1\r\n0 1 2\r\n",
+    "short line": "3 1\n0 1\n",
+    "short header": "3\n",
+    "two spaces": "3 1\n0  1 2\n",
+    "leading space": "3 1\n 0 1\n",
+    "blank line": "3 1\n\n0 1 2\n",
+    "no final newline": "3 1\n0 1 2",
+    "edge count": "3 2\n0 1 2\n",
+    "weight 2**63": f"3 1\n0 1 {2**63}\n",
+    "empty file": "",
+}
+
+
+@pytest.mark.parametrize("text", GRAPH_TEXTS.values(), ids=GRAPH_TEXTS.keys())
+def test_other_graph_text_reads_through_the_line_parser(tmp_path, monkeypatch, text):
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode())
+    got, want, calls = _read_both_ways(path, monkeypatch)
+    assert got == want and calls == [path]
 
 
 def test_path_weight_rejects_non_edges():

@@ -432,9 +432,16 @@ def test_canonical_file_skips_the_line_parser(tmp_path, monkeypatch):
 _EDIT_CHARS = " (),:\n0123456789\tx\u00a0"
 
 
+@pytest.mark.parametrize("block", [1, 7, hub_labeling._READ_BYTES], ids=["1", "7", "default"])
 @settings(max_examples=200, deadline=None)
 @given(valid_rows(max_n=4), st.data())
-def test_edited_file_reads_as_the_line_parser_does(tmp_path_factory, case, data):
+def test_edited_file_reads_as_the_line_parser_does(tmp_path_factory, block, case, data):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hub_labeling, "_READ_BYTES", block)
+        _edited_file_reads_as_the_line_parser_does(tmp_path_factory, case, data)
+
+
+def _edited_file_reads_as_the_line_parser_does(tmp_path_factory, case, data):
     text = format_labels(labeling(*case))
     at = data.draw(st.integers(0, len(text)))
     kind = data.draw(st.sampled_from(["insert", "delete", "replace"]))
@@ -453,6 +460,69 @@ def test_edited_file_reads_as_the_line_parser_does(tmp_path_factory, case, data)
         assert str(got.value) == str(exc)
         return
     assert read_labels(path) == want
+
+
+# Well-formed texts that are not canonical: each goes to the line parser.
+# Unsorted and repeated hubs would be sorted and merged by from_rows, the
+# rest fail the layout or a number's form.
+NON_CANONICAL = {
+    "unsorted row": "0: (1,2) (0,1)\n1: (1,0)\n",
+    "repeated hub": "0: (0,1) (0,1)\n1: (1,0)\n",
+    "leading zero in a vertex id": "00: (0,0)\n1: (1,0)\n",
+    "leading zero in a hub": "0: (00,0)\n1: (1,0)\n",
+    "leading zero in a distance": "0: (0,00) (1,07)\n1: (1,0)\n",
+    "no space between entries": "0: (0,0)(1,2)\n1: (1,0)\n",
+    "a tab for a space": "0: (0,0)\t(1,2)\n1: (1,0)\n",
+    "20-digit distance": f"0: (0,{10**19})\n1: (1,0)\n",
+    "distance 2**63": f"0: (0,{2**63})\n1: (1,0)\n",
+    "cut after the last vertex id": "".join(f"{v}:\n" for v in range(11))[:-2],
+    "newline alone": "\n",
+    "empty file": "",
+}
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL.values(), ids=NON_CANONICAL.keys())
+def test_non_canonical_file_reads_through_the_line_parser(tmp_path, monkeypatch, text):
+    path = tmp_path / "labels.txt"
+    path.write_text(text, encoding="ascii")
+    try:
+        want = hub_labeling._read_lines(path)
+    except GraphFormatError as exc:
+        want = exc
+    calls, line_parser = [], hub_labeling._read_lines
+    monkeypatch.setattr(hub_labeling, "_read_lines", lambda p: calls.append(p) or line_parser(p))
+    if isinstance(want, Exception):
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(str(want))}$"):
+            read_labels(path)
+    else:
+        assert read_labels(path) == want
+    assert calls == [path]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[(0, hub_labeling._VALUE_TABLE)], [(0, hub_labeling._VALUE_TABLE), (1, 0)]],
+        [[(0, 0), (1, 2**63 - 1)], [(1, 0)]],
+        [[], [(0, 3)], [], []],
+        [[(h, 10**9 + h) for h in range(0, 12, 3)]] + [[]] * 11,
+    ],
+    ids=["value table", "int64 max", "empty rows", "ten-digit distances"],
+)
+def test_canonical_file_with_wide_or_empty_rows_skips_the_line_parser(tmp_path, monkeypatch, rows):
+    hl = labeling(len(rows), rows)
+    path = tmp_path / "labels.txt"
+    write_labels(hl, path)
+    monkeypatch.setattr(hub_labeling, "_read_lines", None)
+    assert read_labels(path) == hl
+
+
+def test_canonical_numbers_are_bounded():
+    text = np.frombuffer(f",{2**63},{2**63 - 1},".encode(), dtype=np.uint8)
+    digits = (text - np.uint8(ord("0"))) * (text != ord(","))
+    ends, width = np.array([20, 40]), np.array([19, 19])
+    assert hub_labeling._numbers(digits, ends[1:], width[1:], 2**63 - 1, 1).tolist() == [2**63 - 1]
+    assert hub_labeling._numbers(digits, ends, width, 2**63 - 1, 1) is None
 
 
 def test_label_file_errors(tmp_path):
@@ -496,8 +566,8 @@ def test_canonical_reader_reads_in_blocks(tmp_path, monkeypatch):
         calls.clear()
 
 def test_canonical_reader_refuses_hubs_that_wrap_in_int32(tmp_path, monkeypatch):
-    # 2**32 + 1 wraps to hub 1 in the reader's int32 array; the render check
-    # refuses that reading, and the line parser reports the hub itself.
+    # 2**32 + 1 would wrap to hub 1 in the reader's int32 array; the reader
+    # refuses a hub beyond int32, and the line parser reports the hub itself.
     path = tmp_path / "wrap.txt"
     path.write_text(f"0: (0,0) ({2**32 + 1},1)\n1: (1,0)\n")
     parsed, line_parser = [], hub_labeling._read_lines
