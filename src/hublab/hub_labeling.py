@@ -45,38 +45,31 @@ class HubLabeling:
 
     def __init__(self, n: int, owner, hub, dist):
         """The labeling of n vertices with one entry (owner[i], hub[i],
-        dist[i]) per i, in any order. Entries of one hub stored twice with
-        equal distances are merged; an owner or hub out of range, a negative
-        distance or two distances for one hub raise ValueError, which
-        reports the first faulty entry in the given order. When the entries
-        come sorted, an int64 dist array that owns its memory is kept
-        without a copy and made read-only."""
+        dist[i]) per i, in any order, sorted by (owner, hub) into new arrays.
+        Entries of one hub stored twice with equal distances are merged; an
+        owner or hub out of range, a negative distance or two distances for
+        one hub raise ValueError, which reports the first faulty entry in the
+        given order. from_rows comes here only for rows that need the sort."""
         n = int(n)
         owner, hub, dist = (np.asarray(a, dtype=np.int64) for a in (owner, hub, dist))
-        ascending = owner.size == 0 or 0 <= owner[0] <= owner[-1] < n
-        ascending = ascending and bool((owner[1:] >= owner[:-1]).all())
-        sizes = np.bincount(owner, minlength=n) if ascending else None
-        if sizes is None or not _clean_rows(sizes, hub, dist):
-            fault = (owner < 0) | (owner >= n) | (hub < 0) | (hub >= n) | (dist < 0)
-            order = np.lexsort((hub, owner))
-            owner, hub, dist, fault = owner[order], hub[order], dist[order], fault[order]
-            first = np.ones(order.size, dtype=bool)
-            first[1:] = (owner[1:] != owner[:-1]) | (hub[1:] != hub[:-1])
-            fault |= dist != dist[first][np.cumsum(first) - 1]
-            if fault.any():
-                bad = np.flatnonzero(fault)
-                j = bad[np.argmin(order[bad])]
-                v, h = owner[j], hub[j]
-                if not 0 <= v < n:
-                    raise ValueError(f"owner {v} out of range")
-                if not 0 <= h < n:
-                    raise ValueError(f"vertex {v}: hub {h} out of range")
-                if dist[j] < 0:
-                    raise ValueError(f"vertex {v}: negative stored distance")
-                raise ValueError(f"vertex {v}: conflicting distances for hub {h}")
-            owner, hub, dist = owner[first], hub[first], dist[first]
-            sizes = np.bincount(owner, minlength=n)
-        self._keep(sizes, hub, dist)
+        fault = (owner < 0) | (owner >= n) | (hub < 0) | (hub >= n) | (dist < 0)
+        order = np.lexsort((hub, owner))
+        owner, hub, dist, fault = owner[order], hub[order], dist[order], fault[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (owner[1:] != owner[:-1]) | (hub[1:] != hub[:-1])
+        fault |= dist != dist[first][np.cumsum(first) - 1]
+        if fault.any():
+            bad = np.flatnonzero(fault)
+            j = bad[np.argmin(order[bad])]
+            v, h = owner[j], hub[j]
+            if not 0 <= v < n:
+                raise ValueError(f"owner {v} out of range")
+            if not 0 <= h < n:
+                raise ValueError(f"vertex {v}: hub {h} out of range")
+            if dist[j] < 0:
+                raise ValueError(f"vertex {v}: negative stored distance")
+            raise ValueError(f"vertex {v}: conflicting distances for hub {h}")
+        self._keep(np.bincount(owner[first], minlength=n), hub[first], dist[first])
 
     @classmethod
     def from_rows(cls, sizes, hub, dist) -> "HubLabeling":
@@ -90,6 +83,18 @@ class HubLabeling:
         if not _clean_rows(sizes, hub, dist):
             return cls(sizes.size, np.repeat(np.arange(sizes.size), sizes), hub, dist)
         return cls.__new__(cls)._keep(sizes, hub, dist)
+
+    @classmethod
+    def from_blocks(cls, n: int, rows: int, block) -> "HubLabeling":
+        """from_rows of n rows, made `rows` at a time: block(lo, hi) returns a
+        bool member block and the distance rows d of rows lo .. hi - 1, and
+        each row holds the columns its member row marks, with distances from d."""
+        parts = [(np.zeros(0, np.int64), np.zeros(0, np.int32), np.zeros(0, np.int64))]
+        for lo in range(0, n, rows):
+            member, d = block(lo, min(lo + rows, n))
+            at = np.flatnonzero(member)
+            parts.append((member.sum(1), (at % n).astype(np.int32), d.reshape(-1).take(at)))
+        return cls.from_rows(*map(np.concatenate, zip(*parts)))
 
     def _keep(self, sizes: np.ndarray, hub: np.ndarray, dist: np.ndarray) -> "HubLabeling":
         self.n = sizes.size
@@ -305,23 +310,23 @@ def monotone_closure(hl: HubLabeling, dm) -> HubLabeling:
     """Close each hub set upward along the tree rooted at its vertex in
     canonical_trees(dm): the closure of S_v is the vertex set of the minimal
     subtree rooted at v that contains S_v, with distances from dm. Per block
-    of owners, hubs walk up one level per step and stop at marked vertices."""
+    of owners, hubs walk up one level per step and stop at marked vertices;
+    a block's marks are its rows. The first unreachable hub raises UnreachablePairError."""
     n = hl.n
     if n != dm.n:
         raise ValueError("labeling and distance matrix disagree on n")
-    owner, hub = hl.owners(), hl.hub.astype(np.int64)
-    far = np.flatnonzero(dm.at(owner, hub) < 0)
-    if far.size:
-        raise UnreachablePairError(f"hub {hub[far[0]]} unreachable in the tree of {owner[far[0]]}")
     parents = canonical_trees(dm)
-    flat = [owner[:0]]  # entries as flat ids v * n + hub
-    for lo in range(0, n, _ROWS):
-        hi = min(lo + _ROWS, n)
+
+    def block(lo, hi):
+        d = dm.rows(slice(lo, hi))
+        base = np.repeat(np.arange(hi - lo) * n, np.diff(hl.offsets[lo : hi + 1]))
+        x = base + hl.hub[hl.offsets[lo] : hl.offsets[hi]]
+        far = np.flatnonzero(d.reshape(-1).take(x) < 0)
+        if far.size:
+            v, h = divmod(int(x[far[0]]), n)
+            raise UnreachablePairError(f"hub {h} unreachable in the tree of {lo + v}")
         par = parents[lo:hi].reshape(-1)
         mark = np.full(par.size, -1, dtype=np.int32)  # >= 0 once in the closure
-        a, b = hl.offsets[lo], hl.offsets[hi]
-        base = (owner[a:b] - lo) * n
-        x = base + hub[a:b]
         mark[x] = 0
         while x.size:
             x = base + par[x]
@@ -331,10 +336,9 @@ def monotone_closure(hl: HubLabeling, dm) -> HubLabeling:
             mark[x] = step
             first = mark[x] == step  # one walker per newly marked vertex
             base, x = base[first], x[first]
-        flat.append(np.flatnonzero(mark >= 0) + lo * n)
-    flat = np.concatenate(flat)
-    owner, hub = np.divmod(flat, max(n, 1))
-    return HubLabeling(n, owner, hub, dm.at(owner, hub))
+        return (mark >= 0).reshape(hi - lo, n), d
+
+    return HubLabeling.from_blocks(n, _ROWS, block)
 
 
 # -- label file format -------------------------------------------------------
@@ -499,9 +503,8 @@ def _read_canonical(fh) -> HubLabeling | None:
         sizes.append(size)
         a, n = b, n + rows
     sizes = np.concatenate(sizes)
-    if a != total or n == 0 or not _clean_rows(sizes, hub, dist):
-        return None
-    return HubLabeling.__new__(HubLabeling)._keep(sizes, hub, dist)
+    ok = a == total and n > 0 and _clean_rows(sizes, hub, dist)
+    return HubLabeling.from_rows(sizes, hub, dist) if ok else None
 
 
 def _numbers(digits: np.ndarray, ends: np.ndarray, width: np.ndarray, limit: int, pad: int):
@@ -559,5 +562,4 @@ def _read_lines(path) -> HubLabeling:
             if any(int(x) > _I64_MAX for x in _LONG_NUMBER_RE.findall(body)):
                 raise GraphFormatError(f"line {lineno}: number does not fit in 64 bits")
     pairs = nums.reshape(-1, 2)
-    owner = np.repeat(np.arange(len(bodies)), counts)
-    return HubLabeling(len(bodies), owner, pairs[:, 0], pairs[:, 1])
+    return HubLabeling.from_rows(counts, pairs[:, 0], pairs[:, 1])

@@ -525,20 +525,17 @@ def _assemble(S, extra, dm) -> HubLabeling:
     the member mask of a block of rows, read in order, is the next CSR rows."""
     n = dm.n
     own_v, own_h = extra[np.argsort(extra[:, 0], kind="stable")].T
-    sizes, hubs, dists = ([np.zeros(0, dtype=t)] for t in (np.int64, np.int32, np.int64))
-    for lo in range(0, n, _ASSEMBLE_ROWS):
-        hi = min(lo + _ASSEMBLE_ROWS, n)
+
+    def block(lo, hi):
         d = dm.rows(slice(lo, hi))
         member = np.zeros((hi - lo, n), dtype=bool)
         member[:, S] = True
         a, b = np.searchsorted(own_v, [lo, hi])
         member[own_v[a:b] - lo, own_h[a:b]] = True
         member &= d >= 0
-        sizes.append(np.count_nonzero(member, axis=1))
-        at = np.flatnonzero(member)
-        hubs.append((at % n).astype(np.int32))
-        dists.append(d.reshape(-1).take(at))
-    return HubLabeling.from_rows(*map(np.concatenate, (sizes, hubs, dists)))
+        return member, d
+
+    return HubLabeling.from_blocks(n, _ASSEMBLE_ROWS, block)
 
 
 def _stage_total(S, extra, stage_dm) -> int:
@@ -597,7 +594,7 @@ def project_back(hl_reduced: HubLabeling, representative, origin, dm) -> HubLabe
     owner, hub = _rows(_distinct(np.repeat(np.arange(n), size) * n + orig[hl_reduced.hub[at]]), n).T
     dist = dm.at(owner, hub)
     reach = dist >= 0
-    return HubLabeling(n, owner[reach], hub[reach], dist[reach])
+    return HubLabeling.from_rows(np.bincount(owner[reach], minlength=n), hub[reach], dist[reach])
 
 
 # -- driver -----------------------------------------------------------------------

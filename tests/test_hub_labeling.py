@@ -330,6 +330,31 @@ def test_closure_unreachable_hub_raises():
         monotone_closure(hl, all_pairs(g))
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # owners 1 and 4 fail, in the first and third block of two owners
+        ([[(0, 0)], [(1, 0), (3, 7), (5, 2)], [], [], [(0, 1)], []], "hub 3 unreachable in the tree of 1"),
+        # the first block is clean
+        ([[(0, 0)], [(1, 0)], [(2, 0)], [(3, 0), (4, 1), (5, 9)], [(1, 1)], []], "hub 5 unreachable in the tree of 3"),
+        ([[]] * 5 + [[(0, 3)]], "hub 0 unreachable in the tree of 5"),
+    ],
+    ids=["two blocks", "first block clean", "last block"],
+)
+def test_closure_names_the_first_unreachable_entry(monkeypatch, rows, message):
+    monkeypatch.setattr(hub_labeling, "_ROWS", 2)
+    dm = all_pairs(WeightedGraph(6, [(0, 1, 1), (1, 2, 1), (3, 4, 1)]))
+    with pytest.raises(UnreachablePairError, match=f"^{message}$"):
+        monotone_closure(labeling(6, rows), dm)
+
+
+def test_closure_and_build_of_no_vertices():
+    g = WeightedGraph(0, [])
+    dm = all_pairs(g)
+    assert monotone_closure(labeling(0, []), dm) == labeling(0, [])
+    assert build_for_graph(g).labeling == labeling(0, [])
+
+
 def test_closure_rejects_labels_of_another_vertex_count():
     for n in (2, 4):
         hl = labeling(n, [[(0, 0)]] + [[] for _ in range(n - 1)])

@@ -24,8 +24,15 @@ from hypothesis import strategies as st
 from hublab.corpus import erdos_renyi_m, grid_graph, path_graph, random_regular_graph, star_graph
 from hublab.family_gen import FamilyParams, build_H, expand_to_G
 from hublab.graph_core import WeightedGraph, all_pairs
-from hublab import graph_core, upperbound_builder
-from hublab.hub_labeling import HubLabeling, format_labels, query, verify_cover
+from hublab import graph_core, hub_labeling, upperbound_builder
+from hublab.hub_labeling import (
+    HubLabeling,
+    format_labels,
+    monotone_closure,
+    query,
+    read_labels,
+    verify_cover,
+)
 from hublab.upperbound_builder import (
     BuilderConfig,
     CoverVerificationError,
@@ -770,6 +777,41 @@ def test_stages_do_not_verify(monkeypatch):
     a = res.artifacts
     assert assemble(a.S, a.Q, a.R, a.F, g2, res.dm) == res.labeling
     project_back(res.labeling, rep, orig, dm)
+
+
+def test_producers_never_reach_the_entry_constructor(monkeypatch, tmp_path):
+    # Every producer in src builds its labeling through from_rows on rows
+    # that need no sort; only unsorted rows reach HubLabeling.__init__.
+    g, cfg = SPARSE
+    g2, rep, orig = reduce_degree(g)
+    stage = build_for_graph(g2, cfg).labeling
+    text = format_labels(stage)
+    init = HubLabeling.__init__
+
+    def forbidden(self, *args):
+        raise AssertionError("the entry constructor was called")
+
+    monkeypatch.setattr(HubLabeling, "__init__", forbidden)
+    plain = build_for_graph(*REG)
+    assert build_for_graph(*SPARSE).report.reduced is not None
+    assert verify_cover(monotone_closure(plain.labeling, plain.dm), plain.dm).valid
+    assert project_back(stage, rep, orig, all_pairs(g)).total_size > 0
+    path = tmp_path / "labels.txt"
+    path.write_text(text, encoding="ascii")
+    assert read_labels(path) == stage
+    parsed, line_parser = [], hub_labeling._read_lines
+    monkeypatch.setattr(hub_labeling, "_read_lines", lambda p: parsed.append(p) or line_parser(p))
+    path.write_text(text.replace(": (", ":  (").replace(") (", ")   ("), encoding="ascii")
+    assert read_labels(path) == stage and parsed == [path]  # sorted rows, not canonical text
+    path.write_text("0: (1,2) (0,1)\n1: (1,0)\n", encoding="ascii")
+    with pytest.raises(AssertionError, match="entry constructor"):
+        read_labels(path)
+    calls = []
+    monkeypatch.setattr(HubLabeling, "__init__", lambda self, *a: calls.append(a) or init(self, *a))
+    path.write_text("0: (1,2) (0,1) (1,3)\n1: (1,0)\n", encoding="ascii")
+    with pytest.raises(ValueError, match="^vertex 0: conflicting distances for hub 1$"):
+        read_labels(path)
+    assert len(calls) == 1
 
 
 # -- reduced builds assemble only the returned rows ----------------------------
