@@ -43,70 +43,44 @@ class HubLabeling:
 
     __slots__ = ("n", "offsets", "hub", "dist")
 
-    def __init__(self, n: int, owner, hub, dist):
-        """The labeling of n vertices with one entry (owner[i], hub[i],
-        dist[i]) per i, in any order, sorted by (owner, hub) into new arrays.
-        Entries of one hub stored twice with equal distances are merged; an
-        owner or hub out of range, a negative distance or two distances for
-        one hub raise ValueError, which reports the first faulty entry in the
-        given order. from_rows comes here only for rows that need the sort."""
-        n = int(n)
-        owner, hub, dist = (np.asarray(a, dtype=np.int64) for a in (owner, hub, dist))
-        fault = (owner < 0) | (owner >= n) | (hub < 0) | (hub >= n) | (dist < 0)
-        order = np.lexsort((hub, owner))
-        owner, hub, dist, fault = owner[order], hub[order], dist[order], fault[order]
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = (owner[1:] != owner[:-1]) | (hub[1:] != hub[:-1])
-        fault |= dist != dist[first][np.cumsum(first) - 1]
-        if fault.any():
-            bad = np.flatnonzero(fault)
-            j = bad[np.argmin(order[bad])]
-            v, h = owner[j], hub[j]
-            if not 0 <= v < n:
-                raise ValueError(f"owner {v} out of range")
-            if not 0 <= h < n:
-                raise ValueError(f"vertex {v}: hub {h} out of range")
-            if dist[j] < 0:
-                raise ValueError(f"vertex {v}: negative stored distance")
-            raise ValueError(f"vertex {v}: conflicting distances for hub {h}")
-        self._keep(np.bincount(owner[first], minlength=n), hub[first], dist[first])
-
-    @classmethod
-    def from_rows(cls, sizes, hub, dist) -> "HubLabeling":
-        """HubLabeling(len(sizes), np.repeat(np.arange(len(sizes)), sizes), hub,
-        dist), messages included, with no owner array where every row's hubs
-        strictly increase; owned int32 hub and int64 dist arrays are kept."""
+    def __init__(self, sizes, hub, dist):
+        """The labeling whose row v holds the next sizes[v] entries (hub[i],
+        dist[i]). Rows whose hubs are in range and strictly increase, with
+        nonnegative distances, are kept as given: owned int32 hub and int64
+        dist arrays without a copy, views copied. Any other rows go through
+        _sorted_rows, which sorts them or raises ValueError."""
         sizes = np.asarray(sizes, dtype=np.int64)
         hub, dist = np.asarray(hub), np.asarray(dist, dtype=np.int64)
         if (sizes < 0).any() or int(sizes.sum()) != hub.size or hub.size != dist.size:
             raise ValueError(f"row sizes sum to {int(sizes.sum())} for {hub.size} entries")
         if not _clean_rows(sizes, hub, dist):
-            return cls(sizes.size, np.repeat(np.arange(sizes.size), sizes), hub, dist)
-        return cls.__new__(cls)._keep(sizes, hub, dist)
-
-    @classmethod
-    def from_blocks(cls, n: int, rows: int, block) -> "HubLabeling":
-        """from_rows of n rows, made `rows` at a time: block(lo, hi) returns a
-        bool member block and the distance rows d of rows lo .. hi - 1, and
-        each row holds the columns its member row marks, with distances from d."""
-        parts = [(np.zeros(0, np.int64), np.zeros(0, np.int32), np.zeros(0, np.int64))]
-        for lo in range(0, n, rows):
-            member, d = block(lo, min(lo + rows, n))
-            at = np.flatnonzero(member)
-            parts.append((member.sum(1), (at % n).astype(np.int32), d.reshape(-1).take(at)))
-        return cls.from_rows(*map(np.concatenate, zip(*parts)))
-
-    def _keep(self, sizes: np.ndarray, hub: np.ndarray, dist: np.ndarray) -> "HubLabeling":
+            sizes, hub, dist = _sorted_rows(sizes, hub, dist)
         self.n = sizes.size
         self.offsets = np.concatenate([[0], np.cumsum(sizes)])
         hub = hub.astype(np.int32, copy=False)  # below, no view of the caller's memory is kept
         self.hub, self.dist = (a if a.base is None else a.copy() for a in (hub, dist))
         for a in (self.offsets, self.hub, self.dist):
             a.flags.writeable = False
-        return self
+
+    @classmethod
+    def from_blocks(cls, n: int, block) -> "HubLabeling":
+        """The labeling of n rows, made _ROWS at a time: block(lo, hi) returns
+        a bool member block and the distance rows d of rows lo .. hi - 1, and
+        each row holds the columns its member row marks, with distances from d."""
+        sizes = np.zeros(n, np.int64)
+        parts = [(np.zeros(0, np.int32), np.zeros(0, np.int64))]
+        for lo in range(0, n, _ROWS):
+            member, d = block(lo, min(lo + _ROWS, n))
+            at = np.flatnonzero(member)
+            sizes[lo : lo + len(member)] = member.sum(1)
+            parts.append(((at % n).astype(np.int32), d.reshape(-1).take(at)))
+        hub, dist = map(np.concatenate, zip(*parts))
+        del parts  # the blocks are freed before the constructor's own temporaries
+        return cls(sizes, hub, dist)
 
     def _span(self, v: int) -> tuple[int, int]:
-        v = range(self.n)[v]
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} out of range")
         return int(self.offsets[v]), int(self.offsets[v + 1])
 
     @property
@@ -152,6 +126,32 @@ def _clean_rows(sizes: np.ndarray, hub: np.ndarray, dist: np.ndarray) -> bool:
                 and dist.min(initial=0) >= 0)
 
 
+def _sorted_rows(sizes: np.ndarray, hub: np.ndarray, dist: np.ndarray):
+    """(sizes, hub, dist) of the same rows with each row's hubs sorted and
+    entries of one hub stored twice with equal distances merged. A hub out of
+    range, a negative distance or two distances for one hub raise ValueError,
+    which reports the first faulty entry in the given order."""
+    n = sizes.size
+    owner = np.repeat(np.arange(n), sizes)
+    hub = np.asarray(hub, dtype=np.int64)
+    fault = (hub < 0) | (hub >= n) | (dist < 0)
+    order = np.lexsort((hub, owner))
+    owner, hub, dist, fault = owner[order], hub[order], dist[order], fault[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (owner[1:] != owner[:-1]) | (hub[1:] != hub[:-1])
+    fault |= dist != dist[first][np.cumsum(first) - 1]
+    if fault.any():
+        bad = np.flatnonzero(fault)
+        j = bad[np.argmin(order[bad])]
+        v, h = owner[j], hub[j]
+        if not 0 <= h < n:
+            raise ValueError(f"vertex {v}: hub {h} out of range")
+        if dist[j] < 0:
+            raise ValueError(f"vertex {v}: negative stored distance")
+        raise ValueError(f"vertex {v}: conflicting distances for hub {h}")
+    return np.bincount(owner[first], minlength=n), hub[first], dist[first]
+
+
 class _Rows(Sequence):
     """The rows of a labeling, each built as a tuple of (hub, distance) pairs
     only when it is read; two views are equal iff their labelings are."""
@@ -167,7 +167,7 @@ class _Rows(Sequence):
     def __getitem__(self, v):
         if isinstance(v, slice):
             return tuple(map(self._hl.entries, range(self._hl.n)[v]))
-        return self._hl.entries(v)
+        return self._hl.entries(range(self._hl.n)[v])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, _Rows):
@@ -338,7 +338,7 @@ def monotone_closure(hl: HubLabeling, dm) -> HubLabeling:
             base, x = base[first], x[first]
         return (mark >= 0).reshape(hi - lo, n), d
 
-    return HubLabeling.from_blocks(n, _ROWS, block)
+    return HubLabeling.from_blocks(n, block)
 
 
 # -- label file format -------------------------------------------------------
@@ -464,7 +464,7 @@ def _read_canonical(fh) -> HubLabeling | None:
     or ":" sits two bytes before the next "(" of its row, a space between,
     or just before the row's newline, and every other byte is a digit. The
     digit runs must be canonical decimals, and each row's hubs must rise,
-    since from_rows would sort them."""
+    since the constructor would sort them."""
     total = sum(block.count(b"(") for block in iter(lambda: fh.read(_READ_BYTES), b""))
     hub = np.empty(total, dtype=np.int32)
     dist = np.empty(total, dtype=np.int64)
@@ -504,7 +504,7 @@ def _read_canonical(fh) -> HubLabeling | None:
         a, n = b, n + rows
     sizes = np.concatenate(sizes)
     ok = a == total and n > 0 and _clean_rows(sizes, hub, dist)
-    return HubLabeling.from_rows(sizes, hub, dist) if ok else None
+    return HubLabeling(sizes, hub, dist) if ok else None
 
 
 def _numbers(digits: np.ndarray, ends: np.ndarray, width: np.ndarray, limit: int, pad: int):
@@ -562,4 +562,4 @@ def _read_lines(path) -> HubLabeling:
             if any(int(x) > _I64_MAX for x in _LONG_NUMBER_RE.findall(body)):
                 raise GraphFormatError(f"line {lineno}: number does not fit in 64 bits")
     pairs = nums.reshape(-1, 2)
-    return HubLabeling.from_rows(counts, pairs[:, 0], pairs[:, 1])
+    return HubLabeling(counts, pairs[:, 0], pairs[:, 1])

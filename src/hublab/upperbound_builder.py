@@ -26,8 +26,6 @@ from .graph_core import (
 )
 from .hub_labeling import CoverReport, HubLabeling, verify_cover
 
-#: Rows per block of the membership masks in assemble.
-_ASSEMBLE_ROWS = 256
 #: Distance entries build_pair_index scans per block of rows (at least one
 #: row), and ball triples (u, v, x) it expands per block of vertices (at
 #: least one vertex).
@@ -535,7 +533,7 @@ def _assemble(S, extra, dm) -> HubLabeling:
         member &= d >= 0
         return member, d
 
-    return HubLabeling.from_blocks(n, _ASSEMBLE_ROWS, block)
+    return HubLabeling.from_blocks(n, block)
 
 
 def _stage_total(S, extra, stage_dm) -> int:
@@ -594,7 +592,7 @@ def project_back(hl_reduced: HubLabeling, representative, origin, dm) -> HubLabe
     owner, hub = _rows(_distinct(np.repeat(np.arange(n), size) * n + orig[hl_reduced.hub[at]]), n).T
     dist = dm.at(owner, hub)
     reach = dist >= 0
-    return HubLabeling.from_rows(np.bincount(owner[reach], minlength=n), hub[reach], dist[reach])
+    return HubLabeling(np.bincount(owner[reach], minlength=n), hub[reach], dist[reach])
 
 
 # -- driver -----------------------------------------------------------------------

@@ -474,18 +474,20 @@ def dense_verify_cover(hl, dm, *, truncate: int = 1000) -> CoverReport:
 
 def labeling(n: int, rows) -> HubLabeling:
     """The labeling of n vertices from one iterable of (hub, distance) pairs
-    per vertex, flattened into the constructor's entry arrays."""
+    per vertex, the rows past the last given one empty, flattened into the
+    constructor's row arrays."""
     rows = [list(row) for row in rows]
-    owner = [v for v, row in enumerate(rows) for _ in row]
+    assert len(rows) <= n, "more rows than vertices"
+    sizes = [len(row) for row in rows] + [0] * (n - len(rows))
     hub = [h for row in rows for h, _ in row]
-    return HubLabeling(n, owner, hub, [d for row in rows for _, d in row])
+    return HubLabeling(sizes, hub, [d for row in rows for _, d in row])
 
 
 def baseline_full(dm) -> HubLabeling:
     """Trivial upper baseline: every vertex stores all reachable vertices."""
     mat = dm.matrix()
-    owner, hub = np.nonzero(mat >= 0)
-    return HubLabeling(dm.n, owner, hub, mat[owner, hub])
+    member = mat >= 0
+    return HubLabeling(member.sum(1), np.nonzero(member)[1], mat[member])
 
 
 def path_weight(g: WeightedGraph, path: list[int]) -> int:

@@ -46,15 +46,12 @@ CYCLE4 = WeightedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
 
 
 def test_labeling_normalization_and_validation():
-    hl = HubLabeling(2, [0, 0, 1], [1, 0, 1], [5, 0, 0])
+    hl = HubLabeling([2, 1], [1, 0, 1], [5, 0, 0])
     assert hl.entries(0) == ((0, 0), (1, 5))
     with pytest.raises(ValueError):
         labeling(2, [[(0, 0), (0, 1)], []])
     with pytest.raises(ValueError):
         labeling(2, [[(5, 0)], []])
-    for owner in (1, -1):
-        with pytest.raises(ValueError, match=f"^owner {owner} out of range$"):
-            HubLabeling(1, [0, owner], [0, 0], [0, 0])
     # a vertex without entries has an empty row
     assert labeling(2, [[(0, 0)]]).entries(1) == ()
 
@@ -104,31 +101,35 @@ def test_constructor_matches_tuple_normaliser(case):
 
 
 def _row_arrays(n, rows):
-    """(sizes, hub, dist) of from_rows for one list of (hub, distance) pairs
-    per vertex."""
+    """(sizes, hub, dist) int64 arrays of the constructor for one list of
+    (hub, distance) pairs per vertex."""
     sizes = np.array([len(row) for row in rows], dtype=np.int64)
     entries = np.array([e for row in rows for e in row], dtype=np.int64).reshape(-1, 2)
     return sizes, entries[:, 0], entries[:, 1]
 
 
-# rows strictly increasing in hub: what from_rows keeps without the entry path
+# rows strictly increasing in hub: what the constructor keeps without a sort
 SORTED_ROWS = valid_rows().map(lambda case: (case[0], oracle_label_rows(*case)))
 
 
+# The constructor on int64 row arrays, sorted or not, against the
+# entry-by-entry tuple normaliser: same rows, same first fault, narrowed
+# read-only storage.
 @settings(max_examples=300)
 @given(st.one_of(valid_rows(), SORTED_ROWS, faulty_rows()))
 def test_from_rows_matches_entry_constructor(case):
     n, rows = case
     sizes, hub, dist = _row_arrays(n, rows)
     try:
-        want = HubLabeling(n, np.repeat(np.arange(n), sizes), hub, dist)
+        want = oracle_label_rows(n, rows)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
-            HubLabeling.from_rows(sizes, hub, dist)
+            HubLabeling(sizes, hub, dist)
         assert str(got.value) == str(exc)
         return
-    got = HubLabeling.from_rows(sizes, hub, dist)
-    assert got == want and got.hub.dtype == np.int32 and got.dist.dtype == np.int64
+    got = HubLabeling(sizes, hub, dist)
+    assert tuple(got.hubs) == want and got == labeling(n, rows)
+    assert got.hub.dtype == np.int32 and got.dist.dtype == np.int64
     assert not (got.offsets.flags.writeable or got.hub.flags.writeable or got.dist.flags.writeable)
 
 
@@ -143,25 +144,46 @@ def test_from_rows_matches_entry_constructor(case):
         ([3, 1], [1, 0, 0, 9], [0, 2, 3, 0], "vertex 0: conflicting distances for hub 0"),
         ([3, 1], [1, 9, 1, 0], [0, 2, 3, 0], "vertex 0: hub 9 out of range"),
     ],
+    ids=[
+        "hub_past_n",
+        "negative_hub",
+        "negative_distance",
+        "conflicting_distances",
+        "first_conflict_in_given_order",
+        "first_range_fault_in_given_order",
+    ],
 )
-def test_from_rows_faults_give_the_entry_constructors_message(sizes, hub, dist, message):
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    for build in (lambda: HubLabeling.from_rows(sizes, hub, dist), lambda: HubLabeling(len(sizes), owner, hub, dist)):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            build()
+def test_constructor_reports_the_first_faulty_entry(sizes, hub, dist, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        HubLabeling(sizes, hub, dist)
 
 
-def test_from_rows_keeps_owned_arrays_and_copies_views():
+def test_constructor_keeps_owned_arrays_and_copies_views():
     hub, dist = np.array([0, 1, 1], dtype=np.int32), np.array([0, 1, 0])
-    hl = HubLabeling.from_rows([2, 1], hub, dist)
+    hl = HubLabeling([2, 1], hub, dist)
     assert hl.hub is hub and hl.dist is dist and not dist.flags.writeable
     hubs, base = np.array([0, 1, 1, 5], dtype=np.int32), np.array([0, 1, 0, 7])
-    hl = HubLabeling.from_rows(np.array([2, 1]), hubs[:3], base[:3])
+    hl = HubLabeling(np.array([2, 1]), hubs[:3], base[:3])
     assert hl.hub.base is None and hl.dist.base is None and base.flags.writeable
     assert hl.entries(0) == ((0, 0), (1, 1)) and hl.entries(1) == ((1, 0),)
     with pytest.raises(ValueError, match="^row sizes sum to 2 for 3 entries$"):
-        HubLabeling.from_rows([1, 1], hub, dist)
-    assert HubLabeling.from_rows([], [], []) == HubLabeling(0, [], [], [])
+        HubLabeling([1, 1], hub, dist)
+    empty = HubLabeling([], [], [])
+    assert empty.n == 0 and empty.offsets.tolist() == [0] and empty.hub.dtype == np.int32
+
+
+def test_vertex_ids_outside_the_labeling_raise_index_error():
+    hl = labeling(3, [[(0, 0), (1, 1)], [(1, 0)], [(1, 1), (2, 0)]])
+    for v in (-1, -3, 3):
+        for call in (lambda: query(hl, v, 2), lambda: query(hl, 2, v), lambda: hl.size(v), lambda: hl.entries(v)):
+            with pytest.raises(IndexError):
+                call()
+    # the sequence view keeps tuple semantics
+    assert hl.hubs[-1] == hl.entries(2) == ((1, 1), (2, 0)) and hl.hubs[-3] == hl.entries(0)
+    for v in (-4, 3):
+        with pytest.raises(IndexError):
+            hl.hubs[v]
+    assert list(hl.hubs) == [hl.entries(v) for v in range(3)]
 
 
 @given(valid_rows())
@@ -488,8 +510,8 @@ def _edited_file_reads_as_the_line_parser_does(tmp_path_factory, case, data):
 
 
 # Well-formed texts that are not canonical: each goes to the line parser.
-# Unsorted and repeated hubs would be sorted and merged by from_rows, the
-# rest fail the layout or a number's form.
+# Unsorted and repeated hubs would be sorted and merged by the constructor,
+# the rest fail the layout or a number's form.
 NON_CANONICAL = {
     "unsorted row": "0: (1,2) (0,1)\n1: (1,0)\n",
     "repeated hub": "0: (0,1) (0,1)\n1: (1,0)\n",

@@ -166,51 +166,32 @@ def test_every_public_name_has_a_caller():
 
 
 def constructor_bypasses(source: str) -> list[int]:
-    """Lines that build a labeling past from_rows: a call of HubLabeling, or
-    of cls inside it, anywhere but in HubLabeling.from_rows (its fallback to
-    the entry constructor), or a mention of __new__ or _keep outside
-    HubLabeling."""
-    tree = ast.parse(source)
-    inside, in_from_rows = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "HubLabeling":
-            inside.update(map(id, ast.walk(node)))
-            for f in node.body:
-                if isinstance(f, ast.FunctionDef) and f.name == "from_rows":
-                    in_from_rows.update(map(id, ast.walk(f)))
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            named = node.func.id == "HubLabeling" or (node.func.id == "cls" and id(node) in inside)
-            if named and id(node) not in in_from_rows:
-                lines.append(node.lineno)
-        elif isinstance(node, ast.Attribute) and node.attr in ("__new__", "_keep"):
-            if id(node) not in inside:
-                lines.append(node.lineno)
-    return sorted(lines)
+    """Lines that could make a labeling without HubLabeling.__init__: a
+    mention of __new__, or of object.__setattr__, which fills the slots of an
+    instance __new__ made."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and (node.attr == "__new__" or ast.unparse(node) == "object.__setattr__")
+    )
 
 
 def test_constructor_bypass_check_catches_one():
     source = (
         "class HubLabeling:\n"
         "    @classmethod\n"
-        "    def from_rows(cls, s, h, d):\n"
-        "        return cls(len(s), s, h, d) or cls.__new__(cls)._keep(s, h, d)\n"
-        "    @classmethod\n"
         "    def from_blocks(cls):\n"
-        "        return cls(0, [], [], [])\n"
-        "a = HubLabeling(1, [0], [0], [0])\n"
-        "b = HubLabeling.from_rows([1], [0], [0])\n"
-        "c = HubLabeling.__new__(HubLabeling)._keep([1], [0], [0])\n"
-        "class Report:\n"
-        "    @classmethod\n"
-        "    def empty(cls):\n"
-        "        return cls()\n"
+        "        return cls([], [], [])\n"
+        "a = HubLabeling([1], [0], [0])\n"
+        "b = HubLabeling.__new__(HubLabeling)\n"
+        "object.__setattr__(b, 'n', 1)\n"
+        "a.__setattr__('n', 1)\n"
     )
-    assert constructor_bypasses(source) == [7, 8, 10, 10]
+    assert constructor_bypasses(source) == [6, 7]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_labelings_are_built_through_from_rows(path):
-    # One constructor path: the entry constructor is from_rows' sort fallback.
+def test_labelings_are_built_through_the_constructor(path):
+    # HubLabeling.__init__ is the one way to make a labeling.
     assert constructor_bypasses(path.read_text(encoding="utf-8")) == []

@@ -779,39 +779,50 @@ def test_stages_do_not_verify(monkeypatch):
     project_back(res.labeling, rep, orig, dm)
 
 
-def test_producers_never_reach_the_entry_constructor(monkeypatch, tmp_path):
-    # Every producer in src builds its labeling through from_rows on rows
-    # that need no sort; only unsorted rows reach HubLabeling.__init__.
+def test_producers_construct_once_without_a_sort(monkeypatch, tmp_path):
+    # Every producer in src makes each labeling it returns with one
+    # HubLabeling call on rows that need no sort; only unsorted text reaches
+    # _sorted_rows.
     g, cfg = SPARSE
     g2, rep, orig = reduce_degree(g)
     stage = build_for_graph(g2, cfg).labeling
     text = format_labels(stage)
-    init = HubLabeling.__init__
+    init, sort = HubLabeling.__init__, hub_labeling._sorted_rows
+    built, sorts = [], []
 
-    def forbidden(self, *args):
-        raise AssertionError("the entry constructor was called")
+    def counted(self, *args):
+        init(self, *args)
+        built.append(self)
 
-    monkeypatch.setattr(HubLabeling, "__init__", forbidden)
+    monkeypatch.setattr(HubLabeling, "__init__", counted)
+    monkeypatch.setattr(hub_labeling, "_sorted_rows", lambda *a: sorts.append(a) or sort(*a))
+
+    def built_once(hl):
+        assert len(built) == 1 and built.pop() is hl
+        return hl
+
     plain = build_for_graph(*REG)
-    assert build_for_graph(*SPARSE).report.reduced is not None
-    assert verify_cover(monotone_closure(plain.labeling, plain.dm), plain.dm).valid
-    assert project_back(stage, rep, orig, all_pairs(g)).total_size > 0
+    built_once(plain.labeling)
+    reduced = build_for_graph(*SPARSE)
+    built_once(reduced.labeling)
+    assert reduced.report.reduced is not None
+    assert verify_cover(built_once(monotone_closure(plain.labeling, plain.dm)), plain.dm).valid
+    dm = all_pairs(g)
+    assert built_once(project_back(stage, rep, orig, dm)).total_size > 0
     path = tmp_path / "labels.txt"
     path.write_text(text, encoding="ascii")
-    assert read_labels(path) == stage
+    assert built_once(read_labels(path)) == stage
     parsed, line_parser = [], hub_labeling._read_lines
     monkeypatch.setattr(hub_labeling, "_read_lines", lambda p: parsed.append(p) or line_parser(p))
     path.write_text(text.replace(": (", ":  (").replace(") (", ")   ("), encoding="ascii")
-    assert read_labels(path) == stage and parsed == [path]  # sorted rows, not canonical text
+    assert built_once(read_labels(path)) == stage and parsed == [path]  # sorted rows, not canonical text
+    assert sorts == []
     path.write_text("0: (1,2) (0,1)\n1: (1,0)\n", encoding="ascii")
-    with pytest.raises(AssertionError, match="entry constructor"):
-        read_labels(path)
-    calls = []
-    monkeypatch.setattr(HubLabeling, "__init__", lambda self, *a: calls.append(a) or init(self, *a))
+    assert built_once(read_labels(path)).entries(0) == ((0, 1), (1, 2)) and len(sorts) == 1
     path.write_text("0: (1,2) (0,1) (1,3)\n1: (1,0)\n", encoding="ascii")
     with pytest.raises(ValueError, match="^vertex 0: conflicting distances for hub 1$"):
         read_labels(path)
-    assert len(calls) == 1
+    assert len(sorts) == 2 and built == []
 
 
 # -- reduced builds assemble only the returned rows ----------------------------
@@ -873,18 +884,13 @@ def test_valid_reduced_build_constructs_no_stage_labeling(monkeypatch):
     g, cfg = SPARSE
     stage_n = reduce_degree(g)[0].n
     sizes = []
-    init, from_rows = HubLabeling.__init__, HubLabeling.from_rows.__func__
+    init = HubLabeling.__init__
 
-    def counted(self, n, *args, **kwargs):
-        sizes.append(n)
-        init(self, n, *args, **kwargs)
-
-    def counted_rows(cls, row_sizes, *args):
+    def counted(self, row_sizes, *args):
         sizes.append(len(row_sizes))
-        return from_rows(cls, row_sizes, *args)
+        init(self, row_sizes, *args)
 
     monkeypatch.setattr(HubLabeling, "__init__", counted)
-    monkeypatch.setattr(HubLabeling, "from_rows", classmethod(counted_rows))
     res = build_for_graph(g, cfg)
     assert res.report.cover.valid and g.n in sizes
     assert stage_n not in sizes
