@@ -90,6 +90,7 @@ def _read_removals(path, params: FamilyParams) -> set[tuple[int, ...]]:
 
 
 def _cmd_gen(args) -> int:
+    t0 = time.perf_counter()
     params = FamilyParams(b=args.b, ell=args.ell)
     if args.remove_file and args.kind != "Gprime":
         raise ValueError("--remove-file applies only to --kind Gprime")
@@ -112,10 +113,9 @@ def _cmd_gen(args) -> int:
         "vertex_cap": args.vertex_cap,
         "out": args.out,
     }
-    _emit(
-        _report("gen", config, {"n": inst.graph.n, "m": inst.graph.m, "meta": meta_path}),
-        args,
-    )
+    payload = {"n": inst.graph.n, "m": inst.graph.m, "meta": meta_path}
+    payload["timing"] = {"wall_time_s": round(time.perf_counter() - t0, 3)}
+    _emit(_report("gen", config, payload), args)
     return EXIT_OK
 
 
@@ -266,11 +266,15 @@ def _cmd_audit_counting(args) -> int:
     inst = _load_instance(args)
     hl = read_labels(args.labels)
     config = {"graph": args.graph, "meta": args.meta, "labels": args.labels}
+    t0 = time.perf_counter()
     try:
         rep = lowerbound_audit.audit_counting(inst, hl)
     except lowerbound_audit.InvalidCoverError as exc:
-        _emit(_report("audit-counting", config, {"passed": False, "reason": str(exc)}), args)
+        timing = {"wall_time_s": round(time.perf_counter() - t0, 3)}
+        payload = {"passed": False, "reason": str(exc), "timing": timing}
+        _emit(_report("audit-counting", config, payload), args)
         return EXIT_FAILED_CHECK
+    timing = {"wall_time_s": round(time.perf_counter() - t0, 3)}
     _emit(
         _report(
             "audit-counting",
@@ -284,6 +288,7 @@ def _cmd_audit_counting(args) -> int:
                     for x, y, z in rep.membership_failures
                 ],
                 "passed": rep.passed,
+                "timing": timing,
             },
         ),
         args,

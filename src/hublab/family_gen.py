@@ -65,9 +65,13 @@ class LevelCoord(NamedTuple):
 class FamilyInstance:
     """A family graph with its parameters, kind and level-vertex ids. roles is
     a read-only uint8 array, the role of vertex v being ROLES[roles[v]];
-    removed holds the mid-level vertices a G' deleted."""
+    removed holds the mid-level vertices a G' deleted.
 
-    graph: WeightedGraph
+    A G' that delete_level_mid made also holds its base, the expanded
+    instance it deletes from, and kept, the read-only mask of the base
+    vertices it keeps; its graph is built from those the first time it is
+    read."""
+
     params: FamilyParams
     kind: str
     coord_to_id: dict[LevelCoord, int]
@@ -76,9 +80,23 @@ class FamilyInstance:
     # Set by expand_to_G: for every vertex, the level vertex whose removal
     # drops it (see delete_level_mid).
     anchor: np.ndarray | None = field(default=None, repr=False, compare=False)
+    base: FamilyInstance | None = field(default=None, repr=False, compare=False)
+    kept: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _graph: WeightedGraph | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.roles.flags.writeable = False
+
+    @property
+    def graph(self) -> WeightedGraph:
+        if self._graph is None:
+            # The subgraph of the base on the kept vertices, renumbered in order.
+            new_ids = np.cumsum(self.kept) - 1
+            eu, ev, ew = self.base.graph.edge_arrays()
+            emask = self.kept[eu] & self.kept[ev]
+            edges = np.stack([new_ids[eu[emask]], new_ids[ev[emask]], ew[emask]], axis=1)
+            self._graph = WeightedGraph(self.roles.size, edges)
+        return self._graph
 
     def id_of(self, level: int, coords) -> int:
         return self.coord_to_id[LevelCoord(level, tuple(coords))]
@@ -159,7 +177,7 @@ def build_H(params: FamilyParams, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Fa
             coord_to_id[LevelCoord(level, coords_of_index(idx, params))] = vid(level, idx)
     graph = WeightedGraph(n, edges)
     return FamilyInstance(
-        graph=graph,
+        _graph=graph,
         params=params,
         kind=KIND_H,
         coord_to_id=coord_to_id,
@@ -238,7 +256,7 @@ def expand_to_G(inst: FamilyInstance, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -
 
     graph = WeightedGraph(next_id, edges)
     return FamilyInstance(
-        graph=graph,
+        _graph=graph,
         params=params,
         kind=KIND_G,
         coord_to_id=dict(inst.coord_to_id),
@@ -252,7 +270,11 @@ def delete_level_mid(inst: FamilyInstance, keep: Callable[[LevelCoord], bool]) -
 
     Each removal drops the level vertex, both of its trees, and every
     auxiliary vertex on its subdivided incident edges. Remaining vertices are
-    renumbered compactly; distances can only grow.
+    renumbered compactly; distances can only grow. The result holds inst as
+    its base and the mask of the vertices it keeps, with its ids and roles;
+    its graph is built only when first read (the oracle searches of
+    sumindex_protocol never read it: they search the base with the removed
+    vertices cut).
     """
     if inst.kind != KIND_G:
         raise ValueError("deletion applies to expanded instances")
@@ -267,26 +289,23 @@ def delete_level_mid(inst: FamilyInstance, keep: Callable[[LevelCoord], bool]) -
     removed = frozenset(coord for coord in mid_coords if not keep(coord))
     gone = np.zeros(params.num_levels * params.level_size, dtype=bool)
     gone[[inst.coord_to_id[coord] for coord in removed]] = True
-    keep_mask = ~gone[inst.anchor]
-    new_ids = np.cumsum(keep_mask) - 1
-    graph = inst.graph
-    if removed:
-        eu, ev, ew = graph.edge_arrays()
-        emask = keep_mask[eu] & keep_mask[ev]
-        new_edges = np.stack([new_ids[eu[emask]], new_ids[ev[emask]], ew[emask]], axis=1)
-        graph = WeightedGraph(int(keep_mask.sum()), new_edges)
+    kept = ~gone[inst.anchor]
+    kept.flags.writeable = False
+    new_ids = np.cumsum(kept) - 1
     coord_to_id = {
         coord: int(new_ids[old])
         for coord, old in inst.coord_to_id.items()
-        if keep_mask[old]
+        if kept[old]
     }
     return FamilyInstance(
-        graph=graph,
         params=params,
         kind=KIND_G_PRIME,
         coord_to_id=coord_to_id,
-        roles=inst.roles[keep_mask],
+        roles=inst.roles[kept],
         removed=removed,
+        base=inst,
+        kept=kept,
+        _graph=None if removed else inst.graph,
     )
 
 
@@ -346,7 +365,7 @@ def instance_from_files(graph: WeightedGraph, meta: dict) -> FamilyInstance:
     if (ends <= starts).any() or not np.array_equal(np.r_[0, ends], np.r_[starts, graph.n]):
         raise ValueError(f"roles_rle must cover vertices 0..{graph.n - 1} in order")
     return FamilyInstance(
-        graph=graph,
+        _graph=graph,
         params=params,
         kind=meta["kind"],
         coord_to_id={_parse_coord_key(k): v for k, v in meta["coord_to_id"].items()},

@@ -214,8 +214,9 @@ def _read_graph_lines(path) -> WeightedGraph:
 # -- searches --------------------------------------------------------------
 # Every search runs on one CSR matrix per graph, the quotient by its
 # zero-weight components, whose parallel edges keep their minimum weight
-# (csgraph reads a stored zero as a missing edge and csr_matrix sums
-# duplicate entries). A zero-weight component is a single quotient vertex at
+# (csr_matrix sums duplicate entries). The quotient stores no zero: csgraph's
+# Dijkstra reads a stored zero as an edge of weight 0, but its BFS as a hop
+# like any other. A zero-weight component is a single quotient vertex at
 # distance 0 from each of its members, so a search from one vertex is
 # gathered back through the component labels, and an all-pairs search stays
 # the quotient's matrix, which DenseDistanceMatrix reads through them.
@@ -494,12 +495,55 @@ def distance_between(g: WeightedGraph, s: int, t: int):
         return UNREACHABLE if d < 0 else d
     if labels is not None:
         s, t = int(labels[s]), int(labels[t])
+    return _bfs_steps(mat, s, t)
+
+
+def _bfs_steps(mat, s: int, t: int):
+    """Hops from s to t in the unit-weight CSR mat, UNREACHABLE when t is not
+    reached: the steps from t back to s in one BFS tree."""
     # A memoryview reads Python ints, several times faster than numpy scalars.
     pred = memoryview(breadth_first_order(mat, s, return_predecessors=True)[1])
     d = 0
     while t != s and t >= 0:  # csgraph marks "no predecessor" negative
         t, d = pred[t], d + 1
     return d if t >= 0 else UNREACHABLE
+
+
+class CutSearch:
+    """Searches of the unit-weight graph g with every vertex outside the bool
+    mask kept cut out, in g's vertex ids: the distances of the subgraph that
+    kept induces, with no graph of that subgraph built.
+
+    The searches run on a copy of g's own search CSR in which every stored
+    column that names a cut vertex points at the search's source. The BFS has
+    visited the source before it reads any column, so it never enters a cut
+    vertex. (Zeroing those entries instead would not cut them: csgraph
+    traverses a stored zero.)"""
+
+    def __init__(self, g: WeightedGraph, kept: np.ndarray):
+        labels, mat = _search_matrix(g)
+        if labels is not None or not (mat.data == 1).all():
+            raise RuntimeError(f"a cut search needs a unit-weight graph, not {g!r}")
+        self._kept = kept
+        self._cut = np.flatnonzero(~kept.take(mat.indices))
+        self._mat = csr_matrix((mat.data, mat.indices.copy(), mat.indptr), shape=mat.shape)
+
+    def _from(self, s: int):
+        """The CSR whose cut columns point at the kept source s."""
+        if not self._kept[s]:
+            raise ValueError(f"source {s} is cut")
+        self._mat.indices[self._cut] = s
+        return self._mat
+
+    def distance(self, s: int, t: int):
+        """As distance_between, in the subgraph."""
+        return _bfs_steps(self._from(s), s, t)
+
+    def distances_from(self, s: int) -> np.ndarray:
+        """As distances_from, in the subgraph: -1 at every cut vertex."""
+        dist = _bfs_depths(self._from(s), s)
+        dist.flags.writeable = False
+        return dist
 
 
 # -- distance matrices -----------------------------------------------------

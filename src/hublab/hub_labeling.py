@@ -446,10 +446,11 @@ def _tokens(values, prefix: bytes, suffix: bytes, width: int) -> np.ndarray:
 
 
 def read_labels(path) -> HubLabeling:
-    """Parse a label file. Canonical text, byte for byte what write_labels
-    writes, is taken by a fast path; any other text goes to the line parser,
-    which alone decides what else is well formed and how a fault is
-    reported."""
+    """Parse a label file. Text in the layout write_labels writes, with
+    canonical decimals, is taken by a fast path, which hands the constructor
+    the rows the line parser would; any other text goes to the line parser,
+    which alone decides what else is well formed and how a fault in the text
+    is reported."""
     with open(path, "rb") as fh:
         hl = _read_canonical(fh)
     return _read_lines(path) if hl is None else hl
@@ -463,8 +464,9 @@ def _read_canonical(fh) -> HubLabeling | None:
     whose layout is proved from the positions of "(", "," and "\n": each ")"
     or ":" sits two bytes before the next "(" of its row, a space between,
     or just before the row's newline, and every other byte is a digit. The
-    digit runs must be canonical decimals, and each row's hubs must rise,
-    since the constructor would sort them."""
+    digit runs must be canonical decimals. Rows out of order are left to the
+    constructor, which sorts them or reports their first fault as the line
+    parser would, since it gets the same rows."""
     total = sum(block.count(b"(") for block in iter(lambda: fh.read(_READ_BYTES), b""))
     hub = np.empty(total, dtype=np.int32)
     dist = np.empty(total, dtype=np.int64)
@@ -502,9 +504,7 @@ def _read_canonical(fh) -> HubLabeling | None:
         hub[a:b], dist[a:b] = hubs, dists
         sizes.append(size)
         a, n = b, n + rows
-    sizes = np.concatenate(sizes)
-    ok = a == total and n > 0 and _clean_rows(sizes, hub, dist)
-    return HubLabeling(sizes, hub, dist) if ok else None
+    return HubLabeling(np.concatenate(sizes), hub, dist) if a == total and n > 0 else None
 
 
 def _numbers(digits: np.ndarray, ends: np.ndarray, width: np.ndarray, limit: int, pad: int):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 from .family_gen import (
     DEFAULT_VERTEX_CAP,
@@ -24,7 +25,7 @@ from .family_gen import (
     expand_to_G,
     unique_path_length,
 )
-from .graph_core import UNREACHABLE, distance_between, distances_from
+from .graph_core import UNREACHABLE, CutSearch, distance_between, distances_from
 from .hub_labeling import ceil_log2, entry_bits, query as hub_query
 from .upperbound_builder import BuilderConfig, BuildResult, build_for_graph
 
@@ -113,20 +114,52 @@ def _endpoints(params: FamilyParams, a: int, b: int) -> tuple[LevelCoord, LevelC
 
 
 def _message_bits(
-    inst: SumIndexInstance, gprime: FamilyInstance, hub_build: BuildResult | None, v: int
+    inst: SumIndexInstance, gprime: FamilyInstance, hub_build: BuildResult | None, coord
 ) -> int:
-    """Bits of a player's message about vertex v of gprime: its label plus the
-    index. Hub mode prices the stored entries at entry_bits each. Oracle
-    mode, the no-labeling baseline, prices a full distance row, each entry
-    wide enough for the largest finite distance plus a reachability flag."""
+    """Bits of a player's message about the level vertex at coord of gprime:
+    its label plus the index. Hub mode prices the stored entries at
+    entry_bits each. Oracle mode, the no-labeling baseline, prices a full
+    distance row of gprime's vertices, each entry wide enough for the largest
+    finite distance plus a reachability flag."""
     if hub_build is None:
         p = inst.params
         upper = (2 * p.ell + 1) * (p.base_weight + (p.s - 1) ** 2)
-        label = gprime.graph.n * (ceil_log2(upper + 1) + 1)
+        label = gprime.roles.size * (ceil_log2(upper + 1) + 1)
     else:
         hl = hub_build.labeling
-        label = hl.size(v) * entry_bits(hl.n, hub_build.report.diameter)
+        label = hl.size(gprime.coord_to_id[coord]) * entry_bits(hl.n, hub_build.report.diameter)
     return label + inst.index_bits
+
+
+class _Oracle:
+    """The exact distances oracle rounds read on gprime. A gprime that
+    delete_level_mid made is searched on its base graph with the deleted
+    vertices cut (graph_core.CutSearch), so its own graph is never built; one
+    read from files searches its own graph. row_distance keeps the distance
+    row of one source until the source changes."""
+
+    def __init__(self, gprime: FamilyInstance):
+        if gprime.base is None:
+            g = gprime.graph
+            self.ids = gprime.coord_to_id
+            self._between, self._row_from = partial(distance_between, g), partial(distances_from, g)
+        else:
+            cut = CutSearch(gprime.base.graph, gprime.kept)
+            self.ids = gprime.base.coord_to_id
+            self._between, self._row_from = cut.distance, cut.distances_from
+        self._src = self._row = None
+
+    def distance(self, alice: LevelCoord, bob: LevelCoord):
+        """One search, walked back from bob."""
+        return self._between(self.ids[alice], self.ids[bob])
+
+    def row_distance(self, alice: LevelCoord, bob: LevelCoord):
+        """Read off the distance row of alice, searched when alice changes."""
+        s = self.ids[alice]
+        if s != self._src:
+            self._src, self._row = s, self._row_from(s)
+        d = int(self._row[self.ids[bob]])
+        return UNREACHABLE if d < 0 else d
 
 
 def run_protocol(
@@ -141,12 +174,18 @@ def run_protocol(
     returns for inst. The decoded bit is 1 iff the measured distance equals
     the ideal unique-path length; disconnection decodes 0.
 
-    Without hub_build the round measures exact distances (oracle mode). With
-    it, the build_for_graph result for gprime, the round answers the query
-    from that hub labeling and prices messages by its bit convention (hub
-    mode).
+    Without hub_build the round measures exact distances (oracle mode) with
+    one BFS: on the base graph with the deleted vertices cut, so gprime's own
+    graph is not built, or on gprime's graph when gprime was read from files.
+    With it, the build_for_graph result for gprime, the round answers the
+    query from that hub labeling and prices messages by its bit convention
+    (hub mode).
     """
-    return _play(inst, a, b, gprime, hub_build, None)
+    params = inst.params
+    if gprime.kind != KIND_G_PRIME or gprime.params != params:
+        raise ValueError(f"protocol runs on G_prime of {params}, not {gprime.kind} {gprime.params}")
+    oracle = _Oracle(gprime).distance if hub_build is None else None
+    return _play(inst, a, b, gprime, hub_build, oracle)
 
 
 def _play(
@@ -155,30 +194,20 @@ def _play(
     b: int,
     gprime: FamilyInstance,
     hub_build: BuildResult | None,
-    rows: dict | None,
+    oracle,
 ) -> SumIndexTranscript:
-    """run_protocol. In oracle mode with a dict rows, the round measures from
-    rows[u], the distance row of Alice's vertex u, kept there until Alice's
-    vertex changes: a sweep in (a, b) order searches once per Alice vertex."""
+    """run_protocol; in oracle mode, oracle(alice, bob) is the distance the
+    referee reads between the vertices whose labels Alice and Bob send."""
     params = inst.params
     m = inst.m
     if not 0 <= a < m or not 0 <= b < m:
         raise ValueError(f"indices must lie in [0, {m})")
-    if gprime.kind != KIND_G_PRIME or gprime.params != params:
-        raise ValueError(f"protocol runs on G_prime of {params}, not {gprime.kind} {gprime.params}")
     alice, bob = _endpoints(params, a, b)
-    u = gprime.coord_to_id[alice]
-    v = gprime.coord_to_id[bob]
-    if hub_build is not None:
-        measured = hub_query(hub_build.labeling, u, v)
-    elif rows is None:
-        measured = distance_between(gprime.graph, u, v)
+    if hub_build is None:
+        measured = oracle(alice, bob)
     else:
-        if u not in rows:
-            rows.clear()
-            rows[u] = distances_from(gprime.graph, u)
-        measured = int(rows[u][v])
-        measured = UNREACHABLE if measured < 0 else measured
+        ids = gprime.coord_to_id
+        measured = hub_query(hub_build.labeling, ids[alice], ids[bob])
     ideal = unique_path_length(params, alice.coords, bob.coords)
     decoded = 1 if measured == ideal else 0
     expected = int(inst.bits[(a + b) % m])
@@ -187,8 +216,8 @@ def _play(
         b=b,
         alice_vertex=alice,
         bob_vertex=bob,
-        alice_label_bits=_message_bits(inst, gprime, hub_build, u),
-        bob_label_bits=_message_bits(inst, gprime, hub_build, v),
+        alice_label_bits=_message_bits(inst, gprime, hub_build, alice),
+        bob_label_bits=_message_bits(inst, gprime, hub_build, bob),
         measured_dist=measured,
         ideal_dist=ideal,
         decoded=decoded,
@@ -216,17 +245,19 @@ def sweep(
     builder: BuilderConfig | None = None,
 ) -> list[SumIndexTranscript]:
     """Run the protocol on every (a, b) pair, or on the given pairs, against a
-    single deleted graph. Hub mode builds that graph's labeling once; oracle
-    mode searches once per run of consecutive pairs with one a, which is
-    once per Alice vertex when pairs is None."""
+    single deleted graph. Hub mode builds that graph and its labeling once.
+    Oracle mode builds no graph: it searches the base graph with the deleted
+    vertices cut, once per run of consecutive pairs with one a, which is
+    once per Alice vertex when pairs is None, and reads each pair's distance
+    off that search's row."""
     gprime = build_instance_graph(inst, base=base)
     hub_build = _hub_build(gprime, mode, builder)
     if pairs is None:
         pairs = itertools.product(range(inst.m), repeat=2)
     if hub_build is not None:
         return [run_protocol(inst, a, b, gprime=gprime, hub_build=hub_build) for a, b in pairs]
-    rows: dict = {}
-    return [_play(inst, a, b, gprime, None, rows) for a, b in pairs]
+    oracle = _Oracle(gprime).row_distance
+    return [_play(inst, a, b, gprime, None, oracle) for a, b in pairs]
 
 
 def measure_message_size(
@@ -238,7 +269,7 @@ def measure_message_size(
     gprime = build_instance_graph(inst, base=base)
     hub_build = _hub_build(gprime, mode, None)
     sizes = [
-        _message_bits(inst, gprime, hub_build, gprime.coord_to_id[coord])
+        _message_bits(inst, gprime, hub_build, coord)
         for a in range(inst.m)
         for coord in _endpoints(inst.params, a, a)
     ]

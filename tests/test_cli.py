@@ -231,6 +231,19 @@ def test_sumindex_cli_single_and_sweep(capsys):
     assert all(r["decoded"] == r["expected"] for r in rows)
 
 
+def assert_timed_run(capsys, argv, code=0):
+    """argv, run twice, exits with code and reports its wall time alone
+    under timing, and the two reports differ only in what strip_volatile drops."""
+    reps = []
+    for _ in range(2):
+        got, out = run_cli(capsys, *argv)
+        assert got == code
+        reps.append(json.loads(out))
+    assert set(reps[0]["timing"]) == {"wall_time_s"}
+    assert reps[0]["timing"]["wall_time_s"] >= 0
+    assert strip_volatile(reps[0]) == strip_volatile(reps[1])
+
+
 def test_sumindex_and_lemma1_reports_time_their_run(capsys, tmp_path):
     code, _ = run_cli(capsys, "gen", "--kind", "G", "--b", "1", "--ell", "1", "--out", str(tmp_path / "g.txt"))
     assert code == 0
@@ -238,14 +251,23 @@ def test_sumindex_and_lemma1_reports_time_their_run(capsys, tmp_path):
         ["sumindex", "--b", "1", "--ell", "1", "--bits", "1", "--sweep"],
         ["audit", "lemma1", "--graph", str(tmp_path / "g.txt"), "--meta", str(tmp_path / "g.txt.meta.json")],
     ):
-        reps = []
-        for _ in range(2):
-            code, out = run_cli(capsys, *argv)
-            assert code == 0
-            reps.append(json.loads(out))
-        assert set(reps[0]["timing"]) == {"wall_time_s"}
-        assert reps[0]["timing"]["wall_time_s"] >= 0
-        assert strip_volatile(reps[0]) == strip_volatile(reps[1])
+        assert_timed_run(capsys, argv)
+
+
+def test_gen_and_counting_reports_time_their_run(capsys, tmp_path):
+    h = str(tmp_path / "h.txt")
+    assert_timed_run(capsys, ["gen", "--kind", "H", "--b", "1", "--ell", "1", "--out", h])
+    remove = tmp_path / "remove.txt"
+    remove.write_text("1\n")
+    gp = ["gen", "--kind", "Gprime", "--b", "1", "--ell", "1", "--remove-file", str(remove)]
+    assert_timed_run(capsys, gp + ["--out", str(tmp_path / "gp.txt")])
+    labels = tmp_path / "l.txt"
+    write_labels(baseline_full(all_pairs(read_graph(h))), labels)
+    counting = ["audit", "counting", "--graph", h, "--meta", h + ".meta.json", "--labels"]
+    assert_timed_run(capsys, counting + [str(labels)])
+    # A labeling that is no cover fails the audit, and that report is timed too.
+    (tmp_path / "bad.txt").write_text("".join(f"{v}: ({v},0)\n" for v in range(6)))
+    assert_timed_run(capsys, counting + [str(tmp_path / "bad.txt")], code=1)
 
 
 @pytest.mark.parametrize("mode, bits", [("hub", 445), ("oracle", 631)])

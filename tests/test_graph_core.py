@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from hublab.family_gen import FamilyParams, build_H
 from hublab.graph_core import (
     UNREACHABLE,
     WEIGHT_LIMIT,
+    CutSearch,
     DenseDistanceMatrix,
     GraphFormatError,
     ResourceLimitError,
@@ -420,6 +422,38 @@ def test_distance_between_rejects_endpoints_out_of_range():
     for s, t in ((0, -1), (-1, 0), (0, 3), (3, 0), (7, 7), (-1, -1)):
         with pytest.raises(ValueError, match="out of range"):
             distance_between(PATH3, s, t)
+
+
+@given(small_graphs(min_weight=1, max_weight=1), st.data())
+def test_cut_search_matches_the_induced_subgraph(g, data):
+    kept = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    # The subgraph on the kept vertices, in g's ids; cut vertices are isolated.
+    want = oracle_distances(WeightedGraph(g.n, [e for e in g.edges if kept[e[0]] and kept[e[1]]]))
+    search = CutSearch(g, np.array(kept, dtype=bool))
+    for s in itertools.compress(range(g.n), kept):
+        row = search.distances_from(s)
+        assert row.tolist() == want[s] and not row.flags.writeable
+        for t in range(g.n):
+            assert search.distance(s, t) == (UNREACHABLE if row[t] < 0 else row[t])
+
+
+def test_cut_search_refuses_other_weights_and_cut_sources():
+    for g in (WeightedGraph(3, [(0, 1, 0), (1, 2, 1)]), WeightedGraph(3, [(0, 1, 2), (1, 2, 1)])):
+        with pytest.raises(RuntimeError, match="unit-weight"):
+            CutSearch(g, np.ones(3, dtype=bool))
+    search = CutSearch(PATH3, np.array([True, False, True]))
+    assert search.distance(0, 2) is UNREACHABLE
+    with pytest.raises(ValueError, match="source 1 is cut"):
+        search.distances_from(1)
+
+
+@given(small_graphs(max_n=10, min_weight=0, max_weight=1))
+def test_search_matrix_of_a_zero_one_graph_stores_no_zero(g):
+    # csgraph's BFS takes a stored zero for a hop like any other, so the
+    # quotient by the zero-weight components must store none.
+    from hublab.graph_core import _search_matrix
+
+    assert (_search_matrix(g)[1].data == 1).all()
 
 
 def test_graph_file_round_trip(tmp_path):

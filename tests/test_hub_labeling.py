@@ -509,12 +509,9 @@ def _edited_file_reads_as_the_line_parser_does(tmp_path_factory, case, data):
     assert read_labels(path) == want
 
 
-# Well-formed texts that are not canonical: each goes to the line parser.
-# Unsorted and repeated hubs would be sorted and merged by the constructor,
-# the rest fail the layout or a number's form.
+# Well-formed texts that are not canonical: each fails the layout or a
+# number's form and goes to the line parser.
 NON_CANONICAL = {
-    "unsorted row": "0: (1,2) (0,1)\n1: (1,0)\n",
-    "repeated hub": "0: (0,1) (0,1)\n1: (1,0)\n",
     "leading zero in a vertex id": "00: (0,0)\n1: (1,0)\n",
     "leading zero in a hub": "0: (00,0)\n1: (1,0)\n",
     "leading zero in a distance": "0: (0,00) (1,07)\n1: (1,0)\n",
@@ -544,6 +541,34 @@ def test_non_canonical_file_reads_through_the_line_parser(tmp_path, monkeypatch,
     else:
         assert read_labels(path) == want
     assert calls == [path]
+
+
+# Texts in the canonical layout whose rows the constructor sorts, merges or
+# refuses. The fast path hands it the rows the line parser would, so each
+# reads to the line parser's labeling or raises its exact message.
+UNCLEAN_ROWS = {
+    "unsorted row": "0: (1,2) (0,1)\n1: (1,0)\n",
+    "repeated hub": "0: (0,1) (0,1)\n1: (1,0)\n",
+    "conflicting repeated hub": "0: (1,1) (0,0) (1,2)\n1: (1,0)\n",
+    "hub equal to n": "0: (0,0) (2,5)\n1: (1,0)\n",
+    "hub beyond n after an unsorted row": "0: (1,1) (0,0)\n1: (1,0) (9,4)\n",
+}
+
+
+@pytest.mark.parametrize("text", UNCLEAN_ROWS.values(), ids=UNCLEAN_ROWS.keys())
+def test_canonical_layout_with_unclean_rows_skips_the_line_parser(tmp_path, monkeypatch, text):
+    path = tmp_path / "labels.txt"
+    path.write_text(text, encoding="ascii")
+    try:
+        want = hub_labeling._read_lines(path)
+    except ValueError as exc:
+        want = exc
+    monkeypatch.setattr(hub_labeling, "_read_lines", lambda p: pytest.fail("line parser ran"))
+    if isinstance(want, Exception):
+        with pytest.raises(type(want), match=f"^{re.escape(str(want))}$"):
+            read_labels(path)
+    else:
+        assert read_labels(path) == want
 
 
 @pytest.mark.parametrize(

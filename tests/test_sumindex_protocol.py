@@ -1,9 +1,16 @@
 import itertools
+import random
 
 import pytest
 
 from hublab import graph_core
-from hublab.family_gen import FamilyParams, unique_path_length
+from hublab.family_gen import (
+    FamilyParams,
+    instance_from_files,
+    read_metadata,
+    unique_path_length,
+    write_metadata,
+)
 from hublab.graph_core import UNREACHABLE, distance_between
 from hublab.sumindex_protocol import (
     SumIndexInstance,
@@ -193,24 +200,67 @@ def test_unknown_mode_rejected(run):
 
 @pytest.mark.parametrize("bits", ["1001", "0000"])  # "0000" disconnects every pair
 def test_oracle_sweep_searches_once_per_alice_vertex(monkeypatch, bits):
-    from hublab import sumindex_protocol
-
     inst = SumIndexInstance(P22, bits)
     base = build_base_graph(P22)
     gp = build_instance_graph(inst, base=base)
     want = [run_protocol(inst, a, b, gprime=gp) for a, b in itertools.product(range(4), repeat=2)]
     sources = []
-    real = sumindex_protocol.distances_from
+    real = graph_core.CutSearch.distances_from
 
-    def counted(g, src):
+    def counted(search, src):
         sources.append(src)
-        return real(g, src)
+        return real(search, src)
 
-    monkeypatch.setattr(sumindex_protocol, "distances_from", counted)
+    # The sweep searches the base graph, from Alice's base vertex.
+    monkeypatch.setattr(graph_core.CutSearch, "distances_from", counted)
     assert sweep(inst, base=base) == want
-    assert sorted(sources) == sorted({gp.coord_to_id[t.alice_vertex] for t in want})
+    assert sorted(sources) == sorted({base.coord_to_id[t.alice_vertex] for t in want})
     # Pairs out of (a, b) order search again when Alice's vertex changes.
     sources.clear()
     pairs = [(0, 1), (1, 1), (0, 2)]
     got = sweep(inst, base=base, pairs=pairs)
     assert got == [want[4 * a + b] for a, b in pairs] and len(sources) == 3
+
+
+@pytest.mark.parametrize("params", [FamilyParams(2, 1), P22], ids=["G'(2,1)", "G'(2,2)"])
+def test_cut_search_rounds_match_the_built_graph(tmp_path, params):
+    m = (params.s // 2) ** params.ell
+    rng = random.Random(5)
+    base = build_base_graph(params)
+    pairs = list(itertools.product(range(m), repeat=2))
+    for bits in ["0" * m, "1" * m] + ["".join(rng.choices("01", k=m)) for _ in range(4)]:
+        inst = SumIndexInstance(params, bits)
+        gp = build_instance_graph(inst, base=base)
+        rounds = [run_protocol(inst, a, b, gprime=gp) for a, b in pairs]
+        assert sweep(inst, base=base) == rounds
+        for t in rounds:
+            u, v = gp.coord_to_id[t.alice_vertex], gp.coord_to_id[t.bob_vertex]
+            assert t.measured_dist == distance_between(gp.graph, u, v)
+        if "1" not in bits:
+            assert all(t.measured_dist is UNREACHABLE for t in rounds)
+        # A G' read from files has no base and searches its own graph.
+        write_metadata(gp, tmp_path / "meta.json")
+        loaded = instance_from_files(gp.graph, read_metadata(tmp_path / "meta.json"))
+        assert loaded.base is None
+        assert [run_protocol(inst, a, b, gprime=loaded) for a, b in pairs] == rounds
+
+
+@pytest.mark.parametrize("bits", ["1001", "1111"])
+def test_oracle_mode_builds_no_deleted_graph(monkeypatch, bits):
+    inst = SumIndexInstance(P22, bits)
+    base = build_base_graph(P22)
+    gp = build_instance_graph(inst, base=base)
+    search_matrix = graph_core._search_matrix
+
+    def refuse(*args):
+        raise AssertionError("oracle mode built a graph")
+
+    # From here on, only the base graph may have its search CSR built.
+    monkeypatch.setattr(graph_core.WeightedGraph, "__init__", refuse)
+    monkeypatch.setattr(
+        graph_core, "_search_matrix", lambda g: search_matrix(g) if g is base.graph else refuse()
+    )
+    assert run_protocol(inst, 3, 1, gprime=gp).decoded == int(bits[0])
+    assert len(sweep(inst, base=base)) == 16
+    assert measure_message_size(inst, base=base)[0] > 0
+    assert gp.graph is base.graph if bits == "1111" else gp._graph is None
