@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Time one `hublab build`, `hublab verify`, `hublab closure`, `hublab
-sumindex` or `hublab audit lemma1`, or the two all-pairs searches, on a named
-graph and record it in BENCH_<label>.json.
+sumindex` or `hublab audit lemma1`, the label queries, or the two all-pairs
+searches, on a named graph and record it in BENCH_<label>.json.
 
 Usage:
     python scripts/bench.py --label pair_index --side after --graph er:2000:4000:1
     python scripts/bench.py --label closure --command closure --side after --graph reg:2000:3:1
     python scripts/bench.py --label unit_search --command verify --side after --graph reg:2000:3:1
+    python scripts/bench.py --label query_probe --command query --side after --graph reg:2000:3:1
     python scripts/bench.py --label unit_search --command searches --side after --graph path:2000
     python scripts/bench.py --label family_searches --command sumindex --side after --graph H:2:3
     python scripts/bench.py --label family_searches --command lemma1 --side after --graph H:2:2
@@ -39,6 +40,12 @@ report (reading the labels is one; null where the report has no timing), and
 the input's entry count and digest; a verify record adds the verdict, a
 closure record the closure's entry count and SHA-256.
 
+With --command query, the labels are built the same way and read back in
+this process; then hub_labeling.query is timed on 20 sources x 100 targets
+in source order and on 2,000 random pairs, all drawn with numpy seed 0, each
+set run 9 times. The record holds the median and the best microseconds per
+call of each set, the peak RSS and a SHA-256 of the answers of both sets.
+
 With --command searches, graph_core.all_pairs and then
 graph_core.shortest_path_hits, with every 20th vertex masked, run in this
 process; the record holds the time of each, the peak RSS and a SHA-256 of
@@ -65,6 +72,7 @@ import os
 import platform
 import resource
 import shlex
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -139,25 +147,32 @@ def _peak_rss_mb() -> float:
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
-def run_on_labels(spec: str, command: str) -> dict:
-    """Build labels for the graph in a child process, then time `hublab
-    verify` or `hublab closure` of them in this one."""
+def _build_in_child(spec: str, tmp: str) -> tuple[dict, str, str]:
+    """(graph info, graph path, labels path): the graph written to tmp and
+    its labels built there by `hublab build` in a child process."""
     from hublab import graph_core
 
     g, graph_info = make_graph(spec)
     graph_info.update(n=g.n, m=g.m, weight_kind=g.weight_kind)
+    graph_path = os.path.join(tmp, "graph.txt")
+    labels_path = os.path.join(tmp, "labels.txt")
+    graph_core.write_graph(g, graph_path)
+    del g
+    build = ["build", "--graph", graph_path, "--out", labels_path]
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    subprocess.run(
+        [sys.executable, "-m", "hublab.cli", *build],
+        env=env, check=True, stdout=subprocess.DEVNULL,
+    )
+    return graph_info, graph_path, labels_path
+
+
+def run_on_labels(spec: str, command: str) -> dict:
+    """Build labels for the graph in a child process, then time `hublab
+    verify` or `hublab closure` of them in this one."""
     with tempfile.TemporaryDirectory() as tmp:
-        graph_path = os.path.join(tmp, "graph.txt")
-        labels_path = os.path.join(tmp, "labels.txt")
+        graph_info, graph_path, labels_path = _build_in_child(spec, tmp)
         closure_path = os.path.join(tmp, "closure.txt")
-        graph_core.write_graph(g, graph_path)
-        del g
-        build = ["build", "--graph", graph_path, "--out", labels_path]
-        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-        subprocess.run(
-            [sys.executable, "-m", "hublab.cli", *build],
-            env=env, check=True, stdout=subprocess.DEVNULL,
-        )
         argv = [command, "--graph", graph_path, "--labels", labels_path]
         if command == "closure":
             argv += ["--out", closure_path]
@@ -181,6 +196,45 @@ def run_on_labels(spec: str, command: str) -> dict:
         else:
             record.update(label_entries=report["total_size"], valid=report["valid"])
     return record
+
+
+def run_query(spec: str) -> dict:
+    """Build labels for the graph in a child process, read them in this one,
+    and time hub_labeling.query on source-grouped and on random pairs."""
+    import numpy as np
+
+    from hublab import hub_labeling
+
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_info, _, labels_path = _build_in_child(spec, tmp)
+        hl = hub_labeling.read_labels(labels_path)
+        digest = _digest(labels_path)
+    rng = np.random.default_rng(0)
+    sources = rng.choice(hl.n, size=20, replace=False).tolist()
+    pair_sets = {
+        "grouped": [(s, t) for s in sources for t in rng.integers(0, hl.n, size=100).tolist()],
+        "random": rng.integers(0, hl.n, size=(2000, 2)).tolist(),
+    }
+    median_us, best_us, answers = {}, {}, {}
+    for name, pairs in pair_sets.items():
+        per_call = []
+        for _ in range(9):
+            t0 = time.perf_counter()
+            got = [hub_labeling.query(hl, u, v) for u, v in pairs]
+            per_call.append((time.perf_counter() - t0) / len(pairs) * 1e6)
+        median_us[name] = round(statistics.median(per_call), 2)
+        best_us[name] = round(min(per_call), 2)
+        answers[name] = [d if isinstance(d, int) else None for d in got]  # None: UNREACHABLE
+    return {
+        "graph": graph_info,
+        "calls": {name: len(pairs) for name, pairs in pair_sets.items()},
+        "us_per_call_median": median_us,
+        "us_per_call_best": best_us,
+        "peak_rss_mb": _peak_rss_mb(),
+        "label_entries": hl.total_size,
+        "labels_sha256": digest,
+        "answers_sha256": hashlib.sha256(json.dumps(answers, sort_keys=True).encode()).hexdigest(),
+    }
 
 
 def run_searches(spec: str) -> dict:
@@ -278,7 +332,7 @@ def main() -> int:
     ap.add_argument("--name", help="key of the graph in the file (default: the spec)")
     ap.add_argument(
         "--command",
-        choices=("build", "verify", "closure", "searches", "sumindex", "lemma1"),
+        choices=("build", "verify", "closure", "query", "searches", "sumindex", "lemma1"),
         default="build",
         help="what to time",
     )
@@ -287,6 +341,8 @@ def main() -> int:
     sys.path.insert(0, os.path.join(ROOT, "src"))
     if args.command == "build":
         record = run(args.graph)
+    elif args.command == "query":
+        record = run_query(args.graph)
     elif args.command == "searches":
         record = run_searches(args.graph)
     elif args.command in ("sumindex", "lemma1"):

@@ -291,12 +291,10 @@ def delete_level_mid(inst: FamilyInstance, keep: Callable[[LevelCoord], bool]) -
     gone[[inst.coord_to_id[coord] for coord in removed]] = True
     kept = ~gone[inst.anchor]
     kept.flags.writeable = False
-    new_ids = np.cumsum(kept) - 1
-    coord_to_id = {
-        coord: int(new_ids[old])
-        for coord, old in inst.coord_to_id.items()
-        if kept[old]
-    }
+    coords, old = zip(*inst.coord_to_id.items())
+    old = np.array(old)
+    new_ids = old - np.searchsorted(np.flatnonzero(~kept), old)  # less the dropped ids below it
+    coord_to_id = {c: i for c, i, k in zip(coords, new_ids.tolist(), kept[old].tolist()) if k}
     return FamilyInstance(
         params=params,
         kind=KIND_G_PRIME,

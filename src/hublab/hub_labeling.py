@@ -37,11 +37,12 @@ class HubLabeling:
 
     The entries of vertex v are hub[offsets[v]:offsets[v + 1]] (int32 hub
     ids, strictly increasing) with the stored distances at the same positions
-    of dist (int64). Immutable after construction; the stored distance of
-    every entry is expected to equal the true graph distance.
+    of dist (int64). The public arrays are read-only, and query keeps one
+    published read-only probe row per labeling (see query); the stored
+    distance of every entry is expected to equal the true graph distance.
     """
 
-    __slots__ = ("n", "offsets", "hub", "dist")
+    __slots__ = ("n", "offsets", "hub", "dist", "_probe")
 
     def __init__(self, sizes, hub, dist):
         """The labeling whose row v holds the next sizes[v] entries (hub[i],
@@ -61,6 +62,7 @@ class HubLabeling:
         self.hub, self.dist = (a if a.base is None else a.copy() for a in (hub, dist))
         for a in (self.offsets, self.hub, self.dist):
             a.flags.writeable = False
+        self._probe = (-1, None)  # (source, row) of query; -1 is no vertex
 
     @classmethod
     def from_blocks(cls, n: int, block) -> "HubLabeling":
@@ -81,7 +83,7 @@ class HubLabeling:
     def _span(self, v: int) -> tuple[int, int]:
         if not 0 <= v < self.n:
             raise IndexError(f"vertex {v} out of range")
-        return int(self.offsets[v]), int(self.offsets[v + 1])
+        return self.offsets.item(v), self.offsets.item(v + 1)
 
     @property
     def hubs(self) -> "_Rows":
@@ -187,17 +189,29 @@ class CoverReport:
 
 def query(hl: HubLabeling, u: int, v: int):
     """min over common hubs of stored(u,w) + stored(w,v); UNREACHABLE when the
-    hub sets are disjoint. Always an over-approximation of the distance."""
+    hub sets are disjoint. Always an over-approximation of the distance.
+
+    Answers from the probe row of u or v: the stored distances of one source
+    at its hubs and _NO_SUM at every other vertex, read at the hubs of the
+    other endpoint. When neither is the source, u's row replaces the probe as
+    a new (source, row) pair, so a reader never sees a half-built one.
+    """
     a0, a1 = hl._span(u)
     b0, b1 = hl._span(v)
-    a, b = hl.hub[a0:a1], hl.hub[b0:b1]
-    if not (a.size and b.size):
-        return UNREACHABLE
-    at = b.searchsorted(a)
-    common = b.take(at, mode="clip") == a
-    # Stored distances are below 2**63, so their sums fit below _NO_SUM.
-    sums = hl.dist[a0:a1].view(np.uint64)[common]
-    sums += hl.dist[b0:b1].view(np.uint64).take(at[common])
+    source, row = hl._probe
+    if source == v:
+        b0, b1 = a0, a1
+    elif source != u:
+        row = np.full(hl.n, _NO_SUM)
+        row[hl.hub[a0:a1]] = hl.dist[a0:a1].view(np.uint64)
+        row.flags.writeable = False
+        hl._probe = (u, row)
+    dv = hl.dist[b0:b1].view(np.uint64)
+    sums = row.take(hl.hub[b0:b1])
+    # Stored distances are below 2**63, so a sum through a common hub stays
+    # below _NO_SUM, and a hub the source lacks sums to exactly _NO_SUM.
+    np.minimum(sums, ~dv, out=sums)
+    sums += dv
     best = int(sums.min(initial=_NO_SUM))
     return UNREACHABLE if best == _NO_SUM else best
 

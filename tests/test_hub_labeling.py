@@ -2,6 +2,8 @@ from dataclasses import astuple
 from fractions import Fraction
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -198,6 +200,88 @@ def test_query_matches_merge_oracle(case):
                 assert got is UNREACHABLE
             else:
                 assert type(got) is int and got == expected
+
+
+@st.composite
+def query_runs(draw):
+    """One or two labelings (n, rows) and queries [(labeling, u, v), ...] on
+    them in a drawn order, so that the probe row of each labeling is kept,
+    swapped to v or rebuilt in every sequence."""
+    cases = draw(st.lists(valid_rows(), min_size=1, max_size=2))
+    calls = [(k, u, v) for k, (n, _) in enumerate(cases) for u in range(n) for v in range(n)]
+    return cases, draw(st.lists(st.sampled_from(calls), max_size=12)) if calls else []
+
+
+_ROWS3 = (3, [[(0, 0), (1, 1)], [(0, 1), (1, 0), (2, 1)], [(1, 1), (2, 0)]])
+_EMPTY = (3, [[], [(1, 0)], [(1, 2)]])
+_DISJOINT = (4, [[(0, 0), (1, 1)], [(1, 0)], [(2, 0), (3, 1)], [(3, 0)]])
+# the largest stored distance: sums through hub 1 reach 2**64 - 2
+_TOP = 2**63 - 1
+_HUGE = (3, [[(1, _TOP)], [(1, _TOP), (2, 0)], [(0, 0), (2, _TOP)]])
+_OTHER = (3, [[(2, 4)], [(0, 3), (2, 5)], [(2, 0)]])
+
+
+@settings(max_examples=300)
+@given(query_runs())
+@example(([_ROWS3], [(0, 0, 1), (0, 0, 2), (0, 0, 1)]))  # the same source again
+@example(([_ROWS3], [(0, 0, 1), (0, 1, 0), (0, 2, 0), (0, 2, 1)]))  # the source as v
+@example(([_ROWS3], [(0, 1, 1), (0, 2, 2), (0, 2, 0)]))  # u == v
+@example(([_EMPTY], [(0, 0, 1), (0, 1, 0), (0, 2, 0), (0, 2, 1)]))
+@example(([_DISJOINT], [(0, 0, 2), (0, 3, 1), (0, 0, 3)]))
+@example(([_HUGE], [(0, 0, 1), (0, 1, 0), (0, 1, 2), (0, 2, 1), (0, 0, 2)]))
+@example(([_ROWS3, _OTHER], [(0, 0, 2), (1, 0, 2), (0, 2, 0), (1, 1, 2), (0, 0, 1), (1, 2, 0)]))
+def test_query_in_any_order_matches_merge_oracle(run):
+    cases, calls = run
+    hls = [labeling(*case) for case in cases]
+    want = [oracle_label_rows(*case) for case in cases]
+    for k, u, v in calls:
+        expected, got = oracle_query(want[k], u, v), query(hls[k], u, v)
+        if expected is UNREACHABLE:
+            assert got is UNREACHABLE
+        else:
+            assert type(got) is int and got == expected
+
+
+def test_queries_leave_the_labeling_read_only_and_unchanged():
+    hl, twin = labeling(*_ROWS3), labeling(*_ROWS3)
+    hubs = tuple(hl.hubs)
+    assert query(hl, 0, 2) == query(hl, 2, 0) == 2 and hl._probe[0] == 0  # 0 stays the source
+    assert query(hl, 1, 2) == 1 and query(hl, 1, 1) == 0
+    probe = hl._probe
+    source, row = probe
+    assert source == 1 and row.tolist() == [1, 0, 1]
+    assert not any(a.flags.writeable for a in (hl.offsets, hl.hub, hl.dist, row))
+    assert hl == twin and hl.hubs == twin.hubs and tuple(hl.hubs) == hubs
+    # a bad id raises before the probe is read or replaced
+    for u, v in [(3, 0), (0, -1), (-1, 1), (2, 5), (1, 3)]:
+        with pytest.raises(IndexError):
+            query(hl, u, v)
+        assert hl._probe is probe
+
+
+def test_threads_sharing_one_labeling_answer_from_consistent_probes():
+    dm = all_pairs(random_regular_graph(40, 3, seed=1))
+    hl, want = baseline_full(dm), dm.matrix()
+    wrong = []
+
+    def ask(k):
+        for _ in range(20):
+            for u in range(k, hl.n, 6):
+                for v in (0, u, hl.n - 1 - u):
+                    if query(hl, u, v) != want[u, v]:
+                        wrong.append((u, v))
+
+    threads = [threading.Thread(target=ask, args=(k,)) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and wrong == []
 
 
 def _old_format(rows) -> str:
