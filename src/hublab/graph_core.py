@@ -471,7 +471,7 @@ def _bfs_distances(mat):
 
 
 def _unpack(rows: np.ndarray, k: int) -> np.ndarray:
-    """The k x k bool matrix of the first k bits of the first k _WORD rows."""
+    """The k x k bool matrix of the first k bits of the first k rows, _WORD or bytes."""
     return np.unpackbits(rows[:k].view(np.uint8), axis=1, count=k, bitorder="little").view(bool)
 
 
@@ -563,9 +563,9 @@ class DenseDistanceMatrix:
     rows, at and expand read the vertex matrix through labels, and no n x n
     copy of it is held; rows, at and matrix return int64, -1 for unreachable.
     Without zero weights q is the vertex matrix, labels is None and every
-    size is 1."""
+    size is 1. _hits holds the last result of shortest_path_hits on it."""
 
-    __slots__ = ("n", "graph", "q", "far", "labels", "size", "_diameter")
+    __slots__ = ("n", "graph", "q", "far", "labels", "size", "_diameter", "_hits")
 
     def __init__(self, q: np.ndarray, graph: WeightedGraph):
         _check_pair_cap(graph.n)  # consumers allocate n-wide rows
@@ -578,7 +578,7 @@ class DenseDistanceMatrix:
         q.flags.writeable = False
         self.q = q
         self.far = int(np.iinfo(q.dtype).max)
-        self.n, self.graph, self._diameter = graph.n, graph, None
+        self.n, self.graph, self._diameter, self._hits = graph.n, graph, None, (None, None)
 
     def rows(self, idx) -> np.ndarray:
         """The distance rows of the vertices idx: an index, a slice or an array."""
@@ -652,23 +652,28 @@ def shortest_path_hits(dm: DenseDistanceMatrix, mask) -> np.ndarray:
     d(u,x) + w = d(u,v). With unit quotient weights, unless the quotient's
     diameter is long for its size (_bfs_pays), it rides the bit-parallel BFS
     of all_pairs level by level (_bfs_hits); otherwise it reads the
-    distances of dm in distance bands (_band_hits).
+    distances of dm in distance bands (_band_hits). The result is read-only;
+    dm keeps the last call's quotient hits in bits, keyed by the quotient
+    mask, so a call with an equal mask only unpacks them.
     """
     mat = _search_matrix(dm.graph)[1]
     mask = np.asarray(mask, dtype=bool)
     if dm.labels is not None:
         mask = np.bincount(dm.labels[mask], minlength=mat.shape[0]) > 0
-    if not mask.any():
-        return np.zeros((dm.n, dm.n), dtype=bool)
-    if _bfs_pays(mat, _BAND_OPS, dm.diameter() + 1):
-        hit = _bfs_hits(mat, mask)
-    else:
-        hit = _band_hits(mat, dm.q, mask)
-    return dm.expand(hit)
+    key, packed = dm._hits  # one read: another thread may replace the pair
+    if key != mask.tobytes():
+        if _bfs_pays(mat, _BAND_OPS, dm.diameter() + 1):
+            packed = _bfs_hits(mat, mask)
+        else:
+            packed = np.packbits(_band_hits(mat, dm.q, mask), axis=1, bitorder="little")
+        dm._hits = (mask.tobytes(), packed)
+    hit = dm.expand(_unpack(packed, mat.shape[0]))
+    hit.flags.writeable = False
+    return hit
 
 
 def _bfs_hits(mat, mask) -> np.ndarray:
-    """shortest_path_hits on the unit-weight CSR mat with a vertex mask.
+    """shortest_path_hits on the unit-weight CSR mat with a vertex mask, in _WORD rows.
 
     At level l of _bfs_fronts, the sources of v's hit row are those of its
     front whose paths to v meet the mask: all of them when v is masked, the
@@ -686,7 +691,7 @@ def _bfs_hits(mat, mask) -> np.ndarray:
     for _, front in _bfs_fronts(k, spread):
         hit = front & (seed if hit is None else seed | spread(hit))
         acc |= hit
-    return _unpack(acc, k)
+    return acc
 
 
 def _band_hits(mat, dist: np.ndarray, mask) -> np.ndarray:

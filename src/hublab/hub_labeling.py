@@ -67,15 +67,15 @@ class HubLabeling:
     @classmethod
     def from_blocks(cls, n: int, block) -> "HubLabeling":
         """The labeling of n rows, made _ROWS at a time: block(lo, hi) returns
-        a bool member block and the distance rows d of rows lo .. hi - 1, and
-        each row holds the columns its member row marks, with distances from d."""
+        a bool member block and integer distance rows d of rows lo .. hi - 1,
+        and each row holds the columns its member row marks, with distances from d."""
         sizes = np.zeros(n, np.int64)
         parts = [(np.zeros(0, np.int32), np.zeros(0, np.int64))]
         for lo in range(0, n, _ROWS):
             member, d = block(lo, min(lo + _ROWS, n))
             at = np.flatnonzero(member)
             sizes[lo : lo + len(member)] = member.sum(1)
-            parts.append(((at % n).astype(np.int32), d.reshape(-1).take(at)))
+            parts.append(((at % n).astype(np.int32), d.reshape(-1).take(at).astype(np.int64)))
         hub, dist = map(np.concatenate, zip(*parts))
         del parts  # the blocks are freed before the constructor's own temporaries
         return cls(sizes, hub, dist)
@@ -238,49 +238,54 @@ def verify_cover(hl: HubLabeling, dm) -> CoverReport:
     list holds the first _LISTED of them but the total count is exact.
 
     An entry is exact when its hub is reachable and its stored distance is
-    the true one. The core is the set of hubs that every vertex of the hub's
-    component stores exactly; through the core, a pair's query reaches d(u,v)
-    iff a core hub lies on a shortest u-v path, which shortest_path_hits
-    decides. Each block of _ROWS owners joins its other entries with the later
-    entries of their hubs and folds the stored sums into a dense minimum
-    m(u,v) over the remaining common hubs, _I64_MAX where there is none. That
-    is O(sum of c_w**2) pairs for c_w such entries of hub w, none of them
-    sorted, and a step expands at most max(_CHUNK, one entry's pairs). A pair
-    the core hits starts at m = d, which its query attains through the core;
-    so a reachable pair is uncovered iff m != d. A stored distance above the
-    diameter can neither equal nor undercut any d(u,v), so the join reads
-    those at diameter + 1, and its sums stay far inside int64.
+    the true one, and low when the hub is unreachable or the distance lower.
+    The core is the set of hubs that every vertex of the hub's component
+    stores exactly; through it, a pair's query never goes below d(u,v) and
+    reaches it iff a core hub lies on a shortest u-v path (shortest_path_hits).
+    The other entries decide the rest: each block of _ROWS owners joins its
+    entries with the later entries of their hubs, O(sum of c_w**2) pairs for
+    c_w such entries of hub w, and a step expands at most max(_CHUNK, one
+    entry's pairs). A pair the core misses is covered iff a joined sum meets
+    d(u,v), and any pair is uncovered if one falls below it, which takes a
+    low entry. A stored distance above the diameter can neither equal nor
+    undercut any d(u,v), so the join reads those at diameter + 1, and its
+    sums stay far inside int64.
     """
     n = hl.n
     if n != dm.n:
         raise ValueError("labeling and distance matrix disagree on n")
     diam = dm.diameter()
-    core, owner, hub, stored = _split_entries(hl, dm)
+    core, owner, hub, stored, any_low = _split_entries(hl, dm)
     stored = np.minimum(stored, diam + 1)
     hit = shortest_path_hits(dm, core)
-    # entry i pairs with the later[i] entries after it in its hub's run of by_hub
-    by_hub = np.argsort(hub, kind="stable")
+    # entry i pairs with the later[i] entries after its position pos[i] in
+    # its hub's run of the (hub, owner) order, whose owners and distances
+    # are run_owner and run_stored
+    by_hub = np.argsort(hub.astype(np.min_scalar_type(n)), kind="stable")  # radix below 2**16
     pos = np.empty_like(by_hub)
     pos[by_hub] = np.arange(by_hub.size)
-    later = np.searchsorted(hub[by_hub], hub, side="right") - pos - 1
+    later = np.cumsum(np.bincount(hub, minlength=n)).take(hub) - pos - 1
     ends = np.cumsum(later)
-    uncovered = []
-    total_bad = 0
+    run_owner, run_stored = owner[by_hub], stored[by_hub]
+    uncovered, total_bad = [], 0
     for lo in range(0, n, _ROWS):
         d = dm.q_rows(slice(lo, lo + _ROWS))
-        m = np.full(d.shape, _I64_MAX, dtype=np.int64)
-        np.copyto(m, d, casting="unsafe", where=hit[lo : lo + _ROWS])  # hit pairs are reachable
+        flat = d.reshape(-1)
+        pairs = d != dm.far
+        clear_lower(pairs, lo)  # v > u
+        bad = pairs & ~hit[lo : lo + _ROWS]  # the missed pairs, until a sum meets d
+        met, under = np.zeros((2, *d.shape), dtype=bool)
         a, last = np.searchsorted(owner, [lo, lo + _ROWS])
         while a < last:
             b = np.searchsorted(ends, ends[a] - later[a] + _CHUNK, side="right")
             b = min(max(a + 1, b), last)
-            left = np.repeat(np.arange(a, b), later[a:b])
-            right = by_hub[segment_positions(pos[a:b] + 1, later[a:b])]
-            sums = stored[left] + stored[right]
-            np.minimum.at(m.reshape(-1), (owner[left] - lo) * n + owner[right], sums)
+            c, right = later[a:b], segment_positions(pos[a:b] + 1, later[a:b])
+            i = np.repeat((owner[a:b] - lo) * n, c) + run_owner[right]
+            sums, t = np.repeat(stored[a:b], c) + run_stored[right], flat[i]
+            met.reshape(-1)[i[sums == t]] = True
+            under.reshape(-1)[i[sums < t] if any_low else []] = True
             a = b
-        bad = (m != d) & (d != dm.far)
-        clear_lower(bad, lo)  # v > u
+        bad = bad & ~met | under & pairs
         total_bad += int(np.count_nonzero(bad))
         u, v = np.divmod(np.flatnonzero(bad)[: _LISTED - len(uncovered)], n)
         uncovered += zip((u + lo).tolist(), v.tolist())
@@ -296,8 +301,8 @@ def verify_cover(hl: HubLabeling, dm) -> CoverReport:
 
 
 def _split_entries(hl: HubLabeling, dm):
-    """(core, owner, hub, stored): the core hubs as a bool mask and the
-    entries that are not exact entries of a core hub.
+    """(core, owner, hub, stored, any_low): the core hubs as a bool mask, the
+    entries that are not exact entries of a core hub, and whether one is low.
 
     Each block of _ROWS owners compares its entries with its own distance
     rows, so no temporary but two masks outgrows a block.
@@ -317,7 +322,9 @@ def _split_entries(hl: HubLabeling, dm):
         held += np.bincount(hub[a:b][exact[a:b]], minlength=n)
     core = held == reach
     rest = np.flatnonzero(~(exact & core[hub]))
-    return core, np.searchsorted(offsets, rest, side="right") - 1, hub[rest], stored[rest]
+    owner, hub, stored = np.searchsorted(offsets, rest, side="right") - 1, hub[rest], stored[rest]
+    true = dm.at(owner, hub)
+    return core, owner, hub, stored, bool(((true < 0) | (stored < true)).any())
 
 
 def monotone_closure(hl: HubLabeling, dm) -> HubLabeling:
@@ -332,10 +339,10 @@ def monotone_closure(hl: HubLabeling, dm) -> HubLabeling:
     parents = canonical_trees(dm)
 
     def block(lo, hi):
-        d = dm.rows(slice(lo, hi))
+        d = dm.q_rows(slice(lo, hi))
         base = np.repeat(np.arange(hi - lo) * n, np.diff(hl.offsets[lo : hi + 1]))
         x = base + hl.hub[hl.offsets[lo] : hl.offsets[hi]]
-        far = np.flatnonzero(d.reshape(-1).take(x) < 0)
+        far = np.flatnonzero(d.reshape(-1).take(x) == dm.far)
         if far.size:
             v, h = divmod(int(x[far[0]]), n)
             raise UnreachablePairError(f"hub {h} unreachable in the tree of {lo + v}")

@@ -450,9 +450,12 @@ def build_matchings(dm, colors, cfg: BuilderConfig, *, index: PairIndex):
     u, v = np.repeat(index.small[live], sizes[live], axis=0).T
     a, b = dm.at(u, h), dm.at(h, v)
     # every pair enters the buckets (a, b, h) as (u, v) and (b, a, h) as (v, u)
-    rows = [np.concatenate(c) for c in ((a, b), (b, a), (h, h), (u, v), (v, u))]
-    order = np.lexsort(rows[::-1])
-    a, b, h, x, y = (c[order] for c in rows)
+    a, b, h, x, y = [np.concatenate(c) for c in ((a, b), (b, a), (h, h), (u, v), (v, u))]
+    # (a, b, h, x, y) order, in two int64 keys where they fit: a, b < top <= D + 1
+    top = int(a.max(initial=0)) + 1
+    keys = (x * n + y, (a * top + b) * n + h) if top * top * n < 1 << 63 else (y, x, h, b, a)
+    order = np.lexsort(keys)
+    a, b, h, x, y = (c[order] for c in (a, b, h, x, y))
     heads = _run_heads(a) | _run_heads(b) | _run_heads(h)
     bucket = np.cumsum(heads) - 1
     taken = _greedy_matchings(bucket, x, y)
@@ -525,12 +528,12 @@ def _assemble(S, extra, dm) -> HubLabeling:
     own_v, own_h = extra[np.argsort(extra[:, 0], kind="stable")].T
 
     def block(lo, hi):
-        d = dm.rows(slice(lo, hi))
+        d = dm.q_rows(slice(lo, hi))
         member = np.zeros((hi - lo, n), dtype=bool)
         member[:, S] = True
         a, b = np.searchsorted(own_v, [lo, hi])
         member[own_v[a:b] - lo, own_h[a:b]] = True
-        member &= d >= 0
+        member &= d != dm.far
         return member, d
 
     return HubLabeling.from_blocks(n, block)

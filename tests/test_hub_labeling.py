@@ -30,6 +30,7 @@ from hublab.graph_core import (
     UnreachablePairError,
     WeightedGraph,
     all_pairs,
+    shortest_path_hits,
 )
 from hublab.hub_labeling import (
     HubLabeling,
@@ -909,6 +910,84 @@ def test_verify_cover_matches_dense_oracle_across_chunk_boundaries(monkeypatch):
                 if bad is not None:
                     _assert_same_report(bad, dm)
 
+
+
+def test_verify_cover_finds_an_undercut_of_a_pair_the_core_hits():
+    # u and v have a vertex of S on a shortest path, so the core covers
+    # them; both also store a hub outside S at distance 0, which undercuts
+    # d(u, v) and leaves the pair uncovered.
+    built = build_for_graph(random_regular_graph(60, 3, seed=1), BuilderConfig(seed=1))
+    hl, dm = built.labeling, built.dm
+    in_s = np.zeros(hl.n, dtype=bool)
+    in_s[built.artifacts.S] = True
+    u, v = map(int, np.argwhere(np.triu(shortest_path_hits(dm, in_s), 1))[0])
+    x = int(np.flatnonzero(~in_s)[0])
+    rows = [dict(hl.hubs[w]) for w in range(hl.n)]
+    rows[u][x] = rows[v][x] = 0
+    bad = labeling(hl.n, [row.items() for row in rows])
+    assert query(bad, u, v) == 0 < dm.at(u, v)
+    _assert_same_report(bad, dm)
+    assert (u, v) in verify_cover(bad, dm).uncovered
+    # The same through a hub neither of them reaches: every vertex stores
+    # all it reaches, so every hub is core, and 0 and 1 also store 12.
+    dm = all_pairs(_two_component_graph())
+    rows = [dict(e) for e in baseline_full(dm).hubs]
+    rows[0][12] = rows[1][12] = 0
+    bad = labeling(dm.n, [row.items() for row in rows])
+    _assert_same_report(bad, dm)
+    assert verify_cover(bad, dm).uncovered == ((0, 1),)
+
+
+def test_verify_cover_counts_an_inexact_sum_equal_to_d_as_covered():
+    # Every vertex of a path stores itself, so no hub is core and the core
+    # misses every pair. 0 and 4 also store hub 2, at 1 (below d(0, 2) = 2)
+    # and at 3 (above d(4, 2) = 2): the sum is d(0, 4) = 4, so query(0, 4)
+    # is exact and the pair is covered.
+    g = WeightedGraph(5, [(i, i + 1, 1) for i in range(4)])
+    dm = all_pairs(g)
+    rows = [[(v, 0)] for v in range(5)]
+    rows[0].append((2, 1))
+    rows[4].append((2, 3))
+    hl = labeling(5, rows)
+    assert query(hl, 0, 4) == 4
+    _assert_same_report(hl, dm)
+    report = verify_cover(hl, dm)
+    assert (0, 4) not in report.uncovered and report.uncovered_total == 9
+
+
+def _ancestor_labeling(levels: int):
+    """The complete binary tree of 2**levels - 1 vertices, v's parent being
+    (v - 1) // 2, and the labeling in which every vertex stores its
+    ancestors and itself; the root is its only core hub."""
+    n = 2**levels - 1
+    depth = [(v + 1).bit_length() - 1 for v in range(n)]
+    rows = []
+    for v in range(n):
+        up = [v]
+        while up[-1]:
+            up.append((up[-1] - 1) // 2)
+        rows.append([(x, depth[v] - depth[x]) for x in up])
+    return WeightedGraph(n, [(v, (v - 1) // 2, 1) for v in range(1, n)]), labeling(n, rows)
+
+
+@pytest.mark.parametrize("small_blocks", [False, True])
+def test_verify_cover_matches_dense_oracle_on_tree_ancestor_labels(monkeypatch, small_blocks):
+    # The core misses every pair whose lowest common ancestor is not the
+    # root; each such pair is covered by that ancestor alone, found by the
+    # join of the non-core entries.
+    if small_blocks:
+        monkeypatch.setattr(hub_labeling, "_ROWS", 3)
+        monkeypatch.setattr(hub_labeling, "_CHUNK", 5)
+    g, hl = _ancestor_labeling(6)
+    dm = all_pairs(g)
+    assert verify_cover(hl, dm).valid
+    _assert_same_report(hl, dm)
+    rng = np.random.default_rng(12)
+    for kind in KINDS:
+        for _ in range(3):
+            bad = _mutated(hl, dm, kind, rng)
+            if bad is not None:
+                _assert_same_report(bad, dm)
 
 
 @pytest.mark.parametrize("w", [1, 300, 70_000, 1 << 49], ids=["uint8", "uint16", "uint32", "uint64"])

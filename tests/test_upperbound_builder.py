@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import (
     baseline_full,
+    dense_verify_cover,
     hub_candidates,
     index_as_dicts,
     induced_rows,
@@ -12,6 +13,7 @@ from conftest import (
     oracle_check_induced,
     oracle_greedy_matching,
     oracle_has_conflict,
+    oracle_hits,
     oracle_matchings,
     oracle_pair_index,
     oracle_reduce_degree,
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 
 from hublab.corpus import erdos_renyi_m, grid_graph, path_graph, random_regular_graph, star_graph
 from hublab.family_gen import FamilyParams, build_H, expand_to_G
-from hublab.graph_core import WeightedGraph, all_pairs
+from hublab.graph_core import WeightedGraph, all_pairs, shortest_path_hits
 from hublab import graph_core, hub_labeling, upperbound_builder
 from hublab.hub_labeling import (
     HubLabeling,
@@ -341,6 +343,19 @@ def test_matchings_no_close_pairs_leaves_self_sets():
     F = _sets(F)
     assert all(F[v] == frozenset({v}) for v in range(inst.graph.n))
     assert log == {}
+
+
+def test_matchings_sort_distances_past_the_two_key_range():
+    # Distances above 2**31 with D = 2**33: the two sort keys would overflow
+    # int64, so the rows are sorted by their five columns. Injective colors
+    # keep every pair live.
+    g = WeightedGraph(6, [(i, i + 1, 1 << 30) for i in range(5)] + [(0, 5, 3 << 30)])
+    dm = all_pairs(g)
+    index = build_pair_index(dm, 1 << 33)
+    colors = np.arange(1, g.n + 1)
+    F, log = build_matchings(dm, colors, BuilderConfig(D=1 << 33), index=index)
+    want_F, want_log = oracle_matchings(dm, colors, index)
+    assert np.array_equal(F, want_F) and log == want_log
 
 
 def test_forced_pairs_on_weighted_level_graph():
@@ -703,6 +718,36 @@ def test_build_searches_all_pairs_once(monkeypatch):
         if res.report.reduced is not None:
             assert stage.n == res.report.reduced["n"] > g.n
             assert stage.labels.tolist() == reduce_degree(g)[2].tolist()
+
+
+def test_plain_build_searches_its_hits_once(monkeypatch):
+    # The verifier's core is S on these builds, so it reads the hits of the
+    # cover stage's last attempt from the matrix instead of searching again.
+    searches = []
+    for name in ("_bfs_hits", "_band_hits"):
+        real = getattr(graph_core, name)
+        monkeypatch.setattr(graph_core, name, lambda *a, _real=real: searches.append(1) or _real(*a))
+    # bit-parallel hits on the 3-regular graph; the path is long enough for the band kernel
+    for g, cfg in (REG, (path_graph(700), BuilderConfig(seed=1))):
+        searches.clear()
+        res = build_for_graph(g, cfg)
+        attempts = res.report.cover_resamples
+        assert len(searches) == attempts >= 1
+        mask = np.zeros(g.n, dtype=bool)
+        mask[res.artifacts.S] = True
+        hit = shortest_path_hits(res.dm, mask)
+        assert len(searches) == attempts and not hit.flags.writeable
+        with pytest.raises(ValueError):
+            hit[0, 0] = not hit[0, 0]
+        mask[np.flatnonzero(~mask)[0]] = True
+        assert (shortest_path_hits(res.dm, mask) == oracle_hits(res.dm, mask)).all()
+        assert len(searches) == attempts + 1
+    # A reduced build covers on the stage matrix, so its verify searches dm.
+    searches.clear()
+    res = build_for_graph(*SPARSE)
+    assert res.report.reduced is not None
+    assert len(searches) == res.report.cover_resamples + 1
+    assert res.report.cover == dense_verify_cover(res.labeling, res.dm)
 
 
 def test_build_rejects_corrupted_assembly(monkeypatch):
