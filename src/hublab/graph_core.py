@@ -11,6 +11,8 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components, dijk
 
 #: Largest number of distance entries a dense all-pairs matrix may hold.
 PAIR_CAP = 250_000_000
+#: Vertex rows per block of DenseDistanceMatrix.blocks, the one pass over distance rows.
+_ROWS = 64
 
 
 class _Unreachable:
@@ -461,18 +463,18 @@ def _bfs_distances(mat):
             if diameter >> p & 1:
                 plane |= front
     dtype = np.min_scalar_type(diameter + 1)
-    q = _unpack(~reached, k).view(np.uint8).astype(dtype, copy=False)
+    q = _unpack(~reached[:k], k).view(np.uint8).astype(dtype, copy=False)
     np.negative(q, out=q)  # 1 -> the maximum
     for p, plane in enumerate(planes):
-        bits = _unpack(plane, k).view(np.uint8).astype(dtype, copy=False)
+        bits = _unpack(plane[:k], k).view(np.uint8).astype(dtype, copy=False)
         bits <<= p
         q |= bits
     return q, diameter
 
 
 def _unpack(rows: np.ndarray, k: int) -> np.ndarray:
-    """The k x k bool matrix of the first k bits of the first k rows, _WORD or bytes."""
-    return np.unpackbits(rows[:k].view(np.uint8), axis=1, count=k, bitorder="little").view(bool)
+    """The bool matrix of the first k bits of each row, _WORD or bytes."""
+    return np.unpackbits(rows.view(np.uint8), axis=1, count=k, bitorder="little").view(bool)
 
 
 def distances_from(g: WeightedGraph, src: int) -> np.ndarray:
@@ -563,7 +565,7 @@ class DenseDistanceMatrix:
     rows, at and expand read the vertex matrix through labels, and no n x n
     copy of it is held; rows, at and matrix return int64, -1 for unreachable.
     Without zero weights q is the vertex matrix, labels is None and every
-    size is 1. _hits holds the last result of shortest_path_hits on it."""
+    size is 1. _hits holds the quotient hits of the last search of hit_rows."""
 
     __slots__ = ("n", "graph", "q", "far", "labels", "size", "_diameter", "_hits")
 
@@ -587,6 +589,11 @@ class DenseDistanceMatrix:
     def q_rows(self, idx) -> np.ndarray:
         """rows(idx) as q codes them; without zero weights a slice is a view of q."""
         return self.q[idx] if self.labels is None else self.q[self.labels[idx]].take(self.labels, -1)
+
+    def blocks(self):
+        """Yield (lo, hi, q_rows(slice(lo, hi))) over all rows, _ROWS at a time, in order."""
+        for lo in range(0, self.n, _ROWS):
+            yield lo, min(lo + _ROWS, self.n), self.q_rows(slice(lo, lo + _ROWS))
 
     def at(self, u, v):
         """d(u, v), elementwise over vertex indices or arrays u and v."""
@@ -640,7 +647,14 @@ _HIT_BLOCK = 32
 def shortest_path_hits(dm: DenseDistanceMatrix, mask) -> np.ndarray:
     """n x n bool matrix: hit[u, v] iff v is reachable from u and some vertex
     of the bool vertex mask lies on a shortest u-v path, that is
-    d(u,c) + d(c,v) == d(u,v) for some c in mask.
+    d(u,c) + d(c,v) == d(u,v) for some c in mask; read-only. See hit_rows."""
+    hit = hit_rows(dm, mask, slice(None))
+    hit.flags.writeable = False
+    return hit
+
+
+def hit_rows(dm: DenseDistanceMatrix, mask, idx) -> np.ndarray:
+    """The rows idx, a slice or an index array, of shortest_path_hits(dm, mask).
 
     Runs on the quotient of the search section: a masked vertex lies on a
     shortest u-v walk iff its zero-weight component lies on a shortest path
@@ -648,18 +662,16 @@ def shortest_path_hits(dm: DenseDistanceMatrix, mask) -> np.ndarray:
     it holds a masked vertex, and the quotient's hits are gathered back
     through dm's component labels. On that quotient, Brandes-style propagation
     (Brandes 2001) decides every pair: hit[u, v] holds iff u or v is masked
-    or hit[u, x] holds for a tight in-edge x->v, one with
-    d(u,x) + w = d(u,v). With unit quotient weights, unless the quotient's
-    diameter is long for its size (_bfs_pays), it rides the bit-parallel BFS
-    of all_pairs level by level (_bfs_hits); otherwise it reads the
-    distances of dm in distance bands (_band_hits). The result is read-only;
-    dm keeps the last call's quotient hits in bits, keyed by the quotient
-    mask, so a call with an equal mask only unpacks them.
+    or hit[u, x] holds for a tight in-edge x->v, one with d(u,x) + w = d(u,v),
+    in _bfs_hits or _band_hits, whichever _bfs_pays picks. dm keeps the last
+    search's quotient hits in bits, keyed by the quotient mask, so a call
+    with an equal mask only unpacks the rows it returns.
     """
     mat = _search_matrix(dm.graph)[1]
+    k = mat.shape[0]
     mask = np.asarray(mask, dtype=bool)
     if dm.labels is not None:
-        mask = np.bincount(dm.labels[mask], minlength=mat.shape[0]) > 0
+        mask = np.bincount(dm.labels[mask], minlength=k) > 0
     key, packed = dm._hits  # one read: another thread may replace the pair
     if key != mask.tobytes():
         if _bfs_pays(mat, _BAND_OPS, dm.diameter() + 1):
@@ -667,9 +679,9 @@ def shortest_path_hits(dm: DenseDistanceMatrix, mask) -> np.ndarray:
         else:
             packed = np.packbits(_band_hits(mat, dm.q, mask), axis=1, bitorder="little")
         dm._hits = (mask.tobytes(), packed)
-    hit = dm.expand(_unpack(packed, mat.shape[0]))
-    hit.flags.writeable = False
-    return hit
+    if dm.labels is None:
+        return _unpack(packed[:k][idx], k)
+    return _unpack(packed[dm.labels[idx]], k).take(dm.labels, -1)
 
 
 def _bfs_hits(mat, mask) -> np.ndarray:
@@ -738,41 +750,44 @@ def _band_hits(mat, dist: np.ndarray, mask) -> np.ndarray:
 
 # -- shortest-path trees -----------------------------------------------------
 
-#: Distances per temporary of canonical_trees.
-_TREE_ENTRIES = 1 << 18
 
-
-def canonical_trees(dm: DenseDistanceMatrix) -> np.ndarray:
-    """The shortest-path tree rooted at every vertex as an int32 n x n parents
-    matrix: row r holds each vertex's parent in the tree rooted at r, r at r,
-    and -1 where r does not reach.
+def canonical_trees(dm: DenseDistanceMatrix, lo: int, hi: int) -> np.ndarray:
+    """The shortest-path trees rooted at lo .. hi - 1 as an int32 (hi - lo) x n
+    parents matrix: row r - lo holds each vertex's parent in the tree of r, r
+    at r, and -1 where r does not reach.
 
     With positive weights a tight in-edge x->v (d(r,x) + w = d(r,v)) leaves a
-    closer vertex, so the lowest-id tight in-neighbour yields a tree; as d is
-    symmetric, a block of vertices gets its parents in every tree from the
-    rows of its neighbours, taken from the highest id down. Zero weights can
-    close parent cycles under that rule, so each root runs a fixpoint
+    closer vertex, so the lowest-id tight in-neighbour yields a tree. Vertices
+    of degree above top read all their in-edges at once, the others their
+    j-th for each j < top, which top keeps to the fewest steps. Zero weights
+    can close parent cycles under that rule, so each root runs a fixpoint
     attaching only to rooted vertices.
     """
     g, n = dm.graph, dm.n
     indptr, nbr, w = g.in_edges()
     if g.has_zero_weights:
         csr = [a.tolist() for a in (indptr, nbr, w)]
-        rows = [_fixpoint_parents(*csr, dm.rows(r).tolist(), r) for r in range(n)]
-        return np.array(rows, dtype=np.int32).reshape(n, n)
-    deg = np.diff(indptr)
-    parents = np.empty((n, n), dtype=np.int32)
-    step = max(1, _TREE_ENTRIES // max(1, n * g.max_degree))
-    for lo in range(0, n, step):
-        vs = np.arange(lo, min(lo + step, n))
-        best = np.full((vs.size, n), -1, dtype=np.int32)  # [i, r]: parent of lo + i in tree r
-        best[vs - lo, vs] = vs
-        for j in range(int(deg[vs].max(initial=0)) - 1, -1, -1):
-            i = np.flatnonzero(deg[vs] > j)  # vertices with a j-th neighbour
-            e = indptr[lo + i] + j
-            tight = dm.rows(nbr[e]) + w[e, None] == dm.rows(lo + i)
-            best[i] = np.where(tight, nbr[e, None], best[i])
-        parents[:, lo : lo + step] = best.T
+        rows = dm.rows(slice(lo, hi)).tolist()
+        rows = [_fixpoint_parents(*csr, row, r) for r, row in enumerate(rows, lo)]
+        return np.array(rows, dtype=np.int32).reshape(hi - lo, n)
+    small = np.min_scalar_type(-2 * dm.diameter() - 2)  # holds d + w for every w that can be tight
+    d = _widen(dm.q_rows(slice(lo, hi))).astype(small)  # [i, v]: d(lo + i, v)
+    w, nbr, none = np.minimum(w, dm.diameter() + 1).astype(small), nbr.astype(np.int32), np.int32(n)
+    order = np.argsort(-g.degrees, kind="stable")
+    above = n - np.cumsum(np.bincount(g.degrees, minlength=1))  # [j]: vertices of degree > j
+    top = int(np.argmin(above + np.arange(above.size)))
+    low = np.full((hi - lo, n), none)  # [i, k]: lowest tight in-neighbour of order[k], or n
+    for k, v in enumerate(order[: above[top]]):
+        e = slice(indptr[v], indptr[v + 1])
+        low[:, k] = (nbr[e] + none * (d.take(nbr[e], 1) + w[e] != d[:, v, None])).min(1)
+    for j in range(top):
+        k = slice(above[top], above[j])
+        e = indptr[order[k]] + j
+        miss = d.take(nbr[e], 1) + w[e] != d.take(order[k], 1)
+        np.minimum(low[:, k], nbr[e] + none * miss, out=low[:, k])
+    parents = np.empty_like(low)
+    parents[:, order] = np.where(low < n, low, -1)
+    parents[np.arange(hi - lo), np.arange(lo, hi)] = np.arange(lo, hi)
     return parents
 
 

@@ -16,15 +16,13 @@ from .graph_core import (
     UnreachablePairError,
     canonical_trees,
     clear_lower,
+    hit_rows,
     segment_positions,
-    shortest_path_hits,
 )
 
 _I32_MAX = int(np.iinfo(np.int32).max)
 _I64_MAX = int(np.iinfo(np.int64).max)
 _NO_SUM = np.uint64(np.iinfo(np.uint64).max)
-#: Rows per block of the verifier's n x n passes.
-_ROWS = 64
 #: Joined entry pairs per step of the verifier's join (one entry's pairs may
 #: exceed it).
 _CHUNK = 1 << 13
@@ -65,17 +63,17 @@ class HubLabeling:
         self._probe = (-1, None)  # (source, row) of query; -1 is no vertex
 
     @classmethod
-    def from_blocks(cls, n: int, block) -> "HubLabeling":
-        """The labeling of n rows, made _ROWS at a time: block(lo, hi) returns
-        a bool member block and integer distance rows d of rows lo .. hi - 1,
-        and each row holds the columns its member row marks, with distances from d."""
-        sizes = np.zeros(n, np.int64)
+    def from_blocks(cls, dm, block) -> "HubLabeling":
+        """The labeling of dm.n rows, made per block of dm.blocks(): block(lo,
+        hi, d) returns the bool member mask of the rows lo .. hi - 1, and each
+        row holds the columns its member row marks, with distances from d."""
+        sizes = np.zeros(dm.n, np.int64)
         parts = [(np.zeros(0, np.int32), np.zeros(0, np.int64))]
-        for lo in range(0, n, _ROWS):
-            member, d = block(lo, min(lo + _ROWS, n))
+        for lo, hi, d in dm.blocks():
+            member = block(lo, hi, d)
             at = np.flatnonzero(member)
-            sizes[lo : lo + len(member)] = member.sum(1)
-            parts.append(((at % n).astype(np.int32), d.reshape(-1).take(at).astype(np.int64)))
+            sizes[lo:hi] = member.sum(1)
+            parts.append(((at % dm.n).astype(np.int32), d.reshape(-1).take(at).astype(np.int64)))
         hub, dist = map(np.concatenate, zip(*parts))
         del parts  # the blocks are freed before the constructor's own temporaries
         return cls(sizes, hub, dist)
@@ -241,8 +239,8 @@ def verify_cover(hl: HubLabeling, dm) -> CoverReport:
     the true one, and low when the hub is unreachable or the distance lower.
     The core is the set of hubs that every vertex of the hub's component
     stores exactly; through it, a pair's query never goes below d(u,v) and
-    reaches it iff a core hub lies on a shortest u-v path (shortest_path_hits).
-    The other entries decide the rest: each block of _ROWS owners joins its
+    reaches it iff a core hub lies on a shortest u-v path (hit_rows). The
+    other entries decide the rest: each block of dm.blocks() joins its
     entries with the later entries of their hubs, O(sum of c_w**2) pairs for
     c_w such entries of hub w, and a step expands at most max(_CHUNK, one
     entry's pairs). A pair the core misses is covered iff a joined sum meets
@@ -257,7 +255,6 @@ def verify_cover(hl: HubLabeling, dm) -> CoverReport:
     diam = dm.diameter()
     core, owner, hub, stored, any_low = _split_entries(hl, dm)
     stored = np.minimum(stored, diam + 1)
-    hit = shortest_path_hits(dm, core)
     # entry i pairs with the later[i] entries after its position pos[i] in
     # its hub's run of the (hub, owner) order, whose owners and distances
     # are run_owner and run_stored
@@ -268,14 +265,13 @@ def verify_cover(hl: HubLabeling, dm) -> CoverReport:
     ends = np.cumsum(later)
     run_owner, run_stored = owner[by_hub], stored[by_hub]
     uncovered, total_bad = [], 0
-    for lo in range(0, n, _ROWS):
-        d = dm.q_rows(slice(lo, lo + _ROWS))
+    for lo, hi, d in dm.blocks():
         flat = d.reshape(-1)
         pairs = d != dm.far
         clear_lower(pairs, lo)  # v > u
-        bad = pairs & ~hit[lo : lo + _ROWS]  # the missed pairs, until a sum meets d
+        bad = pairs & ~hit_rows(dm, core, slice(lo, hi))  # the missed pairs, until a sum meets d
         met, under = np.zeros((2, *d.shape), dtype=bool)
-        a, last = np.searchsorted(owner, [lo, lo + _ROWS])
+        a, last = np.searchsorted(owner, [lo, hi])
         while a < last:
             b = np.searchsorted(ends, ends[a] - later[a] + _CHUNK, side="right")
             b = min(max(a + 1, b), last)
@@ -304,16 +300,14 @@ def _split_entries(hl: HubLabeling, dm):
     """(core, owner, hub, stored, any_low): the core hubs as a bool mask, the
     entries that are not exact entries of a core hub, and whether one is low.
 
-    Each block of _ROWS owners compares its entries with its own distance
+    Each block of dm.blocks() compares its entries with its own distance
     rows, so no temporary but two masks outgrows a block.
     """
     n = hl.n
     hub, stored, offsets = hl.hub, hl.dist, hl.offsets
     reach, held = np.zeros((2, n), dtype=np.int64)
     exact = np.zeros(hub.size, dtype=bool)
-    for lo in range(0, n, _ROWS):
-        hi = min(lo + _ROWS, n)
-        d = dm.q_rows(slice(lo, hi))
+    for lo, hi, d in dm.blocks():
         reach[lo:hi] = np.count_nonzero(d != dm.far, axis=1)
         a, b = offsets[lo], offsets[hi]
         at = np.repeat(np.arange(hi - lo) * n, np.diff(offsets[lo : hi + 1])) + hub[a:b]
@@ -329,24 +323,23 @@ def _split_entries(hl: HubLabeling, dm):
 
 def monotone_closure(hl: HubLabeling, dm) -> HubLabeling:
     """Close each hub set upward along the tree rooted at its vertex in
-    canonical_trees(dm): the closure of S_v is the vertex set of the minimal
+    canonical_trees: the closure of S_v is the vertex set of the minimal
     subtree rooted at v that contains S_v, with distances from dm. Per block
-    of owners, hubs walk up one level per step and stop at marked vertices;
-    a block's marks are its rows. The first unreachable hub raises UnreachablePairError."""
+    of dm.blocks(), whose trees canonical_trees builds for that block alone,
+    hubs walk up one level per step and stop at marked vertices; a block's
+    marks are its rows. The first unreachable hub raises UnreachablePairError."""
     n = hl.n
     if n != dm.n:
         raise ValueError("labeling and distance matrix disagree on n")
-    parents = canonical_trees(dm)
 
-    def block(lo, hi):
-        d = dm.q_rows(slice(lo, hi))
+    def block(lo, hi, d):
         base = np.repeat(np.arange(hi - lo) * n, np.diff(hl.offsets[lo : hi + 1]))
         x = base + hl.hub[hl.offsets[lo] : hl.offsets[hi]]
         far = np.flatnonzero(d.reshape(-1).take(x) == dm.far)
         if far.size:
             v, h = divmod(int(x[far[0]]), n)
             raise UnreachablePairError(f"hub {h} unreachable in the tree of {lo + v}")
-        par = parents[lo:hi].reshape(-1)
+        par = canonical_trees(dm, lo, hi).reshape(-1)
         mark = np.full(par.size, -1, dtype=np.int32)  # >= 0 once in the closure
         mark[x] = 0
         while x.size:
@@ -357,9 +350,9 @@ def monotone_closure(hl: HubLabeling, dm) -> HubLabeling:
             mark[x] = step
             first = mark[x] == step  # one walker per newly marked vertex
             base, x = base[first], x[first]
-        return (mark >= 0).reshape(hi - lo, n), d
+        return (mark >= 0).reshape(hi - lo, n)
 
-    return HubLabeling.from_blocks(n, block)
+    return HubLabeling.from_blocks(dm, block)
 
 
 # -- label file format -------------------------------------------------------

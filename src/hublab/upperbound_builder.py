@@ -527,16 +527,15 @@ def _assemble(S, extra, dm) -> HubLabeling:
     n = dm.n
     own_v, own_h = extra[np.argsort(extra[:, 0], kind="stable")].T
 
-    def block(lo, hi):
-        d = dm.q_rows(slice(lo, hi))
+    def block(lo, hi, d):
         member = np.zeros((hi - lo, n), dtype=bool)
         member[:, S] = True
         a, b = np.searchsorted(own_v, [lo, hi])
         member[own_v[a:b] - lo, own_h[a:b]] = True
         member &= d != dm.far
-        return member, d
+        return member
 
-    return HubLabeling.from_blocks(n, block)
+    return HubLabeling.from_blocks(dm, block)
 
 
 def _stage_total(S, extra, stage_dm) -> int:

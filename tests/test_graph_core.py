@@ -178,14 +178,14 @@ def path_from_root(parents: np.ndarray, root: int, v: int) -> list[int]:
 
 
 def test_single_vertex_tree():
-    parents = canonical_trees(all_pairs(WeightedGraph(1, [])))
+    parents = canonical_trees(all_pairs(WeightedGraph(1, [])), 0, 1)
     assert parents.dtype == np.int32 and parents.tolist() == [[0]]
-    assert canonical_trees(all_pairs(WeightedGraph(0, []))).shape == (0, 0)
+    assert canonical_trees(all_pairs(WeightedGraph(0, [])), 0, 0).shape == (0, 0)
 
 
 def test_path_tree():
     dm = all_pairs(PATH3)
-    parents = canonical_trees(dm)
+    parents = canonical_trees(dm, 0, 3)
     assert parents.tolist() == [[0, 0, 1], [1, 1, 1], [1, 2, 2]]
     assert int(dm.matrix()[0, 2]) == 2
     assert path_from_root(parents[0], 0, 2) == [0, 1, 2]
@@ -199,14 +199,14 @@ def test_parent_lowest_id_tie_break():
     )
     dm = all_pairs(g)
     assert int(dm.matrix()[0, 9]) == 3
-    assert canonical_trees(dm)[0, 9] == 3
+    assert canonical_trees(dm, 0, 1)[0, 9] == 3
 
 
 def test_zero_weight_parents_attach_to_rooted_vertices():
     # Every vertex is at distance 0 from 0; the lowest-id tight neighbour
     # rule alone would make 1 and 2 each other's parents.
     g = WeightedGraph(4, [(0, 3, 0), (1, 2, 0), (1, 3, 0)])
-    parents = canonical_trees(all_pairs(g))
+    parents = canonical_trees(all_pairs(g), 0, 4)
     assert parents[0].tolist() == [0, 3, 1, 0]
     assert parents[3].tolist() == [3, 3, 1, 3]
 
@@ -297,7 +297,7 @@ def test_distance_matrix_symmetry_and_triangle(g):
 @given(small_graphs())
 def test_tree_parent_edges_are_tight(g):
     dm = all_pairs(g)
-    parents = canonical_trees(dm)
+    parents = canonical_trees(dm, 0, g.n)
     weight = {(u, v): w for u, v, w in g.edges}
     weight.update({(v, u): w for (u, v), w in weight.items()})
     for root in range(g.n):
@@ -318,10 +318,35 @@ def test_tree_parent_edges_are_tight(g):
 @settings(max_examples=200)
 @given(small_graphs(max_n=10))
 def test_canonical_trees_match_per_root_oracle(g):
-    parents = canonical_trees(all_pairs(g))
+    parents = canonical_trees(all_pairs(g), 0, g.n)
     assert parents.shape == (g.n, g.n) and parents.dtype == np.int32
     for root in range(g.n):
         assert parents[root].tolist() == oracle_shortest_paths_from(g, root)[0]
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(
+        st.just(WeightedGraph(0, [])),
+        small_graphs(max_n=10),
+        small_graphs(max_n=10, min_weight=50, max_weight=130),  # d + w past int8
+    ),
+    st.data(),
+)
+def test_canonical_trees_in_blocks_match_one_call_and_oracle(g, data):
+    # Weights start at 0, so the zero-weight fixpoint runs in blocks too.
+    dm = all_pairs(g)
+    cuts = sorted(data.draw(st.lists(st.integers(0, g.n), max_size=4)))
+    bounds = [0, *cuts, g.n]  # a repeated bound makes an empty block
+    blocks = [canonical_trees(dm, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    for (lo, hi), parents in zip(zip(bounds, bounds[1:]), blocks):
+        assert parents.shape == (hi - lo, g.n) and parents.dtype == np.int32
+    empty = data.draw(st.integers(0, g.n))
+    assert canonical_trees(dm, empty, empty).shape == (0, g.n)
+    whole = canonical_trees(dm, 0, g.n)
+    assert np.array_equal(np.concatenate(blocks), whole)
+    for root in range(g.n):
+        assert whole[root].tolist() == oracle_shortest_paths_from(g, root)[0]
 
 
 def test_canonical_trees_match_oracle_on_fixed_graphs():
@@ -335,9 +360,10 @@ def test_canonical_trees_match_oracle_on_fixed_graphs():
         seeded_sparse_graph(30, 45, seed=7, min_w=0, max_w=3),
         seeded_sparse_graph(30, 45, seed=8, min_w=1, max_w=9),
         build_H(FamilyParams(2, 1)).graph,
+        WeightedGraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 65538)]),  # 65538 wraps to 2 in 8 or 16 bits
     ]
     for g in graphs:
-        parents = canonical_trees(all_pairs(g))
+        parents = canonical_trees(all_pairs(g), 0, g.n)
         for root in range(g.n):
             assert parents[root].tolist() == oracle_shortest_paths_from(g, root)[0], g
 
@@ -632,7 +658,7 @@ def test_tree_parents_are_lowest_id_tight_neighbors():
             continue
         _, dist = _nx_distances(g)
         adj = oracle_adjacency(g)
-        parents = canonical_trees(all_pairs(g))
+        parents = canonical_trees(all_pairs(g), 0, g.n)
         for root in range(g.n):
             d = dist[root]
             for v in range(g.n):

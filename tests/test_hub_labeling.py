@@ -437,22 +437,57 @@ def test_closure_unreachable_hub_raises():
         monotone_closure(hl, all_pairs(g))
 
 
+_FIRST_UNREACHABLE = {  # the ids name blocks of two owners
+    # owners 1 and 4 fail, in the first and third block
+    "two blocks": (
+        [[(0, 0)], [(1, 0), (3, 7), (5, 2)], [], [], [(0, 1)], []],
+        "hub 3 unreachable in the tree of 1",
+    ),
+    # the first block is clean
+    "first block clean": (
+        [[(0, 0)], [(1, 0)], [(2, 0)], [(3, 0), (4, 1), (5, 9)], [(1, 1)], []],
+        "hub 5 unreachable in the tree of 3",
+    ),
+    "last block": ([[]] * 5 + [[(0, 3)]], "hub 0 unreachable in the tree of 5"),
+}
+
+
 @pytest.mark.parametrize(
-    "rows, message",
+    "rows, message, block",
     [
-        # owners 1 and 4 fail, in the first and third block of two owners
-        ([[(0, 0)], [(1, 0), (3, 7), (5, 2)], [], [], [(0, 1)], []], "hub 3 unreachable in the tree of 1"),
-        # the first block is clean
-        ([[(0, 0)], [(1, 0)], [(2, 0)], [(3, 0), (4, 1), (5, 9)], [(1, 1)], []], "hub 5 unreachable in the tree of 3"),
-        ([[]] * 5 + [[(0, 3)]], "hub 0 unreachable in the tree of 5"),
+        pytest.param(*case, block, id=name + suffix)
+        for block, suffix in [(2, ""), (1, ", 1 row"), (7, ", n + 1 rows")]
+        for name, case in _FIRST_UNREACHABLE.items()
     ],
-    ids=["two blocks", "first block clean", "last block"],
 )
-def test_closure_names_the_first_unreachable_entry(monkeypatch, rows, message):
-    monkeypatch.setattr(hub_labeling, "_ROWS", 2)
+def test_closure_names_the_first_unreachable_entry(monkeypatch, rows, message, block):
+    monkeypatch.setattr(graph_core, "_ROWS", block)
     dm = all_pairs(WeightedGraph(6, [(0, 1, 1), (1, 2, 1), (3, 4, 1)]))
     with pytest.raises(UnreachablePairError, match=f"^{message}$"):
         monotone_closure(labeling(6, rows), dm)
+
+
+def test_closure_builds_its_trees_one_block_at_a_time(monkeypatch):
+    # monotone_closure asks canonical_trees for at most _ROWS roots per
+    # call, the calls tile 0 .. n in order, and the closure does not depend
+    # on the block size.
+    calls = []
+
+    def spy(dm, lo, hi):
+        calls.append((lo, hi))
+        return graph_core.canonical_trees(dm, lo, hi)
+
+    monkeypatch.setattr(hub_labeling, "canonical_trees", spy)
+    for g in (random_regular_graph(150, 3, seed=1), seeded_sparse_graph(70, 100, seed=3)):
+        built = build_for_graph(g, BuilderConfig(seed=1))
+        want = monotone_closure(built.labeling, built.dm)
+        for rows in (graph_core._ROWS, 1, 7, g.n + 1):
+            monkeypatch.setattr(graph_core, "_ROWS", rows)
+            calls.clear()
+            assert monotone_closure(built.labeling, built.dm) == want
+            assert all(0 < hi - lo <= rows for lo, hi in calls)
+            assert [lo for lo, _ in calls] == [0] + [hi for _, hi in calls[:-1]]
+            assert calls[-1][1] == g.n
 
 
 def test_closure_and_build_of_no_vertices():
@@ -897,11 +932,22 @@ def test_verify_cover_matches_dense_oracle_under_mutation(kind):
 
 
 def test_verify_cover_matches_dense_oracle_across_chunk_boundaries(monkeypatch):
-    monkeypatch.setattr(hub_labeling, "_ROWS", 3)
+    _check_across_chunk_boundaries(monkeypatch, 3)
+
+
+@pytest.mark.parametrize("rows", [1, "n + 1"])
+def test_verify_cover_matches_dense_oracle_at_1_and_n_plus_1_rows(monkeypatch, rows):
+    # Blocks of one row, and one block of every row.
+    _check_across_chunk_boundaries(monkeypatch, rows)
+    _check_ancestor_labels(monkeypatch, rows)
+
+
+def _check_across_chunk_boundaries(monkeypatch, rows):
     monkeypatch.setattr(hub_labeling, "_CHUNK", 5)
     monkeypatch.setattr(graph_core, "_HIT_BLOCK", 2)
     rng = np.random.default_rng(9)
     for g in (_two_component_graph(), seeded_sparse_graph(25, 40, seed=5, min_w=0, max_w=3)):
+        monkeypatch.setattr(graph_core, "_ROWS", g.n + 1 if rows == "n + 1" else rows)
         dm = all_pairs(g)
         for hl in (baseline_full(dm), build_for_graph(g, BuilderConfig(seed=4)).labeling):
             _assert_same_report(hl, dm)
@@ -972,13 +1018,17 @@ def _ancestor_labeling(levels: int):
 
 @pytest.mark.parametrize("small_blocks", [False, True])
 def test_verify_cover_matches_dense_oracle_on_tree_ancestor_labels(monkeypatch, small_blocks):
+    _check_ancestor_labels(monkeypatch, 3 if small_blocks else None)
+
+
+def _check_ancestor_labels(monkeypatch, rows):
     # The core misses every pair whose lowest common ancestor is not the
     # root; each such pair is covered by that ancestor alone, found by the
     # join of the non-core entries.
-    if small_blocks:
-        monkeypatch.setattr(hub_labeling, "_ROWS", 3)
-        monkeypatch.setattr(hub_labeling, "_CHUNK", 5)
     g, hl = _ancestor_labeling(6)
+    if rows is not None:
+        monkeypatch.setattr(graph_core, "_ROWS", g.n + 1 if rows == "n + 1" else rows)
+        monkeypatch.setattr(hub_labeling, "_CHUNK", 5)
     dm = all_pairs(g)
     assert verify_cover(hl, dm).valid
     _assert_same_report(hl, dm)

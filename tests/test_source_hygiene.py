@@ -90,6 +90,34 @@ def test_distances_read_through_rows(path):
     assert matrix_calls(path.read_text(encoding="utf-8")) == []
 
 
+def row_block_reads(source: str) -> list[int]:
+    """Lines that call a method named `q_rows` on a slice(...), a block of
+    distance rows read past DenseDistanceMatrix.blocks."""
+    tree = ast.parse(source)
+    calls = (n for n in ast.walk(tree) if isinstance(n, ast.Call))
+    return sorted(
+        c.lineno
+        for c in calls
+        if isinstance(c.func, ast.Attribute)
+        and c.func.attr == "q_rows"
+        and any(isinstance(a, ast.Call) and ast.unparse(a.func) == "slice" for a in c.args)
+    )
+
+
+def test_row_block_read_check_catches_one():
+    source = "d = dm.q_rows(slice(lo, hi))\nr = dm.q_rows(v)\nq_rows(slice(0, 1))\ns = slice(2)\n"
+    assert row_block_reads(source) == [1]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in CALLERS if p.name != "graph_core.py"], ids=lambda p: p.name
+)
+def test_row_blocks_come_from_the_driver(path):
+    # One block driver: every pass over distance rows iterates dm.blocks(),
+    # which alone sets the block size.
+    assert row_block_reads(path.read_text(encoding="utf-8")) == []
+
+
 def unset_options(defs: dict[str, str], callers: list[str]) -> list[str]:
     """Keyword-only parameters with a default, defined in the sources defs
     (label -> text), that no call in the caller sources passes by keyword,
