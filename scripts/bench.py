@@ -28,7 +28,8 @@ this process, one build per process, so the peak RSS (resource.getrusage)
 belongs to that build. A record holds the command line, the commit, the
 graph, the wall time of the build command, the builder's own wall time and
 the seconds of each stage (`timing.stages_s`, writing the labels included)
-from its report, the peak RSS and a SHA-256 of the label file, so that two
+from its report, the peak RSS, whether scipy was loaded when the peak was
+read (`scipy_loaded`), and a SHA-256 of the label file, so that two
 sides can be checked for identical labels. It replaces any earlier record for
 the same graph and side.
 
@@ -66,6 +67,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib.metadata
 import io
 import json
 import os
@@ -143,8 +145,12 @@ def _timed_cli(argv: list[str]) -> tuple[int, float, str]:
     return code, time.perf_counter() - t0, out.getvalue()
 
 
-def _peak_rss_mb() -> float:
-    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+def _peak() -> dict:
+    """The peak RSS of this process so far, and whether scipy was loaded by then."""
+    return {
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "scipy_loaded": any(name.partition(".")[0] == "scipy" for name in sys.modules),
+    }
 
 
 def _build_in_child(spec: str, tmp: str) -> tuple[dict, str, str]:
@@ -184,7 +190,7 @@ def run_on_labels(spec: str, command: str) -> dict:
             "exit_code": code,
             "wall_s": round(wall, 3),
             "stages_s": report.get("timing", {}).get("stages_s"),
-            "peak_rss_mb": _peak_rss_mb(),
+            **_peak(),
             "labels_sha256": _digest(labels_path),
         }
         if command == "closure":
@@ -230,7 +236,7 @@ def run_query(spec: str) -> dict:
         "calls": {name: len(pairs) for name, pairs in pair_sets.items()},
         "us_per_call_median": median_us,
         "us_per_call_best": best_us,
-        "peak_rss_mb": _peak_rss_mb(),
+        **_peak(),
         "label_entries": hl.total_size,
         "labels_sha256": digest,
         "answers_sha256": hashlib.sha256(json.dumps(answers, sort_keys=True).encode()).hexdigest(),
@@ -254,7 +260,7 @@ def run_searches(spec: str) -> dict:
         "graph": graph_info,
         "all_pairs_s": round(t1 - t0, 3),
         "hits_s": round(t2 - t1, 3),
-        "peak_rss_mb": _peak_rss_mb(),
+        **_peak(),
         "distances_sha256": hashlib.sha256(dm.matrix().tobytes()).hexdigest(),
         "hits_sha256": hashlib.sha256(hit.tobytes()).hexdigest(),
     }
@@ -291,7 +297,7 @@ def run_family(spec: str, command: str) -> dict:
         "hublab_command": "hublab " + " ".join(argv).replace(tmp, "<tmp>"),
         "exit_code": code,
         "wall_s": round(wall, 3),
-        "peak_rss_mb": _peak_rss_mb(),
+        **_peak(),
         "report_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
     }
 
@@ -318,7 +324,7 @@ def run(spec: str) -> dict:
         "wall_s": round(wall, 3),
         "build_wall_time_s": report["timing"]["wall_time_s"],
         "stages_s": report["timing"]["stages_s"],
-        "peak_rss_mb": _peak_rss_mb(),
+        **_peak(),
         "label_entries": report["ledger"]["total_size"],
         "labels_sha256": digest,
     }
@@ -356,7 +362,7 @@ def main() -> int:
             "cpus": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": __import__("numpy").__version__,
-            "scipy": __import__("scipy").__version__,
+            "scipy": importlib.metadata.version("scipy"),
         },
     )
     path = f"BENCH_{args.label}.json"

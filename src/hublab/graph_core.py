@@ -4,10 +4,9 @@ matrices, shortest-path trees and counts used by every other module."""
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
 
 #: Largest number of distance entries a dense all-pairs matrix may hold.
 PAIR_CAP = 250_000_000
@@ -57,6 +56,16 @@ def clear_lower(blk: np.ndarray, lo: int) -> None:
     hi = lo + blk.shape[0]
     blk[:, :lo] = False
     blk[:, lo:hi] = np.triu(blk[:, lo:hi], 1)
+
+
+def _both_ways(k: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
+    """(indptr, nbr, w) of the symmetric CSR on k vertices of the edges (u, v, w),
+    sorted with u < v: a stable sort by row of the entries (v, u), then (u, v),
+    lists each row's lower, then upper neighbours; 16-bit rows sort by radix."""
+    rows = np.concatenate([v, u])
+    order = np.argsort(rows.astype(np.min_scalar_type(k)), kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=k))])
+    return indptr, np.concatenate([u, v])[order], np.concatenate([w, w])[order]
 
 
 class WeightedGraph:
@@ -143,11 +152,7 @@ class WeightedGraph:
         nbr[indptr[v]:indptr[v + 1]], ascending, and w holds the weights of
         those edges at the same positions."""
         if self._in is None:
-            heads = np.concatenate([self._eu, self._ev])
-            tails = np.concatenate([self._ev, self._eu])
-            order = np.lexsort((tails, heads))
-            indptr = np.concatenate([[0], np.cumsum(self._degrees)])
-            self._in = (indptr, tails[order], np.concatenate([self._ew, self._ew])[order])
+            self._in = _both_ways(self.n, self._eu, self._ev, self._ew)
             for a in self._in:
                 a.flags.writeable = False
         return self._in
@@ -214,43 +219,64 @@ def _read_graph_lines(path) -> WeightedGraph:
 
 
 # -- searches --------------------------------------------------------------
-# Every search runs on one CSR matrix per graph, the quotient by its
-# zero-weight components, whose parallel edges keep their minimum weight
-# (csr_matrix sums duplicate entries). The quotient stores no zero: csgraph's
-# Dijkstra reads a stored zero as an edge of weight 0, but its BFS as a hop
-# like any other. A zero-weight component is a single quotient vertex at
-# distance 0 from each of its members, so a search from one vertex is
-# gathered back through the component labels, and an all-pairs search stays
-# the quotient's matrix, which DenseDistanceMatrix reads through them.
-# Searches on quotients with a weight other than 1 run scipy's csgraph
-# Dijkstra, whose float64 distances are exact only below 2**53. On quotients
-# whose weights are all 1, the quotient of every "unit" and "01" graph,
-# distances_from and distance_between run one csgraph BFS, and all-pairs
-# searches one bit-parallel BFS from every source at once (_bfs_fronts),
-# unless the quotient's diameter, estimated by a double sweep, makes that BFS
-# dearer than Dijkstra (_bfs_pays). shortest_path_hits takes the same two
-# paths, weighed with the diameter of all_pairs: hit bits carried along that
-# BFS, or propagated in distance bands over the distances of all_pairs.
+# Every search runs on one numpy CSR per graph (_Csr), the graph's quotient by
+# its zero-weight components, which stores no zero and keeps the least weight
+# of parallel edges; searches are read back through the component labels. On
+# unit quotients, those of all "unit" and "01" graphs, all_pairs and
+# shortest_path_hits run one bit-parallel BFS from every source at once
+# (_bfs_fronts) unless the diameter makes it dearer than Dijkstra or the band
+# kernel (_bfs_pays). scipy is imported only where csgraph runs on the CSR's
+# arrays: Dijkstra, exact below 2**53, and the single-source BFS of
+# distances_from, distance_between and CutSearch.
 
 #: Total edge weight from which searches refuse to run, because a path length
 #: might no longer be exact in float64.
 WEIGHT_LIMIT = 1 << 52
 
 
-def _zero_contracted_components(g: WeightedGraph) -> np.ndarray:
-    u, v, w = g.edge_arrays()
-    zero = w == 0  # one direction each: directed=False reads both
-    mat = csr_matrix((np.ones(zero.sum(), np.int8), (u[zero], v[zero])), shape=(g.n, g.n))
-    return connected_components(mat, directed=False)[1]
+class _Csr:
+    """A k x k CSR: row r holds the ascending columns indices[indptr[r]:indptr[r + 1]]
+    with float64 weights in data. spread, its _NeighbourOr, and csgraph, a scipy
+    csr_matrix of these very arrays (int32 where they fit), are made on first use."""
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray):
+        self.indptr, self.indices, self.data, self.k = indptr, indices, data, indptr.size - 1
+
+    @cached_property
+    def spread(self) -> _NeighbourOr:
+        return _NeighbourOr(self)
+
+    @cached_property
+    def csgraph(self):
+        from scipy.sparse import csr_matrix
+        return csr_matrix((self.data, self.indices, self.indptr), shape=(self.k, self.k))
+
+
+def dijkstra(csgraph, **kwargs) -> np.ndarray:
+    """scipy.sparse.csgraph.dijkstra, imported on first call."""
+    from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
+    return csgraph_dijkstra(csgraph, **kwargs)
+
+
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Components of n vertices under the edges (u[i], v[i]), numbered by
+    lowest vertex as scipy numbers them: rounds hook the larger root of each
+    edge onto the smaller and jump pointers to the roots, which only fall."""
+    root, a, b = np.arange(n), u, v
+    while (a != b).any():
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while (root[root] != root).any():
+            root = root[root]
+        a, b = root[u], root[v]
+    return (np.cumsum(root == np.arange(n)) - 1)[root]
 
 
 def _search_matrix(g: WeightedGraph):
     """(labels, csr), built once per graph.
 
     labels maps each vertex to its zero-weight component, or is None when g
-    has no zero weights; csr is the symmetric weight matrix of the graph on
-    those components.
-    """
+    has no zero weights; csr is the _Csr of the symmetric weight matrix of the
+    graph on those components."""
     if g._csr is None:
         u, v, w = g.edge_arrays()
         total = g.m  # at least the sum of weights of at most 1
@@ -263,7 +289,7 @@ def _search_matrix(g: WeightedGraph):
             )
         labels, k = None, g.n
         if g.has_zero_weights:
-            labels = _zero_contracted_components(g)
+            labels = _components(g.n, u[w == 0], v[w == 0])
             k = int(labels.max()) + 1
             cu, cv = labels[u], labels[v]
             keep = cu != cv
@@ -272,13 +298,9 @@ def _search_matrix(g: WeightedGraph):
             key = (lo * k + hi)[order]
             first = order[np.diff(key, prepend=-1) != 0]  # least weight of each pair
             u, v, w = lo[first], hi[first], w[first]
-        # (u, v) sorted, u < v: rows v then u list each row's lower neighbours,
-        # then its upper ones, ascending, so scipy finds the CSR canonical.
-        ix = np.int32 if k <= np.iinfo(np.int32).max else np.int64  # scipy's index dtype
-        data = np.concatenate([w, w], dtype=np.float64)
-        rows, cols = np.concatenate([v, u], dtype=ix), np.concatenate([u, v], dtype=ix)
-        mat = csr_matrix((data, (rows, cols)), shape=(k, k))
-        g._csr = (labels, mat)
+        indptr, cols, w = _both_ways(k, u, v, w)
+        ix = np.int32 if max(k, cols.size) <= np.iinfo(np.int32).max else np.int64
+        g._csr = (labels, _Csr(indptr.astype(ix), cols.astype(ix), w.astype(np.float64)))
     return g._csr
 
 
@@ -292,9 +314,9 @@ def _distances(g: WeightedGraph, src: int | None = None):
         return _bfs_distances(mat)
     qsrc = src if labels is None or src is None else labels[src]
     if src is not None and (mat.data == 1).all():
-        dist = _bfs_depths(mat, qsrc)
+        dist = _bfs_depths(mat.csgraph, qsrc)
     else:
-        dist = dijkstra(mat, directed=True, indices=qsrc)
+        dist = dijkstra(mat.csgraph, directed=True, indices=qsrc)
         far = np.isinf(dist)
         dist[far] = 0
         diameter = int(dist.max(initial=0))
@@ -310,6 +332,7 @@ def _bfs_depths(mat, src: int) -> np.ndarray:
     """int64 hop distances from src in the CSR mat, -1 for unreachable. Levels
     are contiguous in csgraph's BFS order and parents' positions never fall, so
     a level ends one past the last vertex whose parent is in the level before."""
+    from scipy.sparse.csgraph import breadth_first_order
     order, pred = breadth_first_order(mat, src, return_predecessors=True)
     pos = np.empty(mat.shape[0], dtype=np.int64)
     pos[order] = np.arange(order.size)
@@ -333,7 +356,7 @@ _DIJKSTRA_OPS = 8
 _BAND_OPS = 16
 
 
-def _bfs_pays(mat, rival_ops: int, levels: int | None = None) -> bool:
+def _bfs_pays(mat: _Csr, rival_ops: int, levels: int | None = None) -> bool:
     """Whether the bit-parallel BFS should run on the CSR mat in place of a
     search that costs rival_ops word operations per source and per vertex or
     stored entry.
@@ -343,40 +366,51 @@ def _bfs_pays(mat, rival_ops: int, levels: int | None = None) -> bool:
     per neighbour slot and a few more times besides, and once (at about four
     times the cost) per neighbour past the slots. On long paths that
     D k^2 / 64 outgrows the rival's k (k + nnz). levels is D + 1 where the
-    caller knows D, and comes from _diameter_estimate otherwise."""
+    caller knows D, and comes from _diameter_estimate, capped, otherwise."""
     if not (mat.data == 1).all():
         return False
-    k = mat.shape[0]
-    deg = np.diff(mat.indptr)
+    k, deg = mat.k, np.diff(mat.indptr)
     slots = min(int(deg.max(initial=0)), _SLOTS)
-    rows = (k + 1) * (slots + 3) + 4 * int(np.maximum(deg - _SLOTS, 0).sum())
-    levels = levels or _diameter_estimate(mat) + 1
-    return levels * ((k + 63) // 64) * rows <= rival_ops * k * (k + mat.nnz)
+    level = ((k + 63) // 64) * ((k + 1) * (slots + 3) + 4 * int(np.maximum(deg - _SLOTS, 0).sum()))
+    budget = rival_ops * k * (k + mat.indices.size)
+    levels = levels or _diameter_estimate(mat, budget // max(level, 1)) + 1
+    return levels * level <= budget
 
 
-def _diameter_estimate(mat) -> int:
-    """Largest eccentricity that a double sweep finds over the components of
-    the CSR mat: a BFS from the lowest vertex of each component, then one
-    from the vertex that BFS reached last. At least half the largest
-    diameter, and exact on trees."""
-    k = mat.shape[0]
-    _, comp = connected_components(mat, directed=False)
-    starts = np.unique(comp, return_index=True)[1]
-    for _ in range(2):
-        # One BFS from every start at once, through a root k linked to them.
-        root = csr_matrix(
-            (np.ones(mat.nnz + starts.size), np.concatenate([mat.indices, starts]),
-             np.append(mat.indptr, mat.nnz + starts.size)),
-            shape=(k + 1, k + 1),
-        )
-        order, pred = breadth_first_order(root, k, return_predecessors=True)
-        # In BFS order the last vertex of each component is a farthest one.
-        last = order[:0:-1]
-        starts = last[np.unique(comp[last], return_index=True)[1]]
-    depth, v = -1, order[-1]
-    while v != k:
-        v, depth = pred[v], depth + 1
-    return max(depth, 0)
+def _diameter_estimate(mat: _Csr, cap: int) -> int:
+    """Largest eccentricity a double sweep finds over the components of the CSR
+    mat, or cap once a sweep passes cap levels: a BFS from the lowest vertex of
+    each, then one from the lowest it reached last. At least half the largest
+    diameter, exact on trees; only what the BFS from 0 misses is split up."""
+    depth, levels = _sweep(mat.spread, [0], cap)
+    comp = np.zeros(mat.k, dtype=np.int64)
+    if levels <= cap and (depth < 0).any():
+        rows = np.repeat(np.arange(mat.k), np.diff(mat.indptr))
+        left = depth[rows] < 0  # the entries between unreached vertices
+        comp = np.where(depth < 0, _components(mat.k, rows[left], mat.indices[left]), 0)
+        rest, more = _sweep(mat.spread, np.unique(comp, return_index=True)[1][1:], cap)
+        depth, levels = np.maximum(depth, rest), max(levels, more)
+    if levels <= cap:
+        far = np.lexsort((-depth, comp))  # by component, deepest first, then by id
+        levels = _sweep(mat.spread, far[np.unique(comp[far], return_index=True)[1]], cap)[1]
+    return levels - 1
+
+
+def _sweep(spread, starts, cap: int) -> tuple[np.ndarray, int]:
+    """(depth, levels) of one BFS from all of starts on the graph of spread, up
+    to cap + 1 levels: hops from the nearest start, -1 where none reaches."""
+    depth = np.append(np.full(spread.pad.shape[1] - 1, -1), 0)  # 0 at spread.pad's filler k
+    front, levels = np.asarray(starts, dtype=np.int64), 1
+    depth[front] = 0
+    while front.size and levels <= cap:
+        nb = spread.pad.take(front, axis=1).ravel()
+        hub = front[spread.more[front] > 0] if spread.big.size else spread.big
+        if hub.size:
+            nb = np.append(nb, spread.rest[segment_positions(spread.extra[hub], spread.more[hub])])
+        depth[nb[depth[nb] < 0]] = levels
+        front = np.flatnonzero(depth == levels)
+        levels += front.size > 0
+    return depth[:-1], levels
 
 
 #: Word of the bit-parallel searches: bit i of word j of a row stands for
@@ -395,34 +429,30 @@ class _NeighbourOr:
     row k is zero in both.
 
     The j-th neighbours of all vertices, for j < _SLOTS, are one gather each,
-    pointing at the zero row k where a vertex has fewer neighbours; that runs
-    several times faster than a reduceat over every CSR row while degrees are
-    small. The neighbours past _SLOTS of the vertices of higher degree are one
-    reduceat, so a few hubs cost no Python loop of their degree."""
+    pad[j], pointing at the zero row k where a vertex has fewer neighbours;
+    that runs several times faster than a reduceat over every CSR row while
+    degrees are small. The more[v] neighbours past _SLOTS of each v in big,
+    rest[extra[v]:], are one reduceat, so hubs cost no loop of their degree."""
 
-    def __init__(self, mat):
-        ip, nbr = mat.indptr, mat.indices
-        k = ip.size - 1
+    def __init__(self, mat: _Csr):
+        ip, nbr, k = mat.indptr, mat.indices, mat.k
         deg = np.diff(ip)
-        self.slots = []
-        for j in range(min(int(deg.max(initial=0)), _SLOTS)):
+        self.pad = np.full((min(int(deg.max(initial=0)), _SLOTS), k + 1), k, dtype=np.int64)
+        for j, x in enumerate(self.pad):
             has = np.flatnonzero(deg > j)
-            x = np.full(k + 1, k, dtype=np.int64)
             x[has] = nbr[ip[has] + j]
-            self.slots.append(x)
-        self.big = np.flatnonzero(deg > _SLOTS)
-        counts = deg[self.big] - _SLOTS
-        self.starts = np.cumsum(counts) - counts
-        self.rest = nbr[segment_positions(ip[self.big] + _SLOTS, counts)]
+        self.more = np.maximum(deg - _SLOTS, 0)
+        self.big, self.extra = np.flatnonzero(self.more), np.cumsum(self.more) - self.more
+        self.rest = nbr[segment_positions(ip[self.big] + _SLOTS, self.more[self.big])]
 
     def __call__(self, rows: np.ndarray) -> np.ndarray:
-        if not self.slots:
+        if not len(self.pad):
             return np.zeros_like(rows)
-        out = rows.take(self.slots[0], axis=0)
-        for x in self.slots[1:]:
+        out = rows.take(self.pad[0], axis=0)
+        for x in self.pad[1:]:
             out |= rows.take(x, axis=0)
         if self.big.size:
-            out[self.big] |= np.bitwise_or.reduceat(rows[self.rest], self.starts, axis=0)
+            out[self.big] |= np.bitwise_or.reduceat(rows[self.rest], self.extra[self.big], axis=0)
         return out
 
 
@@ -447,15 +477,15 @@ def _bfs_fronts(k: int, spread: _NeighbourOr):
         level += 1
 
 
-def _bfs_distances(mat):
+def _bfs_distances(mat: _Csr):
     """(q, diameter) of the unit-weight CSR mat. Each level ors its front into
     the bit planes of its number, so only the planes are unpacked, once
     each, into q, which starts at its maximum where no front reached."""
-    k = mat.shape[0]
+    k = mat.k
     planes = []  # planes[p] holds bit p of every distance
     reached = np.zeros((k + 1, (k + 63) // 64), dtype=_WORD)
     diameter = 0
-    for diameter, front in _bfs_fronts(k, _NeighbourOr(mat)):
+    for diameter, front in _bfs_fronts(k, mat.spread):
         reached |= front
         if diameter >> len(planes):
             planes.append(np.zeros_like(front))
@@ -497,12 +527,13 @@ def distance_between(g: WeightedGraph, s: int, t: int):
         return UNREACHABLE if d < 0 else d
     if labels is not None:
         s, t = int(labels[s]), int(labels[t])
-    return _bfs_steps(mat, s, t)
+    return _bfs_steps(mat.csgraph, s, t)
 
 
 def _bfs_steps(mat, s: int, t: int):
-    """Hops from s to t in the unit-weight CSR mat, UNREACHABLE when t is not
-    reached: the steps from t back to s in one BFS tree."""
+    """Hops from s to t in the unit-weight scipy CSR mat, UNREACHABLE when t
+    is not reached: the steps from t back to s in one BFS tree."""
+    from scipy.sparse.csgraph import breadth_first_order
     # A memoryview reads Python ints, several times faster than numpy scalars.
     pred = memoryview(breadth_first_order(mat, s, return_predecessors=True)[1])
     d = 0
@@ -516,7 +547,7 @@ class CutSearch:
     mask kept cut out, in g's vertex ids: the distances of the subgraph that
     kept induces, with no graph of that subgraph built.
 
-    The searches run on a copy of g's own search CSR in which every stored
+    The searches run on a scipy copy of g's own search CSR in which every stored
     column that names a cut vertex points at the search's source. The BFS has
     visited the source before it reads any column, so it never enters a cut
     vertex. (Zeroing those entries instead would not cut them: csgraph
@@ -528,10 +559,10 @@ class CutSearch:
             raise RuntimeError(f"a cut search needs a unit-weight graph, not {g!r}")
         self._kept = kept
         self._cut = np.flatnonzero(~kept.take(mat.indices))
-        self._mat = csr_matrix((mat.data, mat.indices.copy(), mat.indptr), shape=mat.shape)
+        self._mat = _Csr(mat.indptr, mat.indices.copy(), mat.data).csgraph
 
     def _from(self, s: int):
-        """The CSR whose cut columns point at the kept source s."""
+        """The scipy CSR, its own indices written, whose cut columns point at s."""
         if not self._kept[s]:
             raise ValueError(f"source {s} is cut")
         self._mat.indices[self._cut] = s
@@ -668,7 +699,7 @@ def hit_rows(dm: DenseDistanceMatrix, mask, idx) -> np.ndarray:
     with an equal mask only unpacks the rows it returns.
     """
     mat = _search_matrix(dm.graph)[1]
-    k = mat.shape[0]
+    k = mat.k
     mask = np.asarray(mask, dtype=bool)
     if dm.labels is not None:
         mask = np.bincount(dm.labels[mask], minlength=k) > 0
@@ -691,17 +722,16 @@ def _bfs_hits(mat, mask) -> np.ndarray:
     front whose paths to v meet the mask: all of them when v is masked, the
     masked ones, and those carried in the previous level's hit row of a
     neighbour, which is exactly a tight in-edge of v."""
-    k = mat.shape[0]
+    k = mat.k
     words = (k + 63) // 64
     packed = np.zeros(words * 8, dtype=np.uint8)
     packed[: (k + 7) // 8] = np.packbits(mask, bitorder="little")
     seed = np.repeat(packed.view(_WORD)[None, :], k + 1, axis=0)
     seed[np.flatnonzero(mask)] = np.iinfo(np.uint64).max
     acc = np.zeros((k + 1, words), dtype=_WORD)
-    spread = _NeighbourOr(mat)
     hit = None
-    for _, front in _bfs_fronts(k, spread):
-        hit = front & (seed if hit is None else seed | spread(hit))
+    for _, front in _bfs_fronts(k, mat.spread):
+        hit = front & (seed if hit is None else seed | mat.spread(hit))
         acc |= hit
     return acc
 
@@ -714,7 +744,7 @@ def _band_hits(mat, dist: np.ndarray, mask) -> np.ndarray:
     int64 block by block. Inside a block the pending pairs are taken in bands
     of d(u,v) // wmin, wmin the least weight, so every tight in-edge leaves
     an earlier band, from a vertex the source reaches."""
-    k = mat.shape[0]
+    k = mat.k
     indptr, e_src, e_w = mat.indptr.astype(np.int64), mat.indices, mat.data.astype(np.int64)
     wmin = int(e_w.min()) if e_w.size else 1
     hit = np.zeros((k, k), dtype=bool)

@@ -1,6 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from hublab.cli import build_parser, main
 from hublab.corpus import random_regular_graph
 from hublab.family_gen import FamilyParams, build_H
 from hublab.graph_core import WeightedGraph, all_pairs, read_graph, write_graph
+import hublab
 from hublab.hub_labeling import read_labels, write_labels
 from hublab.upperbound_builder import (
     CoverVerificationError,
@@ -548,3 +554,62 @@ def test_stats_rejects_number_beyond_int64(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "hublab: error: line 1: number does not fit in 64 bits\n"
+
+
+def _fresh_interpreter(code: str, cwd) -> dict:
+    """Run code in a new Python process that imports hublab from this
+    checkout; return the JSON object its last output line prints."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hublab.__file__).resolve().parent.parent))
+    head = "import json, sys\nscipy = lambda: any(m.partition('.')[0] == 'scipy' for m in sys.modules)\n"
+    out = subprocess.run(
+        [sys.executable, "-c", head + textwrap.dedent(code)],
+        cwd=cwd, env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_unit_build_verify_and_closure_never_load_scipy(tmp_path):
+    """build, verify and closure on a 3-regular graph and on a sparse graph
+    (m = 2n, with isolated vertices) that the builder degree-reduces run on
+    numpy alone. A weighted all_pairs and a unit distances_from do import
+    scipy, which shows the check can fail."""
+    got = _fresh_interpreter(
+        """
+        import contextlib, io
+        from hublab import cli, corpus, graph_core
+        seen = {"import": scipy()}
+        graphs = {"reg": corpus.random_regular_graph(60, 3, seed=1),
+                  "er": corpus.erdos_renyi_m(80, 160, seed=2)}
+        seen["isolated"] = int((graphs["er"].degrees == 0).sum())
+        for name, g in graphs.items():
+            graph_core.write_graph(g, name + ".txt")
+            for cmd, extra in (("build", ["--out", name + ".lab"]),
+                               ("verify", ["--labels", name + ".lab"]),
+                               ("closure", ["--labels", name + ".lab", "--out", name + ".cl"])):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.main([cmd, "--graph", name + ".txt", *extra])
+                report = json.loads(out.getvalue())
+                seen[f"{name} {cmd}"] = [code, scipy(), report.get("reduced") is not None]
+        print(json.dumps(seen))
+        """,
+        tmp_path,
+    )
+    assert got.pop("import") is False and got.pop("isolated") > 0
+    assert got == {
+        "reg build": [0, False, False], "reg verify": [0, False, False],
+        "reg closure": [0, False, False], "er build": [0, False, True],
+        "er verify": [0, False, False], "er closure": [0, False, False],
+    }
+    weighted = """
+        from hublab import graph_core
+        graph_core.all_pairs(graph_core.WeightedGraph(3, [(0, 1, 2), (1, 2, 1)]))
+        print(json.dumps(scipy()))
+        """
+    unit = """
+        from hublab import corpus, graph_core
+        graph_core.distances_from(corpus.random_regular_graph(60, 3, seed=1), 0)
+        print(json.dumps(scipy()))
+        """
+    assert _fresh_interpreter(weighted, tmp_path) is True
+    assert _fresh_interpreter(unit, tmp_path) is True

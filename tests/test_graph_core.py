@@ -105,9 +105,9 @@ def test_sorted_shuffled_and_reversed_edges_build_one_graph(g, rnd):
     graphs = [WeightedGraph(g.n, c) for c in copies]
     graphs += [WeightedGraph(g.n, np.array(c, dtype=np.int64).reshape(-1, 3)) for c in copies]
     ref_labels, ref = _search_matrix(g)
-    assert ref.has_canonical_format
-    # The quotient edges with their least weight, in both directions, summed
-    # and sorted by scipy: what the search CSR must equal entry for entry.
+    # The quotient edges with their least weight, in both directions, through
+    # scipy's COO -> CSR conversion, summed and sorted: what the search CSR
+    # must equal array by array, dtypes included, so csgraph wraps it uncopied.
     lab = np.arange(g.n) if ref_labels is None else ref_labels
     least = {}
     for a, b, x in g.edges:
@@ -118,11 +118,12 @@ def test_sorted_shuffled_and_reversed_edges_build_one_graph(g, rnd):
     keys = sorted(least)
     old = csr_matrix(
         ([float(least[e]) for e in keys], ([a for a, _ in keys], [b for _, b in keys])),
-        shape=ref.shape,
+        shape=(ref.k, ref.k),
     )
     old.sum_duplicates()
+    assert old.has_canonical_format
     for a, b in ((ref.indptr, old.indptr), (ref.indices, old.indices), (ref.data, old.data)):
-        assert a.tolist() == b.tolist()
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
     for h in graphs:
         for a, b in zip(h.edge_arrays(), g.edge_arrays()):
             assert a.dtype == np.int64 and a.flags.c_contiguous and a.tolist() == b.tolist()
@@ -130,12 +131,11 @@ def test_sorted_shuffled_and_reversed_edges_build_one_graph(g, rnd):
         for a, b in zip(h.in_edges(), g.in_edges()):
             assert a.tolist() == b.tolist()
         labels, mat = _search_matrix(h)
-        assert mat.has_canonical_format
         assert (labels is None) == (ref_labels is None)
         if labels is not None:
             assert labels.tolist() == ref_labels.tolist()
         for a, b in ((mat.indptr, ref.indptr), (mat.indices, ref.indices), (mat.data, ref.data)):
-            assert a.tolist() == b.tolist()
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
 
 
 def test_sorted_input_is_still_checked():
@@ -473,13 +473,60 @@ def test_cut_search_refuses_other_weights_and_cut_sources():
         search.distances_from(1)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_components_match_scipy_label_for_label(data):
+    """_components numbers components by lowest vertex exactly as scipy's
+    connected_components does: on n = 0 and 1, isolated vertices, edges
+    given in either direction, repeated or as loops, and a zero-weight clone
+    chain, a run of vertices in shuffled id order."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    from hublab.graph_core import _components
+
+    n = data.draw(st.integers(min_value=0, max_value=40))
+    pairs = []
+    if n:
+        vertex = st.integers(min_value=0, max_value=n - 1)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=n))
+        chain = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
+        pairs += list(zip(chain, chain[1:]))
+    u, v = (np.array([p[i] for p in pairs], dtype=np.int64) for i in (0, 1))
+    want = connected_components(coo_matrix((np.ones(len(pairs)), (u, v)), shape=(n, n)), directed=False)
+    got = _components(n, u, v)
+    assert got.tolist() == want[1].tolist() and int(got.max(initial=-1)) + 1 == want[0]
+
+
+def test_reduced_graph_components_match_scipy():
+    """The zero-weight clone chains of a degree-reduced sparse graph, with
+    isolated vertices: the search labels are scipy's components of them."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    from hublab.graph_core import _search_matrix
+    from hublab.upperbound_builder import reduce_degree
+
+    stage = reduce_degree(erdos_renyi_m(300, 600, seed=2))[0]
+    u, v, w = stage.edge_arrays()
+    zero = coo_matrix((np.ones(int((w == 0).sum())), (u[w == 0], v[w == 0])), shape=(stage.n, stage.n))
+    want = connected_components(zero, directed=False)[1]
+    assert stage.n > 300 and (stage.degrees == 0).any()
+    assert _search_matrix(stage)[0].tolist() == want.tolist()
+
+
 @given(small_graphs(max_n=10, min_weight=0, max_weight=1))
 def test_search_matrix_of_a_zero_one_graph_stores_no_zero(g):
     # csgraph's BFS takes a stored zero for a hop like any other, so the
     # quotient by the zero-weight components must store none.
     from hublab.graph_core import _search_matrix
 
-    assert (_search_matrix(g)[1].data == 1).all()
+    mat = _search_matrix(g)[1]
+    assert (mat.data == 1).all()
+    # csgraph searches read these very arrays: scipy's matrix is no copy
+    for name in ("indptr", "indices", "data"):
+        ours = getattr(mat, name)
+        assert ours.size == 0 or np.shares_memory(getattr(mat.csgraph, name), ours)
 
 
 def test_graph_file_round_trip(tmp_path):
@@ -918,7 +965,7 @@ def test_long_unit_quotients_run_dijkstra_and_band_hits(monkeypatch):
 def _hop_diameter(mat) -> int:
     from scipy.sparse.csgraph import dijkstra
 
-    hops = dijkstra(mat, unweighted=True)
+    hops = dijkstra(mat.csgraph, unweighted=True)
     return int(hops[np.isfinite(hops)].max(initial=0))
 
 
@@ -928,8 +975,11 @@ def test_diameter_estimate_within_a_factor_two(g):
     from hublab.graph_core import _diameter_estimate, _search_matrix
 
     _, mat = _search_matrix(g)
-    est = _diameter_estimate(mat)
+    est = _diameter_estimate(mat, g.n)
     assert est <= _hop_diameter(mat) <= 2 * est
+    # A cap ends the sweeps early, and the estimate reads the cap instead.
+    for cap in range(g.n + 1):
+        assert _diameter_estimate(mat, cap) == min(cap, est)
 
 
 def test_diameter_estimate_exact_on_forests():
@@ -946,7 +996,30 @@ def test_diameter_estimate_exact_on_forests():
                 (int(ids[half + rng.integers(0, i - half)]), int(ids[i]), 1) for i in range(half + 1, n)
             ]
             _, mat = _search_matrix(WeightedGraph(n + 1, edges))
-            assert _diameter_estimate(mat) == _hop_diameter(mat)
+            assert _diameter_estimate(mat, n + 1) == _hop_diameter(mat)
+
+
+def test_diameter_estimate_stops_past_its_cap(monkeypatch):
+    """A sweep that passes cap levels stops there: on a 300-vertex path the
+    first sweep, from vertex 0, alone rules out any cap below 300 levels. On
+    a short path beside a long one, the components' sweep stops instead."""
+    import hublab.graph_core as graph_core
+    from hublab.graph_core import _diameter_estimate, _search_matrix
+
+    sweeps = []
+    real = graph_core._sweep
+    monkeypatch.setattr(graph_core, "_sweep", lambda *a: sweeps.append(real(*a)) or sweeps[-1])
+    _, mat = _search_matrix(path_graph(300))
+    for cap in (0, 1, 10, 298, 299, 300, 1000):
+        sweeps.clear()
+        assert _diameter_estimate(mat, cap) == min(cap, 299)
+        assert [levels for _, levels in sweeps] == ([cap + 1] if cap < 300 else [300, 300]), cap
+    two = WeightedGraph(310, [(i, i + 1, 1) for i in range(309) if i != 9])
+    _, mat = _search_matrix(two)
+    for cap, est, levels in ((50, 50, [10, 51]), (310, 299, [10, 300, 300])):
+        sweeps.clear()
+        assert _diameter_estimate(mat, cap) == est
+        assert [levels for _, levels in sweeps] == levels
 
 
 @settings(max_examples=100)

@@ -118,6 +118,49 @@ def test_row_blocks_come_from_the_driver(path):
     assert row_block_reads(path.read_text(encoding="utf-8")) == []
 
 
+def module_level_scipy_imports(source: str) -> list[int]:
+    """Lines that import scipy, or a module of it, outside every function
+    body: imports that run when the module is imported."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            else:
+                names = [child.module or ""] if isinstance(child, ast.ImportFrom) else []
+            if any(name.partition(".")[0] == "scipy" for name in names):
+                found.append(child.lineno)
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(found)
+
+
+def test_module_level_scipy_import_check_catches_one():
+    source = (
+        "import numpy, scipy.sparse\n"
+        "from scipy import stats\n"
+        "class C:\n"
+        "    from scipy.sparse import csr_matrix\n"
+        "def f():\n"
+        "    from scipy.sparse.csgraph import dijkstra\n"
+        "    import scipy\n"
+        "import scipyx\n"
+        "from . import scipy_names\n"
+    )
+    assert module_level_scipy_imports(source) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_scipy_is_imported_only_inside_functions(path):
+    # Unit-weight builds, verification, closure and label IO never need
+    # scipy, so importing the package must not load it.
+    assert module_level_scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
 def unset_options(defs: dict[str, str], callers: list[str]) -> list[str]:
     """Keyword-only parameters with a default, defined in the sources defs
     (label -> text), that no call in the caller sources passes by keyword,
