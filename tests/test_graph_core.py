@@ -1016,10 +1016,10 @@ def test_diameter_estimate_stops_past_its_cap(monkeypatch):
         assert [levels for _, levels in sweeps] == ([cap + 1] if cap < 300 else [300, 300]), cap
     two = WeightedGraph(310, [(i, i + 1, 1) for i in range(309) if i != 9])
     _, mat = _search_matrix(two)
-    for cap, est, levels in ((50, 50, [10, 51]), (310, 299, [10, 300, 300])):
+    for cap, est, want in ((50, 50, [10, 51]), (310, 299, [10, 300, 300])):
         sweeps.clear()
         assert _diameter_estimate(mat, cap) == est
-        assert [levels for _, levels in sweeps] == levels
+        assert [levels for _, levels in sweeps] == want
 
 
 @settings(max_examples=100)
