@@ -47,9 +47,8 @@ in source order and on 2,000 random pairs, all drawn with numpy seed 0, each
 set run 9 times. The record holds the median and the best microseconds per
 call of each set, the peak RSS and a SHA-256 of the answers of both sets.
 
-With --command searches, graph_core.all_pairs and then
-graph_core.shortest_path_hits, with every 20th vertex masked, run in this
-process; the record holds the time of each, the peak RSS and a SHA-256 of
+With --command searches, graph_core.all_pairs and then graph_core.hit_rows
+of all rows, with every 20th vertex masked, run in this process; the record holds the time of each, the peak RSS and a SHA-256 of
 each result.
 
 With --command sumindex or --command lemma1, the graph spec must be
@@ -244,7 +243,7 @@ def run_query(spec: str) -> dict:
 
 
 def run_searches(spec: str) -> dict:
-    """Time all_pairs and shortest_path_hits on the graph in this process."""
+    """Time all_pairs and hit_rows of all rows on the graph in this process."""
     import numpy as np
 
     from hublab import graph_core
@@ -254,7 +253,7 @@ def run_searches(spec: str) -> dict:
     t0 = time.perf_counter()
     dm = graph_core.all_pairs(g)
     t1 = time.perf_counter()
-    hit = graph_core.shortest_path_hits(dm, np.arange(g.n) % 20 == 0)
+    hit = graph_core.hit_rows(dm, np.arange(g.n) % 20 == 0, slice(None))
     t2 = time.perf_counter()
     return {
         "graph": graph_info,

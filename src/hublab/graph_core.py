@@ -223,7 +223,7 @@ def _read_graph_lines(path) -> WeightedGraph:
 # its zero-weight components, which stores no zero and keeps the least weight
 # of parallel edges; searches are read back through the component labels. On
 # unit quotients, those of all "unit" and "01" graphs, all_pairs and
-# shortest_path_hits run one bit-parallel BFS from every source at once
+# hit_rows run one bit-parallel BFS from every source at once
 # (_bfs_fronts) unless the diameter makes it dearer than Dijkstra or the band
 # kernel (_bfs_pays). scipy is imported only where csgraph runs on the CSR's
 # arrays: Dijkstra, exact below 2**53, and the single-source BFS of
@@ -348,7 +348,7 @@ def _bfs_depths(mat, src: int) -> np.ndarray:
 #: Word operations per source and per vertex or stored entry of the quotient
 #: CSR that the searches the bit-parallel BFS replaces cost at least: csgraph
 #: Dijkstra in all_pairs (paths are its cheapest case), and _band_hits in
-#: shortest_path_hits. Fitted on 2 cores to paths, cycles, brooms, lollipops,
+#: hit_rows. Fitted on 2 cores to paths, cycles, brooms, lollipops,
 #: caterpillars, ladders, grids, random trees and 3-regular graphs of 100 to
 #: 4000 vertices, so that neither search gets slower than its rival but by
 #: a few milliseconds on graphs of a few hundred vertices.
@@ -398,8 +398,11 @@ def _diameter_estimate(mat: _Csr, cap: int) -> int:
 
 def _sweep(spread, starts, cap: int) -> tuple[np.ndarray, int]:
     """(depth, levels) of one BFS from all of starts on the graph of spread, up
-    to cap + 1 levels: hops from the nearest start, -1 where none reaches."""
+    to cap + 1 levels: hops from the nearest start, -1 where none reaches.
+    A front holds each new neighbour once: at the one position of nb whose
+    write to slot landed."""
     depth = np.append(np.full(spread.pad.shape[1] - 1, -1), 0)  # 0 at spread.pad's filler k
+    slot = np.empty_like(depth)
     front, levels = np.asarray(starts, dtype=np.int64), 1
     depth[front] = 0
     while front.size and levels <= cap:
@@ -407,8 +410,11 @@ def _sweep(spread, starts, cap: int) -> tuple[np.ndarray, int]:
         hub = front[spread.more[front] > 0] if spread.big.size else spread.big
         if hub.size:
             nb = np.append(nb, spread.rest[segment_positions(spread.extra[hub], spread.more[hub])])
-        depth[nb[depth[nb] < 0]] = levels
-        front = np.flatnonzero(depth == levels)
+        nb = nb[depth[nb] < 0]
+        at = np.arange(nb.size)
+        slot[nb] = at
+        front = nb[slot[nb] == at]
+        depth[front] = levels
         levels += front.size > 0
     return depth[:-1], levels
 
@@ -593,7 +599,7 @@ class DenseDistanceMatrix:
     maximum, far, marks unreachable pairs and exceeds every distance;
     labels[v] is the component of vertex v and size[c] the vertex count of
     component c. Members of one component share their distance row, so
-    rows, at and expand read the vertex matrix through labels, and no n x n
+    rows, q_rows and at read the vertex matrix through labels, and no n x n
     copy of it is held; rows, at and matrix return int64, -1 for unreachable.
     Without zero weights q is the vertex matrix, labels is None and every
     size is 1. _hits holds the quotient hits of the last search of hit_rows."""
@@ -632,14 +638,6 @@ class DenseDistanceMatrix:
             u, v = self.labels[u], self.labels[v]
         return _widen(self.q.reshape(-1).take(np.asarray(u, dtype=np.int64) * len(self.q) + v))
 
-    def expand(self, a: np.ndarray) -> np.ndarray:
-        """a, indexed by component on every axis, gathered back to vertices.
-        Two takes, each a contiguous copy, outrun one np.ix_ gather."""
-        if self.labels is None:
-            return a
-        a = a.take(self.labels, 0)
-        return a if a.ndim == 1 else a.take(self.labels, 1)
-
     def matrix(self) -> np.ndarray:
         """The whole n x n vertex matrix, a new one on every call."""
         return self.rows(slice(None))
@@ -675,17 +673,11 @@ def all_pairs(g: WeightedGraph) -> DenseDistanceMatrix:
 _HIT_BLOCK = 32
 
 
-def shortest_path_hits(dm: DenseDistanceMatrix, mask) -> np.ndarray:
-    """n x n bool matrix: hit[u, v] iff v is reachable from u and some vertex
-    of the bool vertex mask lies on a shortest u-v path, that is
-    d(u,c) + d(c,v) == d(u,v) for some c in mask; read-only. See hit_rows."""
-    hit = hit_rows(dm, mask, slice(None))
-    hit.flags.writeable = False
-    return hit
-
-
 def hit_rows(dm: DenseDistanceMatrix, mask, idx) -> np.ndarray:
-    """The rows idx, a slice or an index array, of shortest_path_hits(dm, mask).
+    """The rows idx, a slice or an index array, of the n x n bool matrix hit:
+    hit[u, v] iff v is reachable from u and some vertex of the bool vertex
+    mask lies on a shortest u-v path, that is d(u,c) + d(c,v) == d(u,v) for
+    some c in mask.
 
     Runs on the quotient of the search section: a masked vertex lies on a
     shortest u-v walk iff its zero-weight component lies on a shortest path
@@ -716,7 +708,7 @@ def hit_rows(dm: DenseDistanceMatrix, mask, idx) -> np.ndarray:
 
 
 def _bfs_hits(mat, mask) -> np.ndarray:
-    """shortest_path_hits on the unit-weight CSR mat with a vertex mask, in _WORD rows.
+    """The hits of hit_rows on the unit-weight CSR mat with a vertex mask, in _WORD rows.
 
     At level l of _bfs_fronts, the sources of v's hit row are those of its
     front whose paths to v meet the mask: all of them when v is masked, the
@@ -737,7 +729,7 @@ def _bfs_hits(mat, mask) -> np.ndarray:
 
 
 def _band_hits(mat, dist: np.ndarray, mask) -> np.ndarray:
-    """shortest_path_hits on the CSR mat, whose weights are positive, with
+    """The hits of hit_rows on the CSR mat, whose weights are positive, with
     its all-pairs distances dist, coded as DenseDistanceMatrix.q.
 
     Rows are independent and run in blocks of _HIT_BLOCK sources, widened to

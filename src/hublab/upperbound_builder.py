@@ -21,8 +21,8 @@ from .graph_core import (
     WeightedGraph,
     all_pairs,
     clear_lower,
+    hit_rows,
     segment_positions,
-    shortest_path_hits,
 )
 from .hub_labeling import CoverReport, HubLabeling, verify_cover
 
@@ -126,12 +126,13 @@ class PairIndex:
 
     small holds the (u, v) rows, u < v in ascending order, of every pair with
     |H_uv| <= D; small_dist their distances, and cand[cand_ptr[i]:
-    cand_ptr[i + 1]] the candidates of row i in ascending order. big[u, v]
-    (upper triangle only) marks the reachable pairs with |H_uv| >= D. A path
-    of length d has at least ceil(d / wmax) edges, so |H_uv| > D whenever
-    d(u,v) > r = (D - 1) * wmax, and only the pairs within r need explicit
-    counts. The forced rows (|H_uv| < D at distance > D, possible only with
-    weights above 1) are left to the cover stage. Two vertices of one
+    cand_ptr[i + 1]] the candidates of row i in ascending order. The other
+    reachable pairs u < v and the rows with D candidates are big (|H_uv| >=
+    D), which the cover stage reads off the distance rows. A path of length
+    d has at least ceil(d / wmax) edges, so |H_uv| > D whenever d(u,v) > r =
+    (D - 1) * wmax, and only the pairs within r need explicit counts. The
+    forced rows (|H_uv| < D at distance > D, possible only with weights
+    above 1) are left to the cover stage. Two vertices of one
     zero-weight component are at distance 0, and that component is their
     candidate set.
     """
@@ -143,7 +144,6 @@ class PairIndex:
     cand_ptr: np.ndarray
     cand: np.ndarray
     forced: np.ndarray
-    big: np.ndarray
 
 
 def build_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
@@ -162,14 +162,10 @@ def build_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
     multi = dm.size > 1
     w = dm.graph.edge_arrays()[2]
     r = (D - 1) * (int(w.max()) if w.size else 1)
-    big = np.empty((k, k), dtype=bool)
     us, vs, dists, sizes, hits, cands = ([np.zeros(0, dtype=np.int64)] for _ in range(6))
     rows = max(1, _SCAN // max(k, 1))
     for lo in range(0, k, rows):
         hi = min(lo + rows, k)
-        # big: the reachable pairs u < v beyond r, of the rows lo..hi-1
-        np.logical_and(mat[lo:hi] > r, mat[lo:hi] != dm.far, out=big[lo:hi])
-        clear_lower(big[lo:hi], lo)
         # the ball entries (u, x), 0 <= d(u, x) <= r, in ascending order; no distance reaches far
         bu, bx = np.divmod(np.flatnonzero(mat[lo:hi] <= min(r, dm.far - 1)), k)
         bu += lo
@@ -196,7 +192,6 @@ def build_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
             of = np.repeat(np.arange(pair.size), ball).take(hit)
             x = bx.take(at.take(hit))
             counts = np.bincount(of, weights=dm.size[x], minlength=pair.size).astype(np.int64)
-            big[u[counts >= D], v[counts >= D]] = True
             keep = counts <= D
             us.append(u[keep])
             vs.append(v[keep])
@@ -210,23 +205,9 @@ def build_pair_index(dm, D: int, *, zero_one: bool = False) -> PairIndex:
     sizes, cand = np.concatenate(sizes), np.concatenate(cands)
     if dm.labels is not None:
         small, small_dist, sizes, cand = _expand_small(dm, small, small_dist, sizes, hits, cand)
-        big = _expand_big(dm, big)
     cand_ptr = np.concatenate([[0], np.cumsum(sizes)])
     forced = small[(np.diff(cand_ptr) < D) & (small_dist > D)]
-    return PairIndex(n, D, small, small_dist, cand_ptr, cand, forced, big)
-
-
-def _expand_big(dm, big: np.ndarray) -> np.ndarray:
-    """big of build_pair_index, the upper triangle of the quotient's, on the
-    vertices: in blocks of rows, with no n x n temporary."""
-    sym = big | big.T
-    n, labels = dm.n, dm.labels
-    out = np.empty((n, n), dtype=bool)
-    rows = max(1, _SCAN // n)
-    for lo in range(0, n, rows):
-        np.take(sym.take(labels[lo : lo + rows], 0), labels, 1, out=out[lo : lo + rows])
-        clear_lower(out[lo : lo + rows], lo)
-    return out
+    return PairIndex(n, D, small, small_dist, cand_ptr, cand, forced)
 
 
 def _expand_small(dm, small, small_dist, sizes, hits, cand):
@@ -261,8 +242,22 @@ def _expand_small(dm, small, small_dist, sizes, hits, cand):
 # -- stage 1: random cover set ------------------------------------------------
 
 
+def _pair_keys(d: np.ndarray, lo: int, far: int, drop: np.ndarray, hit=np.False_) -> np.ndarray:
+    """Ascending keys u * n + v of the reachable pairs u < v of the block d of
+    distance rows u = lo.., coded as q codes them, but for those of the
+    ascending keys drop and those the bool block hit marks."""
+    n = d.shape[1]
+    pairs = (d != far) & ~hit
+    clear_lower(pairs, lo)
+    a, b = np.searchsorted(drop, [lo * n, (lo + len(d)) * n])
+    pairs.reshape(-1)[drop[a:b] - lo * n] = False
+    return np.flatnonzero(pairs) + lo * n
+
+
 def _sample_cover(dm, cfg: BuilderConfig, index: PairIndex):
-    """(S, Q, attempts); Q holds the big pairs S misses plus the forced pairs."""
+    """(S, Q, attempts); Q holds the big pairs S misses plus the forced pairs.
+    An attempt reads the big pairs, the reachable pairs minus the thin rows
+    (fewer than D candidates), and the hits of S per block of dm.blocks()."""
     n = dm.n
     D = index.D
     if D == 1 or n == 0:
@@ -270,16 +265,21 @@ def _sample_cover(dm, cfg: BuilderConfig, index: PairIndex):
         # coloring and matching stages.
         return np.zeros(0, dtype=np.int64), np.zeros((0, 2), dtype=np.int64), 0
     s_size = math.ceil((n / D) * math.log(D))
+    thin = index.small[np.diff(index.cand_ptr) < D] @ [n, 1]
 
     def draw(rng):
         s_arr = np.sort(rng.choice(n, size=s_size, replace=False))
         s_mask = np.zeros(n, dtype=bool)
         s_mask[s_arr] = True
-        miss = index.big & ~shortest_path_hits(dm, s_mask)
-        return (s_arr, miss), int(miss.sum())
+        parts = [
+            _pair_keys(d, lo, dm.far, thin, hit_rows(dm, s_mask, slice(lo, hi)))
+            for lo, hi, d in dm.blocks()
+        ]
+        miss = np.concatenate(parts)
+        return (s_arr, miss), miss.size
 
     (s_arr, miss), attempts = _resample(cfg, 1, "cover-set", n, D, draw)
-    keys = _distinct(np.r_[np.flatnonzero(miss), index.forced[:, 0] * n + index.forced[:, 1]])
+    keys = _distinct(np.concatenate([miss, index.forced @ [n, 1]]))
     return s_arr, _rows(keys, n), attempts
 
 
@@ -310,7 +310,9 @@ def _sample_colors(dm, cfg: BuilderConfig, index: PairIndex):
     if D == 1:
         # One color: every candidate set of two or more vertices conflicts, so
         # every reachable pair is stored outright.
-        return np.ones(n, dtype=np.int64), np.argwhere(np.triu(dm.expand(dm.q != dm.far), 1)), 1
+        none = np.zeros(0, dtype=np.int64)
+        keys = [_pair_keys(d, lo, dm.far, none) for lo, _, d in dm.blocks()]
+        return np.ones(n, dtype=np.int64), _rows(np.concatenate([none, *keys]), n), 1
 
     def draw(rng):
         colors = rng.integers(1, D**3 + 1, size=n)
@@ -541,10 +543,10 @@ def _assemble(S, extra, dm) -> HubLabeling:
 def _stage_total(S, extra, stage_dm) -> int:
     """total_size of _assemble(S, extra, stage_dm) for distinct rows extra, without
     building it: the S vertices each row reaches, plus the reachable extras outside S."""
-    comp = (stage_dm.q != stage_dm.far).argmax(1)  # the lowest vertex of each row's component
+    # the lowest vertex each row reaches names its component
+    comp = np.concatenate([(d != stage_dm.far).argmax(1) for _, _, d in stage_dm.blocks()])
     outside = ~np.isin(extra[:, 1], S) & (stage_dm.at(*extra.T) >= 0)
-    in_reach = np.bincount(comp[stage_dm.labels[S]], minlength=comp.size)[comp]
-    return int(stage_dm.size @ in_reach + np.count_nonzero(outside))
+    return int(np.bincount(comp[S], minlength=comp.size)[comp].sum() + np.count_nonzero(outside))
 
 
 # -- degree reduction -------------------------------------------------------------

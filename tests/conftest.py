@@ -320,16 +320,20 @@ def oracle_pair_index(dm, D: int, *, zero_one: bool = False):
     return small, small_dist, forced, big
 
 
-def index_as_dicts(index):
-    """(small, small_dist, forced, big) of a PairIndex: the candidate tuple and
-    the distance of every small pair keyed by (u, v), and the forced pairs as
-    a sorted tuple."""
+def index_as_dicts(index, dm):
+    """(small, small_dist, forced, big) of a PairIndex of dm's graph: the
+    candidate tuple and the distance of every small pair keyed by (u, v), the
+    forced pairs as a sorted tuple, and big as the cover stage reads it, the
+    reachable pairs u < v minus the small rows with fewer than D candidates."""
     pairs = list(map(tuple, index.small.tolist()))
     ptr = index.cand_ptr.tolist()
     cand = index.cand.tolist()
     small = {p: tuple(cand[ptr[i] : ptr[i + 1]]) for i, p in enumerate(pairs)}
     forced = tuple(map(tuple, index.forced.tolist()))
-    return small, dict(zip(pairs, index.small_dist.tolist())), forced, index.big
+    big = np.triu(dm.matrix() >= 0, 1)
+    thin = index.small[np.diff(index.cand_ptr) < index.D]
+    big[thin[:, 0], thin[:, 1]] = False
+    return small, dict(zip(pairs, index.small_dist.tolist())), forced, big
 
 
 def oracle_has_conflict(colors, H) -> bool:

@@ -37,8 +37,8 @@ from hublab.graph_core import (
     count_shortest_paths,
     distance_between,
     distances_from,
+    hit_rows,
     read_graph,
-    shortest_path_hits,
     write_graph,
 )
 from hublab.upperbound_builder import reduce_degree
@@ -761,7 +761,7 @@ def test_shortest_path_hits_match_min_plus_oracle(g, data):
     dm = all_pairs(g)
     drawn = np.array(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)), dtype=bool)
     for mask in (drawn, np.zeros(g.n, dtype=bool), np.ones(g.n, dtype=bool)):
-        assert (shortest_path_hits(dm, mask) == oracle_hits(dm, mask)).all()
+        assert (hit_rows(dm, mask, slice(None)) == oracle_hits(dm, mask)).all()
 
 
 def _weights_025(g: WeightedGraph, seed: int) -> WeightedGraph:
@@ -791,7 +791,7 @@ def test_shortest_path_hits_on_fixed_graphs():
         masks = [np.zeros(g.n, dtype=bool), np.ones(g.n, dtype=bool)]
         masks += [rng.random(g.n) < p for p in (0.05, 0.3)]
         for mask in masks:
-            hit = shortest_path_hits(dm, mask)
+            hit = hit_rows(dm, mask, slice(None))
             assert hit.shape == (g.n, g.n) and hit.dtype == bool
             assert (hit == oracle_hits(dm, mask)).all(), g
 
@@ -855,7 +855,7 @@ def test_word_boundary_hits_match_oracle(monkeypatch):
     for g in _word_boundary_graphs():
         dm = all_pairs(g)
         for mask in _word_boundary_masks(g.n, rng):
-            hit = shortest_path_hits(dm, mask)
+            hit = hit_rows(dm, mask, slice(None))
             assert hit.shape == (g.n, g.n) and hit.dtype == bool
             assert (hit == oracle_hits(dm, mask)).all(), (g, np.flatnonzero(mask))
 
@@ -877,7 +877,7 @@ def test_short_unit_quotients_never_run_dijkstra(monkeypatch):
     split_zero_one = WeightedGraph(5, [(0, 1, 0), (1, 2, 1), (3, 4, 0)])
     for g in (unit, zero_one, inside, split, split_zero_one):
         dm = all_pairs(g)
-        shortest_path_hits(dm, np.ones(g.n, dtype=bool))
+        hit_rows(dm, np.ones(g.n, dtype=bool), slice(None))
         for s in (0, g.n - 1):
             row = [distance_between(g, s, t) for t in range(g.n)]
             assert row == [UNREACHABLE if d < 0 else d for d in dm.matrix()[s].tolist()], g
@@ -937,7 +937,7 @@ def test_unit_distances_from_runs_one_bfs(monkeypatch):
 def test_long_unit_quotients_run_dijkstra_and_band_hits(monkeypatch):
     """On a path, whose diameter is its size, the bit-parallel BFS would
     cost D k^2 / 64 word operations; all_pairs runs Dijkstra and
-    shortest_path_hits the band kernel instead, for unit and {0,1} weights.
+    hit_rows the band kernel instead, for unit and {0,1} weights.
     distance_between runs neither: it walks one single-source BFS."""
     import hublab.graph_core as graph_core
 
@@ -958,7 +958,7 @@ def test_long_unit_quotients_run_dijkstra_and_band_hits(monkeypatch):
         assert (dm.matrix() == np.abs(pos[:, None] - pos[None, :])).all()
         mask = np.zeros(n, dtype=bool)
         mask[[0, 63, 64, 700]] = True
-        assert (shortest_path_hits(dm, mask) == oracle_hits(dm, mask)).all()
+        assert (hit_rows(dm, mask, slice(None)) == oracle_hits(dm, mask)).all()
         assert calls == ["dijkstra", "_band_hits"], g
 
 
@@ -1046,17 +1046,17 @@ def test_quotient_rows_and_expand_round_trip(g):
     coded = np.where(want < 0, dm.far, want)  # q's code of the vertex matrix
     if not g.has_zero_weights:
         assert dm.labels is None and (dm.size == 1).all()
-        assert (dm.q == coded).all() and dm.expand(want) is want
+        assert (dm.q == coded).all() and (dm.q_rows(slice(None)) == coded).all()
         assert not np.shares_memory(mat, dm.q) and dm.rows(slice(1, None)).dtype == np.int64
         return
     assert dm.size.tolist() == np.bincount(dm.labels).tolist()
     # the quotient is the matrix at the lowest member of each component
     rep = np.unique(dm.labels, return_index=True)[1]
     assert (coded[np.ix_(rep, rep)] == dm.q).all()
-    for a, whole in ((dm.q, coded), (dm.q != dm.far, want >= 0)):
-        back = dm.expand(a)
-        assert back.dtype == a.dtype and back.flags.c_contiguous and (back == whole).all()
-    assert (dm.expand(dm.q[0]) == coded[rep[0]]).all()
+    back = dm.q_rows(slice(None))
+    assert back.dtype == dm.q.dtype and back.flags.c_contiguous and (back == coded).all()
+    assert ((back != dm.far) == (want >= 0)).all()
+    assert (dm.q_rows(rep[0]) == coded[rep[0]]).all()
 
 
 
@@ -1114,4 +1114,4 @@ def test_quotient_dtype_is_the_narrowest_that_fits(g):
     codes = [np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)]
     fits = [t for t in codes if np.iinfo(t).max > diameter]
     assert dm.q.dtype == fits[0]
-    assert (dm.expand(dm.q == dm.far) == (mat < 0)).all()
+    assert ((dm.q_rows(slice(None)) == dm.far) == (mat < 0)).all()

@@ -30,7 +30,7 @@ from hublab.graph_core import (
     UnreachablePairError,
     WeightedGraph,
     all_pairs,
-    shortest_path_hits,
+    hit_rows,
 )
 from hublab.hub_labeling import (
     HubLabeling,
@@ -966,7 +966,7 @@ def test_verify_cover_finds_an_undercut_of_a_pair_the_core_hits():
     hl, dm = built.labeling, built.dm
     in_s = np.zeros(hl.n, dtype=bool)
     in_s[built.artifacts.S] = True
-    u, v = map(int, np.argwhere(np.triu(shortest_path_hits(dm, in_s), 1))[0])
+    u, v = map(int, np.argwhere(np.triu(hit_rows(dm, in_s, slice(None)), 1))[0])
     x = int(np.flatnonzero(~in_s)[0])
     rows = [dict(hl.hubs[w]) for w in range(hl.n)]
     rows[u][x] = rows[v][x] = 0

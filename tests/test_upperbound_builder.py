@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from hublab.corpus import erdos_renyi_m, grid_graph, path_graph, random_regular_graph, star_graph
 from hublab.family_gen import FamilyParams, build_H, expand_to_G
-from hublab.graph_core import WeightedGraph, all_pairs, shortest_path_hits
+from hublab.graph_core import WeightedGraph, all_pairs, hit_rows
 from hublab import graph_core, hub_labeling, upperbound_builder
 from hublab.hub_labeling import (
     HubLabeling,
@@ -45,7 +45,9 @@ from hublab.upperbound_builder import (
     _greedy_matchings,
     _resample,
     _rng,
+    _sample_colors,
     _sample_cover,
+    _stage_total,
     assemble,
     build_for_graph,
     build_matchings,
@@ -85,7 +87,7 @@ def test_pair_index_path_candidate_sizes():
     dm = all_pairs(PATH5)
     for v in range(1, 5):
         assert len(hub_candidates(dm, 0, v)) == v + 1
-    small, _, forced, _ = index_as_dicts(build_pair_index(dm, 3))
+    small, _, forced, _ = index_as_dicts(build_pair_index(dm, 3), dm)
     assert small[(0, 1)] == (0, 1)
     assert small[(0, 2)] == (0, 1, 2)
     assert (0, 3) not in small  # 4 candidates > D
@@ -94,7 +96,7 @@ def test_pair_index_path_candidate_sizes():
 
 def assert_index_arrays(index):
     """The dtypes and shapes every PairIndex has, whatever its graph."""
-    rows, n = len(index.small), index.n
+    rows = len(index.small)
     for name, shape in [
         ("small", (rows, 2)),
         ("small_dist", (rows,)),
@@ -104,12 +106,11 @@ def assert_index_arrays(index):
     ]:
         got = getattr(index, name)
         assert got.dtype == np.int64 and got.shape == shape, name
-    assert index.big.dtype == bool and index.big.shape == (n, n)
 
 
-def assert_same_index(got, want):
+def assert_same_index(got, want, dm):
     assert_index_arrays(got)
-    small, small_dist, forced, big = index_as_dicts(got)
+    small, small_dist, forced, big = index_as_dicts(got, dm)
     assert small == want[0]
     assert small_dist == want[1]
     assert forced == want[2]
@@ -132,8 +133,8 @@ def test_pair_index_exact_matches_zero_one():
         for D in (2, 3):
             index = build_pair_index(dm, D)
             assert not len(index.forced)
-            assert_same_index(index, oracle_pair_index(dm, D, zero_one=True))
-            assert_same_index(index, oracle_pair_index(dm, D))
+            assert_same_index(index, oracle_pair_index(dm, D, zero_one=True), dm)
+            assert_same_index(index, oracle_pair_index(dm, D), dm)
 
 
 # Zero-weight components {0, 5}, {1, 3, 7} and {2, 4, 6, 8}: sizes D - 1, D
@@ -167,15 +168,15 @@ PAIR_INDEX_EDGE_CASES = [
 @pytest.mark.parametrize("D", [1, 2, 3, 5])
 def test_pair_index_edge_cases_match_oracle(g, D):
     dm = all_pairs(g)
-    assert_same_index(build_pair_index(dm, D), oracle_pair_index(dm, D))
+    assert_same_index(build_pair_index(dm, D), oracle_pair_index(dm, D), dm)
 
 
 def test_pair_index_zero_weight_components_by_size():
     # Pairs inside a component of s vertices have that component as their s
     # candidates: small up to D, big from D on. Pairs across components count
     # every member of each component on their shortest paths.
-    index = build_pair_index(all_pairs(ZERO_SIZES), 3)
-    small, _, forced, big = index_as_dicts(index)
+    dm = all_pairs(ZERO_SIZES)
+    small, _, forced, big = index_as_dicts(build_pair_index(dm, 3), dm)
     assert small[(0, 5)] == (0, 5)
     assert small[(1, 3)] == small[(3, 7)] == (1, 3, 7)
     assert big[1, 3] and big[3, 7] and not big[0, 5]
@@ -185,7 +186,7 @@ def test_pair_index_zero_weight_components_by_size():
     assert (0, 1) not in small and big[0, 1]
     assert not forced
     # at D = 5 that pair is small, its candidates the members of both, in order
-    small = index_as_dicts(build_pair_index(all_pairs(ZERO_SIZES), 5))[0]
+    small = index_as_dicts(build_pair_index(dm, 5), dm)[0]
     assert small[(0, 1)] == small[(1, 5)] == (0, 1, 3, 5, 7)
 
 
@@ -212,11 +213,11 @@ def test_pair_index_one_vertex_blocks(monkeypatch, g, D):
     monkeypatch.setattr(upperbound_builder, "_SCAN", 1)
     monkeypatch.setattr(upperbound_builder, "_TRIPLES", 1)
     blocks = build_pair_index(dm, D)
-    for field in ("small", "small_dist", "cand_ptr", "cand", "forced", "big"):
+    for field in ("small", "small_dist", "cand_ptr", "cand", "forced"):
         got, want = getattr(blocks, field), getattr(default, field)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert (got == want).all()
-    assert_same_index(blocks, oracle_pair_index(dm, D))
+    assert_same_index(blocks, oracle_pair_index(dm, D), dm)
     if g is ONE_VERTEX_BLOCK_CASES["H11"][0] or g is ZERO_FORCED:
         assert len(blocks.forced)
 
@@ -229,9 +230,9 @@ def test_pair_index_one_vertex_blocks(monkeypatch, g, D):
 def test_pair_index_matches_oracle(g, D):
     dm = all_pairs(g)
     index = build_pair_index(dm, D)
-    assert_same_index(index, oracle_pair_index(dm, D))
+    assert_same_index(index, oracle_pair_index(dm, D), dm)
     if g.weight_kind != "general":
-        assert_same_index(index, oracle_pair_index(dm, D, zero_one=True))
+        assert_same_index(index, oracle_pair_index(dm, D, zero_one=True), dm)
 
 
 @settings(max_examples=200)
@@ -735,12 +736,10 @@ def test_plain_build_searches_its_hits_once(monkeypatch):
         assert len(searches) == attempts >= 1
         mask = np.zeros(g.n, dtype=bool)
         mask[res.artifacts.S] = True
-        hit = shortest_path_hits(res.dm, mask)
-        assert len(searches) == attempts and not hit.flags.writeable
-        with pytest.raises(ValueError):
-            hit[0, 0] = not hit[0, 0]
+        hit_rows(res.dm, mask, slice(None))
+        assert len(searches) == attempts
         mask[np.flatnonzero(~mask)[0]] = True
-        assert (shortest_path_hits(res.dm, mask) == oracle_hits(res.dm, mask)).all()
+        assert (hit_rows(res.dm, mask, slice(None)) == oracle_hits(res.dm, mask)).all()
         assert len(searches) == attempts + 1
     # A reduced build covers on the stage matrix, so its verify searches dm.
     searches.clear()
@@ -942,9 +941,10 @@ def test_valid_reduced_build_constructs_no_stage_labeling(monkeypatch):
 
 
 def _min_plus_cover(dm, cfg, index):
-    """Reference for _sample_cover: the same draws, with each big pair tested
-    by a min-plus scan over S."""
+    """Reference for _sample_cover: the same draws, with each big pair of the
+    oracle pair index tested by a min-plus scan over S."""
     n, D = dm.n, index.D
+    big = oracle_pair_index(dm, D)[3]
     mat = dm.matrix()
     inf = np.where(mat < 0, 1 << 40, mat)
     s_size = math.ceil((n / D) * math.log(D))
@@ -952,7 +952,7 @@ def _min_plus_cover(dm, cfg, index):
         s_arr = np.sort(_rng(cfg.seed, 1, attempt).choice(n, size=s_size, replace=False))
         q = {}
         for u in range(n):
-            idx = np.flatnonzero(index.big[u])
+            idx = np.flatnonzero(big[u])
             hits = (inf[u, s_arr][:, None] + inf[s_arr][:, idx] == inf[u, idx][None, :]).any(axis=0)
             if not hits.all():
                 q[u] = set(idx[~hits].tolist())
@@ -980,3 +980,56 @@ def test_cover_stage_matches_min_plus_reference():
             got = (frozenset(S.tolist()), _sets(Q), attempts)
             assert got == _min_plus_cover(dm, cfg, index)
             assert len(Q), "every case leaves some big pair to Q"
+
+
+BLOCK_SIZE_CASES = {
+    "3reg-60": (random_regular_graph(60, 3, seed=1), 2),
+    "er-80-reduced": (reduce_degree(erdos_renyi_m(80, 160, seed=2))[0], 3),
+    "H21": (build_H(FamilyParams(2, 1)).graph, 3),
+}
+
+
+@pytest.mark.parametrize("g, D", BLOCK_SIZE_CASES.values(), ids=BLOCK_SIZE_CASES)
+def test_row_block_stages_do_not_depend_on_the_block_size(monkeypatch, g, D):
+    # The cover stage, the D = 1 coloring and the stage total read distance
+    # rows one block of dm.blocks() at a time: one row, 7 rows, all rows.
+    dm = all_pairs(g)
+    index, one = build_pair_index(dm, D), build_pair_index(dm, 1)
+    cfg = BuilderConfig(D=D, seed=3)
+
+    def outputs():
+        S, Q, attempts = _sample_cover(dm, cfg, index)
+        R = _sample_colors(dm, cfg, one)[1]
+        return S.tolist(), Q.tolist(), attempts, R.tolist(), _stage_total(S, Q, dm)
+
+    want = outputs()
+    assert want[1] and want[3]
+    if g is BLOCK_SIZE_CASES["H21"][0]:
+        assert len(index.forced)
+    for rows in (1, 7, g.n + 1):
+        monkeypatch.setattr(graph_core, "_ROWS", rows)
+        assert outputs() == want, rows
+
+
+@pytest.mark.parametrize(
+    "g",
+    [random_regular_graph(2000, 3, seed=1), reduce_degree(erdos_renyi_m(1000, 2000, seed=1))[0]],
+    ids=["3reg-2000", "er-1000-reduced"],
+)
+def test_pair_index_and_cover_hold_no_pair_matrix(g):
+    # Past the distance matrix, neither stage holds an n x n array of pairs:
+    # each peaks below 1.5 n^2 traced bytes (an n x n bool is n^2).
+    import tracemalloc
+
+    dm = all_pairs(g)
+    D = resolve_threshold(g.n, None)
+    tracemalloc.start()
+    try:
+        index = build_pair_index(dm, D)
+        pair_index_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _sample_cover(dm, BuilderConfig(seed=1), index)
+        cover_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair_index_peak < 1.5 * g.n**2 and cover_peak < 1.5 * g.n**2, (pair_index_peak, cover_peak)
