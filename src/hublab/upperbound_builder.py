@@ -26,9 +26,9 @@ from .graph_core import (
 )
 from .hub_labeling import CoverReport, HubLabeling, verify_cover
 
-#: Distance entries build_pair_index scans per block of rows (at least one
-#: row), and ball triples (u, v, x) it expands per block of vertices (at
-#: least one vertex).
+#: Distance entries build_pair_index and _stage_total scan per block of rows
+#: (at least one row), and ball triples (u, v, x) build_pair_index expands per
+#: block of vertices (at least one vertex).
 _SCAN = 1 << 20
 _TRIPLES = 1 << 16
 #: A round of _greedy_matchings that decides less than 1/_ROUND_SHARE of the
@@ -543,10 +543,12 @@ def _assemble(S, extra, dm) -> HubLabeling:
 def _stage_total(S, extra, stage_dm) -> int:
     """total_size of _assemble(S, extra, stage_dm) for distinct rows extra, without
     building it: the S vertices each row reaches, plus the reachable extras outside S."""
-    # the lowest vertex each row reaches names its component
-    comp = np.concatenate([(d != stage_dm.far).argmax(1) for _, _, d in stage_dm.blocks()])
+    q, far, k = stage_dm.q, stage_dm.far, len(stage_dm.q)
+    rows = max(1, _SCAN // k)  # per block of q rows: the lowest vertex of each row's component
+    comp = np.concatenate([(q[lo : lo + rows] != far).argmax(1) for lo in range(0, k, rows)])
     outside = ~np.isin(extra[:, 1], S) & (stage_dm.at(*extra.T) >= 0)
-    return int(np.bincount(comp[S], minlength=comp.size)[comp].sum() + np.count_nonzero(outside))
+    in_reach = np.bincount(comp[stage_dm.labels[S]], minlength=k)[comp]
+    return int(stage_dm.size @ in_reach + np.count_nonzero(outside))
 
 
 # -- degree reduction -------------------------------------------------------------

@@ -991,8 +991,9 @@ BLOCK_SIZE_CASES = {
 
 @pytest.mark.parametrize("g, D", BLOCK_SIZE_CASES.values(), ids=BLOCK_SIZE_CASES)
 def test_row_block_stages_do_not_depend_on_the_block_size(monkeypatch, g, D):
-    # The cover stage, the D = 1 coloring and the stage total read distance
-    # rows one block of dm.blocks() at a time: one row, 7 rows, all rows.
+    # The cover stage and the D = 1 coloring read distance rows one block of
+    # dm.blocks() at a time, and the stage total one block of q rows: one
+    # row, 7 rows, all rows.
     dm = all_pairs(g)
     index, one = build_pair_index(dm, D), build_pair_index(dm, 1)
     cfg = BuilderConfig(D=D, seed=3)
@@ -1000,7 +1001,8 @@ def test_row_block_stages_do_not_depend_on_the_block_size(monkeypatch, g, D):
     def outputs():
         S, Q, attempts = _sample_cover(dm, cfg, index)
         R = _sample_colors(dm, cfg, one)[1]
-        return S.tolist(), Q.tolist(), attempts, R.tolist(), _stage_total(S, Q, dm)
+        total = None if dm.labels is None else _stage_total(S, Q, dm)
+        return S.tolist(), Q.tolist(), attempts, R.tolist(), total
 
     want = outputs()
     assert want[1] and want[3]
@@ -1008,6 +1010,7 @@ def test_row_block_stages_do_not_depend_on_the_block_size(monkeypatch, g, D):
         assert len(index.forced)
     for rows in (1, 7, g.n + 1):
         monkeypatch.setattr(graph_core, "_ROWS", rows)
+        monkeypatch.setattr(upperbound_builder, "_SCAN", rows * len(dm.q))
         assert outputs() == want, rows
 
 
