@@ -14,7 +14,8 @@ Usage:
 
 Graphs: H:<b>:<ell> (the graph `hublab gen --kind H` writes),
 er:<n>:<m>:<seed> (corpus.erdos_renyi_m), reg:<n>:<degree>:<seed>
-(corpus.random_regular_graph), path:<n> (corpus.path_graph),
+(corpus.random_regular_graph), wreg:<n>:<degree>:<seed>:<wmax> (that graph
+with weights in 1..wmax drawn from numpy seed <seed>), path:<n> (corpus.path_graph),
 wstar:<leaves> (corpus.star_graph with a weight-2 edge from its last leaf to
 a new vertex: its weights are general, so the build keeps the hub's degree
 and most leaf pairs share one bucket at the hub), or the path of a graph
@@ -100,6 +101,8 @@ def commit_of(root: str) -> str | None:
 
 def make_graph(spec: str):
     """(graph, description) for a graph spec."""
+    import numpy as np
+
     from hublab import corpus, family_gen, graph_core
 
     kind, _, rest = spec.partition(":")
@@ -116,6 +119,13 @@ def make_graph(spec: str):
         n, degree, seed = args
         g = corpus.random_regular_graph(n, degree, seed=seed)
         return g, {"generator": "corpus.random_regular_graph", "n": n, "degree": degree, "seed": seed}
+    if kind == "wreg" and len(args) == 4:
+        n, degree, seed, wmax = args
+        u, v, _ = corpus.random_regular_graph(n, degree, seed=seed).edge_arrays()
+        w = np.random.default_rng(seed).integers(1, wmax + 1, size=u.size)
+        g = graph_core.WeightedGraph(n, np.stack([u, v, w], 1))
+        return g, {"generator": "corpus.random_regular_graph, weights 1..wmax", "n": n,
+                   "degree": degree, "seed": seed, "wmax": wmax}
     if kind == "wstar" and len(args) == 1:
         star = corpus.star_graph(args[0])
         edges = [*zip(*(a.tolist() for a in star.edge_arrays())), (star.n - 1, star.n, 2)]

@@ -221,13 +221,12 @@ def _read_graph_lines(path) -> WeightedGraph:
 # -- searches --------------------------------------------------------------
 # Every search runs on one numpy CSR per graph (_Csr), the graph's quotient by
 # its zero-weight components, which stores no zero and keeps the least weight
-# of parallel edges; searches are read back through the component labels. On
-# unit quotients, those of all "unit" and "01" graphs, all_pairs and
-# hit_rows run one bit-parallel BFS from every source at once
-# (_bfs_fronts) unless the diameter makes it dearer than Dijkstra or the band
-# kernel (_bfs_pays). scipy is imported only where csgraph runs on the CSR's
-# arrays: Dijkstra, exact below 2**53, and the single-source BFS of
-# distances_from, distance_between and CutSearch.
+# of parallel edges; searches are read back through the component labels.
+# all_pairs and hit_rows run the first of their searches that pays: the
+# bit-parallel BFS (unit quotients of short diameter), then the bucket search
+# (few buckets) or csgraph Dijkstra, and _tight_hits. scipy is imported only
+# where csgraph runs: Dijkstra, exact below 2**53, and the single-source BFS
+# of distances_from, distance_between and CutSearch.
 
 #: Total edge weight from which searches refuse to run, because a path length
 #: might no longer be exact in float64.
@@ -250,12 +249,6 @@ class _Csr:
     def csgraph(self):
         from scipy.sparse import csr_matrix
         return csr_matrix((self.data, self.indices, self.indptr), shape=(self.k, self.k))
-
-
-def dijkstra(csgraph, **kwargs) -> np.ndarray:
-    """scipy.sparse.csgraph.dijkstra, imported on first call."""
-    from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
-    return csgraph_dijkstra(csgraph, **kwargs)
 
 
 def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -312,10 +305,13 @@ def _distances(g: WeightedGraph, src: int | None = None):
     labels, mat = _search_matrix(g)
     if src is None and _bfs_pays(mat, _DIJKSTRA_OPS):
         return _bfs_distances(mat)
+    if src is None and (bound := _bucket_bound(mat)) is not None:
+        return _bucket_distances(mat, bound)
     qsrc = src if labels is None or src is None else labels[src]
     if src is not None and (mat.data == 1).all():
         dist = _bfs_depths(mat.csgraph, qsrc)
     else:
+        from scipy.sparse.csgraph import dijkstra
         dist = dijkstra(mat.csgraph, directed=True, indices=qsrc)
         far = np.isinf(dist)
         dist[far] = 0
@@ -346,20 +342,19 @@ def _bfs_depths(mat, src: int) -> np.ndarray:
 
 
 #: Word operations per source and per vertex or stored entry of the quotient
-#: CSR that the searches the bit-parallel BFS replaces cost at least: csgraph
-#: Dijkstra in all_pairs (paths are its cheapest case), and _band_hits in
-#: hit_rows. Fitted on 2 cores to paths, cycles, brooms, lollipops,
-#: caterpillars, ladders, grids, random trees and 3-regular graphs of 100 to
-#: 4000 vertices, so that neither search gets slower than its rival but by
-#: a few milliseconds on graphs of a few hundred vertices.
+#: CSR that the bit-parallel BFS's rivals cost at least: csgraph Dijkstra in
+#: all_pairs (paths are its cheapest case), and _tight_hits in hit_rows.
+#: Fitted on 2 cores to paths, cycles, brooms, lollipops, ladders, grids,
+#: random trees and 3-regular graphs of 200 to 2000 vertices, so that no
+#: search gets slower than its rival but by a few milliseconds.
 _DIJKSTRA_OPS = 8
-_BAND_OPS = 16
+_BAND_OPS = 1
 
 
 def _bfs_pays(mat: _Csr, rival_ops: int, levels: int | None = None) -> bool:
     """Whether the bit-parallel BFS should run on the CSR mat in place of a
     search that costs rival_ops word operations per source and per vertex or
-    stored entry.
+    stored entry: the bucket search or Dijkstra, and _tight_hits.
 
     Only unit weights qualify. The BFS runs a level per distance up to the
     largest diameter D; a level gathers each row of ceil(k / 64) words once
@@ -430,35 +425,37 @@ _SLOTS = 8
 
 
 class _NeighbourOr:
-    """Callable rows -> out on a k x k CSR matrix, with out[v] the bitwise or
-    of rows[x] over the neighbours x of v. rows and out have k + 1 rows, and
-    row k is zero in both.
+    """Callable rows -> out on a k x k CSR matrix, with out[v] the bitwise or of rows[x]
+    over the neighbours x of v. rows and out have k + 1 rows, and row k is zero in both.
 
     The j-th neighbours of all vertices, for j < _SLOTS, are one gather each,
     pad[j], pointing at the zero row k where a vertex has fewer neighbours;
     that runs several times faster than a reduceat over every CSR row while
     degrees are small. The more[v] neighbours past _SLOTS of each v in big,
-    rest[extra[v]:], are one reduceat, so hubs cost no loop of their degree."""
+    rest[extra[v]:], are one reduceat, so hubs cost no loop of their degree.
+    pos and rest_pos hold their CSR positions, nnz where pad holds k."""
 
     def __init__(self, mat: _Csr):
         ip, nbr, k = mat.indptr, mat.indices, mat.k
         deg = np.diff(ip)
-        self.pad = np.full((min(int(deg.max(initial=0)), _SLOTS), k + 1), k, dtype=np.int64)
-        for j, x in enumerate(self.pad):
-            has = np.flatnonzero(deg > j)
-            x[has] = nbr[ip[has] + j]
+        slot = np.arange(min(int(deg.max(initial=0)), _SLOTS))[:, None]
+        self.pos = np.where(slot < np.append(deg, 0), np.append(ip[:-1], 0) + slot, nbr.size)
+        self.pad = np.append(nbr, k).take(self.pos)
         self.more = np.maximum(deg - _SLOTS, 0)
         self.big, self.extra = np.flatnonzero(self.more), np.cumsum(self.more) - self.more
-        self.rest = nbr[segment_positions(ip[self.big] + _SLOTS, self.more[self.big])]
+        self.rest_pos = segment_positions(ip[self.big] + _SLOTS, self.more[self.big])
+        self.rest = nbr[self.rest_pos]
 
-    def __call__(self, rows: np.ndarray) -> np.ndarray:
-        if not len(self.pad):
-            return np.zeros_like(rows)
-        out = rows.take(self.pad[0], axis=0)
-        for x in self.pad[1:]:
-            out |= rows.take(x, axis=0)
+    def __call__(self, rows: np.ndarray, tight: np.ndarray | None = None) -> np.ndarray:
+        """out; with tight, the or of rows[x] & tight[e], e the CSR position of x."""
+        def gather(x, e):
+            got = rows.take(x, axis=0)
+            return got if tight is None else np.bitwise_and(got, tight.take(e, axis=0), out=got)
+        out = gather(self.pad[0], self.pos[0]) if len(self.pad) else np.zeros_like(rows)
+        for x, e in zip(self.pad[1:], self.pos[1:]):
+            out |= gather(x, e)
         if self.big.size:
-            out[self.big] |= np.bitwise_or.reduceat(rows[self.rest], self.extra[self.big], axis=0)
+            out[self.big] |= np.bitwise_or.reduceat(gather(self.rest, self.rest_pos), self.extra[self.big], axis=0)
         return out
 
 
@@ -511,6 +508,53 @@ def _bfs_distances(mat: _Csr):
 def _unpack(rows: np.ndarray, k: int) -> np.ndarray:
     """The bool matrix of the first k bits of each row, _WORD or bytes."""
     return np.unpackbits(rows.view(np.uint8), axis=1, count=k, bitorder="little").view(bool)
+
+
+#: Sources per block of _bucket_distances, and rows per tile of _tight_hits.
+_BLOCK = 128
+
+
+def _bucket_bound(mat: _Csr) -> int | None:
+    """2 e wmax, e from _diameter_estimate, a bound on the CSR mat's distances, if
+    _bucket_distances pays on mat, else None: it relaxes as cheaply as Dijkstra, and its
+    scans of q, a row per bucket of width wmin, cost at most _DIJKSTRA_OPS words per entry."""
+    k, w = mat.k, mat.data
+    wmin, wmax = (int(w.min()), int(w.max())) if w.size else (1, 1)
+    budget = _DIJKSTRA_OPS * (k + w.size)
+    cap = (budget // max(-(-k // 8), 1) - 1) * wmin // (2 * wmax)  # e at one byte per distance
+    if cap < 0 or (e := _diameter_estimate(mat, cap + 1)) > cap:
+        return None
+    row = -(-k * np.min_scalar_type(2 * e * wmax + wmin + wmax).itemsize // 8)
+    return 2 * e * wmax if (2 * e * wmax // wmin + 1) * row <= budget else None
+
+
+def _bucket_distances(mat: _Csr, bound: int):
+    """(q, diameter) of the CSR mat of positive weights and distances at most bound, by
+    Delta-stepping with Delta = wmin, the least weight (Meyer, Sanders 2003): a bucket of width
+    wmin is final once those below are relaxed. Blocks of _BLOCK sources find it with one
+    flatnonzero and relax it along mat.spread, a vertex standing in for missing neighbours at
+    weight 0, in a dtype that holds bound + wmin + wmax; q is narrowed at the end."""
+    k, spread, w = mat.k, mat.spread, mat.data.astype(np.int64)
+    wmin, wmax = (int(w.min()), int(w.max())) if w.size else (1, 1)
+    dtype, diameter = np.min_scalar_type(bound + wmin + wmax), 0
+    pad = np.where(spread.pad < k, spread.pad, np.arange(k + 1))[:, :k]
+    pad_w = np.append(w, 0).take(spread.pos)[:, :k].astype(dtype)
+    q = np.full((k, k), np.iinfo(dtype).max, dtype=dtype)
+    np.fill_diagonal(q, 0)
+    for lo in range(0, k, _BLOCK):
+        flat, at = q[lo : lo + _BLOCK].reshape(-1), 0
+        while at <= diameter + wmax:  # past every tentative distance
+            f = np.flatnonzero(np.subtract(flat, at, dtype=dtype) < wmin)
+            at += wmin
+            d, u = flat[f], f % k
+            diameter = max(diameter, int(d.max(initial=0)))
+            for x, wx in zip(pad, pad_w):
+                np.minimum.at(flat, f - u + x.take(u), d + wx.take(u))
+            hub = np.flatnonzero(spread.more.take(u)) if spread.big.size else spread.big
+            e = segment_positions(spread.extra[u[hub]], spread.more[u[hub]])
+            f = np.repeat(f[hub] - u[hub], spread.more[u[hub]]) + spread.rest[e]
+            np.minimum.at(flat, f, np.repeat(d[hub], spread.more[u[hub]]) + w[spread.rest_pos[e]])
+    return q.astype(np.min_scalar_type(diameter + 1), copy=False), diameter
 
 
 def distances_from(g: WeightedGraph, src: int) -> np.ndarray:
@@ -659,18 +703,15 @@ def all_pairs(g: WeightedGraph) -> DenseDistanceMatrix:
 
     Equals n invocations of distances_from; raises ResourceLimitError
     when n^2 entries would exceed PAIR_CAP, before it searches, and
-    ValueError when the total edge weight reaches WEIGHT_LIMIT.
+    ValueError when the total edge weight reaches WEIGHT_LIMIT. Runs the
+    bit-parallel BFS where _bfs_pays, else the bucket search where
+    _bucket_bound allows, else csgraph Dijkstra.
     """
     _check_pair_cap(g.n)
     q, diameter = _distances(g)
     dm = DenseDistanceMatrix(q, g)
     dm._diameter = diameter
     return dm
-
-
-#: Sources per block of _band_hits; bounds its temporaries to a few arrays of
-#: _HIT_BLOCK * (k + 2m) entries on a quotient of k vertices and m edges.
-_HIT_BLOCK = 32
 
 
 def hit_rows(dm: DenseDistanceMatrix, mask, idx) -> np.ndarray:
@@ -682,13 +723,12 @@ def hit_rows(dm: DenseDistanceMatrix, mask, idx) -> np.ndarray:
     Runs on the quotient of the search section: a masked vertex lies on a
     shortest u-v walk iff its zero-weight component lies on a shortest path
     between the components of u and v, so a component counts as masked when
-    it holds a masked vertex, and the quotient's hits are gathered back
-    through dm's component labels. On that quotient, Brandes-style propagation
-    (Brandes 2001) decides every pair: hit[u, v] holds iff u or v is masked
-    or hit[u, x] holds for a tight in-edge x->v, one with d(u,x) + w = d(u,v),
-    in _bfs_hits or _band_hits, whichever _bfs_pays picks. dm keeps the last
-    search's quotient hits in bits, keyed by the quotient mask, so a call
-    with an equal mask only unpacks the rows it returns.
+    it holds one, and hits are read back through dm's component labels. There
+    Brandes-style propagation (Brandes 2001) decides every pair: hit[u, v]
+    iff u or v is masked or hit[u, x] for a tight in-edge x->v, one with
+    d(u,x) + w = d(u,v), as bits over all sources at once: in _bfs_hits on
+    unit quotients where _bfs_pays, else in _tight_hits. dm keeps the last
+    hits, keyed by the quotient mask; an equal mask only unpacks rows.
     """
     mat = _search_matrix(dm.graph)[1]
     k = mat.k
@@ -700,7 +740,7 @@ def hit_rows(dm: DenseDistanceMatrix, mask, idx) -> np.ndarray:
         if _bfs_pays(mat, _BAND_OPS, dm.diameter() + 1):
             packed = _bfs_hits(mat, mask)
         else:
-            packed = np.packbits(_band_hits(mat, dm.q, mask), axis=1, bitorder="little")
+            packed = _tight_hits(mat, dm.q, mask, dm.diameter())
         dm._hits = (mask.tobytes(), packed)
     if dm.labels is None:
         return _unpack(packed[:k][idx], k)
@@ -708,66 +748,56 @@ def hit_rows(dm: DenseDistanceMatrix, mask, idx) -> np.ndarray:
 
 
 def _bfs_hits(mat, mask) -> np.ndarray:
-    """The hits of hit_rows on the unit-weight CSR mat with a vertex mask, in _WORD rows.
-
-    At level l of _bfs_fronts, the sources of v's hit row are those of its
-    front whose paths to v meet the mask: all of them when v is masked, the
-    masked ones, and those carried in the previous level's hit row of a
-    neighbour, which is exactly a tight in-edge of v."""
+    """The hits of hit_rows on the unit-weight CSR mat, in _WORD rows. At level l of
+    _bfs_fronts, v's hit row holds the sources of its front whose paths to v meet the mask:
+    all of them when v is masked, the masked ones, and those in the previous level's hit
+    row of a neighbour, which is exactly a tight in-edge of v."""
     k = mat.k
-    words = (k + 63) // 64
-    packed = np.zeros(words * 8, dtype=np.uint8)
-    packed[: (k + 7) // 8] = np.packbits(mask, bitorder="little")
-    seed = np.repeat(packed.view(_WORD)[None, :], k + 1, axis=0)
-    seed[np.flatnonzero(mask)] = np.iinfo(np.uint64).max
-    acc = np.zeros((k + 1, words), dtype=_WORD)
-    hit = None
+    acc = np.zeros((k + 1, (k + 63) // 64), dtype=_WORD)
+    row = np.zeros_like(acc[0])
+    row.view(np.uint8)[: (k + 7) // 8] = np.packbits(mask, bitorder="little")
+    masked, hit = np.flatnonzero(mask), None
     for _, front in _bfs_fronts(k, mat.spread):
-        hit = front & (seed if hit is None else seed | mat.spread(hit))
+        hit = front & row if hit is None else mat.spread(hit)
+        hit |= row
+        hit &= front
+        hit[masked] = front[masked]
         acc |= hit
     return acc
 
 
-def _band_hits(mat, dist: np.ndarray, mask) -> np.ndarray:
-    """The hits of hit_rows on the CSR mat, whose weights are positive, with
-    its all-pairs distances dist, coded as DenseDistanceMatrix.q.
-
-    Rows are independent and run in blocks of _HIT_BLOCK sources, widened to
-    int64 block by block. Inside a block the pending pairs are taken in bands
-    of d(u,v) // wmin, wmin the least weight, so every tight in-edge leaves
-    an earlier band, from a vertex the source reaches."""
-    k = mat.k
-    indptr, e_src, e_w = mat.indptr.astype(np.int64), mat.indices, mat.data.astype(np.int64)
-    wmin = int(e_w.min()) if e_w.size else 1
-    hit = np.zeros((k, k), dtype=bool)
-    for lo in range(0, k, _HIT_BLOCK):
-        d = _widen(dist[lo : lo + _HIT_BLOCK])
-        reach = d >= 0
-        h = hit[lo : lo + _HIT_BLOCK]
-        # Seeds: v in the mask, and whole rows of sources in the mask (those
-        # would follow from hit[u, u], but need no propagation this way).
-        np.logical_and(reach, mask[None, :] | mask[lo : lo + _HIT_BLOCK, None], out=h)
-        df, hf = d.reshape(-1), h.reshape(-1)
-        # Pending pairs as flat ids u * k + v within the block, by band.
-        pend = np.flatnonzero(reach & ~h)
-        if pend.size == 0:
-            continue
-        pend = pend[np.argsort(df[pend] // wmin, kind="stable")]
-        dv = df[pend]
-        pv = pend % k
-        # Every in-edge of every pending pair, in pair order; keep the tight ones.
-        counts = indptr[pv + 1] - indptr[pv]
-        pair = np.repeat(np.arange(pend.size), counts)
-        e = segment_positions(indptr[pv], counts)
-        src = (pend - pv)[pair] + e_src[e]
-        tight = df[src] + e_w[e] == dv[pair]
-        src, pair = src[tight], pair[tight]
-        dst = pend[pair]
-        band = dv[pair] // wmin
-        cuts = np.flatnonzero(band[1:] != band[:-1]) + 1
-        for a, b in zip(np.concatenate([[0], cuts]), np.concatenate([cuts, [band.size]])):
-            hf[dst[a:b][hf[src[a:b]]]] = True
-    return hit
+def _tight_hits(mat, q: np.ndarray, mask, diameter: int) -> np.ndarray:
+    """The hits of hit_rows, in _WORD rows, on the CSR mat of positive weights with its
+    distances q, coded as DenseDistanceMatrix.q, and their diameter. An in-edge x->v is tight
+    for source s iff q[x, s] + w == q[v, s], a compare of two rows as q is symmetric. Per
+    block of sources, whose tight bits (a byte row per entry) take no more room than the hits,
+    row v starts with its reached sources if v is masked, else its reached masked ones, and
+    passes spread the bits new in the last along tight in-edges."""
+    k, nnz = mat.k, mat.indices.size
+    acc = np.zeros((k + 1, (k + 63) // 64), dtype=_WORD)
+    far, out = np.iinfo(q.dtype).max, acc.view(np.uint8)
+    dtype = np.promote_types(q.dtype, np.min_scalar_type(2 * diameter + 1))  # holds d + w if tight
+    tgt = np.repeat(np.arange(k), np.diff(mat.indptr))
+    wt = np.minimum(mat.data, diameter + 1).astype(dtype)  # heavier is never tight either
+    block = max(1, out.shape[1] * (k + 1) // (nnz + 1))
+    for lo in range(0, (k + 7) // 8, block):
+        cols = slice(8 * lo, min(8 * (lo + block), k))
+        width = (cols.stop - cols.start + 7) // 8
+        hits, tight = np.zeros((k + 1, width), dtype=np.uint8), np.zeros((nnz + 1, width), dtype=np.uint8)
+        for a in range(0, max(k, nnz), _BLOCK):
+            v, e = slice(a, min(a + _BLOCK, k)), slice(a, min(a + _BLOCK, nnz))
+            reach = (q[v, cols] != far) & (mask[v, None] | mask[cols])
+            hits[v] = np.packbits(reach, 1, bitorder="little")
+            same = np.add(q[mat.indices[e], cols], wt[e, None], dtype=dtype) == q[tgt[e], cols]
+            tight[e] = np.packbits(same, 1, bitorder="little")
+        front = hits
+        while front.any():
+            front = mat.spread(front, tight)
+            front |= hits
+            front ^= hits  # front & ~hits, without a temporary
+            hits |= front
+        out[:, lo : lo + width] = hits
+    return acc
 
 
 # -- shortest-path trees -----------------------------------------------------

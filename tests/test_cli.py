@@ -569,17 +569,19 @@ def _fresh_interpreter(code: str, cwd) -> dict:
 
 
 def test_unit_build_verify_and_closure_never_load_scipy(tmp_path):
-    """build, verify and closure on a 3-regular graph and on a sparse graph
-    (m = 2n, with isolated vertices) that the builder degree-reduces run on
-    numpy alone. A weighted all_pairs and a unit distances_from do import
-    scipy, which shows the check can fail."""
+    """build, verify and closure on a 3-regular graph, on a sparse graph
+    (m = 2n, with isolated vertices) that the builder degree-reduces, and on
+    H(2,2), whose weights are general, run on numpy alone. An all_pairs with
+    weights from 1 to 1000 and a unit distances_from do import scipy, which
+    shows the check can fail."""
     got = _fresh_interpreter(
         """
         import contextlib, io
-        from hublab import cli, corpus, graph_core
+        from hublab import cli, corpus, family_gen, graph_core
         seen = {"import": scipy()}
         graphs = {"reg": corpus.random_regular_graph(60, 3, seed=1),
-                  "er": corpus.erdos_renyi_m(80, 160, seed=2)}
+                  "er": corpus.erdos_renyi_m(80, 160, seed=2),
+                  "H": family_gen.build_H(family_gen.FamilyParams(2, 2)).graph}
         seen["isolated"] = int((graphs["er"].degrees == 0).sum())
         for name, g in graphs.items():
             graph_core.write_graph(g, name + ".txt")
@@ -600,10 +602,12 @@ def test_unit_build_verify_and_closure_never_load_scipy(tmp_path):
         "reg build": [0, False, False], "reg verify": [0, False, False],
         "reg closure": [0, False, False], "er build": [0, False, True],
         "er verify": [0, False, False], "er closure": [0, False, False],
+        "H build": [0, False, False], "H verify": [0, False, False],
+        "H closure": [0, False, False],
     }
     weighted = """
         from hublab import graph_core
-        graph_core.all_pairs(graph_core.WeightedGraph(3, [(0, 1, 2), (1, 2, 1)]))
+        graph_core.all_pairs(graph_core.WeightedGraph(3, [(0, 1, 1000), (1, 2, 1)]))
         print(json.dumps(scipy()))
         """
     unit = """

@@ -839,7 +839,7 @@ def _refuse(*args, **kwargs):
 def test_word_boundary_all_pairs_match_networkx(monkeypatch):
     import hublab.graph_core as graph_core
 
-    monkeypatch.setattr(graph_core, "dijkstra", _refuse)
+    monkeypatch.setattr("scipy.sparse.csgraph.dijkstra", _refuse)
     for g in _word_boundary_graphs():
         _, expected = _nx_distances(g)
         dm = all_pairs(g)
@@ -847,26 +847,26 @@ def test_word_boundary_all_pairs_match_networkx(monkeypatch):
         assert [dm.matrix()[src].tolist() for src in range(g.n)] == expected, g
 
 
-def test_word_boundary_hits_match_oracle(monkeypatch):
-    import hublab.graph_core as graph_core
-
-    monkeypatch.setattr(graph_core, "_band_hits", _refuse)
+def test_word_boundary_hits_match_oracle():
+    """hit_rows matches the oracle, and both hit kernels give the same words."""
     rng = np.random.default_rng(5)
     for g in _word_boundary_graphs():
         dm = all_pairs(g)
+        labels, mat = graph_core._search_matrix(g)
         for mask in _word_boundary_masks(g.n, rng):
             hit = hit_rows(dm, mask, slice(None))
             assert hit.shape == (g.n, g.n) and hit.dtype == bool
             assert (hit == oracle_hits(dm, mask)).all(), (g, np.flatnonzero(mask))
+            qmask = mask if labels is None else np.bincount(labels[mask], minlength=mat.k) > 0
+            bits = graph_core._tight_hits(mat, dm.q, qmask, dm.diameter())
+            assert (bits == graph_core._bfs_hits(mat, qmask)).all(), (g, np.flatnonzero(mask))
 
 
 def test_short_unit_quotients_never_run_dijkstra(monkeypatch):
-    import hublab.graph_core as graph_core
-
     def refuse(*args, **kwargs):
         raise AssertionError("dijkstra called")
 
-    monkeypatch.setattr(graph_core, "dijkstra", refuse)
+    monkeypatch.setattr("scipy.sparse.csgraph.dijkstra", refuse)
     unit = random_regular_graph(70, 3, seed=3)
     zero_one = seeded_sparse_graph(70, 90, seed=4, min_w=0, max_w=1)
     # general weights, all inside one zero-weight component: the quotient
@@ -883,9 +883,11 @@ def test_short_unit_quotients_never_run_dijkstra(monkeypatch):
             assert row == [UNREACHABLE if d < 0 else d for d in dm.matrix()[s].tolist()], g
     assert zero_one.weight_kind == "01" and inside.weight_kind == "general"
     assert all_pairs(inside).matrix()[0, 2] == 0
+    # weights 1..2 take the bucket search; a weight of 1000 takes Dijkstra
     general = WeightedGraph(3, [(0, 1, 2), (1, 2, 1)])
+    assert all_pairs(general).matrix()[0].tolist() == [0, 2, 3]
     with pytest.raises(AssertionError, match="dijkstra called"):
-        all_pairs(general)
+        all_pairs(WeightedGraph(3, [(0, 1, 1000), (1, 2, 1)]))
     with pytest.raises(AssertionError, match="dijkstra called"):
         distance_between(general, 0, 2)
     with pytest.raises(AssertionError, match="dijkstra called"):
@@ -897,10 +899,9 @@ def test_short_unit_quotients_never_run_dijkstra(monkeypatch):
 def test_unit_distances_from_runs_one_bfs(monkeypatch):
     """distances_from on unit quotients reads depths off one BFS order: on
     two components, on a 1200-vertex path (depth 1199) and on G(2,2)."""
-    import hublab.graph_core as graph_core
     from hublab.family_gen import expand_to_G
 
-    monkeypatch.setattr(graph_core, "dijkstra", _refuse)
+    monkeypatch.setattr("scipy.sparse.csgraph.dijkstra", _refuse)
     reg = random_regular_graph(40, 3, seed=5)
     u, v, w = reg.edge_arrays()
     tail = [(40 + i, 41 + i, 1) for i in range(29)]
@@ -934,20 +935,24 @@ def test_unit_distances_from_runs_one_bfs(monkeypatch):
         assert distances_from(g21, s).tolist() == dm[s].tolist()
 
 
-def test_long_unit_quotients_run_dijkstra_and_band_hits(monkeypatch):
+def test_long_unit_quotients_run_dijkstra_and_tight_hits(monkeypatch):
     """On a path, whose diameter is its size, the bit-parallel BFS would
-    cost D k^2 / 64 word operations; all_pairs runs Dijkstra and
-    hit_rows the band kernel instead, for unit and {0,1} weights.
-    distance_between runs neither: it walks one single-source BFS."""
+    cost D k^2 / 64 word operations and the bucket search D buckets;
+    all_pairs runs Dijkstra and hit_rows _tight_hits instead, for unit and
+    {0,1} weights. distance_between runs neither: it walks one BFS."""
+    import scipy.sparse.csgraph as csgraph
+
     import hublab.graph_core as graph_core
 
     calls = []
-    for name in ("dijkstra", "_bfs_distances", "_bfs_hits", "_band_hits"):
-        def record(*args, _real=getattr(graph_core, name), _name=name, **kwargs):
+    for mod, name in ((csgraph, "dijkstra"),) + tuple(
+        (graph_core, name) for name in ("_bfs_distances", "_bucket_distances", "_bfs_hits", "_tight_hits")
+    ):
+        def record(*args, _real=getattr(mod, name), _name=name, **kwargs):
             calls.append(_name)
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(graph_core, name, record)
+        monkeypatch.setattr(mod, name, record)
     n = 1200
     for ws in (np.ones(n - 1, dtype=np.int64), (np.arange(n - 1) % 3 != 2).astype(np.int64)):
         g = WeightedGraph(n, [(i, i + 1, int(w)) for i, w in enumerate(ws)])
@@ -959,7 +964,7 @@ def test_long_unit_quotients_run_dijkstra_and_band_hits(monkeypatch):
         mask = np.zeros(n, dtype=bool)
         mask[[0, 63, 64, 700]] = True
         assert (hit_rows(dm, mask, slice(None)) == oracle_hits(dm, mask)).all()
-        assert calls == ["dijkstra", "_band_hits"], g
+        assert calls == ["dijkstra", "_tight_hits"], g
 
 
 def _hop_diameter(mat) -> int:
@@ -1115,3 +1120,98 @@ def test_quotient_dtype_is_the_narrowest_that_fits(g):
     fits = [t for t in codes if np.iinfo(t).max > diameter]
     assert dm.q.dtype == fits[0]
     assert ((dm.q_rows(slice(None)) == dm.far) == (mat < 0)).all()
+
+
+# -- the bucket search and the tight-edge hits -----------------------------------
+
+
+def _weighted(g: WeightedGraph, lo: int, hi: int, seed: int) -> WeightedGraph:
+    u, v, _ = g.edge_arrays()
+    w = np.random.default_rng(seed).integers(lo, hi + 1, size=g.m)
+    return WeightedGraph(g.n, np.stack([u, v, w], 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_graphs(max_n=14, min_weight=0, max_weight=3),
+    st.sampled_from([(1, 1), (1, 3), (50, 130), (1, 1000)]),
+    st.sampled_from([1, 7, "k + 1"]),
+    st.integers(0, 3),
+)
+def test_bucket_search_and_tight_hits_match_oracles(g, weights, block, seed):
+    """On the quotient of graphs with zero weights, disconnected parts and
+    n = 1, with weights redrawn from 1, 50..130 or 1..1000: the bucket search
+    equals csgraph Dijkstra in values, dtype and diameter, and _tight_hits
+    equals the oracle, for source blocks of 1, 7 and k + 1."""
+    from scipy.sparse.csgraph import dijkstra
+
+    u, v, w = g.edge_arrays()
+    w = np.where(w > 0, np.random.default_rng(seed).integers(*weights, endpoint=True, size=g.m), 0)
+    g = WeightedGraph(g.n, np.stack([u, v, w], 1))
+    labels, mat = graph_core._search_matrix(g)
+    want = dijkstra(mat.csgraph, directed=True)
+    bound = 2 * graph_core._diameter_estimate(mat, mat.k + 1) * int(mat.data.max(initial=1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_core, "_BLOCK", mat.k + 1 if block == "k + 1" else block)
+        q, diameter = graph_core._bucket_distances(mat, bound)
+        masks = [np.zeros(g.n, dtype=bool), np.ones(g.n, dtype=bool)]
+        masks.append(np.random.default_rng(seed).random(g.n) < 0.3)
+        hits = [(mask, _quotient_hits(g, mat, labels, q, diameter, mask)) for mask in masks]
+    assert diameter == int(want[np.isfinite(want)].max(initial=0))
+    assert q.dtype == np.min_scalar_type(diameter + 1)
+    assert (graph_core._widen(q) == np.where(np.isfinite(want), want, -1)).all()
+    dm = DenseDistanceMatrix(q, g)
+    for mask, hit in hits:
+        assert (hit == oracle_hits(dm, mask)).all()
+
+
+def _quotient_hits(g, mat, labels, q, diameter, mask) -> np.ndarray:
+    """_tight_hits of a vertex mask, read back as the n x n bool matrix."""
+    qmask = mask if labels is None else np.bincount(labels[mask], minlength=mat.k) > 0
+    hit = graph_core._unpack(graph_core._tight_hits(mat, q, qmask, diameter)[: mat.k], mat.k)
+    return hit if labels is None else hit[labels][:, labels]
+
+
+def test_bucket_search_where_buckets_are_few(monkeypatch):
+    """H(2,2) and weights 1..2 take the bucket search and load no Dijkstra;
+    weights 1..1000 on the same 3-regular graph still reach Dijkstra. The
+    n = 0 graph and a weighted graph with no edge give empty searches."""
+    calls = []
+    monkeypatch.setattr("scipy.sparse.csgraph.dijkstra", lambda *a, **kw: calls.append(1) or _refuse())
+    reg = random_regular_graph(200, 3, seed=1)
+    for g in (build_H(FamilyParams(2, 2)).graph, _weighted(reg, 1, 2, 1)):
+        _, mat = graph_core._search_matrix(g)
+        assert graph_core._bucket_bound(mat) is not None
+        dm = all_pairs(g)
+        mask = np.arange(g.n) % 5 == 0
+        assert (hit_rows(dm, mask, slice(None)) == oracle_hits(dm, mask)).all()
+    with pytest.raises(AssertionError, match="rival search called"):
+        all_pairs(_weighted(reg, 1, 1000, 1))
+    assert calls == [1]
+    assert all_pairs(WeightedGraph(0, [])).q.shape == (0, 0)
+    assert all_pairs(WeightedGraph(2, [(0, 1, 0)])).matrix().tolist() == [[0, 0], [0, 0]]
+
+
+def _traced_peak(call) -> int:
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_hit_kernels_hold_few_temporaries():
+    """_bfs_hits keeps no (k + 1) x words seed matrix, and _tight_hits holds
+    its compares to row blocks and no k x k bool matrix."""
+    g = random_regular_graph(2000, 3, seed=1)
+    dm = all_pairs(g)
+    mask = np.arange(g.n) % 20 == 0
+    assert _traced_peak(lambda: hit_rows(dm, mask, slice(0, 64))) <= 0.8 * g.n**2
+    h = build_H(FamilyParams(2, 4)).graph
+    dm = all_pairs(h)
+    _, mat = graph_core._search_matrix(h)
+    mask = np.arange(h.n) % 20 == 0
+    assert _traced_peak(lambda: graph_core._tight_hits(mat, dm.q, mask, dm.diameter())) <= 0.5 * h.n**2

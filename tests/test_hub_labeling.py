@@ -944,7 +944,7 @@ def test_verify_cover_matches_dense_oracle_at_1_and_n_plus_1_rows(monkeypatch, r
 
 def _check_across_chunk_boundaries(monkeypatch, rows):
     monkeypatch.setattr(hub_labeling, "_CHUNK", 5)
-    monkeypatch.setattr(graph_core, "_HIT_BLOCK", 2)
+    monkeypatch.setattr(graph_core, "_BLOCK", 2)
     rng = np.random.default_rng(9)
     for g in (_two_component_graph(), seeded_sparse_graph(25, 40, seed=5, min_w=0, max_w=3)):
         monkeypatch.setattr(graph_core, "_ROWS", g.n + 1 if rows == "n + 1" else rows)

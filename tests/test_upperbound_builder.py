@@ -725,10 +725,10 @@ def test_plain_build_searches_its_hits_once(monkeypatch):
     # The verifier's core is S on these builds, so it reads the hits of the
     # cover stage's last attempt from the matrix instead of searching again.
     searches = []
-    for name in ("_bfs_hits", "_band_hits"):
+    for name in ("_bfs_hits", "_tight_hits"):
         real = getattr(graph_core, name)
         monkeypatch.setattr(graph_core, name, lambda *a, _real=real: searches.append(1) or _real(*a))
-    # bit-parallel hits on the 3-regular graph; the path is long enough for the band kernel
+    # bit-parallel hits on the 3-regular graph; the path is long enough for _tight_hits
     for g, cfg in (REG, (path_graph(700), BuilderConfig(seed=1))):
         searches.clear()
         res = build_for_graph(g, cfg)
