@@ -6,6 +6,7 @@ searches, on a named graph and record it in BENCH_<label>.json.
 Usage:
     python scripts/bench.py --label pair_index --side after --graph er:2000:4000:1
     python scripts/bench.py --label closure --command closure --side after --graph reg:2000:3:1
+    python scripts/bench.py --label zero_trees --command closure --side after --graph rer:1000:2000:1
     python scripts/bench.py --label unit_search --command verify --side after --graph reg:2000:3:1
     python scripts/bench.py --label query_probe --command query --side after --graph reg:2000:3:1
     python scripts/bench.py --label unit_search --command searches --side after --graph path:2000
@@ -15,7 +16,10 @@ Usage:
 Graphs: H:<b>:<ell> (the graph `hublab gen --kind H` writes),
 er:<n>:<m>:<seed> (corpus.erdos_renyi_m), reg:<n>:<degree>:<seed>
 (corpus.random_regular_graph), wreg:<n>:<degree>:<seed>:<wmax> (that graph
-with weights in 1..wmax drawn from numpy seed <seed>), path:<n> (corpus.path_graph),
+with weights in 1..wmax drawn from numpy seed <seed>), rer:<n>:<m>:<seed>
+(upperbound_builder.reduce_degree(corpus.erdos_renyi_m(n, m, seed))[0], the
+degree-reduced stage graph of that er graph: its split vertices hang on
+zero-weight edges, and `hublab build` labels it as it is), path:<n> (corpus.path_graph),
 wstar:<leaves> (corpus.star_graph with a weight-2 edge from its last leaf to
 a new vertex: its weights are general, so the build keeps the hub's degree
 and most leaf pairs share one bucket at the hub), or the path of a graph
@@ -103,7 +107,7 @@ def make_graph(spec: str):
     """(graph, description) for a graph spec."""
     import numpy as np
 
-    from hublab import corpus, family_gen, graph_core
+    from hublab import corpus, family_gen, graph_core, upperbound_builder
 
     kind, _, rest = spec.partition(":")
     args = [int(x) for x in rest.split(":")] if rest else []
@@ -115,6 +119,11 @@ def make_graph(spec: str):
         n, m, seed = args
         g = corpus.erdos_renyi_m(n, m, seed=seed)
         return g, {"generator": "corpus.erdos_renyi_m", "n": n, "m": m, "seed": seed}
+    if kind == "rer" and len(args) == 3:
+        n, m, seed = args
+        g = upperbound_builder.reduce_degree(corpus.erdos_renyi_m(n, m, seed=seed))[0]
+        return g, {"generator": "upperbound_builder.reduce_degree(corpus.erdos_renyi_m(...))[0]",
+                   "er_n": n, "er_m": m, "seed": seed}
     if kind == "reg" and len(args) == 3:
         n, degree, seed = args
         g = corpus.random_regular_graph(n, degree, seed=seed)

@@ -16,17 +16,10 @@ def path_graph(n: int) -> WeightedGraph:
 
 
 def grid_graph(rows: int, cols: int) -> WeightedGraph:
-    def vid(r, c):
-        return r * cols + c
-
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((vid(r, c), vid(r, c + 1), 1))
-            if r + 1 < rows:
-                edges.append((vid(r, c), vid(r + 1, c), 1))
-    return WeightedGraph(rows * cols, edges)
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    u = np.concatenate([ids[:, :-1].ravel(), ids[:-1].ravel()])
+    v = np.concatenate([ids[:, 1:].ravel(), ids[1:].ravel()])
+    return WeightedGraph(rows * cols, np.stack([u, v, np.ones_like(u)], axis=1))
 
 
 def star_graph(leaves: int) -> WeightedGraph:

@@ -469,15 +469,26 @@ def _bfs_fronts(k: int, spread: _NeighbourOr):
     ids = np.arange(k)
     front = np.zeros((k + 1, (k + 63) // 64), dtype=_WORD)
     front[ids, ids >> 6] = np.uint64(1) << (ids & 63).astype(np.uint64)
-    seen = front.copy()
-    level = 0
+    yield from enumerate(_fronts(spread, front))
+
+
+def _fronts(spread: _NeighbourOr, seen: np.ndarray, tight: np.ndarray | None = None):
+    """Yield seen, then the bits new to it that spread carries along tight from the last, ored
+    into seen in place, until none is new. Callers must not write to what they get."""
+    front = seen
     while front.any():
-        yield level, front
-        front = spread(front)
+        yield front
+        front = spread(front, tight)
         front |= seen
         front ^= seen  # front & ~seen, without a temporary
         seen |= front
-        level += 1
+
+
+def _spread_out(spread: _NeighbourOr, seen: np.ndarray, tight: np.ndarray) -> np.ndarray:
+    """seen, in place, with every bit that _fronts spreads from it."""
+    for _ in _fronts(spread, seen, tight):
+        pass
+    return seen
 
 
 def _bfs_distances(mat: _Csr):
@@ -790,14 +801,9 @@ def _tight_hits(mat, q: np.ndarray, mask, diameter: int) -> np.ndarray:
             hits[v] = np.packbits(reach, 1, bitorder="little")
             same = np.add(q[mat.indices[e], cols], wt[e, None], dtype=dtype) == q[tgt[e], cols]
             tight[e] = np.packbits(same, 1, bitorder="little")
-        front = hits
-        while front.any():
-            front = mat.spread(front, tight)
-            front |= hits
-            front ^= hits  # front & ~hits, without a temporary
-            hits |= front
-        out[:, lo : lo + width] = hits
+        out[:, lo : lo + width] = _spread_out(mat.spread, hits, tight)
     return acc
+
 
 
 # -- shortest-path trees -----------------------------------------------------
@@ -808,23 +814,25 @@ def canonical_trees(dm: DenseDistanceMatrix, lo: int, hi: int) -> np.ndarray:
     parents matrix: row r - lo holds each vertex's parent in the tree of r, r
     at r, and -1 where r does not reach.
 
-    With positive weights a tight in-edge x->v (d(r,x) + w = d(r,v)) leaves a
-    closer vertex, so the lowest-id tight in-neighbour yields a tree. Vertices
-    of degree above top read all their in-edges at once, the others their
-    j-th for each j < top, which top keeps to the fewest steps. Zero weights
-    can close parent cycles under that rule, so each root runs a fixpoint
-    attaching only to rooted vertices.
+    v's parent is the lowest-id x of a tight in-edge x->v (d(r,x) + w = d(r,v)) with
+    p(x) + c = p(v). p(v) is the pass in which a fixpoint in (distance, id) order attaches
+    v to a rooted neighbour: p(r) = 1, and p(v) is the least p(x) + c over tight x->v,
+    c = 1 iff w = 0 and x > v, but 0 on r's own edges, which are tested apart. Without
+    zero weights p = 1 and c = 0. The test runs on keys d P + p and weights w P + c, P > p:
+    vertices of degree above top read all their in-edges at once, the others their j-th
+    for each j < top, which top keeps to the fewest steps.
     """
     g, n = dm.graph, dm.n
     indptr, nbr, w = g.in_edges()
-    if g.has_zero_weights:
-        csr = [a.tolist() for a in (indptr, nbr, w)]
-        rows = dm.rows(slice(lo, hi)).tolist()
-        rows = [_fixpoint_parents(*csr, row, r) for r, row in enumerate(rows, lo)]
-        return np.array(rows, dtype=np.int32).reshape(hi - lo, n)
     small = np.min_scalar_type(-2 * dm.diameter() - 2)  # holds d + w for every w that can be tight
-    d = _widen(dm.q_rows(slice(lo, hi))).astype(small)  # [i, v]: d(lo + i, v)
-    w, nbr, none = np.minimum(w, dm.diameter() + 1).astype(small), nbr.astype(np.int32), np.int32(n)
+    d = _widen(dm.q_rows(slice(lo, hi))).astype(small)  # [i, v]: d(lo + i, v), then its key
+    w = np.minimum(w, dm.diameter() + 1).astype(small)
+    e = slice(indptr[lo], indptr[hi])  # the roots' own edges
+    i = np.repeat(np.arange(hi - lo, dtype=np.int32), np.diff(indptr[lo : hi + 1]))
+    i, x = i[d[i, nbr[e]] == w[e]], nbr[e][d[i, nbr[e]] == w[e]]
+    if g.has_zero_weights:
+        d, w = _pass_keys(g, d, w, lo, hi)
+    nbr, none = nbr.astype(np.int32), np.int32(n)
     order = np.argsort(-g.degrees, kind="stable")
     above = n - np.cumsum(np.bincount(g.degrees, minlength=1))  # [j]: vertices of degree > j
     top = int(np.argmin(above + np.arange(above.size)))
@@ -838,31 +846,30 @@ def canonical_trees(dm: DenseDistanceMatrix, lo: int, hi: int) -> np.ndarray:
         miss = d.take(nbr[e], 1) + w[e] != d.take(order[k], 1)
         np.minimum(low[:, k], nbr[e] + none * miss, out=low[:, k])
     parents = np.empty_like(low)
-    parents[:, order] = np.where(low < n, low, -1)
+    parents[:, order] = low
+    np.minimum.at(parents, (i, x), lo + i)
+    parents[(parents == n) | (d < 0)] = -1  # unreached, even where zero edges look tight
     parents[np.arange(hi - lo), np.arange(lo, hi)] = np.arange(lo, hi)
     return parents
 
 
-def _fixpoint_parents(ip: list, nb: list, wt: list, dists: list, root: int) -> list[int]:
-    """One tree on a graph with zero weights, from in_edges() as lists:
-    passes over the pending reached vertices in (distance, id) order attach
-    each to its lowest-id tight neighbour that is already rooted."""
-    parents = [-1] * len(dists)
-    parents[root] = root
-    pending = sorted((dv, v) for v, dv in enumerate(dists) if v != root and dv >= 0)
-    while pending:
-        rest = []
-        for dv, v in pending:
-            for i in range(ip[v], ip[v + 1]):
-                if parents[nb[i]] != -1 and dists[nb[i]] + wt[i] == dv:
-                    parents[v] = nb[i]
-                    break
-            else:
-                rest.append((dv, v))
-        if len(rest) == len(pending):
-            break
-        pending = rest
-    return parents
+def _pass_keys(g: WeightedGraph, d: np.ndarray, w: np.ndarray, lo: int, hi: int):
+    """canonical_trees' keys d P + p and weights w P + c from its d and w. Pass p, as bits over
+    the roots, holds pass p - 1, all one tight edge on, and all that tight c = 0 edges reach."""
+    indptr, nbr, _ = g.in_edges()
+    tgt, dt = np.repeat(np.arange(g.n), np.diff(indptr)), np.ascontiguousarray(d.T)
+    c = (w == 0) & (nbr > tgt)
+    same = np.packbits(dt[nbr] + w[:, None] == dt[tgt], 1, bitorder="little")
+    tight = np.append(same, np.zeros_like(same[:1]), 0)  # row nnz: where spread pads
+    spread, flat = _NeighbourOr(_Csr(indptr, nbr, w)), tight * np.append(~c, False)[:, None]
+    got = np.packbits(np.eye(g.n + 1, hi - lo, -lo, dtype=bool), 1, bitorder="little")  # p = 0: r
+    p = np.ones(dt.shape, dtype=np.int64)  # [v, i]
+    while not np.array_equal(nxt := _spread_out(spread, spread(got, tight) | got, flat), got):
+        p += ~_unpack(nxt[: g.n], hi - lo)
+        got = nxt
+    span = int(p.max(initial=0)) + 1
+    small = np.min_scalar_type(int(np.iinfo(d.dtype).min) * span)  # holds key + weight if tight
+    return (d * np.int64(span) + p.T).astype(small), (w * np.int64(span) + c).astype(small)
 
 
 # -- path counting -----------------------------------------------------------

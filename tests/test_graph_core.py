@@ -334,7 +334,7 @@ def test_canonical_trees_match_per_root_oracle(g):
     st.data(),
 )
 def test_canonical_trees_in_blocks_match_one_call_and_oracle(g, data):
-    # Weights start at 0, so the zero-weight fixpoint runs in blocks too.
+    # Weights start at 0, so the passes of zero-weight trees run in blocks too.
     dm = all_pairs(g)
     cuts = sorted(data.draw(st.lists(st.integers(0, g.n), max_size=4)))
     bounds = [0, *cuts, g.n]  # a repeated bound makes an empty block
@@ -349,6 +349,18 @@ def test_canonical_trees_in_blocks_match_one_call_and_oracle(g, data):
         assert whole[root].tolist() == oracle_shortest_paths_from(g, root)[0]
 
 
+# (graph, root, parents) of zero-weight trees that hang on the pass p in
+# which each vertex joins.
+PASS_EDGE_CASES = [
+    # The root's zero edge to a lower id counts c = 0: 1 joins in pass 1 and is 0's parent.
+    (WeightedGraph(3, [(0, 1, 1), (0, 2, 1), (1, 2, 0)]), 2, [1, 2, 2]),
+    # 2 joins in pass 2 and 1 in pass 3.
+    (WeightedGraph(4, [(0, 3, 1), (1, 2, 0), (2, 3, 0)]), 0, [0, 2, 3, 0]),
+    # Every zero edge leads down in id, so each takes a pass: 9 passes.
+    (WeightedGraph(10, [(i, i + 1, 0) for i in range(1, 9)] + [(0, 9, 1)]), 0, [0, 2, 3, 4, 5, 6, 7, 8, 9, 0]),
+]
+
+
 def test_canonical_trees_match_oracle_on_fixed_graphs():
     graphs = [
         WeightedGraph(0, []),
@@ -361,11 +373,16 @@ def test_canonical_trees_match_oracle_on_fixed_graphs():
         seeded_sparse_graph(30, 45, seed=8, min_w=1, max_w=9),
         build_H(FamilyParams(2, 1)).graph,
         WeightedGraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 65538)]),  # 65538 wraps to 2 in 8 or 16 bits
+        *(g for g, _, _ in PASS_EDGE_CASES),
+        reduce_degree(erdos_renyi_m(60, 150, seed=4))[0],  # n = 96: the roots span two 64-bit words
     ]
     for g in graphs:
         parents = canonical_trees(all_pairs(g), 0, g.n)
         for root in range(g.n):
             assert parents[root].tolist() == oracle_shortest_paths_from(g, root)[0], g
+    for g, root, row in PASS_EDGE_CASES:
+        assert canonical_trees(all_pairs(g), 0, g.n)[root].tolist() == row
+
 
 
 def test_hub_candidates_identity_and_path():
