@@ -805,7 +805,6 @@ def _tight_hits(mat, q: np.ndarray, mask, diameter: int) -> np.ndarray:
     return acc
 
 
-
 # -- shortest-path trees -----------------------------------------------------
 
 
@@ -826,13 +825,13 @@ def canonical_trees(dm: DenseDistanceMatrix, lo: int, hi: int) -> np.ndarray:
     indptr, nbr, w = g.in_edges()
     small = np.min_scalar_type(-2 * dm.diameter() - 2)  # holds d + w for every w that can be tight
     d = _widen(dm.q_rows(slice(lo, hi))).astype(small)  # [i, v]: d(lo + i, v), then its key
-    w = np.minimum(w, dm.diameter() + 1).astype(small)
-    e = slice(indptr[lo], indptr[hi])  # the roots' own edges
+    w, nbr, none = np.minimum(w, dm.diameter() + 1).astype(small), nbr.astype(np.int32), np.int32(n)
+    e = slice(indptr[lo], indptr[hi])  # the roots' own edges, all with c = 0
     i = np.repeat(np.arange(hi - lo, dtype=np.int32), np.diff(indptr[lo : hi + 1]))
-    i, x = i[d[i, nbr[e]] == w[e]], nbr[e][d[i, nbr[e]] == w[e]]
+    near = d[i, nbr[e]] == w[e]
+    i, x = i[near], nbr[e][near]
     if g.has_zero_weights:
         d, w = _pass_keys(g, d, w, lo, hi)
-    nbr, none = nbr.astype(np.int32), np.int32(n)
     order = np.argsort(-g.degrees, kind="stable")
     above = n - np.cumsum(np.bincount(g.degrees, minlength=1))  # [j]: vertices of degree > j
     top = int(np.argmin(above + np.arange(above.size)))
@@ -854,16 +853,17 @@ def canonical_trees(dm: DenseDistanceMatrix, lo: int, hi: int) -> np.ndarray:
 
 
 def _pass_keys(g: WeightedGraph, d: np.ndarray, w: np.ndarray, lo: int, hi: int):
-    """canonical_trees' keys d P + p and weights w P + c from its d and w. Pass p, as bits over
-    the roots, holds pass p - 1, all one tight edge on, and all that tight c = 0 edges reach."""
+    """canonical_trees' keys d P + p and weights w P + c from its rows d and weights w. Pass p
+    holds, as bits over the roots, the vertices of pass p - 1, those one tight edge on, and
+    all that tight edges with c = 0 reach from these; p counts the passes a vertex is not in."""
     indptr, nbr, _ = g.in_edges()
     tgt, dt = np.repeat(np.arange(g.n), np.diff(indptr)), np.ascontiguousarray(d.T)
     c = (w == 0) & (nbr > tgt)
     same = np.packbits(dt[nbr] + w[:, None] == dt[tgt], 1, bitorder="little")
     tight = np.append(same, np.zeros_like(same[:1]), 0)  # row nnz: where spread pads
     spread, flat = _NeighbourOr(_Csr(indptr, nbr, w)), tight * np.append(~c, False)[:, None]
-    got = np.packbits(np.eye(g.n + 1, hi - lo, -lo, dtype=bool), 1, bitorder="little")  # p = 0: r
-    p = np.ones(dt.shape, dtype=np.int64)  # [v, i]
+    got = np.packbits(np.eye(g.n + 1, hi - lo, -lo, dtype=bool), 1, bitorder="little")  # pass 0: roots
+    p = np.ones(dt.shape, dtype=np.int64)  # [v, i], 1 + the passes v is not in
     while not np.array_equal(nxt := _spread_out(spread, spread(got, tight) | got, flat), got):
         p += ~_unpack(nxt[: g.n], hi - lo)
         got = nxt
